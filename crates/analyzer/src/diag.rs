@@ -2,6 +2,7 @@
 //! passes: stable codes, `file:line` spans, human and JSON rendering,
 //! and the allowlist that suppresses accepted findings.
 
+use ftqc_telemetry::json::push_json_str;
 use std::fmt;
 
 /// Stable diagnostic codes. `FTQC001..FTQC009` are source lints,
@@ -151,9 +152,9 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Renders diagnostics as a JSON array (hand-rolled: the analyzer is
-/// dependency-free). Stable field order: `code`, `file`, `line`,
-/// `message`.
+/// Renders diagnostics as a JSON array (hand-rolled on the workspace's
+/// shared escaper; no serde). Stable field order: `code`, `file`,
+/// `line`, `message`.
 pub fn render_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {
@@ -161,13 +162,13 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str("\n  {\"code\":");
-        json_string(&mut out, d.code.as_str());
+        push_json_str(&mut out, d.code.as_str());
         out.push_str(",\"file\":");
-        json_string(&mut out, &d.file);
+        push_json_str(&mut out, &d.file);
         out.push_str(",\"line\":");
         out.push_str(&d.line.to_string());
         out.push_str(",\"message\":");
-        json_string(&mut out, &d.message);
+        push_json_str(&mut out, &d.message);
         out.push('}');
     }
     if !diags.is_empty() {
@@ -175,24 +176,6 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
     }
     out.push_str("]\n");
     out
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Accepted findings: `CODE path` pairs loaded from an allowlist file.
@@ -278,6 +261,15 @@ mod tests {
         assert!(json.starts_with('['));
         assert!(json.trim_end().ends_with(']'));
         assert_eq!(render_json(&[]).trim(), "[]");
+        // Every field reads back exactly through the shared codec.
+        let d = Diagnostic::new(Code::QasmParse, "dir\\f.rs", 7, "cr\r nl\n ctl\u{1} é");
+        let doc =
+            ftqc_telemetry::json::Value::parse(&render_json(std::slice::from_ref(&d))).unwrap();
+        let row = &doc.as_array().unwrap()[0];
+        assert_eq!(row.get_str("code"), Some("FTQC017"));
+        assert_eq!(row.get_str("file"), Some(d.file.as_str()));
+        assert_eq!(row.get_f64("line"), Some(7.0));
+        assert_eq!(row.get_str("message"), Some(d.message.as_str()));
     }
 
     #[test]

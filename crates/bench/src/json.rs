@@ -2,8 +2,8 @@
 //!
 //! Reports are flat and dependency-free by design (the build
 //! environment has no serde): [`BenchReport::to_json`] emits them,
-//! [`BenchReport::from_json`] parses them back through a minimal JSON
-//! reader, and `ftqc-bench compare` diffs two of them. Schema
+//! [`BenchReport::from_json`] parses them back through the workspace's
+//! shared [`Value`] reader, and `ftqc-bench compare` diffs two of them. Schema
 //! (`"schema": 1`):
 //!
 //! ```json
@@ -28,6 +28,9 @@
 //! with the counting allocator (machine-independent); `samples` is the
 //! number of timed repetitions. Unknown keys are ignored on read, so
 //! the schema can grow additively.
+
+use ftqc_telemetry::json::{push_json_str, Value};
+use std::fmt::Write as _;
 
 /// One measured operation of a scenario (e.g. one decoder at one
 /// distance).
@@ -89,39 +92,27 @@ pub struct BenchReport {
 impl BenchReport {
     /// Serializes the report (stable key order, two-space indent).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"scenario\": {},\n", quote(&self.scenario)));
-        out.push_str(&format!("  \"preset\": {},\n", quote(&self.preset)));
+        let mut out = String::from("{\n  \"schema\": 1,\n  \"scenario\": ");
+        push_json_str(&mut out, &self.scenario);
+        out.push_str(",\n  \"preset\": ");
+        push_json_str(&mut out, &self.preset);
+        out.push_str(",\n");
         if self.calibration_ns_per_op > 0.0 {
-            out.push_str(&format!(
-                "  \"calibration_ns_per_op\": {},\n",
-                fmt_f64(self.calibration_ns_per_op)
-            ));
+            let cal = fmt_f64(self.calibration_ns_per_op);
+            let _ = writeln!(out, "  \"calibration_ns_per_op\": {cal},");
         }
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": {},\n", quote(&r.name)));
-            out.push_str(&format!(
-                "      \"median_ns_per_op\": {},\n",
-                fmt_f64(r.median_ns_per_op)
-            ));
-            out.push_str(&format!(
-                "      \"ops_per_sec\": {},\n",
-                fmt_f64(r.ops_per_sec)
-            ));
-            out.push_str(&format!(
-                "      \"allocs_per_op\": {},\n",
-                fmt_f64(r.allocs_per_op)
-            ));
-            out.push_str(&format!("      \"samples\": {}\n", r.samples));
-            out.push_str(if i + 1 == self.results.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
+            out.push_str("    {\n      \"name\": ");
+            push_json_str(&mut out, &r.name);
+            let median = fmt_f64(r.median_ns_per_op);
+            let ops = fmt_f64(r.ops_per_sec);
+            let allocs = fmt_f64(r.allocs_per_op);
+            let sep = if i + 1 == self.results.len() { "" } else { "," };
+            let _ = writeln!(out, ",\n      \"median_ns_per_op\": {median},");
+            let _ = writeln!(out, "      \"ops_per_sec\": {ops},");
+            let _ = writeln!(out, "      \"allocs_per_op\": {allocs},");
+            let _ = writeln!(out, "      \"samples\": {}\n    }}{sep}", r.samples);
         }
         out.push_str("  ]\n}\n");
         out
@@ -131,21 +122,19 @@ impl BenchReport {
     /// [`to_json`](BenchReport::to_json) (or any JSON matching the
     /// schema; unknown keys are ignored).
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let value = Parser::new(text).parse()?;
-        let obj = value.as_object().ok_or("top level is not an object")?;
-        let scenario = obj
+        let doc = Value::parse(text)?;
+        let scenario = doc
             .get_str("scenario")
             .ok_or("missing \"scenario\"")?
             .to_string();
-        let preset = obj.get_str("preset").unwrap_or("").to_string();
-        let calibration_ns_per_op = obj.get_f64("calibration_ns_per_op").unwrap_or(0.0);
-        let rows = obj
+        let preset = doc.get_str("preset").unwrap_or("").to_string();
+        let calibration_ns_per_op = doc.get_f64("calibration_ns_per_op").unwrap_or(0.0);
+        let rows = doc
             .field("results")
             .and_then(Value::as_array)
             .ok_or("missing \"results\" array")?;
         let mut results = Vec::with_capacity(rows.len());
         for row in rows {
-            let row = row.as_object().ok_or("result row is not an object")?;
             let name = row.get_str("name").ok_or("row missing \"name\"")?;
             let median = row
                 .get_f64("median_ns_per_op")
@@ -173,310 +162,13 @@ impl BenchReport {
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Finite floats with enough digits to round-trip; JSON has no
 /// infinities, so degenerate measurements serialize as 0.
 fn fmt_f64(x: f64) -> String {
-    if !x.is_finite() {
-        return "0".to_string();
-    }
-    let s = format!("{x:.3}");
-    s
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader (objects, arrays, strings, numbers, literals) —
-// just enough for the schema above plus additive growth.
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object (insertion-ordered key/value pairs).
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Parses a standalone JSON document (the same reader
-    /// [`BenchReport::from_json`] uses). Also used by the telemetry
-    /// trace-schema tests to validate emitted Chrome trace JSON.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        Parser::new(text).parse()
-    }
-
-    /// The key/value pairs when this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
-    /// The items when this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Object field lookup (`None` for non-objects/missing keys).
-    pub fn field(&self, key: &str) -> Option<&Value> {
-        self.as_object().and_then(|pairs| pairs.field(key))
-    }
-
-    /// Object field as a string.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.as_object().and_then(|pairs| pairs.get_str(key))
-    }
-
-    /// Object field as a number.
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
-        self.as_object().and_then(|pairs| pairs.get_f64(key))
-    }
-}
-
-/// Key lookup helpers over object slices.
-trait ObjectExt {
-    fn field(&self, key: &str) -> Option<&Value>;
-    fn get_str(&self, key: &str) -> Option<&str>;
-    fn get_f64(&self, key: &str) -> Option<f64>;
-}
-
-impl ObjectExt for [(String, Value)] {
-    fn field(&self, key: &str) -> Option<&Value> {
-        self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn get_str(&self, key: &str) -> Option<&str> {
-        match self.field(key) {
-            Some(Value::String(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn get_f64(&self, key: &str) -> Option<f64> {
-        match self.field(key) {
-            Some(Value::Number(x)) => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<Value, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing input at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? != b {
-            return Err(format!(
-                "expected '{}' at byte {}, found '{}'",
-                b as char, self.pos, self.bytes[self.pos] as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::String(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                b => return Err(format!("expected ',' or '}}', found '{}'", b as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                b => return Err(format!("expected ',' or ']', found '{}'", b as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or("unterminated string literal")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("unsupported escape '\\{}'", esc as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full sequence through.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    self.pos = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+    if x.is_finite() {
+        format!("{x:.3}")
+    } else {
+        "0".to_string()
     }
 }
 
@@ -536,6 +228,10 @@ mod tests {
             "{\"scenario\": 3, \"results\": []}",
             "{\"scenario\": \"s\"}",
             "{} trailing",
+            "{\"scenario\" \"s\"}",
+            "{\"scenario\": tru}",
+            "{\"scenario\": \"\\x\"}",
+            "{\"scenario\": \"s\", \"results\": [1,]}",
         ] {
             assert!(BenchReport::from_json(bad).is_err(), "accepted: {bad}");
         }
@@ -551,5 +247,34 @@ mod tests {
         };
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed.scenario, report.scenario);
+    }
+
+    #[test]
+    fn committed_baselines_do_not_drift() {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench-baseline");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|ext| ext != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let report = BenchReport::from_json(&text).unwrap();
+            let rewritten = report.to_json();
+            let name = path.display();
+            assert_eq!(
+                BenchReport::from_json(&rewritten).unwrap(),
+                report,
+                "{name}"
+            );
+            // The decode-latency baseline was trimmed by hand (`54.0`-style
+            // numbers); every other baseline is `to_json` output verbatim.
+            if !path.ends_with("BENCH_decode-latency.json") {
+                assert_eq!(rewritten, text, "{name} re-serializes differently");
+            }
+            checked += 1;
+        }
+        assert!(checked > 0, "no baselines under {}", dir.display());
     }
 }

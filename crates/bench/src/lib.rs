@@ -1,14 +1,9 @@
-//! The measured perf subsystem.
-//!
-//! Two halves live in this crate:
-//!
-//! * the **criterion targets** under `benches/` (`cargo bench`), which
-//!   exercise the whole reproduction pipeline end to end, and
-//! * the **`ftqc-bench` scenario harness** (this library + the
-//!   `ftqc-bench` binary), which measures the named hot-path scenarios
-//!   the repository tracks over time — per-decoder decode throughput,
-//!   adaptive-pipeline shots/sec, runtime-sweep merges/sec — and emits
-//!   machine-readable `BENCH_<scenario>.json` reports.
+//! The measured perf subsystem: the **`ftqc-bench` scenario harness**
+//! (this library + the `ftqc-bench` binary), which measures the named
+//! hot-path scenarios the repository tracks over time — per-decoder
+//! decode throughput, adaptive-pipeline shots/sec, runtime-sweep
+//! merges/sec — and emits machine-readable `BENCH_<scenario>.json`
+//! reports.
 //!
 //! The JSON reports are the perf trajectory of the repository: CI's
 //! `perf-smoke` job regenerates them on reduced presets, uploads them

@@ -1,4 +1,4 @@
-//! The named, criterion-comparable scenarios `ftqc-bench` measures.
+//! The named scenarios `ftqc-bench` measures.
 //!
 //! Three hot paths carry the paper's evaluations, and each gets a
 //! scenario:
@@ -6,9 +6,7 @@
 //! * `decode-throughput` — per-decoder decode speed over pre-sampled
 //!   syndromes at increasing code distance, through the
 //!   zero-allocation [`Decoder::decode_into`] path with one reused
-//!   [`DecoderScratch`] (plus `decode-throughput-alloc`, the same
-//!   measurement through the allocating [`Decoder::predict`] path, so
-//!   the scratch win stays visible).
+//!   [`DecoderScratch`].
 //! * `decode-latency` — the *distribution* of per-round latency
 //!   through the streaming sliding-window path
 //!   ([`StreamingDecoder`](ftqc_decoder::StreamingDecoder) fed by a
@@ -100,7 +98,6 @@ impl std::str::FromStr for Preset {
 pub fn scenario_names() -> &'static [&'static str] {
     &[
         "decode-throughput",
-        "decode-throughput-alloc",
         "decode-latency",
         "fusion-accuracy",
         "adaptive-pipeline",
@@ -116,8 +113,7 @@ pub fn scenario_names() -> &'static [&'static str] {
 /// Returns an error naming the valid scenarios when `name` is unknown.
 pub fn run_scenario(name: &str, preset: Preset) -> Result<BenchReport, String> {
     let results = match name {
-        "decode-throughput" => decode_throughput(preset, DecodePath::Scratch),
-        "decode-throughput-alloc" => decode_throughput(preset, DecodePath::Allocating),
+        "decode-throughput" => decode_throughput(preset),
         "decode-latency" => decode_latency(preset),
         "fusion-accuracy" => fusion_accuracy(preset),
         "adaptive-pipeline" => adaptive_pipeline(preset),
@@ -186,18 +182,11 @@ fn measure(name: &str, mut pass: impl FnMut() -> usize) -> BenchResult {
     BenchResult::new(name, median, allocs as f64 / ops_total as f64, SAMPLES)
 }
 
-/// Which decode entry point a throughput row measures.
-#[derive(Clone, Copy, PartialEq)]
-enum DecodePath {
-    /// `decode_into` with one reused scratch (the hot path).
-    Scratch,
-    /// `predict` with a fresh scratch per shot (the historical path).
-    Allocating,
-}
+/// `(decoder label, kind, distances)` rows of a decoder sweep.
+type Matrix = Vec<(&'static str, DecoderKind, Vec<u32>)>;
 
-/// `(decoder label, kind, distances per preset)` rows of the decode
-/// throughput sweep.
-fn decode_matrix(preset: Preset) -> Vec<(&'static str, DecoderKind, Vec<u32>)> {
+/// The decode throughput sweep's rows per preset.
+fn decode_matrix(preset: Preset) -> Matrix {
     match preset {
         // The quick preset keeps one large-distance row (uf/d11) so the
         // CI compare gate covers the cache-density regime, not just the
@@ -234,7 +223,7 @@ fn decode_shots(d: u32) -> usize {
     }
 }
 
-fn decode_throughput(preset: Preset, path: DecodePath) -> Vec<BenchResult> {
+fn decode_throughput(preset: Preset) -> Vec<BenchResult> {
     let hw = HardwareConfig::ibm();
     let mut results = Vec::new();
     for (label, kind, distances) in decode_matrix(preset) {
@@ -256,13 +245,8 @@ fn decode_throughput(preset: Preset, path: DecodePath) -> Vec<BenchResult> {
             results.push(measure(&name, || {
                 let mut acc = 0u32;
                 for syndrome in &syndromes {
-                    match path {
-                        DecodePath::Scratch => {
-                            decoder.decode_into(&mut scratch, syndrome, &mut correction);
-                            acc ^= correction;
-                        }
-                        DecodePath::Allocating => acc ^= decoder.predict(syndrome),
-                    }
+                    decoder.decode_into(&mut scratch, syndrome, &mut correction);
+                    acc ^= correction;
                 }
                 std::hint::black_box(acc);
                 syndromes.len()
@@ -282,7 +266,7 @@ const LATENCY_WINDOW: u32 = 2;
 /// latency sweep. Smaller than the throughput matrix: every commit
 /// decodes an accumulated prefix, so a row costs ~`rounds ×` a
 /// throughput row.
-fn latency_matrix(preset: Preset) -> Vec<(&'static str, DecoderKind, Vec<u32>)> {
+fn latency_matrix(preset: Preset) -> Matrix {
     match preset {
         // Keep one large-distance row (uf/d11) so the gate sees tail
         // latency at a graph size that misses L1.
@@ -417,7 +401,7 @@ fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
     use ftqc_sim::batch_plan;
 
     let hw = HardwareConfig::ibm();
-    let (shots, matrix): (u64, Vec<(&str, DecoderKind, Vec<u32>)>) = match preset {
+    let (shots, matrix): (u64, Matrix) = match preset {
         Preset::Quick => (
             20_000,
             vec![

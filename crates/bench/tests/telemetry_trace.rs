@@ -2,12 +2,12 @@
 //!
 //! `ftqc_telemetry::chrome_trace_json` promises a well-formed subset of
 //! the Chrome trace-event format (see the `export` module docs): these
-//! tests parse an emitted trace back through `ftqc-bench`'s JSON reader
+//! tests parse an emitted trace back through the shared JSON reader
 //! and check the structural invariants a trace viewer relies on —
 //! every `E` closes a matching `B` on the same thread, timestamps are
 //! monotone per thread, and every event carries `name`/`ph`/`pid`/`tid`.
 
-use ftqc_bench::json::Value;
+use ftqc_telemetry::json::Value;
 use ftqc_telemetry::{Arg, RingSink, TelemetrySink};
 use std::sync::Arc;
 

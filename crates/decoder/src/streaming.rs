@@ -182,7 +182,8 @@ struct ExactState {
 
 enum ModeState {
     Exact(ExactState),
-    Fused(FusionCore),
+    /// Boxed: the fusion core is ~10x the exact state.
+    Fused(Box<FusionCore>),
 }
 
 /// Sliding-window streaming wrapper around any [`Decoder`] — the
@@ -328,7 +329,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                 running_valid: false,
             }),
             StreamingMode::Fused { overlap } => {
-                ModeState::Fused(FusionCore::new(overlap, schedule))
+                ModeState::Fused(Box::new(FusionCore::new(overlap, schedule)))
             }
         };
         // analyzer: end-allow(alloc)

@@ -10,8 +10,8 @@
 //! a stale checkpoint from a different configuration can never be
 //! merged into the wrong estimate.
 //!
-//! The on-disk format is a flat JSON object (no external dependencies;
-//! the build environment is offline):
+//! The on-disk format is a flat JSON object, written and read through
+//! the workspace's shared [`ftqc_telemetry::json`] codec:
 //!
 //! ```json
 //! {
@@ -23,6 +23,7 @@
 //! ```
 
 use ftqc_sim::RunningEstimate;
+use ftqc_telemetry::json::{push_json_str, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
@@ -113,161 +114,59 @@ fn render(entries: &BTreeMap<String, (u64, Vec<u64>)>) -> String {
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join(", ");
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            s,
-            "{sep}\n    \"{key}\": {{\"trials\": {trials}, \"failures\": [{failures}]}}"
-        );
+        s.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        push_json_str(&mut s, key);
+        let _ = write!(s, ": {{\"trials\": {trials}, \"failures\": [{failures}]}}");
     }
     s.push_str("\n  }\n}\n");
     s
 }
 
-/// Minimal parser for the fixed checkpoint schema above. Keys must not
-/// contain `"` or `\` (fingerprint keys are hex, so this never bites).
+/// Reads the checkpoint schema above back through the shared JSON
+/// reader.
 fn parse(text: &str) -> Result<BTreeMap<String, (u64, Vec<u64>)>, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'{')?;
-    p.expect_key("version")?;
-    if p.parse_u64()? != 1 {
+    let doc = Value::parse(text)?;
+    known_keys(&doc, &["version", "entries"])?;
+    if doc.get_f64("version") != Some(1.0) {
         return Err("unsupported checkpoint version".into());
     }
-    p.expect(b',')?;
-    p.expect_key("entries")?;
-    p.expect(b'{')?;
-    let mut entries = BTreeMap::new();
-    if !p.eat(b'}') {
-        loop {
-            let key = p.parse_string()?;
-            p.expect(b':')?;
-            entries.insert(key, p.parse_entry()?);
-            if !p.eat(b',') {
-                break;
-            }
-        }
-        p.expect(b'}')?;
-    }
-    p.expect(b'}')?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(entries)
+    let entries = doc
+        .field("entries")
+        .and_then(Value::as_object)
+        .ok_or("missing `entries` object")?;
+    entries
+        .iter()
+        .map(|(key, entry)| {
+            known_keys(entry, &["trials", "failures"])?;
+            let trials = entry.field("trials").ok_or("entry missing `trials`")?;
+            let failures = entry
+                .field("failures")
+                .and_then(Value::as_array)
+                .ok_or("entry missing `failures` array")?;
+            let failures = failures.iter().map(count).collect::<Result<_, _>>()?;
+            Ok((key.clone(), (count(trials)?, failures)))
+        })
+        .collect()
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Rejects an object with keys outside `known`: a file from another
+/// schema or with a corrupted key is an error, not silently dropped data.
+fn known_keys(value: &Value, known: &[&str]) -> Result<(), String> {
+    let pairs = value.as_object().ok_or("expected a JSON object")?;
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!("unknown key `{k}`")),
+        None => Ok(()),
+    }
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn expect_key(&mut self, key: &str) -> Result<(), String> {
-        let found = self.parse_string()?;
-        if found != key {
-            return Err(format!("expected key `{key}`, found `{found}`"));
-        }
-        self.expect(b':')
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err(format!("escape sequences unsupported at byte {}", self.pos));
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| e.to_string())?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".into())
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn parse_entry(&mut self) -> Result<(u64, Vec<u64>), String> {
-        self.expect(b'{')?;
-        let mut trials = None;
-        let mut failures = None;
-        loop {
-            let field = self.parse_string()?;
-            self.expect(b':')?;
-            match field.as_str() {
-                "trials" => trials = Some(self.parse_u64()?),
-                "failures" => {
-                    self.expect(b'[')?;
-                    let mut values = Vec::new();
-                    if !self.eat(b']') {
-                        loop {
-                            values.push(self.parse_u64()?);
-                            if !self.eat(b',') {
-                                break;
-                            }
-                        }
-                        self.expect(b']')?;
-                    }
-                    failures = Some(values);
-                }
-                other => return Err(format!("unknown entry field `{other}`")),
-            }
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.expect(b'}')?;
-        match (trials, failures) {
-            (Some(t), Some(f)) => Ok((t, f)),
-            _ => Err("entry missing `trials` or `failures`".into()),
-        }
+/// A stored count. JSON numbers are read as `f64`, which holds every
+/// integer up to 2^53 exactly; a fractional, negative or larger value
+/// is rejected rather than rounded.
+fn count(value: &Value) -> Result<u64, String> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match *value {
+        Value::Number(x) if x.fract() == 0.0 && (0.0..=EXACT).contains(&x) => Ok(x as u64),
+        ref other => Err(format!("invalid count {other:?}")),
     }
 }
 
@@ -291,10 +190,13 @@ mod tests {
         let mut later = RunningEstimate::new(1);
         later.record(100, &[1]);
         store.put("aa00", &later).unwrap();
+        // Keys are escaped, so any string survives the round trip.
+        store.put("a\"b\\c", &later).unwrap();
 
         let reopened = CheckpointStore::open(&path).unwrap();
-        assert_eq!(reopened.len(), 2);
+        assert_eq!(reopened.len(), 3);
         assert_eq!(reopened.get("c0ffee0123456789"), Some(state));
+        assert_eq!(reopened.get("a\"b\\c"), Some(later.clone()));
         assert_eq!(reopened.get("aa00"), Some(later));
         assert_eq!(reopened.get("missing"), None);
         let _ = std::fs::remove_file(&path);
@@ -308,6 +210,16 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::write(&path, "not json").unwrap();
         assert!(CheckpointStore::open(&path).is_err());
+        for bad in [
+            "[".repeat(1_000_000),
+            r#"{"version": 1, "entries": {}, "extra": 0}"#.to_string(),
+            r#"{"version": 1, "entries": {"k": {"trials": 1, "failures": [], "x": 0}}}"#
+                .to_string(),
+        ] {
+            std::fs::write(&path, &bad).unwrap();
+            let err = CheckpointStore::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -317,5 +229,58 @@ mod tests {
         let mut one = BTreeMap::new();
         one.insert("k".to_string(), (7, vec![]));
         assert_eq!(parse(&render(&one)).unwrap(), one);
+    }
+
+    #[test]
+    fn counts_must_be_exact_non_negative_integers() {
+        let doc = |trials: &str, failure: &str| {
+            format!(
+                "{{\"version\": 1, \"entries\": {{\"k\": {{\"trials\": {trials}, \"failures\": [{failure}]}}}}}}"
+            )
+        };
+        let exact = "9007199254740992"; // 2^53
+        assert_eq!(
+            parse(&doc(exact, exact)).unwrap()["k"],
+            (1 << 53, vec![1 << 53])
+        );
+        let path = temp_path("counts");
+        for bad in [
+            "1.5",
+            "-1",
+            "9007199254740994",
+            "18446744073709551615",
+            "1e300",
+            "\"3\"",
+        ] {
+            for text in [doc(bad, "0"), doc("10", bad)] {
+                std::fs::write(&path, &text).unwrap();
+                let err = CheckpointStore::open(&path).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {text}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_written_before_the_shared_codec_resumes() {
+        // `tests/fixtures/checkpoint-v1.json` was written by the previous,
+        // hand-rolled checkpoint writer during a `repro fig14` adaptive run.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/checkpoint-v1.json"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let store = CheckpointStore::open(path).unwrap();
+        assert_eq!(store.len(), 31);
+        for (key, trials, failures) in [
+            ("02a7714c8e2011ea", 2048, [7, 8, 15]),
+            ("4be6ffffd98b1c3c", 1024, [133, 90, 195]),
+            ("fc6193baa01e0f44", 1024, [8, 24, 32]),
+        ] {
+            let expected = RunningEstimate::from_parts(trials, failures.to_vec());
+            assert_eq!(store.get(key), Some(expected), "{key}");
+        }
+        // Every entry survives: rewriting the store reproduces the file.
+        assert_eq!(render(&store.entries.lock().unwrap()), text);
     }
 }

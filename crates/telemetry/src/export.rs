@@ -2,8 +2,8 @@
 //!
 //! Both exports are derived from one [`TraceSnapshot`], so a single
 //! recording yields a Perfetto-loadable timeline *and* a machine-readable
-//! attribution table. The JSON is hand-rolled (same offline-safe approach
-//! as `ftqc-bench`'s report writer — no serde).
+//! attribution table. The JSON is hand-rolled on the crate's shared
+//! [`json`](crate::json) escaper (no serde; the build is offline).
 //!
 //! Trace schema (the subset of the Chrome trace-event format we emit):
 //!
@@ -16,27 +16,10 @@
 //!   `"M"` (one `thread_name` metadata event per thread)
 //! - span-end and instant events carry their [`Arg`] pairs under `args`
 
+use crate::json::push_json_str;
 use crate::ring::{EventKind, TraceSnapshot};
 use crate::Arg;
 use std::fmt::Write as _;
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
@@ -405,7 +388,19 @@ mod tests {
     #[test]
     fn json_strings_are_escaped() {
         let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        let original = "a\"b\\c\nd\u{1}\r\té";
+        push_json_str(&mut out, original);
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\\r\\té\"");
+        assert_eq!(
+            crate::json::Value::parse(&out),
+            Ok(crate::json::Value::String(original.into()))
+        );
+        // Names and annotations in a trace go through the same escaper.
+        let sink = RingSink::with_capacity(8);
+        sink.annotate("k\"ey", "tab\there");
+        let json = chrome_trace_json(&sink.snapshot());
+        let doc = crate::json::Value::parse(&json).unwrap();
+        let other = doc.field("otherData").unwrap();
+        assert_eq!(other.get_str("k\"ey"), Some("tab\there"));
     }
 }

@@ -57,6 +57,7 @@
 //! ```
 
 mod export;
+pub mod json;
 mod ring;
 
 pub use export::{
