@@ -109,15 +109,20 @@ impl WindowView {
             // buffer to the source's arenas so rebuilds never allocate.
             self.graph.reserve_for_window_of(src);
             let want = src.records().len();
-            self.capacity.reserve(want.saturating_sub(self.capacity.len()));
+            self.capacity
+                .reserve(want.saturating_sub(self.capacity.len()));
             self.built_for = key;
             self.built = (u32::MAX, u32::MAX);
         }
         if self.built != (self.dlo, self.dhi) {
             self.cut = self.graph.rebuild_window(src, self.dlo, self.dhi);
             self.capacity.clear();
-            self.capacity
-                .extend(self.graph.records().iter().map(|r| quantize_capacity(r.weight)));
+            self.capacity.extend(
+                self.graph
+                    .records()
+                    .iter()
+                    .map(|r| quantize_capacity(r.weight)),
+            );
             self.built = (self.dlo, self.dhi);
         }
         &self.graph
@@ -181,7 +186,9 @@ impl FusionCore {
         // analyzer: allow(alloc) -- constructor: one-time flattening of
         // the round schedule and presizing of the defect buffers; the
         // push/slide/decode path reuses them allocation-free.
-        let round_of: Vec<u32> = (0..schedule.num_detectors()).map(|d| schedule.round_of(d)).collect();
+        let round_of: Vec<u32> = (0..schedule.num_detectors())
+            .map(|d| schedule.round_of(d))
+            .collect();
         let env: Vec<(u32, u32)> = (0..schedule.num_rounds())
             .map(|r| schedule.round_envelope(r))
             .collect();
@@ -223,10 +230,7 @@ impl FusionCore {
             }
             return;
         }
-        let in_order = self
-            .active
-            .last()
-            .is_none_or(|&last| defects[0] > last);
+        let in_order = self.active.last().is_none_or(|&last| defects[0] > last);
         self.active.extend_from_slice(defects);
         if !in_order {
             self.active.sort_unstable();
@@ -298,4 +302,3 @@ impl FusionCore {
             .count() as u32
     }
 }
-

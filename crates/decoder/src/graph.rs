@@ -202,7 +202,8 @@ impl DecodingGraph {
     /// sub-range of `src` reallocates nothing.
     pub(crate) fn reserve_for_window_of(&mut self, src: &DecodingGraph) {
         let reserve = |v_len: usize, want: usize| want.saturating_sub(v_len);
-        self.edges.reserve(reserve(self.edges.len(), src.edges.len()));
+        self.edges
+            .reserve(reserve(self.edges.len(), src.edges.len()));
         self.rec.reserve(reserve(self.rec.len(), src.rec.len()));
         self.adj_off
             .reserve(reserve(self.adj_off.len(), src.num_detectors as usize + 1));

@@ -172,7 +172,9 @@ impl Decoder for HierarchicalDecoder {
         global.extend(syndrome.iter().map(|&d| d + first));
         match self.lut.lookup(&global) {
             Some(prediction) => *correction = prediction,
-            None => self.mwpm.decode_window_into(scratch, view, syndrome, correction),
+            None => self
+                .mwpm
+                .decode_window_into(scratch, view, syndrome, correction),
         }
         scratch.window_remap = global;
     }

@@ -538,12 +538,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                         f.frozen ^= a ^ b;
                     }
                 }
-                (
-                    estimate,
-                    f.carried(c_last + 1),
-                    stitched,
-                    f.active_len(),
-                )
+                (estimate, f.carried(c_last + 1), stitched, f.active_len())
             }
         };
         let delta = estimate ^ self.emitted;

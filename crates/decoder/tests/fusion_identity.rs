@@ -145,7 +145,10 @@ fn full_overlap_never_expels_even_with_a_one_round_window() {
         carried = carried.max(c.boundary_defects);
     }
     stream.finish_shot();
-    assert!(carried > 0, "full-overlap commits must report carried context");
+    assert!(
+        carried > 0,
+        "full-overlap commits must report carried context"
+    );
 }
 
 #[test]

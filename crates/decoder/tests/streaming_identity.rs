@@ -336,8 +336,14 @@ fn parallel_streaming_driver_matches_batch_driver() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         let batch = count_batch_errors(&circuit, &decoder, &plan, 2025, 2);
         for window in [1, 4] {
-            let streamed =
-                count_batch_errors_streaming(&circuit, &decoder, StreamingConfig::exact(window), &plan, 2025, 2);
+            let streamed = count_batch_errors_streaming(
+                &circuit,
+                &decoder,
+                StreamingConfig::exact(window),
+                &plan,
+                2025,
+                2,
+            );
             assert_eq!(streamed, batch, "{name} W={window}");
         }
     }

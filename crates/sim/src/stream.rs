@@ -144,8 +144,16 @@ impl RoundSchedule {
     /// Panics if `r >= num_rounds()`.
     pub fn round_envelope(&self, r: u32) -> (u32, u32) {
         let runs = self.runs_in(r);
-        let lo = runs.iter().map(|&(lo, _)| lo).min().expect("round has runs");
-        let hi = runs.iter().map(|&(_, hi)| hi).max().expect("round has runs");
+        let lo = runs
+            .iter()
+            .map(|&(lo, _)| lo)
+            .min()
+            .expect("round has runs");
+        let hi = runs
+            .iter()
+            .map(|&(_, hi)| hi)
+            .max()
+            .expect("round has runs");
         (lo, hi)
     }
 
@@ -408,7 +416,10 @@ mod tests {
         for r in 0..s.num_rounds() {
             let (lo, hi) = s.round_envelope(r);
             for d in s.detectors_in(r) {
-                assert!(d >= lo && d < hi, "round {r} detector {d} outside [{lo},{hi})");
+                assert!(
+                    d >= lo && d < hi,
+                    "round {r} detector {d} outside [{lo},{hi})"
+                );
             }
         }
         // Contiguous builders: the window envelope is the union of the
