@@ -177,7 +177,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
 /// regression. Rows at or below the slack are gated absolutely — an
 /// allocation-free hot path crossing from ~0 to >0.5 allocs/op always
 /// fails; rows that already allocate in the baseline (e.g.
-/// `runtime-sweep`, at 9.1–10.3 allocs/op) are gated *relatively*, by
+/// `runtime-sweep`, at 7.1–7.3 allocs/op) are gated *relatively*, by
 /// the same fractional threshold as time.
 const ALLOC_SLACK: f64 = 0.5;
 

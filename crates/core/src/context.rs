@@ -30,7 +30,10 @@ pub const DEFAULT_SLACK_WINDOW: usize = 64;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlackWindow {
+    /// Held samples, oldest first.
     samples: VecDeque<f64>,
+    /// The held samples ascending, equal values oldest first.
+    sorted: Vec<f64>,
     capacity: usize,
 }
 
@@ -42,7 +45,8 @@ impl Default for SlackWindow {
 }
 
 impl SlackWindow {
-    /// An empty window remembering the last `capacity` samples.
+    /// An empty window remembering the last `capacity` samples. It
+    /// allocates nothing until the first sample arrives.
     ///
     /// # Panics
     ///
@@ -50,7 +54,8 @@ impl SlackWindow {
     pub fn new(capacity: usize) -> SlackWindow {
         assert!(capacity > 0, "slack window needs capacity");
         SlackWindow {
-            samples: VecDeque::with_capacity(capacity),
+            samples: VecDeque::new(),
+            sorted: Vec::new(),
             capacity,
         }
     }
@@ -63,9 +68,13 @@ impl SlackWindow {
             return;
         }
         if self.samples.len() == self.capacity {
-            self.samples.pop_front();
+            let oldest = self.samples.pop_front().expect("full window");
+            let at = self.sorted.partition_point(|s| *s < oldest);
+            self.sorted.remove(at);
         }
         self.samples.push_back(slack_ns);
+        let at = self.sorted.partition_point(|s| *s <= slack_ns);
+        self.sorted.insert(at, slack_ns);
     }
 
     /// Number of samples currently held.
@@ -85,23 +94,19 @@ impl SlackWindow {
 
     /// Largest held sample, or `None` when empty.
     pub fn max_ns(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .copied()
-            .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.max(s))))
+        self.sorted.last().copied()
     }
 
     /// Nearest-rank quantile of the held samples (`q` clamped to
-    /// `[0, 1]`), or `None` when empty.
+    /// `[0, 1]`), or `None` when empty. An index lookup: the window is
+    /// kept sorted as samples arrive.
     pub fn quantile_ns(&self, q: f64) -> Option<f64> {
         if self.is_empty() {
             return None;
         }
-        let mut sorted: Vec<f64> = self.samples.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
         let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        Some(sorted[idx])
+        let idx = ((self.sorted.len() - 1) as f64 * q).round() as usize;
+        Some(self.sorted[idx])
     }
 }
 

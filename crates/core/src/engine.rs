@@ -113,13 +113,12 @@ impl SyncEngine {
         strategy: &dyn SyncStrategy,
         rounds: u32,
     ) -> Result<SyncRequestOutcome, SyncError> {
-        let mut requested = vec![false; self.counters.len()];
         let mut clocks = Vec::with_capacity(ids.len());
-        for id in ids {
+        for (i, id) in ids.iter().enumerate() {
             let phase = self
                 .phase_ticks(*id)
                 .ok_or(SyncError::InvalidParameter("invalid patch id"))?;
-            if std::mem::replace(&mut requested[id.0 as usize], true) {
+            if ids[..i].contains(id) {
                 return Err(SyncError::InvalidParameter("duplicate patch id"));
             }
             clocks.push(LogicalClock::new(
@@ -161,6 +160,11 @@ pub struct PatchStatus {
 /// extra rounds and idle barriers so that all involved patches start
 /// their merged round on the same tick.
 ///
+/// Unlike the hardware counter table, the controller does not tick
+/// every patch: time advance only raises a *settled* horizon, which a
+/// patch catches up to in closed form when next read or written. Time
+/// advance is O(1) and a merge costs O(patches merged).
+///
 /// # Example
 ///
 /// ```
@@ -176,6 +180,9 @@ pub struct PatchStatus {
 #[derive(Debug, Clone, Default)]
 pub struct Controller {
     now: u64,
+    /// Every valid patch's current cycle ends at or after this tick once
+    /// settled to it (`ControlledPatch::settle`). Never below `now`.
+    settled: u64,
     patches: Vec<ControlledPatch>,
     /// Deregistered slots available for reuse, so long-running programs
     /// that merge patches away and re-register them (one event per
@@ -187,12 +194,25 @@ pub struct Controller {
     slack_window: SlackWindow,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ControlledPatch {
     cycle_ticks: u32,
     cycle_end_tick: u64,
     rounds_completed: u64,
     valid: bool,
+}
+
+impl ControlledPatch {
+    /// Completes the rounds run back to back before `horizon`, so the
+    /// current cycle ends at or after it. Catch-ups to non-decreasing
+    /// horizons compose, so applying only the latest one is exact.
+    fn settle(&mut self, horizon: u64) {
+        if self.cycle_end_tick < horizon {
+            let rounds = (horizon - self.cycle_end_tick - 1) / self.cycle_ticks as u64 + 1;
+            self.cycle_end_tick += rounds * self.cycle_ticks as u64;
+            self.rounds_completed += rounds;
+        }
+    }
 }
 
 impl Controller {
@@ -261,6 +281,7 @@ impl Controller {
         let now = self.now;
         if let Some(p) = self.patches.get_mut(id.0 as usize) {
             if p.valid {
+                p.settle(self.settled);
                 p.cycle_ticks = cycle_ticks;
                 p.cycle_end_tick = p.cycle_end_tick.min(now + cycle_ticks as u64);
             }
@@ -274,7 +295,8 @@ impl Controller {
 
     /// Status of a patch, or `None` if the id is stale.
     pub fn status(&self, id: PatchId) -> Option<PatchStatus> {
-        let p = self.patches.get(id.0 as usize)?;
+        let mut p = *self.patches.get(id.0 as usize)?;
+        p.settle(self.settled);
         p.valid.then_some(PatchStatus {
             cycle_end_tick: p.cycle_end_tick,
             rounds_completed: p.rounds_completed,
@@ -282,19 +304,15 @@ impl Controller {
         })
     }
 
-    /// Advances time to `tick`, completing syndrome rounds back-to-back
-    /// for every valid patch. Closed-form per patch, so jumping forward
-    /// by billions of ticks costs the same as jumping by one cycle.
+    /// Advances time to `tick`, every valid patch running syndrome rounds
+    /// back-to-back. O(1): patches settle in closed form when next
+    /// accessed, so jumping forward by billions of ticks costs the same
+    /// as jumping by one cycle.
     pub fn run_until(&mut self, tick: u64) {
         assert!(tick >= self.now, "time cannot run backwards");
-        for p in &mut self.patches {
-            if !p.valid || p.cycle_end_tick > tick {
-                continue;
-            }
-            let rounds = (tick - p.cycle_end_tick) / p.cycle_ticks as u64 + 1;
-            p.cycle_end_tick += rounds * p.cycle_ticks as u64;
-            p.rounds_completed += rounds;
-        }
+        // On the integer tick grid, "ends strictly after `tick`" is
+        // "ends at or after `tick + 1`".
+        self.settled = tick + 1;
         self.now = tick;
     }
 
@@ -339,7 +357,8 @@ impl Controller {
     /// realized on the tick grid, the extra rounds inserted, and the
     /// per-patch plans (whose `policy` field records any per-pair
     /// fallback to Active). This is what a program-level runtime uses
-    /// to attribute synchronization overhead.
+    /// to attribute synchronization overhead. Only the listed patches
+    /// settle, in O(`ids.len()`); the rest catch up lazily.
     ///
     /// # Errors
     ///
@@ -350,28 +369,18 @@ impl Controller {
         strategy: &dyn SyncStrategy,
         rounds: u32,
     ) -> Result<ControllerSyncReport, SyncError> {
-        // A previous synchronize of *other* patches moves `now` without
-        // advancing unlisted patches; credit their overdue back-to-back
-        // rounds before reading phases (otherwise `cycle_end - now`
-        // underflows for a patch left behind the clock).
-        for p in &mut self.patches {
-            if p.valid && p.cycle_end_tick < self.now {
-                let rounds = (self.now - p.cycle_end_tick - 1) / p.cycle_ticks as u64 + 1;
-                p.cycle_end_tick += rounds * p.cycle_ticks as u64;
-                p.rounds_completed += rounds;
-            }
-        }
-        let mut requested = vec![false; self.patches.len()];
         let mut clocks = Vec::with_capacity(ids.len());
-        for id in ids {
+        for (i, id) in ids.iter().enumerate() {
             let p = self
                 .patches
-                .get(id.0 as usize)
+                .get_mut(id.0 as usize)
                 .filter(|p| p.valid)
                 .ok_or(SyncError::InvalidParameter("invalid patch id"))?;
-            if std::mem::replace(&mut requested[id.0 as usize], true) {
+            // A pairwise scan: requests list a handful of patches.
+            if ids[..i].contains(id) {
                 return Err(SyncError::InvalidParameter("duplicate patch id"));
             }
+            p.settle(self.settled);
             let remaining = p.cycle_end_tick - self.now;
             // `remaining == 0` (a cycle boundary exactly at `now`, e.g.
             // two back-to-back synchronizations) means a fresh cycle is
@@ -394,34 +403,36 @@ impl Controller {
         self.slack_window.record(slack_ns);
         // Apply each plan: the patch finishes its current cycle, runs
         // its extra rounds, then absorbs its idle budget.
-        let mut finish: Vec<u64> = Vec::with_capacity(ids.len());
-        for (id, plan) in ids.iter().zip(&plans) {
-            let p = &self.patches[id.0 as usize];
-            let t = p.cycle_end_tick
+        let finish = |p: &ControlledPatch, plan: &SyncPlan| {
+            p.cycle_end_tick
                 + plan.extra_rounds as u64 * p.cycle_ticks as u64
-                + plan.total_idle_ns().round() as u64;
-            finish.push(t);
-        }
-        let merge_tick = finish.iter().copied().max().expect("non-empty");
+                + plan.total_idle_ns().round() as u64
+        };
+        let merge_tick = ids
+            .iter()
+            .zip(&plans)
+            .map(|(id, plan)| finish(&self.patches[id.0 as usize], plan))
+            .max()
+            .expect("non-empty");
         let mut planned_idle_ticks = 0u64;
         let mut alignment_idle_ticks = 0u64;
         let mut extra_rounds = 0u64;
-        for ((id, plan), t) in ids.iter().zip(&plans).zip(&finish) {
+        for (id, plan) in ids.iter().zip(&plans) {
             let p = &mut self.patches[id.0 as usize];
-            p.rounds_completed += 1 + plan.extra_rounds as u64;
-            extra_rounds += plan.extra_rounds as u64;
-            planned_idle_ticks += plan.total_idle_ns().round() as u64;
+            let t = finish(p, plan);
             // Top up to the common alignment point with additional full
             // rounds where they fit, idling the remainder.
-            let mut at = *t;
-            while at + p.cycle_ticks as u64 <= merge_tick {
-                at += p.cycle_ticks as u64;
-                p.rounds_completed += 1;
-            }
-            alignment_idle_ticks += merge_tick - at;
+            let top_up = (merge_tick - t) / p.cycle_ticks as u64;
+            p.rounds_completed += 1 + plan.extra_rounds as u64 + top_up;
+            extra_rounds += plan.extra_rounds as u64;
+            planned_idle_ticks += plan.total_idle_ns().round() as u64;
+            alignment_idle_ticks += merge_tick - t - top_up * p.cycle_ticks as u64;
             p.cycle_end_tick = merge_tick;
         }
+        // Unlisted patches settle to the merge tick when next accessed, so
+        // a later `set_cycle_ticks` re-times only rounds not yet run.
         self.now = merge_tick;
+        self.settled = merge_tick;
         Ok(ControllerSyncReport {
             merge_tick,
             slack_ns,
@@ -754,6 +765,28 @@ mod tests {
         assert!(ctl.status(c).unwrap().rounds_completed >= 1);
         assert_eq!(ctl.status(c).unwrap().cycle_end_tick, rep.merge_tick);
         assert_eq!(ctl.status(b).unwrap().cycle_end_tick, rep.merge_tick);
+    }
+
+    #[test]
+    fn synchronize_settles_unlisted_patches_to_the_merge_tick() {
+        // Regression: synchronizing [a, b] moved `now` to 1900 but left
+        // c's round that ended at 1000 uncredited, so a re-timing at
+        // 1900 applied the new duration to nine rounds that never ran.
+        let mut ctl = Controller::new();
+        let c = ctl.add_patch(1000, 0);
+        let a = ctl.add_patch(1900, 0);
+        let b = ctl.add_patch(1900, 700);
+        let tick = ctl.synchronize(&[a, b], &PolicySpec::Passive, 8).unwrap();
+        assert_eq!(tick, 1900);
+        let settled = ctl.status(c).unwrap();
+        assert_eq!(settled.cycle_end_tick, 2000);
+        assert_eq!(settled.rounds_completed, 1);
+        // The round in flight ends at min(2000, 1900 + 100).
+        ctl.set_cycle_ticks(c, 100);
+        ctl.run_until(1900);
+        let after = ctl.status(c).unwrap();
+        assert_eq!(after.cycle_end_tick, 2000);
+        assert_eq!(after.rounds_completed, 1);
     }
 
     #[test]

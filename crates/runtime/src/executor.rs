@@ -57,7 +57,7 @@ impl RuntimeConfig {
 /// The event loop is the system-scale composition of the repo's
 /// building blocks: every compute patch and factory registers with the
 /// [`Controller`] at a calibrated cycle time, the controller free-runs
-/// between merges ([`Controller::run_until`], closed-form), each merge
+/// between merges ([`Controller::run_until`], O(1)), each merge
 /// re-times its two patches with fresh jitter/drift
 /// ([`Controller::set_cycle_ticks`]), plans the synchronization under
 /// `config.policy` ([`Controller::synchronize_report`]), holds the pair
