@@ -2,7 +2,7 @@
 
 use crate::context::{SlackWindow, SyncContext};
 use crate::policy::SyncPlan;
-use crate::strategy::{strategies, SyncStrategy};
+use crate::strategy::PolicySpec;
 use crate::SyncError;
 
 /// The logical clock of a patch: every patch completes one
@@ -52,20 +52,20 @@ impl LogicalClock {
 
 /// Synchronizes `k` patches: identifies the slowest (most lagging)
 /// patch and plans a pairwise synchronization of every other patch
-/// against it under any [`SyncStrategy`]. All pairwise plans are
+/// against it under `policy`, with the controller's `observed` slack
+/// window attached to every pairwise [`SyncContext`] (pass an empty
+/// window when planning outside a controller). All pairwise plans are
 /// independent, so a controller can apply them in parallel — the
 /// constant-time property the paper claims in Section 4.3.
 ///
-/// When the strategy is infeasible for a particular pair (e.g. an
-/// extra-round strategy between equal cycle times, or a Hybrid bound
-/// with no solution), that pair falls back to
-/// [`strategies::Active`], mirroring the runtime policy selection
-/// described in Section 5; the fallback plan's `policy` field records
-/// [`PolicySpec::Active`](crate::PolicySpec::Active).
+/// When the policy is infeasible for a particular pair (e.g. an
+/// extra-round policy between equal cycle times, or a Hybrid bound
+/// with no solution), that pair falls back to [`PolicySpec::Active`],
+/// mirroring the runtime policy selection described in Section 5; the
+/// fallback plan's `policy` field records it.
 ///
 /// Returns `(plans, slowest_index)`; the slowest patch gets a no-op
-/// plan stamped with the strategy's
-/// [`describe`](SyncStrategy::describe) spec.
+/// plan stamped with `policy`.
 ///
 /// # Errors
 ///
@@ -75,37 +75,21 @@ impl LogicalClock {
 /// # Example
 ///
 /// ```
-/// use ftqc_sync::{synchronize_patches, LogicalClock, PolicySpec};
+/// use ftqc_sync::{synchronize_patches, LogicalClock, PolicySpec, SlackWindow};
 ///
 /// let clocks = [
 ///     LogicalClock::new(1900.0, 500.0),
 ///     LogicalClock::new(1900.0, 0.0),
 ///     LogicalClock::new(1900.0, 1200.0),
 /// ];
-/// let (plans, slowest) = synchronize_patches(&PolicySpec::Active, &clocks, 8).unwrap();
+/// let (plans, slowest) =
+///     synchronize_patches(&PolicySpec::Active, &clocks, 8, &SlackWindow::default()).unwrap();
 /// assert_eq!(slowest, 1); // phase 0: the full cycle still ahead of it
 /// assert_eq!(plans[1].total_idle_ns(), 0.0);
 /// assert!(plans[2].total_idle_ns() > plans[0].total_idle_ns());
 /// ```
 pub fn synchronize_patches(
-    strategy: &dyn SyncStrategy,
-    clocks: &[LogicalClock],
-    rounds: u32,
-) -> Result<(Vec<SyncPlan>, usize), SyncError> {
-    synchronize_patches_observed(strategy, clocks, rounds, &SlackWindow::default())
-}
-
-/// [`synchronize_patches`] with the controller's observed slack window
-/// attached to every pairwise [`SyncContext`] — the entry point
-/// adaptive strategies (e.g.
-/// [`strategies::DynamicHybrid`]) get their
-/// telemetry through.
-///
-/// # Errors
-///
-/// Same contract as [`synchronize_patches`].
-pub fn synchronize_patches_observed(
-    strategy: &dyn SyncStrategy,
+    policy: &PolicySpec,
     clocks: &[LogicalClock],
     rounds: u32,
     observed: &SlackWindow,
@@ -132,15 +116,15 @@ pub fn synchronize_patches_observed(
     let mut plans = Vec::with_capacity(clocks.len());
     for (i, c) in clocks.iter().enumerate() {
         if i == slowest {
-            plans.push(SyncPlan::noop(strategy.describe(), rounds));
+            plans.push(SyncPlan::noop(policy.clone(), rounds));
             continue;
         }
         let tau = c.slack_against_ns(slow);
         let ctx = SyncContext::new(tau, c.cycle_time_ns, slow.cycle_time_ns, rounds)?
             .with_observed(observed.clone());
-        let plan = strategy
+        let plan = policy
             .plan(&ctx)
-            .or_else(|_| strategies::Active.plan(&ctx))?;
+            .or_else(|_| PolicySpec::Active.plan(&ctx))?;
         plans.push(plan);
     }
     Ok((plans, slowest))
@@ -149,7 +133,15 @@ pub fn synchronize_patches_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolicySpec;
+
+    /// [`synchronize_patches`] outside a controller: no observed slack.
+    fn plan_all(
+        policy: &PolicySpec,
+        clocks: &[LogicalClock],
+        rounds: u32,
+    ) -> Result<(Vec<SyncPlan>, usize), SyncError> {
+        synchronize_patches(policy, clocks, rounds, &SlackWindow::default())
+    }
 
     #[test]
     fn slack_is_time_difference_to_cycle_end() {
@@ -166,7 +158,7 @@ mod tests {
             LogicalClock::new(1900.0, 900.0),
             LogicalClock::new(1900.0, 1800.0),
         ];
-        let (plans, slowest) = synchronize_patches(&PolicySpec::Passive, &clocks, 8).unwrap();
+        let (plans, slowest) = plan_all(&PolicySpec::Passive, &clocks, 8).unwrap();
         assert_eq!(slowest, 0);
         assert_eq!(plans[0].total_idle_ns(), 0.0);
         assert!((plans[1].total_idle_ns() - 800.0).abs() < 1e-9);
@@ -179,7 +171,7 @@ mod tests {
             LogicalClock::new(1000.0, 0.0),   // finishes in 1000
             LogicalClock::new(1325.0, 425.0), // finishes in 900: leads
         ];
-        let (plans, slowest) = synchronize_patches(&PolicySpec::hybrid(400.0), &clocks, 8).unwrap();
+        let (plans, slowest) = plan_all(&PolicySpec::hybrid(400.0), &clocks, 8).unwrap();
         assert_eq!(slowest, 0);
         assert_eq!(plans[1].extra_rounds, 2); // min residual 250 at z = 2
         assert!((plans[1].total_idle_ns() - 250.0).abs() < 1e-9);
@@ -192,25 +184,25 @@ mod tests {
             LogicalClock::new(1900.0, 500.0),
             LogicalClock::new(1900.0, 0.0),
         ];
-        let (plans, slowest) = synchronize_patches(&PolicySpec::ExtraRounds, &clocks, 8).unwrap();
+        let (plans, slowest) = plan_all(&PolicySpec::ExtraRounds, &clocks, 8).unwrap();
         assert_eq!(slowest, 1);
         assert_eq!(plans[0].policy, PolicySpec::Active);
-        // The no-op plan still records the requested strategy.
+        // The no-op plan still records the requested policy.
         assert_eq!(plans[1].policy, PolicySpec::ExtraRounds);
         assert!((plans[0].total_idle_ns() - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_and_zero_rounds_rejected() {
-        assert!(synchronize_patches(&PolicySpec::Active, &[], 8).is_err());
+        assert!(plan_all(&PolicySpec::Active, &[], 8).is_err());
         let c = [LogicalClock::new(1000.0, 0.0)];
-        assert!(synchronize_patches(&PolicySpec::Active, &c, 0).is_err());
+        assert!(plan_all(&PolicySpec::Active, &c, 0).is_err());
     }
 
     #[test]
     fn single_patch_is_trivially_synchronized() {
         let c = [LogicalClock::new(1000.0, 400.0)];
-        let (plans, slowest) = synchronize_patches(&PolicySpec::Active, &c, 4).unwrap();
+        let (plans, slowest) = plan_all(&PolicySpec::Active, &c, 4).unwrap();
         assert_eq!(slowest, 0);
         assert_eq!(plans[0].total_idle_ns(), 0.0);
     }
@@ -226,8 +218,8 @@ mod tests {
             w.record(s);
         }
         let spec = PolicySpec::dynamic_hybrid();
-        let (with_window, _) = synchronize_patches_observed(&spec, &clocks, 8, &w).unwrap();
-        let (without, _) = synchronize_patches(&spec, &clocks, 8).unwrap();
+        let (with_window, _) = synchronize_patches(&spec, &clocks, 8, &w).unwrap();
+        let (without, _) = plan_all(&spec, &clocks, 8).unwrap();
         // The tightened tolerance can only shrink the planned idle.
         assert!(
             with_window[1].total_idle_ns() <= without[1].total_idle_ns() + 1e-9,

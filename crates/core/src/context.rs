@@ -1,5 +1,5 @@
-//! Planning inputs: the [`SyncContext`] handed to a
-//! [`SyncStrategy`](crate::SyncStrategy) and the observed-timing
+//! Planning inputs: the [`SyncContext`] handed to
+//! [`PolicySpec::plan`](crate::PolicySpec::plan) and the observed-timing
 //! [`SlackWindow`] the controller feeds it from.
 
 use crate::SyncError;
@@ -9,10 +9,10 @@ use std::collections::VecDeque;
 pub const DEFAULT_SLACK_WINDOW: usize = 64;
 
 /// A bounded window of recently observed per-merge slacks (ns), kept by
-/// the [`Controller`](crate::Controller) and exposed to strategies via
+/// the [`Controller`](crate::Controller) and exposed to policies via
 /// [`SyncContext::observed`] — the "recent slack histogram" that
 /// drift-adaptive policies such as
-/// [`strategies::DynamicHybrid`](crate::strategies::DynamicHybrid) pick
+/// [`PolicySpec::DynamicHybrid`](crate::PolicySpec::DynamicHybrid) pick
 /// their per-merge tolerance from.
 ///
 /// # Example
@@ -110,13 +110,13 @@ impl SlackWindow {
     }
 }
 
-/// Everything a [`SyncStrategy`](crate::SyncStrategy) needs to plan one
-/// pairwise synchronization: the slack, both cycle times, the pre-merge
+/// Everything [`PolicySpec::plan`](crate::PolicySpec::plan) needs to plan
+/// one pairwise synchronization: the slack, both cycle times, the pre-merge
 /// round budget, and the controller's observed timing statistics.
 ///
 /// Construct via [`SyncContext::new`], which validates the parameters
-/// once so every strategy can assume positive finite cycle times, a
-/// non-negative slack and a positive round budget.
+/// once so every policy can assume positive finite cycle times, a
+/// finite non-negative slack and a positive round budget.
 ///
 /// # Example
 ///
@@ -140,7 +140,7 @@ pub struct SyncContext {
     pub rounds: u32,
     /// Recently observed per-merge slacks, as maintained by the
     /// controller. Empty when planning outside a controller (e.g. the
-    /// abstract solver studies), in which case adaptive strategies fall
+    /// abstract solver studies), in which case adaptive policies fall
     /// back to their static parameters.
     pub observed: SlackWindow,
 }
@@ -151,7 +151,8 @@ impl SyncContext {
     /// # Errors
     ///
     /// [`SyncError::InvalidParameter`] when `rounds == 0`, the slack is
-    /// negative or NaN, or a cycle time is non-positive or non-finite.
+    /// negative or non-finite, or a cycle time is non-positive or
+    /// non-finite.
     pub fn new(
         tau_ns: f64,
         t_p_ns: f64,
@@ -161,8 +162,10 @@ impl SyncContext {
         if rounds == 0 {
             return Err(SyncError::InvalidParameter("rounds must be positive"));
         }
-        if tau_ns.is_nan() || tau_ns < 0.0 {
-            return Err(SyncError::InvalidParameter("slack must be non-negative"));
+        if !tau_ns.is_finite() || tau_ns < 0.0 {
+            return Err(SyncError::InvalidParameter(
+                "slack must be finite and non-negative",
+            ));
         }
         if !(t_p_ns.is_finite() && t_p_ns > 0.0 && t_p_prime_ns.is_finite() && t_p_prime_ns > 0.0) {
             return Err(SyncError::InvalidParameter("cycle times must be positive"));
@@ -183,7 +186,7 @@ impl SyncContext {
     }
 
     /// The slack reduced to a phase difference: `tau mod T_P'` (paper
-    /// Section 4.1) — what every built-in strategy actually removes.
+    /// Section 4.1) — what every policy actually removes.
     pub fn wrapped_tau_ns(&self) -> f64 {
         self.tau_ns % self.t_p_prime_ns
     }
@@ -236,6 +239,8 @@ mod tests {
         assert!(SyncContext::new(-1.0, 1900.0, 1900.0, 8).is_err());
         assert!(SyncContext::new(100.0, 0.0, 1900.0, 8).is_err());
         assert!(SyncContext::new(100.0, 1900.0, f64::NAN, 8).is_err());
+        assert!(SyncContext::new(f64::INFINITY, 1000.0, 1325.0, 8).is_err());
+        assert!(SyncContext::new(f64::NAN, 1000.0, 1325.0, 8).is_err());
         let ctx = SyncContext::new(2100.0, 1900.0, 1900.0, 8).unwrap();
         assert!((ctx.wrapped_tau_ns() - 200.0).abs() < 1e-9);
     }

@@ -1,147 +1,14 @@
 //! The synchronization microarchitecture (paper Section 5, Fig. 12).
 
-use crate::clock::{synchronize_patches, synchronize_patches_observed, LogicalClock};
+use crate::clock::{synchronize_patches, LogicalClock};
 use crate::context::SlackWindow;
 use crate::policy::SyncPlan;
-use crate::strategy::SyncStrategy;
+use crate::strategy::PolicySpec;
 use crate::SyncError;
 
 /// Identifier of a logical patch in the controller's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PatchId(pub u32);
-
-/// The synchronization engine of Fig. 12: a *patch metadata table*
-/// (cycle duration per patch, filled at compile time from calibration
-/// data), a *patch counter table* (a per-patch counter incremented at
-/// every global clock tick, wrapping at the patch's cycle duration,
-/// with a valid bit), a *phase calculator* and a *slack calculator*.
-///
-/// The paper assumes a 1 GHz controller clock, so one tick is one
-/// nanosecond and superconducting cycle times of 1000–2000 ns need
-/// 10–12 bit counters ([`SyncEngine::counter_bits`]).
-///
-/// # Example
-///
-/// ```
-/// use ftqc_sync::{PatchId, SyncEngine};
-///
-/// let mut engine = SyncEngine::new();
-/// let p = engine.register_patch(1900);
-/// let q = engine.register_patch(1900);
-/// engine.advance(500); // both tick together
-/// engine.deregister(q); // q was merged away
-/// assert_eq!(engine.phase_ticks(p), Some(500));
-/// assert_eq!(engine.phase_ticks(q), None);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SyncEngine {
-    cycle_ticks: Vec<u32>,
-    counters: Vec<u32>,
-    valid: Vec<bool>,
-}
-
-impl SyncEngine {
-    /// An engine with empty tables.
-    pub fn new() -> SyncEngine {
-        SyncEngine::default()
-    }
-
-    /// Registers a patch with the given cycle duration in ticks,
-    /// returning its table index. The counter starts at phase 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle_ticks == 0`.
-    pub fn register_patch(&mut self, cycle_ticks: u32) -> PatchId {
-        assert!(cycle_ticks > 0, "cycle duration must be positive");
-        self.cycle_ticks.push(cycle_ticks);
-        self.counters.push(0);
-        self.valid.push(true);
-        PatchId(self.cycle_ticks.len() as u32 - 1)
-    }
-
-    /// Clears a patch's valid bit (after it is merged or split away).
-    /// A documented no-op for unknown ids and for patches whose valid
-    /// bit is already clear — never a panic path.
-    pub fn deregister(&mut self, id: PatchId) {
-        if let Some(v) = self.valid.get_mut(id.0 as usize) {
-            *v = false;
-        }
-    }
-
-    /// Number of patches with a set valid bit.
-    pub fn active_patches(&self) -> usize {
-        self.valid.iter().filter(|v| **v).count()
-    }
-
-    /// Advances the global clock by `ticks`, incrementing every valid
-    /// patch counter modulo its cycle duration.
-    pub fn advance(&mut self, ticks: u64) {
-        for i in 0..self.counters.len() {
-            if self.valid[i] {
-                let c = self.cycle_ticks[i] as u64;
-                self.counters[i] = ((self.counters[i] as u64 + ticks) % c) as u32;
-            }
-        }
-    }
-
-    /// The phase (ticks elapsed in the current cycle) of a patch, or
-    /// `None` when its valid bit is clear.
-    pub fn phase_ticks(&self, id: PatchId) -> Option<u32> {
-        let i = id.0 as usize;
-        (i < self.valid.len() && self.valid[i]).then(|| self.counters[i])
-    }
-
-    /// Counter width needed for a cycle duration — 10–12 bits for the
-    /// 1000–2000 ns superconducting cycles at 1 GHz, as the paper notes.
-    pub fn counter_bits(cycle_ticks: u32) -> u32 {
-        32 - cycle_ticks.leading_zeros()
-    }
-
-    /// The slack calculator: plans the synchronization of the given
-    /// patches under `strategy` with `rounds` pre-merge rounds, reading
-    /// phases from the counter table and cycle durations from the
-    /// metadata table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SyncError::InvalidParameter`] when a referenced patch
-    /// is invalid or listed twice, plus any planning error.
-    pub fn synchronize(
-        &self,
-        ids: &[PatchId],
-        strategy: &dyn SyncStrategy,
-        rounds: u32,
-    ) -> Result<SyncRequestOutcome, SyncError> {
-        let mut clocks = Vec::with_capacity(ids.len());
-        for (i, id) in ids.iter().enumerate() {
-            let phase = self
-                .phase_ticks(*id)
-                .ok_or(SyncError::InvalidParameter("invalid patch id"))?;
-            if ids[..i].contains(id) {
-                return Err(SyncError::InvalidParameter("duplicate patch id"));
-            }
-            clocks.push(LogicalClock::new(
-                self.cycle_ticks[id.0 as usize] as f64,
-                phase as f64,
-            ));
-        }
-        let (plans, slowest) = synchronize_patches(strategy, &clocks, rounds)?;
-        Ok(SyncRequestOutcome {
-            plans: ids.iter().copied().zip(plans).collect(),
-            slowest: ids[slowest],
-        })
-    }
-}
-
-/// The output of the slack calculator: one plan per requested patch.
-#[derive(Debug, Clone)]
-pub struct SyncRequestOutcome {
-    /// Synchronization plan per patch.
-    pub plans: Vec<(PatchId, SyncPlan)>,
-    /// The most lagging patch (gets the no-op plan).
-    pub slowest: PatchId,
-}
 
 /// Execution state of a patch inside the [`Controller`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,16 +21,21 @@ pub struct PatchStatus {
     pub cycle_ticks: u32,
 }
 
-/// A discrete-event QEC controller that owns a [`SyncEngine`] and
-/// executes synchronized schedules: patches run syndrome rounds
-/// back-to-back, and a synchronization request inserts the planned
-/// extra rounds and idle barriers so that all involved patches start
-/// their merged round on the same tick.
+/// The synchronization engine of Fig. 12 as a discrete-event QEC
+/// controller: a patch table (cycle duration and current cycle end per
+/// patch, with a valid bit), plus the phase and slack calculators that
+/// plan a merge. Patches run syndrome rounds back-to-back, and a
+/// synchronization request inserts the planned extra rounds and idle
+/// barriers so that all involved patches start their merged round on
+/// the same tick.
 ///
-/// Unlike the hardware counter table, the controller does not tick
-/// every patch: time advance only raises a *settled* horizon, which a
-/// patch catches up to in closed form when next read or written. Time
-/// advance is O(1) and a merge costs O(patches merged).
+/// The paper assumes a 1 GHz controller clock, so one tick is one
+/// nanosecond and the hardware's per-patch cycle counters need 10–12
+/// bits for superconducting cycle times of 1000–2000 ns. Unlike that
+/// counter table, the controller does not tick every patch: time
+/// advance only raises a *settled* horizon, which a patch catches up to
+/// in closed form when next read or written. Time advance is O(1) and a
+/// merge costs O(patches merged).
 ///
 /// # Example
 ///
@@ -173,7 +45,8 @@ pub struct PatchStatus {
 /// let mut ctl = Controller::new();
 /// let a = ctl.add_patch(1900, 0);
 /// let b = ctl.add_patch(1900, 700); // 700 ticks out of phase
-/// let merge_tick = ctl.synchronize(&[a, b], &PolicySpec::Active, 8).unwrap();
+/// let report = ctl.synchronize_report(&[a, b], &PolicySpec::Active, 8).unwrap();
+/// let merge_tick = report.merge_tick;
 /// assert_eq!(ctl.status(a).unwrap().cycle_end_tick, merge_tick);
 /// assert_eq!(ctl.status(b).unwrap().cycle_end_tick, merge_tick);
 /// ```
@@ -190,7 +63,7 @@ pub struct Controller {
     /// of *live* patches instead of growing per merge.
     free: Vec<u32>,
     /// Slack observed by recent synchronization requests — the window
-    /// adaptive strategies plan from.
+    /// adaptive policies plan from.
     slack_window: SlackWindow,
 }
 
@@ -316,9 +189,27 @@ impl Controller {
         self.now = tick;
     }
 
+    /// The slack observed by this controller's recent synchronization
+    /// requests (most recent [`DEFAULT_SLACK_WINDOW`] merges), which
+    /// [`synchronize_report`](Controller::synchronize_report) hands to
+    /// adaptive policies through [`SyncContext::observed`].
+    ///
+    /// [`DEFAULT_SLACK_WINDOW`]: crate::DEFAULT_SLACK_WINDOW
+    /// [`SyncContext::observed`]: crate::SyncContext::observed
+    pub fn recent_slack(&self) -> &SlackWindow {
+        &self.slack_window
+    }
+
     /// Synchronizes the listed patches under `policy`, applying the
-    /// planned extra rounds and idle barriers. Returns the tick at
-    /// which every patch is aligned (the merged round can start).
+    /// planned extra rounds and idle barriers, and reports the tick at
+    /// which every patch is aligned (the merged round can start) with
+    /// full accounting: the slack the request had to absorb, the idle
+    /// time actually realized on the tick grid, the extra rounds
+    /// inserted, and the per-patch plans (whose `policy` field records
+    /// any per-pair fallback to Active). This is what a program-level
+    /// runtime uses to attribute synchronization overhead. Only the
+    /// listed patches settle, in O(`ids.len()`); the rest catch up
+    /// lazily.
     ///
     /// Pairwise plans (Section 4.3) can land different leading patches
     /// on different alignment points when extra-round policies are
@@ -331,42 +222,10 @@ impl Controller {
     /// Propagates planning errors; invalid ids are rejected, as are
     /// duplicate ids (whose plans would otherwise be applied twice to
     /// the same patch, corrupting its round count and alignment).
-    pub fn synchronize(
-        &mut self,
-        ids: &[PatchId],
-        strategy: &dyn SyncStrategy,
-        rounds: u32,
-    ) -> Result<u64, SyncError> {
-        self.synchronize_report(ids, strategy, rounds)
-            .map(|r| r.merge_tick)
-    }
-
-    /// The slack observed by this controller's recent synchronization
-    /// requests (most recent [`DEFAULT_SLACK_WINDOW`] merges), which
-    /// [`synchronize`](Controller::synchronize) hands to adaptive
-    /// strategies through [`SyncContext::observed`].
-    ///
-    /// [`DEFAULT_SLACK_WINDOW`]: crate::DEFAULT_SLACK_WINDOW
-    /// [`SyncContext::observed`]: crate::SyncContext::observed
-    pub fn recent_slack(&self) -> &SlackWindow {
-        &self.slack_window
-    }
-
-    /// [`synchronize`](Controller::synchronize) with full accounting:
-    /// the slack the request had to absorb, the idle time actually
-    /// realized on the tick grid, the extra rounds inserted, and the
-    /// per-patch plans (whose `policy` field records any per-pair
-    /// fallback to Active). This is what a program-level runtime uses
-    /// to attribute synchronization overhead. Only the listed patches
-    /// settle, in O(`ids.len()`); the rest catch up lazily.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`synchronize`](Controller::synchronize).
     pub fn synchronize_report(
         &mut self,
         ids: &[PatchId],
-        strategy: &dyn SyncStrategy,
+        policy: &PolicySpec,
         rounds: u32,
     ) -> Result<ControllerSyncReport, SyncError> {
         let mut clocks = Vec::with_capacity(ids.len());
@@ -398,8 +257,7 @@ impl Controller {
                 .map(|c| worst - c.time_to_cycle_end_ns())
                 .fold(0.0f64, f64::max)
         };
-        let (plans, _slowest) =
-            synchronize_patches_observed(strategy, &clocks, rounds, &self.slack_window)?;
+        let (plans, _slowest) = synchronize_patches(policy, &clocks, rounds, &self.slack_window)?;
         self.slack_window.record(slack_ns);
         // Apply each plan: the patch finishes its current cycle, runs
         // its extra rounds, then absorbs its idle budget.
@@ -462,7 +320,7 @@ pub struct ControllerSyncReport {
     /// boundary); extra-round plans target the paper's Eq. (1)/(2)
     /// phase condition, whose alignment point the pairwise composition
     /// pads to the latest boundary (see
-    /// [`synchronize`](Controller::synchronize)).
+    /// [`synchronize_report`](Controller::synchronize_report)).
     pub alignment_idle_ticks: u64,
     /// Extra syndrome rounds inserted by the plans, summed over patches.
     pub extra_rounds: u64,
@@ -481,48 +339,23 @@ impl ControllerSyncReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolicySpec;
-
-    #[test]
-    fn counters_wrap_at_cycle_duration() {
-        let mut e = SyncEngine::new();
-        let p = e.register_patch(1000);
-        e.advance(2300);
-        assert_eq!(e.phase_ticks(p), Some(300));
-    }
-
-    #[test]
-    fn counter_bits_matches_paper_claim() {
-        // 1000-2000 ns cycles at 1 GHz need 10-12 bit counters.
-        assert_eq!(SyncEngine::counter_bits(1000), 10);
-        assert_eq!(SyncEngine::counter_bits(1900), 11);
-        assert_eq!(SyncEngine::counter_bits(2047), 11);
-        assert_eq!(SyncEngine::counter_bits(2048), 12);
-    }
-
-    #[test]
-    fn deregistered_patch_has_no_phase() {
-        let mut e = SyncEngine::new();
-        let p = e.register_patch(1000);
-        e.deregister(p);
-        assert_eq!(e.phase_ticks(p), None);
-        assert_eq!(e.active_patches(), 0);
-    }
 
     #[test]
     fn engine_synchronize_produces_plans() {
-        let mut e = SyncEngine::new();
-        let a = e.register_patch(1900);
-        let b = e.register_patch(1900);
-        // Desynchronize by ticking only after registering both, then
-        // manually shifting: advance 500, then register c.
-        e.advance(500);
-        let c = e.register_patch(1900);
-        let out = e.synchronize(&[a, b, c], &PolicySpec::Active, 8).unwrap();
-        assert_eq!(out.plans.len(), 3);
-        assert_eq!(out.slowest, c); // c just started its cycle
-        let total: f64 = out.plans.iter().map(|(_, plan)| plan.total_idle_ns()).sum();
-        assert!((total - 1000.0).abs() < 1e-9); // a and b each idle 500
+        let mut ctl = Controller::new();
+        let a = ctl.add_patch(1900, 0);
+        let b = ctl.add_patch(1900, 0);
+        // Desynchronize: c registers 500 ticks after a and b.
+        ctl.run_until(500);
+        let c = ctl.add_patch(1900, 0);
+        let rep = ctl
+            .synchronize_report(&[a, b, c], &PolicySpec::Active, 8)
+            .unwrap();
+        let ids: Vec<PatchId> = rep.plans.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [a, b, c]);
+        // c just started its cycle: a and b each idle 500.
+        assert_eq!(rep.plans[2].1.total_idle_ns(), 0.0);
+        assert_eq!(rep.planned_idle_ticks, 1000);
     }
 
     #[test]
@@ -531,7 +364,10 @@ mod tests {
             let mut ctl = Controller::new();
             let a = ctl.add_patch(1900, 0);
             let b = ctl.add_patch(1900, 700);
-            let tick = ctl.synchronize(&[a, b], policy, 8).unwrap();
+            let tick = ctl
+                .synchronize_report(&[a, b], policy, 8)
+                .unwrap()
+                .merge_tick;
             assert_eq!(ctl.status(a).unwrap().cycle_end_tick, tick);
             assert_eq!(ctl.status(b).unwrap().cycle_end_tick, tick);
         }
@@ -543,8 +379,9 @@ mod tests {
         let a = ctl.add_patch(1000, 0);
         let b = ctl.add_patch(1325, 325);
         let tick = ctl
-            .synchronize(&[a, b], &PolicySpec::hybrid(400.0), 8)
-            .unwrap();
+            .synchronize_report(&[a, b], &PolicySpec::hybrid(400.0), 8)
+            .unwrap()
+            .merge_tick;
         assert_eq!(ctl.status(a).unwrap().cycle_end_tick, tick);
         assert_eq!(ctl.status(b).unwrap().cycle_end_tick, tick);
         assert_eq!(ctl.now(), tick);
@@ -564,7 +401,9 @@ mod tests {
         let mut ctl = Controller::new();
         let _ = ctl.add_patch(1000, 0);
         let bogus = PatchId(42);
-        assert!(ctl.synchronize(&[bogus], &PolicySpec::Active, 8).is_err());
+        assert!(ctl
+            .synchronize_report(&[bogus], &PolicySpec::Active, 8)
+            .is_err());
     }
 
     #[test]
@@ -575,7 +414,7 @@ mod tests {
         let before_a = ctl.status(a).unwrap();
         let before_b = ctl.status(b).unwrap();
         let err = ctl
-            .synchronize(&[a, b, a], &PolicySpec::Active, 8)
+            .synchronize_report(&[a, b, a], &PolicySpec::Active, 8)
             .unwrap_err();
         assert!(matches!(err, SyncError::InvalidParameter(_)));
         // The request must be rejected before any plan is applied:
@@ -584,20 +423,11 @@ mod tests {
         assert_eq!(ctl.status(b).unwrap(), before_b);
         assert_eq!(ctl.now(), 0);
         // A clean request on the same controller still succeeds.
-        let tick = ctl.synchronize(&[a, b], &PolicySpec::Active, 8).unwrap();
+        let tick = ctl
+            .synchronize_report(&[a, b], &PolicySpec::Active, 8)
+            .unwrap()
+            .merge_tick;
         assert_eq!(ctl.status(a).unwrap().cycle_end_tick, tick);
-    }
-
-    #[test]
-    fn engine_rejects_duplicate_ids() {
-        let mut e = SyncEngine::new();
-        let a = e.register_patch(1900);
-        let b = e.register_patch(1900);
-        let err = e
-            .synchronize(&[a, a, b], &PolicySpec::Active, 8)
-            .unwrap_err();
-        assert!(matches!(err, SyncError::InvalidParameter(_)));
-        assert!(e.synchronize(&[a, b], &PolicySpec::Active, 8).is_ok());
     }
 
     #[test]
@@ -754,7 +584,10 @@ mod tests {
         let a = ctl.add_patch(1900, 0);
         let b = ctl.add_patch(1900, 700);
         let c = ctl.add_patch(1000, 0);
-        let first = ctl.synchronize(&[a, b], &PolicySpec::Passive, 8).unwrap();
+        let first = ctl
+            .synchronize_report(&[a, b], &PolicySpec::Passive, 8)
+            .unwrap()
+            .merge_tick;
         assert!(first > 1000, "c's first cycle end is behind `now`");
         let rep = ctl
             .synchronize_report(&[b, c], &PolicySpec::Active, 8)
@@ -776,7 +609,10 @@ mod tests {
         let c = ctl.add_patch(1000, 0);
         let a = ctl.add_patch(1900, 0);
         let b = ctl.add_patch(1900, 700);
-        let tick = ctl.synchronize(&[a, b], &PolicySpec::Passive, 8).unwrap();
+        let tick = ctl
+            .synchronize_report(&[a, b], &PolicySpec::Passive, 8)
+            .unwrap()
+            .merge_tick;
         assert_eq!(tick, 1900);
         let settled = ctl.status(c).unwrap();
         assert_eq!(settled.cycle_end_tick, 2000);
@@ -796,7 +632,10 @@ mod tests {
         let mut ctl = Controller::new();
         let a = ctl.add_patch(1900, 0);
         let b = ctl.add_patch(1900, 700);
-        let first = ctl.synchronize(&[a, b], &PolicySpec::Active, 8).unwrap();
+        let first = ctl
+            .synchronize_report(&[a, b], &PolicySpec::Active, 8)
+            .unwrap()
+            .merge_tick;
         let rep = ctl
             .synchronize_report(&[a, b], &PolicySpec::Active, 8)
             .unwrap();
@@ -807,8 +646,8 @@ mod tests {
 
     #[test]
     fn deregister_unknown_or_freed_ids_is_a_noop() {
-        // Controller: ids never issued, double frees and re-frees of a
-        // reused slot must all be safe no-ops.
+        // Ids never issued, double frees and re-frees of a reused slot
+        // must all be safe no-ops.
         let mut ctl = Controller::new();
         let a = ctl.add_patch(1000, 0);
         ctl.deregister(PatchId(999)); // never issued
@@ -826,13 +665,6 @@ mod tests {
         ctl.deregister(b);
         assert_eq!(ctl.status(b), None);
         assert_eq!(ctl.status(c).unwrap().cycle_ticks, 1200);
-        // SyncEngine: same contract.
-        let mut e = SyncEngine::new();
-        let p = e.register_patch(1000);
-        e.deregister(PatchId(42)); // never issued
-        e.deregister(p);
-        e.deregister(p); // double free
-        assert_eq!(e.active_patches(), 0);
     }
 
     #[test]
@@ -841,11 +673,13 @@ mod tests {
         let a = ctl.add_patch(1900, 0);
         let b = ctl.add_patch(1900, 700);
         assert!(ctl.recent_slack().is_empty());
-        ctl.synchronize(&[a, b], &PolicySpec::Active, 8).unwrap();
+        ctl.synchronize_report(&[a, b], &PolicySpec::Active, 8)
+            .unwrap();
         assert_eq!(ctl.recent_slack().len(), 1);
         assert!((ctl.recent_slack().max_ns().unwrap() - 700.0).abs() < 1e-9);
         // A back-to-back request observes (and records) zero slack.
-        ctl.synchronize(&[a, b], &PolicySpec::Active, 8).unwrap();
+        ctl.synchronize_report(&[a, b], &PolicySpec::Active, 8)
+            .unwrap();
         assert_eq!(ctl.recent_slack().len(), 2);
     }
 
@@ -868,7 +702,10 @@ mod tests {
         let ids: Vec<PatchId> = (0..16)
             .map(|i| ctl.add_patch(1900, (i * 113) % 1900))
             .collect();
-        let tick = ctl.synchronize(&ids, &PolicySpec::Active, 8).unwrap();
+        let tick = ctl
+            .synchronize_report(&ids, &PolicySpec::Active, 8)
+            .unwrap()
+            .merge_tick;
         for id in ids {
             assert_eq!(ctl.status(id).unwrap().cycle_end_tick, tick);
         }

@@ -7,25 +7,23 @@
 //! patches before a Lattice Surgery operation, and the runtime
 //! microarchitecture that computes and applies them.
 //!
-//! * [`SyncStrategy`] / [`PolicySpec`] / [`SyncContext`] — the **open
-//!   policy API**: any `SyncStrategy` plans from a validated context
-//!   (slack, both cycle times, round budget, observed timing), and the
-//!   built-in policies are nameable as round-trippable
-//!   `Display`/`FromStr` specs (`"hybrid:eps=400,max=5"`).
-//! * [`strategies`] — the Passive, Active, Active-intra, Extra-Rounds
-//!   and Hybrid policies (paper Section 4) plus the drift-adaptive
-//!   [`strategies::DynamicHybrid`], which picks its tolerance per merge
-//!   from the controller's recent [`SlackWindow`].
+//! * [`PolicySpec`] / [`SyncContext`] — the policies: the Passive,
+//!   Active, Active-intra, Extra-Rounds and Hybrid policies (paper
+//!   Section 4) plus the drift-adaptive `DynamicHybrid`, which picks its
+//!   tolerance per merge from the controller's recent [`SlackWindow`].
+//!   [`PolicySpec::plan`] plans from a validated context (slack, both
+//!   cycle times, round budget, observed timing), and every policy is
+//!   nameable as a round-trippable `Display`/`FromStr` spec
+//!   (`"hybrid:eps=400,max=5"`).
 //! * [`solve_extra_rounds`] — the Diophantine condition of Eq. (1).
 //! * [`solve_hybrid`] — the bounded-slack condition of Eq. (2).
 //! * [`LogicalClock`] and [`synchronize_patches`] — k-patch
 //!   synchronization by pairwise alignment against the most lagging
 //!   patch (Section 4.3).
-//! * [`SyncEngine`] — the patch counter table, phase calculator and
-//!   slack calculator of the control microarchitecture (Section 5,
-//!   Fig. 12), plus a discrete-event [`Controller`] that executes
-//!   synchronized schedules and feeds observed slack back to adaptive
-//!   strategies.
+//! * [`Controller`] — the patch table, phase calculator and slack
+//!   calculator of the control microarchitecture (Section 5, Fig. 12)
+//!   as a discrete-event controller that executes synchronized
+//!   schedules and feeds observed slack back to adaptive policies.
 //! * [`CultivationModel`] / [`qldpc_slack`] — the desynchronization
 //!   case studies of Section 3.4 (magic-state cultivation and qLDPC
 //!   memories).
@@ -63,15 +61,13 @@ pub use case_studies::{
     dropout_cycle_time_ns, dropout_slack, qldpc_cycle_time_ns, qldpc_slack, CultivationModel,
     SlackStats,
 };
-pub use clock::{synchronize_patches, synchronize_patches_observed, LogicalClock};
+pub use clock::{synchronize_patches, LogicalClock};
 pub use context::{SlackWindow, SyncContext, DEFAULT_SLACK_WINDOW};
-pub use engine::{
-    Controller, ControllerSyncReport, PatchId, PatchStatus, SyncEngine, SyncRequestOutcome,
-};
+pub use engine::{Controller, ControllerSyncReport, PatchId, PatchStatus};
 pub use error::SyncError;
 pub use policy::SyncPlan;
 pub use solver::{solve_extra_rounds, solve_hybrid, HybridSolution};
 pub use strategy::{
-    strategies, PolicyParseError, PolicySpec, SyncStrategy, DEFAULT_DYNAMIC_FLOOR_NS,
-    DEFAULT_DYNAMIC_QUANTILE, DEFAULT_EPSILON_NS, DEFAULT_MAX_EXTRA_ROUNDS,
+    PolicyParseError, PolicySpec, DEFAULT_DYNAMIC_FLOOR_NS, DEFAULT_DYNAMIC_QUANTILE,
+    DEFAULT_EPSILON_NS, DEFAULT_MAX_EXTRA_ROUNDS,
 };

@@ -1,8 +1,8 @@
 //! Synchronization plans (paper Section 4).
 //!
-//! The planning logic itself lives in [`crate::strategies`] behind the
-//! open [`SyncStrategy`](crate::SyncStrategy) trait; this module keeps
-//! the [`SyncPlan`] output type every strategy produces, plus the
+//! The planning logic itself lives in
+//! [`PolicySpec::plan`](crate::PolicySpec::plan); this module keeps the
+//! [`SyncPlan`] output type every policy produces, plus the
 //! behavior-pinning tests for the per-policy plan shapes (paper
 //! Sections 4.1–4.2, Table 2).
 

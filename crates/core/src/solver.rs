@@ -19,8 +19,8 @@ const EXACT_TOL_NS: f64 = 1e-6;
 /// * [`SyncError::NoIntegralSolution`] when no `m <= max_rounds` works
 ///   (paper Fig. 10 shows such configurations, e.g. `T_P' = 1200`,
 ///   `tau = 500`).
-/// * [`SyncError::InvalidParameter`] for non-positive cycle times or a
-///   negative slack.
+/// * [`SyncError::InvalidParameter`] for non-positive or non-finite
+///   cycle times, or a negative or non-finite slack.
 ///
 /// # Example
 ///
@@ -112,7 +112,7 @@ pub fn solve_hybrid(
     max_rounds: u32,
 ) -> Result<HybridSolution, SyncError> {
     validate(t_p_ns, t_p_prime_ns, tau_ns)?;
-    if epsilon_ns <= 0.0 {
+    if epsilon_ns.is_nan() || epsilon_ns <= 0.0 {
         return Err(SyncError::InvalidParameter("epsilon must be positive"));
     }
     if (t_p_ns - t_p_prime_ns).abs() < EXACT_TOL_NS {
@@ -140,8 +140,10 @@ fn validate(t_p_ns: f64, t_p_prime_ns: f64, tau_ns: f64) -> Result<(), SyncError
     if !(t_p_ns.is_finite() && t_p_ns > 0.0 && t_p_prime_ns.is_finite() && t_p_prime_ns > 0.0) {
         return Err(SyncError::InvalidParameter("cycle times must be positive"));
     }
-    if tau_ns.is_nan() || tau_ns < 0.0 {
-        return Err(SyncError::InvalidParameter("slack must be non-negative"));
+    if !tau_ns.is_finite() || tau_ns < 0.0 {
+        return Err(SyncError::InvalidParameter(
+            "slack must be finite and non-negative",
+        ));
     }
     Ok(())
 }
@@ -262,6 +264,13 @@ mod tests {
         assert!(solve_extra_rounds(-1.0, 1150.0, 0.0, 10).is_err());
         assert!(solve_extra_rounds(1000.0, 1150.0, -5.0, 10).is_err());
         assert!(solve_hybrid(1000.0, 1150.0, 100.0, 0.0, 10).is_err());
+        for r in [
+            solve_extra_rounds(1000.0, 1325.0, f64::INFINITY, 100).map(|_| ()),
+            solve_hybrid(1000.0, 1325.0, f64::INFINITY, 400.0, 5).map(|_| ()),
+            solve_hybrid(1000.0, 1325.0, 1000.0, f64::NAN, 5).map(|_| ()),
+        ] {
+            assert!(matches!(r, Err(SyncError::InvalidParameter(_))), "{r:?}");
+        }
     }
 
     #[test]

@@ -1,64 +1,20 @@
-//! The open synchronization-policy API: the [`SyncStrategy`] trait,
-//! the parseable [`PolicySpec`] value type, and the built-in strategy
-//! implementations (paper Section 4 plus the drift-adaptive
+//! The synchronization policies: the parseable [`PolicySpec`] value
+//! type and its planner (paper Section 4 plus the drift-adaptive
 //! `DynamicHybrid` extension).
 //!
-//! The paper presents a *family* of policies and later work suggests
-//! more (decoherence-adaptive scheduling, block-boundary recovery), so
-//! planning is not a closed enum: anything implementing [`SyncStrategy`]
-//! can be handed to
-//! [`Controller::synchronize`](crate::Controller::synchronize),
-//! [`SyncEngine::synchronize`](crate::SyncEngine::synchronize) and
-//! [`synchronize_patches`](crate::synchronize_patches). The built-in
-//! policies are also nameable as data through [`PolicySpec`], whose
-//! `Display`/`FromStr` forms round-trip — the single representation
-//! used by `repro --policy`, `RuntimeConfig`, bench groups and result
-//! tables.
+//! [`PolicySpec`] is the single representation of a policy — planned
+//! through [`PolicySpec::plan`], handed to
+//! [`Controller::synchronize_report`](crate::Controller::synchronize_report)
+//! and [`synchronize_patches`](crate::synchronize_patches), and named
+//! by its round-tripping `Display`/`FromStr` forms on the
+//! `repro --policy` command line, in `RuntimeConfig`, bench group
+//! labels and result tables.
 
 use crate::context::SyncContext;
 use crate::solver::{solve_extra_rounds, solve_hybrid};
 use crate::{SyncError, SyncPlan};
 use std::fmt;
 use std::str::FromStr;
-
-/// A synchronization policy as an open interface: plans how a leading
-/// patch removes its slack against a lagging one before Lattice
-/// Surgery.
-///
-/// # Contract
-///
-/// * `plan` receives a validated [`SyncContext`] (positive finite cycle
-///   times, non-negative slack, `rounds >= 1`) and returns a
-///   [`SyncPlan`] that removes the *wrapped* slack
-///   ([`SyncContext::wrapped_tau_ns`]) — idle inserted plus slack
-///   eliminated by extra rounds must account for all of it (the
-///   conservation property `tests/properties.rs` checks for every
-///   built-in).
-/// * The returned plan's `policy` field must be stamped with
-///   [`describe`](SyncStrategy::describe)'s spec (callers use it for
-///   fallback and overhead accounting).
-/// * Planning must be deterministic: the same context yields the same
-///   plan. Adaptivity comes from [`SyncContext::observed`], not hidden
-///   state.
-///
-/// When a strategy is infeasible for a pair (e.g. equal cycle times for
-/// an extra-round strategy), it returns an error and the k-patch
-/// composition falls back to [`strategies::Active`], mirroring the
-/// runtime policy selection of paper Section 5.
-pub trait SyncStrategy {
-    /// Plans the synchronization of the leading patch described by
-    /// `ctx`.
-    ///
-    /// # Errors
-    ///
-    /// Solver errors when the strategy is infeasible for the pair;
-    /// parameter errors for invalid strategy configuration.
-    fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError>;
-
-    /// The [`PolicySpec`] describing this strategy — used to stamp
-    /// no-op plans, attribute fallbacks and label reports.
-    fn describe(&self) -> PolicySpec;
-}
 
 /// Default Hybrid tolerance (the paper's superconducting evaluations
 /// use 400 ns).
@@ -76,8 +32,7 @@ pub const DEFAULT_DYNAMIC_QUANTILE: f64 = 0.25;
 /// rounds when that beats idling).
 pub const DEFAULT_DYNAMIC_DEEP_ROUNDS: u32 = 25;
 
-/// A named, parameterized synchronization policy — the value-type
-/// counterpart of [`SyncStrategy`].
+/// A named, parameterized synchronization policy.
 ///
 /// `Display` and `FromStr` round-trip exactly, so the same string names
 /// a policy on the `repro --policy` command line, in result tables, in
@@ -126,7 +81,7 @@ pub enum PolicySpec {
     /// recent slack window instead of a fixed value, with a deeper
     /// round budget available when that beats idling — never worse
     /// than `Hybrid` at the same `eps` cap and `max` budget (see
-    /// [`strategies::DynamicHybrid`]).
+    /// [`PolicySpec::plan`]).
     DynamicHybrid {
         /// Upper bound (and empty-window fallback) for the per-merge
         /// tolerance, ns.
@@ -135,7 +90,7 @@ pub enum PolicySpec {
         floor_ns: f64,
         /// Quantile of the recent slack window used as the tolerance.
         quantile: f64,
-        /// Round budget of the fixed-Hybrid baseline the strategy must
+        /// Round budget of the fixed-Hybrid baseline the policy must
         /// never lose to (Eq. (2)'s `max`).
         max_extra_rounds: u32,
         /// Extended round budget the adaptive search may spend when the
@@ -166,83 +121,193 @@ impl PolicySpec {
         }
     }
 
-    /// Plans under this spec (inherent counterpart of
-    /// [`SyncStrategy::plan`], avoiding a trait import at call sites).
+    /// Plans how the leading patch described by `ctx` removes its
+    /// slack against the lagging one before Lattice Surgery.
+    ///
+    /// # Contract
+    ///
+    /// * `ctx` is validated ([`SyncContext::new`]: positive finite
+    ///   cycle times, finite non-negative slack, `rounds >= 1`), and the
+    ///   plan removes the *wrapped* slack
+    ///   ([`SyncContext::wrapped_tau_ns`]) — idle inserted plus slack
+    ///   eliminated by extra rounds accounts for all of it (the
+    ///   conservation property `tests/properties.rs` checks for every
+    ///   policy).
+    /// * The plan's `policy` field is stamped with `self` (callers use
+    ///   it for fallback and overhead accounting).
+    /// * Planning is deterministic: the same context yields the same
+    ///   plan. Adaptivity comes from [`SyncContext::observed`], not
+    ///   hidden state.
+    ///
+    /// `DynamicHybrid` is *dominant by construction* over the fixed
+    /// `Hybrid { eps: max_epsilon_ns, max: max_extra_rounds }` baseline:
+    ///
+    /// 1. Compute the baseline's own plan (Eq. (2) first-fit at the cap
+    ///    within `max_extra_rounds`), exactly as the fixed policy would
+    ///    — including its failure, which the k-patch composition turns
+    ///    into an Active fallback idling the full wrapped slack.
+    /// 2. Pick the adaptive tolerance: the window's `quantile`-quantile
+    ///    clamped to `[floor_ns, max_epsilon_ns]` (an empty window uses
+    ///    the cap). Search `z <= deep_rounds` first-fit at that
+    ///    tolerance, escalating it in doubling steps up to the cap; a
+    ///    candidate found while the baseline is infeasible must also
+    ///    beat the Active fallback (residual <= wrapped slack), since
+    ///    extra rounds are only worth spending when they remove more
+    ///    idle than they avoid.
+    /// 3. Return whichever plan inserts less idle, floored by a plain
+    ///    Active-style spread of the wrapped slack — an adaptive policy
+    ///    never inserts more idle than the slack it removes. Only equal
+    ///    cycle times (no hybrid exists at all) remain an error.
     ///
     /// # Errors
     ///
-    /// Same contract as [`SyncStrategy::plan`].
+    /// Solver errors when the policy is infeasible for the pair (e.g.
+    /// equal cycle times for an extra-round policy); the k-patch
+    /// composition then falls back to [`PolicySpec::Active`], mirroring
+    /// the runtime policy selection of paper Section 5.
     pub fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
+        let tau = ctx.wrapped_tau_ns();
         match self {
-            PolicySpec::Passive => strategies::Passive.plan(ctx),
-            PolicySpec::Active => strategies::Active.plan(ctx),
-            PolicySpec::ActiveIntra => strategies::ActiveIntra.plan(ctx),
-            PolicySpec::ExtraRounds => strategies::ExtraRounds::default().plan(ctx),
+            PolicySpec::Passive => Ok(SyncPlan {
+                final_idle_ns: tau,
+                ..SyncPlan::noop(self.clone(), ctx.rounds)
+            }),
+            PolicySpec::Active => Ok(self.spread(ctx, 0, tau)),
+            PolicySpec::ActiveIntra => Ok(SyncPlan {
+                intra_round_idle_ns: tau,
+                ..SyncPlan::noop(self.clone(), ctx.rounds)
+            }),
+            PolicySpec::ExtraRounds => {
+                let m = solve_extra_rounds(
+                    ctx.t_p_ns,
+                    ctx.t_p_prime_ns,
+                    tau,
+                    EXTRA_ROUNDS_SEARCH_LIMIT,
+                )?;
+                Ok(SyncPlan {
+                    extra_rounds: m,
+                    ..SyncPlan::noop(self.clone(), ctx.rounds + m)
+                })
+            }
             PolicySpec::Hybrid {
                 epsilon_ns,
                 max_extra_rounds,
-            } => strategies::Hybrid {
-                epsilon_ns: *epsilon_ns,
-                max_extra_rounds: *max_extra_rounds,
-            }
-            .plan(ctx),
+            } => self.hybrid_plan(ctx, *epsilon_ns, *max_extra_rounds),
             PolicySpec::DynamicHybrid {
                 max_epsilon_ns,
                 floor_ns,
                 quantile,
                 max_extra_rounds,
                 deep_rounds,
-            } => strategies::DynamicHybrid {
-                max_epsilon_ns: *max_epsilon_ns,
-                floor_ns: *floor_ns,
-                quantile: *quantile,
-                max_extra_rounds: *max_extra_rounds,
-                deep_rounds: *deep_rounds,
+            } => {
+                // 1. The fixed-Hybrid baseline this policy must dominate.
+                let baseline = self.hybrid_plan(ctx, *max_epsilon_ns, *max_extra_rounds);
+                if let Err(
+                    e @ (SyncError::EqualCycleTimes { .. } | SyncError::InvalidParameter(_)),
+                ) = baseline
+                {
+                    return Err(e); // no hybrid of any kind exists
+                }
+                // 2. The adaptive candidate. While the baseline is
+                // infeasible the alternative is an Active fallback
+                // idling the wrapped slack, so a candidate must stay
+                // below that.
+                let limit = match &baseline {
+                    Ok(_) => *max_epsilon_ns,
+                    Err(_) => max_epsilon_ns.min(tau),
+                };
+                let tolerance = dynamic_tolerance(ctx, *max_epsilon_ns, *floor_ns, *quantile);
+                let deep = (*deep_rounds).max(*max_extra_rounds).max(1);
+                let candidate = deep_search(ctx, tolerance, limit, deep)
+                    .map(|(z, residual)| self.spread(ctx, z, residual));
+                // 3. Whichever idles least, floored by the plain Active
+                // spread. Prefer the baseline on ties (fewer extra
+                // rounds), and the Active spread only when strictly
+                // cheaper.
+                let best = match (baseline.ok(), candidate) {
+                    (Some(base), Some(cand)) if cand.total_idle_ns() < base.total_idle_ns() => {
+                        Some(cand)
+                    }
+                    (Some(base), _) => Some(base),
+                    (None, cand) => cand,
+                };
+                match best {
+                    Some(plan) if plan.total_idle_ns() <= tau => Ok(plan),
+                    _ => Ok(self.spread(ctx, 0, tau)),
+                }
             }
-            .plan(ctx),
         }
     }
 
-    /// Boxes the strategy this spec names — for APIs that store
-    /// heterogeneous strategies.
-    pub fn strategy(&self) -> Box<dyn SyncStrategy + Send + Sync> {
-        match self {
-            PolicySpec::Passive => Box::new(strategies::Passive),
-            PolicySpec::Active => Box::new(strategies::Active),
-            PolicySpec::ActiveIntra => Box::new(strategies::ActiveIntra),
-            PolicySpec::ExtraRounds => Box::<strategies::ExtraRounds>::default(),
-            PolicySpec::Hybrid {
-                epsilon_ns,
-                max_extra_rounds,
-            } => Box::new(strategies::Hybrid {
-                epsilon_ns: *epsilon_ns,
-                max_extra_rounds: *max_extra_rounds,
-            }),
-            PolicySpec::DynamicHybrid {
-                max_epsilon_ns,
-                floor_ns,
-                quantile,
-                max_extra_rounds,
-                deep_rounds,
-            } => Box::new(strategies::DynamicHybrid {
-                max_epsilon_ns: *max_epsilon_ns,
-                floor_ns: *floor_ns,
-                quantile: *quantile,
-                max_extra_rounds: *max_extra_rounds,
-                deep_rounds: *deep_rounds,
-            }),
+    /// Solves Eq. (2) at tolerance `epsilon_ns` within
+    /// `max_extra_rounds` and spreads the residual.
+    fn hybrid_plan(
+        &self,
+        ctx: &SyncContext,
+        epsilon_ns: f64,
+        max_extra_rounds: u32,
+    ) -> Result<SyncPlan, SyncError> {
+        let sol = solve_hybrid(
+            ctx.t_p_ns,
+            ctx.t_p_prime_ns,
+            ctx.wrapped_tau_ns(),
+            epsilon_ns,
+            max_extra_rounds,
+        )?;
+        Ok(self.spread(ctx, sol.extra_rounds, sol.residual_ns))
+    }
+
+    /// `extra_rounds` extra rounds plus `idle_ns` split evenly before
+    /// every pre-merge round, extras included — the Active spread
+    /// (`extra_rounds == 0`) and the one residual convention both
+    /// Hybrid variants share.
+    fn spread(&self, ctx: &SyncContext, extra_rounds: u32, idle_ns: f64) -> SyncPlan {
+        let total_rounds = ctx.rounds + extra_rounds;
+        SyncPlan {
+            policy: self.clone(),
+            extra_rounds,
+            pre_round_idle_ns: vec![idle_ns / total_rounds as f64; total_rounds as usize],
+            intra_round_idle_ns: 0.0,
+            final_idle_ns: 0.0,
         }
     }
 }
 
-impl SyncStrategy for PolicySpec {
-    fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
-        PolicySpec::plan(self, ctx)
-    }
+/// Round budget Eq. (1) is searched over (the abstract solver studies
+/// of paper Fig. 10 use the same horizon).
+const EXTRA_ROUNDS_SEARCH_LIMIT: u32 = 100;
 
-    fn describe(&self) -> PolicySpec {
-        self.clone()
+/// `DynamicHybrid`'s starting tolerance for `ctx`: the observed
+/// window's `quantile`-quantile clamped to `[floor_ns, max_epsilon_ns]`,
+/// or the cap when the window is empty.
+fn dynamic_tolerance(ctx: &SyncContext, max_epsilon_ns: f64, floor_ns: f64, quantile: f64) -> f64 {
+    ctx.observed
+        .quantile_ns(quantile)
+        .map_or(max_epsilon_ns, |q| {
+            q.clamp(floor_ns.min(max_epsilon_ns), max_epsilon_ns)
+        })
+}
+
+/// First `z <= deep` whose Eq. (2) residual is below `tolerance`,
+/// escalating the tolerance in doubling steps up to `limit` —
+/// `(z, residual)` of the first hit.
+fn deep_search(ctx: &SyncContext, tolerance: f64, limit: f64, deep: u32) -> Option<(u32, f64)> {
+    let tau = ctx.wrapped_tau_ns();
+    let residual = |z: u32| {
+        let elapsed = z as f64 * ctx.t_p_ns + tau;
+        (elapsed / ctx.t_p_prime_ns).ceil() * ctx.t_p_prime_ns - elapsed
+    };
+    let mut tol = tolerance.min(limit);
+    while tol > 0.0 {
+        if let Some(hit) = (1..=deep).map(|z| (z, residual(z))).find(|(_, r)| *r < tol) {
+            return Some(hit);
+        }
+        if tol >= limit {
+            return None;
+        }
+        tol = (tol * 2.0).min(limit);
     }
+    None
 }
 
 impl fmt::Display for PolicySpec {
@@ -427,357 +492,8 @@ impl FromStr for PolicySpec {
     }
 }
 
-/// The built-in strategy implementations. Each is a plain struct, so a
-/// sixth policy is one more `impl SyncStrategy` — no enum to edit.
-pub mod strategies {
-    use super::*;
-
-    /// Round budget Eq. (1) is searched over when no explicit bound is
-    /// configured (the abstract solver studies of paper Fig. 10 use
-    /// the same horizon).
-    pub const EXTRA_ROUNDS_SEARCH_LIMIT: u32 = 100;
-
-    fn idle_free_rounds(rounds: u32) -> Vec<f64> {
-        vec![0.0; rounds as usize]
-    }
-
-    /// The baseline: idle the whole slack immediately before the merge.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct Passive;
-
-    impl SyncStrategy for Passive {
-        fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
-            Ok(SyncPlan {
-                policy: self.describe(),
-                extra_rounds: 0,
-                pre_round_idle_ns: idle_free_rounds(ctx.rounds),
-                intra_round_idle_ns: 0.0,
-                final_idle_ns: ctx.wrapped_tau_ns(),
-            })
-        }
-
-        fn describe(&self) -> PolicySpec {
-            PolicySpec::Passive
-        }
-    }
-
-    /// Split the slack into equal fragments before each pre-merge round
-    /// (paper Section 4.1.2).
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct Active;
-
-    impl SyncStrategy for Active {
-        fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
-            Ok(SyncPlan {
-                policy: self.describe(),
-                extra_rounds: 0,
-                pre_round_idle_ns: vec![
-                    ctx.wrapped_tau_ns() / ctx.rounds as f64;
-                    ctx.rounds as usize
-                ],
-                intra_round_idle_ns: 0.0,
-                final_idle_ns: 0.0,
-            })
-        }
-
-        fn describe(&self) -> PolicySpec {
-            PolicySpec::Active
-        }
-    }
-
-    /// Distribute the slack *within* the final round, between its gate
-    /// layers (paper Section 4.1.3).
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct ActiveIntra;
-
-    impl SyncStrategy for ActiveIntra {
-        fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
-            Ok(SyncPlan {
-                policy: self.describe(),
-                extra_rounds: 0,
-                pre_round_idle_ns: idle_free_rounds(ctx.rounds),
-                intra_round_idle_ns: ctx.wrapped_tau_ns(),
-                final_idle_ns: 0.0,
-            })
-        }
-
-        fn describe(&self) -> PolicySpec {
-            PolicySpec::ActiveIntra
-        }
-    }
-
-    /// Remove the slack entirely with extra rounds per Eq. (1); requires
-    /// `T_P != T_P'` (paper Section 4.1.4).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct ExtraRounds {
-        /// Largest number of extra rounds Eq. (1) is searched over.
-        pub max_rounds: u32,
-    }
-
-    impl Default for ExtraRounds {
-        fn default() -> ExtraRounds {
-            ExtraRounds {
-                max_rounds: EXTRA_ROUNDS_SEARCH_LIMIT,
-            }
-        }
-    }
-
-    impl SyncStrategy for ExtraRounds {
-        fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
-            let m = solve_extra_rounds(
-                ctx.t_p_ns,
-                ctx.t_p_prime_ns,
-                ctx.wrapped_tau_ns(),
-                self.max_rounds,
-            )?;
-            Ok(SyncPlan {
-                policy: self.describe(),
-                extra_rounds: m,
-                pre_round_idle_ns: idle_free_rounds(ctx.rounds + m),
-                intra_round_idle_ns: 0.0,
-                final_idle_ns: 0.0,
-            })
-        }
-
-        fn describe(&self) -> PolicySpec {
-            PolicySpec::ExtraRounds
-        }
-    }
-
-    /// Extra rounds per Eq. (2) until the residual drops below a fixed
-    /// tolerance, with the residual distributed Active-style (paper
-    /// Section 4.2).
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct Hybrid {
-        /// Maximum tolerated residual idle, ns.
-        pub epsilon_ns: f64,
-        /// Upper bound on extra rounds searched by Eq. (2).
-        pub max_extra_rounds: u32,
-    }
-
-    impl SyncStrategy for Hybrid {
-        fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
-            hybrid_plan(ctx, self.epsilon_ns, self.max_extra_rounds, self.describe())
-        }
-
-        fn describe(&self) -> PolicySpec {
-            PolicySpec::Hybrid {
-                epsilon_ns: self.epsilon_ns,
-                max_extra_rounds: self.max_extra_rounds,
-            }
-        }
-    }
-
-    /// Solves Eq. (2) at tolerance `epsilon_ns` and realizes the
-    /// solution as a plan stamped with `spec` — shared by [`Hybrid`]
-    /// and [`DynamicHybrid`].
-    pub(super) fn hybrid_plan(
-        ctx: &SyncContext,
-        epsilon_ns: f64,
-        max_extra_rounds: u32,
-        spec: PolicySpec,
-    ) -> Result<SyncPlan, SyncError> {
-        let sol = solve_hybrid(
-            ctx.t_p_ns,
-            ctx.t_p_prime_ns,
-            ctx.wrapped_tau_ns(),
-            epsilon_ns,
-            max_extra_rounds,
-        )?;
-        Ok(residual_spread_plan(
-            ctx,
-            sol.extra_rounds,
-            sol.residual_ns,
-            spec,
-        ))
-    }
-
-    /// Realizes an Eq. (2) solution — `extra_rounds` rounds plus a
-    /// `residual_ns` spread Active-style across all pre-merge rounds —
-    /// as a plan stamped with `spec`. The single spread convention both
-    /// Hybrid variants share.
-    fn residual_spread_plan(
-        ctx: &SyncContext,
-        extra_rounds: u32,
-        residual_ns: f64,
-        spec: PolicySpec,
-    ) -> SyncPlan {
-        let total_rounds = ctx.rounds + extra_rounds;
-        SyncPlan {
-            policy: spec,
-            extra_rounds,
-            pre_round_idle_ns: vec![residual_ns / total_rounds as f64; total_rounds as usize],
-            intra_round_idle_ns: 0.0,
-            final_idle_ns: 0.0,
-        }
-    }
-
-    /// The drift-adaptive extension proving the API open: a Hybrid
-    /// whose tolerance is picked per merge from the controller's recent
-    /// slack window ([`SyncContext::observed`]) instead of a fixed
-    /// 400 ns, with a deeper round budget available when spending
-    /// rounds beats idling.
-    ///
-    /// Planning is *dominant by construction* over the fixed
-    /// [`Hybrid`] `{eps: max_epsilon_ns, max: max_extra_rounds}`
-    /// baseline:
-    ///
-    /// 1. Compute the baseline's own plan (Eq. (2) first-fit at the
-    ///    cap within `max_extra_rounds`), exactly as the fixed policy
-    ///    would — including its failure, which the k-patch composition
-    ///    turns into an Active fallback idling the full wrapped slack.
-    /// 2. Pick the adaptive tolerance: the window's
-    ///    `quantile`-quantile clamped to `[floor_ns, max_epsilon_ns]`
-    ///    (an empty window uses the cap). Search `z <= deep_rounds`
-    ///    first-fit at that tolerance, escalating it in doubling steps
-    ///    up to the cap; a candidate found while the baseline is
-    ///    infeasible is additionally required to beat the Active
-    ///    fallback (residual <= wrapped slack), since extra rounds are
-    ///    only worth spending when they remove more idle than they
-    ///    avoid.
-    /// 3. Return whichever plan inserts less idle, floored by a plain
-    ///    Active-style spread of the wrapped slack — an adaptive
-    ///    policy never inserts more idle than the slack it removes.
-    ///    Only equal cycle times (no hybrid exists at all) remain an
-    ///    error.
-    ///
-    /// The result: per merge, the planned idle is never larger than
-    /// what either the fixed Hybrid or plain Active realizes on the
-    /// same context, and it is strictly smaller whenever the observed
-    /// slack regime lets the tolerance tighten or the deeper search
-    /// converts idle into productive rounds.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct DynamicHybrid {
-        /// Upper bound (and empty-window fallback) for the tolerance,
-        /// ns.
-        pub max_epsilon_ns: f64,
-        /// Lower bound for the tolerance, ns.
-        pub floor_ns: f64,
-        /// Quantile of the recent slack window used as the tolerance.
-        pub quantile: f64,
-        /// Round budget of the fixed-Hybrid baseline (Eq. (2)'s `max`).
-        pub max_extra_rounds: u32,
-        /// Extended round budget for the adaptive search
-        /// (`>= max_extra_rounds`).
-        pub deep_rounds: u32,
-    }
-
-    impl Default for DynamicHybrid {
-        fn default() -> DynamicHybrid {
-            DynamicHybrid {
-                max_epsilon_ns: DEFAULT_EPSILON_NS,
-                floor_ns: DEFAULT_DYNAMIC_FLOOR_NS,
-                quantile: DEFAULT_DYNAMIC_QUANTILE,
-                max_extra_rounds: DEFAULT_MAX_EXTRA_ROUNDS,
-                deep_rounds: DEFAULT_DYNAMIC_DEEP_ROUNDS,
-            }
-        }
-    }
-
-    impl DynamicHybrid {
-        /// The starting tolerance this strategy would use for `ctx` —
-        /// exposed so tests and reports can audit the adaptive choice.
-        pub fn epsilon_for(&self, ctx: &SyncContext) -> f64 {
-            ctx.observed
-                .quantile_ns(self.quantile)
-                .map_or(self.max_epsilon_ns, |q| {
-                    q.clamp(self.floor_ns.min(self.max_epsilon_ns), self.max_epsilon_ns)
-                })
-        }
-
-        /// First `z <= deep_rounds` whose Eq. (2) residual is below
-        /// `tolerance`, escalating the tolerance in doubling steps up
-        /// to `limit` — `(z, residual)` of the first hit.
-        fn deep_search(&self, ctx: &SyncContext, tolerance: f64, limit: f64) -> Option<(u32, f64)> {
-            let tau = ctx.wrapped_tau_ns();
-            let residual = |z: u32| {
-                let elapsed = z as f64 * ctx.t_p_ns + tau;
-                (elapsed / ctx.t_p_prime_ns).ceil() * ctx.t_p_prime_ns - elapsed
-            };
-            let deep = self.deep_rounds.max(self.max_extra_rounds).max(1);
-            let mut tol = tolerance.min(limit);
-            while tol > 0.0 {
-                if let Some(hit) = (1..=deep).map(|z| (z, residual(z))).find(|(_, r)| *r < tol) {
-                    return Some(hit);
-                }
-                if tol >= limit {
-                    return None;
-                }
-                tol = (tol * 2.0).min(limit);
-            }
-            None
-        }
-    }
-
-    impl SyncStrategy for DynamicHybrid {
-        fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
-            // 1. The fixed-Hybrid baseline this strategy must dominate.
-            let baseline = hybrid_plan(
-                ctx,
-                self.max_epsilon_ns,
-                self.max_extra_rounds,
-                self.describe(),
-            );
-            if let Err(e @ (SyncError::EqualCycleTimes { .. } | SyncError::InvalidParameter(_))) =
-                baseline
-            {
-                return Err(e); // no hybrid of any kind exists
-            }
-            // 2. The adaptive candidate. While the baseline is
-            // infeasible the alternative is an Active fallback idling
-            // the wrapped slack, so a candidate must stay below that.
-            let tau = ctx.wrapped_tau_ns();
-            let limit = match &baseline {
-                Ok(_) => self.max_epsilon_ns,
-                Err(_) => self.max_epsilon_ns.min(tau),
-            };
-            let candidate = self
-                .deep_search(ctx, self.epsilon_for(ctx), limit)
-                .map(|(z, residual)| residual_spread_plan(ctx, z, residual, self.describe()));
-            // 3. Whichever idles least, floored by the plain Active
-            // spread (an adaptive policy never inserts more idle than
-            // the slack it removes). Prefer the baseline on ties
-            // (fewer extra rounds), and the Active spread only when
-            // strictly cheaper.
-            let best = match (baseline, candidate) {
-                (Ok(base), Some(cand)) => {
-                    if cand.total_idle_ns() < base.total_idle_ns() {
-                        Some(cand)
-                    } else {
-                        Some(base)
-                    }
-                }
-                (Ok(base), None) => Some(base),
-                (Err(_), Some(cand)) => Some(cand),
-                (Err(_), None) => None,
-            };
-            match best {
-                Some(plan) if plan.total_idle_ns() <= tau => Ok(plan),
-                _ => Ok(SyncPlan {
-                    policy: self.describe(),
-                    extra_rounds: 0,
-                    pre_round_idle_ns: vec![tau / ctx.rounds as f64; ctx.rounds as usize],
-                    intra_round_idle_ns: 0.0,
-                    final_idle_ns: 0.0,
-                }),
-            }
-        }
-
-        fn describe(&self) -> PolicySpec {
-            PolicySpec::DynamicHybrid {
-                max_epsilon_ns: self.max_epsilon_ns,
-                floor_ns: self.floor_ns,
-                quantile: self.quantile,
-                max_extra_rounds: self.max_extra_rounds,
-                deep_rounds: self.deep_rounds,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::strategies::DynamicHybrid;
     use super::*;
     use crate::SlackWindow;
 
@@ -852,26 +568,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_plans_match_strategy_plans() {
-        let ctx = SyncContext::new(1000.0, 1000.0, 1325.0, 8).unwrap();
-        for spec in all_specs() {
-            let inherent = spec.plan(&ctx);
-            let boxed = spec.strategy().plan(&ctx);
-            assert_eq!(inherent.is_ok(), boxed.is_ok(), "{spec}");
-            if let (Ok(a), Ok(b)) = (inherent, boxed) {
-                assert_eq!(a, b, "{spec}");
-                assert_eq!(a.policy, spec, "{spec}: stamped spec");
-            }
-            assert_eq!(spec.strategy().describe(), spec);
-        }
-    }
-
-    #[test]
     fn dynamic_hybrid_tracks_the_window() {
-        let strat = DynamicHybrid::default();
+        let strat = PolicySpec::dynamic_hybrid();
+        let tolerance = |ctx: &SyncContext| dynamic_tolerance(ctx, 400.0, 50.0, 0.25);
         let base = SyncContext::new(1000.0, 1000.0, 1325.0, 8).unwrap();
         // Empty window: behaves exactly like the fixed Hybrid at the cap.
-        assert_eq!(strat.epsilon_for(&base), 400.0);
+        assert_eq!(tolerance(&base), 400.0);
         let fixed = PolicySpec::hybrid(400.0).plan(&base).unwrap();
         let dynamic = strat.plan(&base).unwrap();
         assert_eq!(dynamic.extra_rounds, fixed.extra_rounds);
@@ -884,7 +586,7 @@ mod tests {
             w.record(s);
         }
         let ctx = base.clone().with_observed(w);
-        let eps = strat.epsilon_for(&ctx);
+        let eps = tolerance(&ctx);
         assert!((50.0..=400.0).contains(&eps) && eps < 400.0, "eps={eps}");
         let plan = strat.plan(&ctx).unwrap();
         assert!(plan.total_idle_ns() <= fixed.total_idle_ns() + 1e-9);
@@ -897,7 +599,7 @@ mod tests {
         // max 5) settles for z=4 with a 100 ns residual; z=11 removes
         // the slack exactly (11*1000 + 500 = 10*1150). A tight window
         // justifies the deeper search.
-        let strat = DynamicHybrid {
+        let strat = PolicySpec::DynamicHybrid {
             max_epsilon_ns: 400.0,
             floor_ns: 10.0,
             quantile: 0.0,
@@ -909,7 +611,7 @@ mod tests {
         let ctx = SyncContext::new(500.0, 1000.0, 1150.0, 8)
             .unwrap()
             .with_observed(w);
-        assert_eq!(strat.epsilon_for(&ctx), 10.0);
+        assert_eq!(dynamic_tolerance(&ctx, 400.0, 10.0, 0.0), 10.0);
         let fixed = PolicySpec::hybrid(400.0)
             .plan(&SyncContext::new(500.0, 1000.0, 1150.0, 8).unwrap())
             .unwrap();
@@ -928,7 +630,7 @@ mod tests {
         // Baseline infeasible within max rounds: a deep candidate is
         // accepted only when its residual undercuts the wrapped slack
         // the Active fallback would idle.
-        let strat = DynamicHybrid {
+        let strat = PolicySpec::DynamicHybrid {
             max_epsilon_ns: 400.0,
             floor_ns: 50.0,
             quantile: 0.25,

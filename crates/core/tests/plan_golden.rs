@@ -87,7 +87,8 @@ fn render() -> Vec<String> {
     for spec in [PolicySpec::Active, PolicySpec::hybrid(400.0)] {
         for k in [2, 10, 50] {
             let clocks = fig20_clocks(k);
-            lines.push(format!("{:?}", synchronize_patches(&spec, &clocks, 12)));
+            let result = synchronize_patches(&spec, &clocks, 12, &SlackWindow::default());
+            lines.push(format!("{result:?}"));
         }
     }
     lines

@@ -4,7 +4,8 @@ use crate::{Config, Table};
 use ftqc_estimator::{workloads, LogicalEstimate};
 use ftqc_noise::{HardwareConfig, QuasiStaticDephasing};
 use ftqc_sync::{
-    qldpc_cycle_time_ns, qldpc_slack, CultivationModel, PatchId, PolicySpec, SyncEngine,
+    qldpc_cycle_time_ns, qldpc_slack, synchronize_patches, CultivationModel, LogicalClock,
+    PolicySpec, SlackWindow,
 };
 
 /// Paper Fig. 3(c): lower bound on synchronizations per logical cycle
@@ -180,17 +181,22 @@ pub mod fig20 {
             "Sync-engine planning time vs number of patches (Active and Hybrid)",
             ["patches", "Active (us)", "Hybrid (us)"],
         );
-        for k in [2usize, 5, 10, 20, 30, 40, 50] {
-            let mut engine = SyncEngine::new();
-            let ids: Vec<PatchId> = (0..k)
-                .map(|i| engine.register_patch(1000 + (i as u32 * 37) % 400))
+        for k in [2u32, 5, 10, 20, 30, 40, 50] {
+            // The clocks a free-running patch table reaches after 12 345
+            // ticks when every patch starts at phase 0.
+            let clocks: Vec<LogicalClock> = (0..k)
+                .map(|i| {
+                    let cycle = 1000 + (i * 37) % 400;
+                    LogicalClock::new(cycle as f64, (12_345 % cycle) as f64)
+                })
                 .collect();
-            engine.advance(12_345);
+            let observed = SlackWindow::default();
             let timed = |policy: PolicySpec| {
                 let reps = 200;
                 let start = Instant::now();
                 for _ in 0..reps {
-                    let out = engine.synchronize(&ids, &policy, 12).expect("plannable");
+                    let out =
+                        synchronize_patches(&policy, &clocks, 12, &observed).expect("plannable");
                     std::hint::black_box(out);
                 }
                 start.elapsed().as_secs_f64() * 1e6 / reps as f64

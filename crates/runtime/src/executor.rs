@@ -33,13 +33,9 @@ impl RuntimeConfig {
     /// The defaults used by the paper-style evaluation: `hardware`'s
     /// timing model, cultivation-driven factory restarts at
     /// `p = 1e-3`, and the given policy.
-    pub fn new(
-        hardware: &HardwareConfig,
-        policy: impl Into<PolicySpec>,
-        seed: u64,
-    ) -> RuntimeConfig {
+    pub fn new(hardware: &HardwareConfig, policy: PolicySpec, seed: u64) -> RuntimeConfig {
         RuntimeConfig {
-            policy: policy.into(),
+            policy,
             timing: TimingModel::for_hardware(hardware),
             cultivation: Some(CultivationModel::for_error_rate(
                 1e-3,

@@ -21,8 +21,7 @@
 //!   ([`TimingModel`](ftqc_noise::TimingModel)), every merge re-times
 //!   its patches with per-round jitter/drift, plans the
 //!   synchronization under any configurable
-//!   [`PolicySpec`](ftqc_sync::PolicySpec) (or custom
-//!   [`SyncStrategy`](ftqc_sync::SyncStrategy)), and each consumed factory
+//!   [`PolicySpec`](ftqc_sync::PolicySpec), and each consumed factory
 //!   restarts with a cultivation-drawn phase offset
 //!   ([`CultivationModel`](ftqc_sync::CultivationModel)).
 //! * [`ProgramReport`] accumulates the program-level metrics: total

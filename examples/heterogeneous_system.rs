@@ -8,9 +8,7 @@
 //! ```
 
 use ftqc::noise::HardwareConfig;
-use ftqc::sync::{
-    qldpc_cycle_time_ns, qldpc_slack, Controller, CultivationModel, PolicySpec, SyncEngine,
-};
+use ftqc::sync::{qldpc_cycle_time_ns, qldpc_slack, Controller, CultivationModel, PolicySpec};
 
 fn main() {
     let hw = HardwareConfig::ibm();
@@ -36,21 +34,18 @@ fn main() {
         stats.median_ns, stats.mean_ns, stats.p95_ns
     );
 
-    // 3. The synchronization engine plans the merge between a compute
-    //    patch, the memory patch and the cultivation output.
-    let mut engine = SyncEngine::new();
-    let compute = engine.register_patch(t_sc as u32);
-    let memory = engine.register_patch(t_qldpc as u32);
-    let t_state = engine.register_patch(t_sc as u32);
-    engine.advance(12_743); // run freely for a while
-    let outcome = engine
-        .synchronize(&[compute, memory, t_state], &PolicySpec::hybrid(400.0), 12)
+    // 3. The synchronization engine plans and executes the merge
+    //    between a compute patch, the memory patch and the cultivation
+    //    output: all three patches land on the same tick.
+    let mut ctl = Controller::new();
+    let compute = ctl.add_patch(t_sc as u32, 500);
+    let memory = ctl.add_patch(t_qldpc as u32, 1200);
+    let t_state = ctl.add_patch(t_sc as u32, 0);
+    let report = ctl
+        .synchronize_report(&[compute, memory, t_state], &PolicySpec::hybrid(400.0), 12)
         .expect("plannable");
-    println!(
-        "\nsynchronization plans (slowest patch: {:?}):",
-        outcome.slowest
-    );
-    for (id, plan) in &outcome.plans {
+    println!("\nsynchronization plans:");
+    for (id, plan) in &report.plans {
         println!(
             "  patch {:?}: {:>2} extra rounds, {:>6.1} ns idle ({})",
             id,
@@ -59,18 +54,9 @@ fn main() {
             plan.policy
         );
     }
-
-    // 4. The discrete-event controller executes the schedule and all
-    //    three patches land on the same tick.
-    let mut ctl = Controller::new();
-    let a = ctl.add_patch(t_sc as u32, 500);
-    let b = ctl.add_patch(t_qldpc as u32, 1200);
-    let c = ctl.add_patch(t_sc as u32, 0);
-    let merge_tick = ctl
-        .synchronize(&[a, b, c], &PolicySpec::hybrid(400.0), 12)
-        .expect("plannable");
+    let merge_tick = report.merge_tick;
     println!("\ncontroller: all patches aligned at tick {merge_tick}");
-    for id in [a, b, c] {
+    for id in [compute, memory, t_state] {
         let st = ctl.status(id).expect("valid");
         assert_eq!(st.cycle_end_tick, merge_tick);
         println!("  patch {id:?}: {} rounds completed", st.rounds_completed);

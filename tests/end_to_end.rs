@@ -47,7 +47,10 @@ fn controller_schedule_matches_circuit_plan_totals() {
     let mut ctl = Controller::new();
     let a = ctl.add_patch(1000, 0);
     let b = ctl.add_patch(1325, 325);
-    let tick = ctl.synchronize(&[a, b], &spec, 8).unwrap();
+    let tick = ctl
+        .synchronize_report(&[a, b], &spec, 8)
+        .unwrap()
+        .merge_tick;
     assert_eq!(ctl.status(a).unwrap().cycle_end_tick, tick);
     assert_eq!(ctl.status(b).unwrap().cycle_end_tick, tick);
 }

@@ -2,9 +2,8 @@
 
 use ftqc::pauli::{Pauli, PauliString};
 use ftqc::sync::{
-    solve_extra_rounds, solve_hybrid, synchronize_patches_observed, Controller,
-    ControllerSyncReport, LogicalClock, PatchId, PatchStatus, PolicySpec, SlackWindow, SyncContext,
-    SyncError,
+    solve_extra_rounds, solve_hybrid, synchronize_patches, Controller, ControllerSyncReport,
+    LogicalClock, PatchId, PatchStatus, PolicySpec, SlackWindow, SyncContext, SyncError,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -128,7 +127,7 @@ proptest! {
         }
     }
 
-    /// Every built-in strategy conserves slack: inserted idle plus the
+    /// Every built-in policy conserves slack: inserted idle plus the
     /// slack eliminated through extra rounds accounts for the full
     /// wrapped slack. For extra-round plans the eliminated share is
     /// pinned down by the alignment condition of Eq. (1)/(2):
@@ -155,8 +154,24 @@ proptest! {
         let tau_w = ctx.wrapped_tau_ns();
         for spec in builtin_specs(eps, floor_frac, q, 12) {
             let Ok(plan) = spec.plan(&ctx) else {
-                continue; // infeasible pair for this strategy
+                continue; // infeasible pair for this policy
             };
+            prop_assert!(plan.policy == spec, "{spec}: stamped {}", plan.policy);
+            // The circuit generator idles before every pre-merge round,
+            // extras included.
+            let len = plan.pre_round_idle_ns.len();
+            prop_assert!(
+                len == (rounds + plan.extra_rounds) as usize,
+                "{spec}: {len} pre-round idles for {rounds} + {} rounds",
+                plan.extra_rounds
+            );
+            let entries = plan
+                .pre_round_idle_ns
+                .iter()
+                .chain([&plan.intra_round_idle_ns, &plan.final_idle_ns]);
+            for &x in entries {
+                prop_assert!(x.is_finite() && x >= 0.0, "{spec}: idle entry {x}");
+            }
             let idle = plan.total_idle_ns();
             prop_assert!(idle >= -1e-9, "{spec}: negative idle {idle}");
             let round_compensation_ns = if plan.extra_rounds > 0 {
@@ -397,7 +412,7 @@ impl EagerController {
             .iter()
             .map(|c| worst - c.time_to_cycle_end_ns())
             .fold(0.0f64, f64::max);
-        let (plans, _) = synchronize_patches_observed(policy, &clocks, rounds, &self.window)?;
+        let (plans, _) = synchronize_patches(policy, &clocks, rounds, &self.window)?;
         self.window.record(slack_ns);
         let finish: Vec<u64> = ids
             .iter()
