@@ -23,18 +23,24 @@ impl LogicalClock {
     ///
     /// # Panics
     ///
-    /// Panics if `cycle_time_ns <= 0` or `phase_ns` is outside
-    /// `[0, cycle_time_ns)`.
+    /// Panics unless `cycle_time_ns` is positive and finite and
+    /// `phase_ns` lies in `[0, cycle_time_ns)`.
     pub fn new(cycle_time_ns: f64, phase_ns: f64) -> LogicalClock {
-        assert!(cycle_time_ns > 0.0, "cycle time must be positive");
-        assert!(
-            (0.0..cycle_time_ns).contains(&phase_ns),
-            "phase {phase_ns} outside [0, {cycle_time_ns})"
-        );
-        LogicalClock {
+        let clock = LogicalClock {
             cycle_time_ns,
             phase_ns,
-        }
+        };
+        assert!(
+            clock.is_valid(),
+            "phase {phase_ns} outside [0, {cycle_time_ns}) or cycle not positive and finite"
+        );
+        clock
+    }
+
+    /// Whether the clock meets [`new`](LogicalClock::new)'s contract.
+    /// The fields are public, so a struct literal can bypass it.
+    fn is_valid(&self) -> bool {
+        self.cycle_time_ns.is_finite() && (0.0..self.cycle_time_ns).contains(&self.phase_ns)
     }
 
     /// Time remaining until this patch completes its current cycle.
@@ -52,11 +58,11 @@ impl LogicalClock {
 
 /// Synchronizes `k` patches: identifies the slowest (most lagging)
 /// patch and plans a pairwise synchronization of every other patch
-/// against it under `policy`, with the controller's `observed` slack
-/// window attached to every pairwise [`SyncContext`] (pass an empty
-/// window when planning outside a controller). All pairwise plans are
-/// independent, so a controller can apply them in parallel — the
-/// constant-time property the paper claims in Section 4.3.
+/// against it under `policy`, with adaptive policies reading the
+/// controller's `observed` slack window (pass an empty window when
+/// planning outside a controller). All pairwise plans are independent,
+/// so a controller can apply them in parallel — the constant-time
+/// property the paper claims in Section 4.3.
 ///
 /// When the policy is infeasible for a particular pair (e.g. an
 /// extra-round policy between equal cycle times, or a Hybrid bound
@@ -64,13 +70,16 @@ impl LogicalClock {
 /// mirroring the runtime policy selection described in Section 5; the
 /// fallback plan's `policy` field records it.
 ///
-/// Returns `(plans, slowest_index)`; the slowest patch gets a no-op
-/// plan stamped with `policy`.
+/// Replaces the contents of `plans` with one plan per clock, in clock
+/// order, and returns the slowest patch's index; that patch gets a
+/// no-op plan stamped with `policy`. Reusing `plans` across calls keeps
+/// planning off the heap.
 ///
 /// # Errors
 ///
-/// Returns [`SyncError::InvalidParameter`] for an empty patch list or
-/// `rounds == 0`.
+/// Returns [`SyncError::InvalidParameter`] for an empty patch list,
+/// `rounds == 0`, or a clock outside [`LogicalClock::new`]'s contract;
+/// `plans` is then left empty.
 ///
 /// # Example
 ///
@@ -82,8 +91,9 @@ impl LogicalClock {
 ///     LogicalClock::new(1900.0, 0.0),
 ///     LogicalClock::new(1900.0, 1200.0),
 /// ];
-/// let (plans, slowest) =
-///     synchronize_patches(&PolicySpec::Active, &clocks, 8, &SlackWindow::default()).unwrap();
+/// let mut plans = Vec::new();
+/// let window = SlackWindow::default();
+/// let slowest = synchronize_patches(&PolicySpec::Active, &clocks, 8, &window, &mut plans).unwrap();
 /// assert_eq!(slowest, 1); // phase 0: the full cycle still ahead of it
 /// assert_eq!(plans[1].total_idle_ns(), 0.0);
 /// assert!(plans[2].total_idle_ns() > plans[0].total_idle_ns());
@@ -93,12 +103,19 @@ pub fn synchronize_patches(
     clocks: &[LogicalClock],
     rounds: u32,
     observed: &SlackWindow,
-) -> Result<(Vec<SyncPlan>, usize), SyncError> {
+    plans: &mut Vec<SyncPlan>,
+) -> Result<usize, SyncError> {
+    plans.clear();
     if clocks.is_empty() {
         return Err(SyncError::InvalidParameter("no patches to synchronize"));
     }
     if rounds == 0 {
         return Err(SyncError::InvalidParameter("rounds must be positive"));
+    }
+    if !clocks.iter().all(LogicalClock::is_valid) {
+        return Err(SyncError::InvalidParameter(
+            "clock outside LogicalClock::new's contract",
+        ));
     }
     // The slowest patch is the one that takes longest to complete its
     // current code cycle.
@@ -107,27 +124,26 @@ pub fn synchronize_patches(
         .enumerate()
         .max_by(|a, b| {
             a.1.time_to_cycle_end_ns()
-                .partial_cmp(&b.1.time_to_cycle_end_ns())
-                .expect("finite clock values")
+                .total_cmp(&b.1.time_to_cycle_end_ns())
         })
         .map(|(i, _)| i)
         .expect("non-empty");
     let slow = &clocks[slowest];
-    let mut plans = Vec::with_capacity(clocks.len());
     for (i, c) in clocks.iter().enumerate() {
         if i == slowest {
-            plans.push(SyncPlan::noop(policy.clone(), rounds));
+            plans.push(SyncPlan::noop(*policy, rounds));
             continue;
         }
+        // Validated clocks make every pairwise context valid and the
+        // Active fallback total, so no error leaves `plans` half full.
         let tau = c.slack_against_ns(slow);
-        let ctx = SyncContext::new(tau, c.cycle_time_ns, slow.cycle_time_ns, rounds)?
-            .with_observed(observed.clone());
+        let ctx = SyncContext::new(tau, c.cycle_time_ns, slow.cycle_time_ns, rounds)?;
         let plan = policy
-            .plan(&ctx)
+            .plan_observed(&ctx, observed)
             .or_else(|_| PolicySpec::Active.plan(&ctx))?;
         plans.push(plan);
     }
-    Ok((plans, slowest))
+    Ok(slowest)
 }
 
 #[cfg(test)]
@@ -140,7 +156,19 @@ mod tests {
         clocks: &[LogicalClock],
         rounds: u32,
     ) -> Result<(Vec<SyncPlan>, usize), SyncError> {
-        synchronize_patches(policy, clocks, rounds, &SlackWindow::default())
+        plan_observed(policy, clocks, rounds, &SlackWindow::default())
+    }
+
+    /// [`synchronize_patches`] into a fresh plan buffer.
+    fn plan_observed(
+        policy: &PolicySpec,
+        clocks: &[LogicalClock],
+        rounds: u32,
+        observed: &SlackWindow,
+    ) -> Result<(Vec<SyncPlan>, usize), SyncError> {
+        let mut plans = Vec::new();
+        let slowest = synchronize_patches(policy, clocks, rounds, observed, &mut plans)?;
+        Ok((plans, slowest))
     }
 
     #[test]
@@ -218,7 +246,7 @@ mod tests {
             w.record(s);
         }
         let spec = PolicySpec::dynamic_hybrid();
-        let (with_window, _) = synchronize_patches(&spec, &clocks, 8, &w).unwrap();
+        let (with_window, _) = plan_observed(&spec, &clocks, 8, &w).unwrap();
         let (without, _) = plan_all(&spec, &clocks, 8).unwrap();
         // The tightened tolerance can only shrink the planned idle.
         assert!(
@@ -227,6 +255,42 @@ mod tests {
             with_window[1].total_idle_ns(),
             without[1].total_idle_ns()
         );
+    }
+
+    #[test]
+    fn clocks_outside_the_contract_are_rejected() {
+        // Struct literals bypass `LogicalClock::new`; the planner must
+        // reject them rather than panic on a NaN cycle or plan idle
+        // from a phase outside the cycle.
+        let good = LogicalClock::new(1900.0, 0.0);
+        let bad = [
+            LogicalClock {
+                cycle_time_ns: f64::NAN,
+                phase_ns: 0.0,
+            },
+            LogicalClock {
+                cycle_time_ns: 1900.0,
+                phase_ns: 2500.0,
+            },
+            LogicalClock {
+                cycle_time_ns: 1900.0,
+                phase_ns: -500.0,
+            },
+        ];
+        for clock in bad {
+            let mut plans = vec![SyncPlan::noop(PolicySpec::Active, 8)];
+            let window = SlackWindow::default();
+            let got =
+                synchronize_patches(&PolicySpec::Active, &[good, clock], 8, &window, &mut plans);
+            assert!(
+                matches!(got, Err(SyncError::InvalidParameter(_))),
+                "{clock:?}: {got:?}"
+            );
+            assert!(
+                plans.is_empty(),
+                "{clock:?}: a failed request leaves no plans"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub struct PatchStatus {
 /// counter table, the controller does not tick every patch: time
 /// advance only raises a *settled* horizon, which a patch catches up to
 /// in closed form when next read or written. Time advance is O(1) and a
-/// merge costs O(patches merged).
+/// merge costs O(patches merged), planned into reused buffers so a
+/// warmed-up controller merges without touching the heap.
 ///
 /// # Example
 ///
@@ -65,6 +66,10 @@ pub struct Controller {
     /// Slack observed by recent synchronization requests — the window
     /// adaptive policies plan from.
     slack_window: SlackWindow,
+    /// Per-request scratch: the listed patches' clocks.
+    clocks: Vec<LogicalClock>,
+    /// The last request's plans, index-parallel to its ids.
+    plans: Vec<SyncPlan>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -200,16 +205,24 @@ impl Controller {
         &self.slack_window
     }
 
+    /// The plans the last [`synchronize_report`](Controller::synchronize_report)
+    /// applied, index-parallel to its `ids`; empty after a failed
+    /// request. A plan whose `policy` differs from the requested one
+    /// records a per-pair fallback to Active.
+    pub fn last_plans(&self) -> &[SyncPlan] {
+        &self.plans
+    }
+
     /// Synchronizes the listed patches under `policy`, applying the
     /// planned extra rounds and idle barriers, and reports the tick at
     /// which every patch is aligned (the merged round can start) with
     /// full accounting: the slack the request had to absorb, the idle
-    /// time actually realized on the tick grid, the extra rounds
-    /// inserted, and the per-patch plans (whose `policy` field records
-    /// any per-pair fallback to Active). This is what a program-level
-    /// runtime uses to attribute synchronization overhead. Only the
-    /// listed patches settle, in O(`ids.len()`); the rest catch up
-    /// lazily.
+    /// time actually realized on the tick grid and the extra rounds
+    /// inserted. The per-patch plans stay readable through
+    /// [`last_plans`](Controller::last_plans). This is what a
+    /// program-level runtime uses to attribute synchronization
+    /// overhead. Only the listed patches settle, in O(`ids.len()`); the
+    /// rest catch up lazily.
     ///
     /// Pairwise plans (Section 4.3) can land different leading patches
     /// on different alignment points when extra-round policies are
@@ -228,7 +241,8 @@ impl Controller {
         policy: &PolicySpec,
         rounds: u32,
     ) -> Result<ControllerSyncReport, SyncError> {
-        let mut clocks = Vec::with_capacity(ids.len());
+        self.plans.clear();
+        self.clocks.clear();
         for (i, id) in ids.iter().enumerate() {
             let p = self
                 .patches
@@ -245,19 +259,16 @@ impl Controller {
             // two back-to-back synchronizations) means a fresh cycle is
             // just starting: phase 0, not phase == cycle_ticks.
             let phase = (p.cycle_ticks as u64 - remaining) % p.cycle_ticks as u64;
-            clocks.push(LogicalClock::new(p.cycle_ticks as f64, phase as f64));
+            self.clocks
+                .push(LogicalClock::new(p.cycle_ticks as f64, phase as f64));
         }
-        let slack_ns = {
-            let worst = clocks
-                .iter()
-                .map(LogicalClock::time_to_cycle_end_ns)
-                .fold(0.0f64, f64::max);
-            clocks
-                .iter()
-                .map(|c| worst - c.time_to_cycle_end_ns())
-                .fold(0.0f64, f64::max)
-        };
-        let (plans, _slowest) = synchronize_patches(policy, &clocks, rounds, &self.slack_window)?;
+        let window = &self.slack_window;
+        let slowest = synchronize_patches(policy, &self.clocks, rounds, window, &mut self.plans)?;
+        // The largest slack any patch absorbs: its gap to the slowest.
+        let slow = self.clocks[slowest];
+        let slack_ns = (self.clocks.iter())
+            .map(|c| c.slack_against_ns(&slow))
+            .fold(0.0f64, f64::max);
         self.slack_window.record(slack_ns);
         // Apply each plan: the patch finishes its current cycle, runs
         // its extra rounds, then absorbs its idle budget.
@@ -268,14 +279,14 @@ impl Controller {
         };
         let merge_tick = ids
             .iter()
-            .zip(&plans)
+            .zip(&self.plans)
             .map(|(id, plan)| finish(&self.patches[id.0 as usize], plan))
             .max()
             .expect("non-empty");
         let mut planned_idle_ticks = 0u64;
         let mut alignment_idle_ticks = 0u64;
         let mut extra_rounds = 0u64;
-        for (id, plan) in ids.iter().zip(&plans) {
+        for (id, plan) in ids.iter().zip(&self.plans) {
             let p = &mut self.patches[id.0 as usize];
             let t = finish(p, plan);
             // Top up to the common alignment point with additional full
@@ -297,13 +308,13 @@ impl Controller {
             planned_idle_ticks,
             alignment_idle_ticks,
             extra_rounds,
-            plans: ids.iter().copied().zip(plans).collect(),
         })
     }
 }
 
-/// Full accounting of one [`Controller::synchronize_report`] request.
-#[derive(Debug, Clone, PartialEq)]
+/// Full accounting of one [`Controller::synchronize_report`] request;
+/// its per-patch plans are [`Controller::last_plans`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerSyncReport {
     /// Tick at which every patch is aligned (the merged round starts).
     pub merge_tick: u64,
@@ -324,9 +335,6 @@ pub struct ControllerSyncReport {
     pub alignment_idle_ticks: u64,
     /// Extra syndrome rounds inserted by the plans, summed over patches.
     pub extra_rounds: u64,
-    /// The applied plan per patch. A plan whose `policy` differs from
-    /// the requested one records a per-pair fallback to Active.
-    pub plans: Vec<(PatchId, SyncPlan)>,
 }
 
 impl ControllerSyncReport {
@@ -351,10 +359,9 @@ mod tests {
         let rep = ctl
             .synchronize_report(&[a, b, c], &PolicySpec::Active, 8)
             .unwrap();
-        let ids: Vec<PatchId> = rep.plans.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, [a, b, c]);
+        assert_eq!(ctl.last_plans().len(), 3);
         // c just started its cycle: a and b each idle 500.
-        assert_eq!(rep.plans[2].1.total_idle_ns(), 0.0);
+        assert_eq!(ctl.last_plans()[2].total_idle_ns(), 0.0);
         assert_eq!(rep.planned_idle_ticks, 1000);
     }
 
@@ -428,6 +435,25 @@ mod tests {
             .unwrap()
             .merge_tick;
         assert_eq!(ctl.status(a).unwrap().cycle_end_tick, tick);
+    }
+
+    #[test]
+    fn failed_request_leaves_no_plans() {
+        let mut ctl = Controller::new();
+        let a = ctl.add_patch(1000, 0);
+        let b = ctl.add_patch(1000, 700);
+        for (ids, rounds) in [
+            (&[a, b, a][..], 8),
+            (&[a, PatchId(9)][..], 8),
+            (&[a, b][..], 0),
+        ] {
+            ctl.synchronize_report(&[a, b], &PolicySpec::Active, 8)
+                .unwrap();
+            assert_eq!(ctl.last_plans().len(), 2);
+            ctl.synchronize_report(ids, &PolicySpec::Active, rounds)
+                .unwrap_err();
+            assert!(ctl.last_plans().is_empty(), "{ids:?} x {rounds}");
+        }
     }
 
     #[test]
@@ -533,7 +559,7 @@ mod tests {
         assert_eq!(rep.alignment_idle_ticks, 0);
         assert_eq!(rep.total_idle_ticks(), 700);
         assert_eq!(rep.extra_rounds, 0);
-        assert_eq!(rep.plans.len(), 2);
+        assert_eq!(ctl.last_plans().len(), 2);
         assert_eq!(ctl.now(), rep.merge_tick);
     }
 
@@ -564,13 +590,12 @@ mod tests {
         let mut ctl = Controller::new();
         let a = ctl.add_patch(1900, 0);
         let b = ctl.add_patch(1900, 700);
-        let rep = ctl
-            .synchronize_report(&[a, b], &PolicySpec::ExtraRounds, 8)
+        ctl.synchronize_report(&[a, b], &PolicySpec::ExtraRounds, 8)
             .unwrap();
-        let fallback = rep
-            .plans
+        let fallback = ctl
+            .last_plans()
             .iter()
-            .any(|(_, plan)| plan.policy == PolicySpec::Active);
+            .any(|plan| plan.policy == PolicySpec::Active);
         assert!(fallback, "leading patch fell back to Active");
     }
 
@@ -693,7 +718,7 @@ mod tests {
         assert_eq!(ctl.status(a).unwrap().cycle_end_tick, rep.merge_tick);
         assert_eq!(ctl.status(b).unwrap().cycle_end_tick, rep.merge_tick);
         // The applied plan is stamped with the dynamic spec.
-        assert!(rep.plans.iter().all(|(_, p)| p.policy == spec));
+        assert!(ctl.last_plans().iter().all(|p| p.policy == spec));
     }
 
     #[test]

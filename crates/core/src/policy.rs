@@ -8,15 +8,16 @@
 
 use crate::strategy::PolicySpec;
 
-/// A concrete synchronization plan for the *leading* patch.
+/// A concrete synchronization plan for the *leading* patch — a plain
+/// `Copy` value.
 ///
 /// The circuit generator realizes a plan by (a) appending
 /// `extra_rounds` syndrome rounds before the merge, (b) inserting
-/// `pre_round_idle_ns[i]` of idle time before pre-merge round `i`, (c)
-/// spreading `intra_round_idle_ns` across the internal layer boundaries
-/// of the final round, and (d) idling `final_idle_ns` right before the
-/// merge.
-#[derive(Debug, Clone, PartialEq)]
+/// `idle_per_round_ns` of idle time before each of the
+/// `rounds + extra_rounds` pre-merge rounds, (c) spreading
+/// `intra_round_idle_ns` across the internal layer boundaries of the
+/// final round, and (d) idling `final_idle_ns` right before the merge.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncPlan {
     /// The policy this plan realizes. A plan produced through the
     /// k-patch composition whose `policy` differs from the requested
@@ -25,9 +26,10 @@ pub struct SyncPlan {
     pub policy: PolicySpec,
     /// Extra syndrome-generation rounds to run before the merge.
     pub extra_rounds: u32,
-    /// Idle inserted before each pre-merge round (length = pre-merge
-    /// rounds including extras).
-    pub pre_round_idle_ns: Vec<f64>,
+    /// Pre-merge rounds the plan was made for, extras excluded.
+    pub rounds: u32,
+    /// Idle inserted before every pre-merge round, extras included.
+    pub idle_per_round_ns: f64,
     /// Idle distributed within the final pre-merge round.
     pub intra_round_idle_ns: f64,
     /// Idle inserted immediately before the Lattice Surgery operation.
@@ -35,10 +37,17 @@ pub struct SyncPlan {
 }
 
 impl SyncPlan {
+    /// Idle inserted before the pre-merge rounds, summed round by round
+    /// exactly as the circuit generator inserts it.
+    pub fn round_idle_ns(&self) -> f64 {
+        let rounds = (self.rounds + self.extra_rounds) as usize;
+        std::iter::repeat_n(self.idle_per_round_ns, rounds).sum()
+    }
+
     /// Total idle time the plan inserts (the "Idling period" row of
     /// paper Table 2).
     pub fn total_idle_ns(&self) -> f64 {
-        self.pre_round_idle_ns.iter().sum::<f64>() + self.intra_round_idle_ns + self.final_idle_ns
+        self.round_idle_ns() + self.intra_round_idle_ns + self.final_idle_ns
     }
 
     /// A no-op plan (already synchronized).
@@ -46,7 +55,8 @@ impl SyncPlan {
         SyncPlan {
             policy,
             extra_rounds: 0,
-            pre_round_idle_ns: vec![0.0; rounds as usize],
+            rounds,
+            idle_per_round_ns: 0.0,
             intra_round_idle_ns: 0.0,
             final_idle_ns: 0.0,
         }
@@ -74,7 +84,7 @@ mod tests {
     fn passive_puts_everything_at_the_end() {
         let p = plan(PolicySpec::Passive, 500.0, 1900.0, 1900.0, 8).unwrap();
         assert_eq!(p.final_idle_ns, 500.0);
-        assert!(p.pre_round_idle_ns.iter().all(|&x| x == 0.0));
+        assert_eq!(p.idle_per_round_ns, 0.0);
         assert_eq!(p.total_idle_ns(), 500.0);
         assert_eq!(p.extra_rounds, 0);
         assert_eq!(p.policy, PolicySpec::Passive);
@@ -83,10 +93,8 @@ mod tests {
     #[test]
     fn active_distributes_evenly() {
         let p = plan(PolicySpec::Active, 800.0, 1900.0, 1900.0, 8).unwrap();
-        assert_eq!(p.pre_round_idle_ns.len(), 8);
-        for &x in &p.pre_round_idle_ns {
-            assert!((x - 100.0).abs() < 1e-9);
-        }
+        assert_eq!(p.rounds, 8);
+        assert!((p.idle_per_round_ns - 100.0).abs() < 1e-9);
         assert!((p.total_idle_ns() - 800.0).abs() < 1e-9);
     }
 
@@ -102,7 +110,7 @@ mod tests {
         let p = plan(PolicySpec::ExtraRounds, 1000.0, 1000.0, 1325.0, 8).unwrap();
         assert_eq!(p.extra_rounds, 52);
         assert_eq!(p.total_idle_ns(), 0.0);
-        assert_eq!(p.pre_round_idle_ns.len(), 60);
+        assert_eq!(p.rounds + p.extra_rounds, 60);
     }
 
     #[test]
@@ -111,8 +119,8 @@ mod tests {
         assert_eq!(p.extra_rounds, 4);
         assert!((p.total_idle_ns() - 300.0).abs() < 1e-9);
         // Residual spread across all 12 rounds.
-        assert_eq!(p.pre_round_idle_ns.len(), 12);
-        assert!((p.pre_round_idle_ns[0] - 25.0).abs() < 1e-9);
+        assert_eq!(p.rounds + p.extra_rounds, 12);
+        assert!((p.idle_per_round_ns - 25.0).abs() < 1e-9);
         assert_eq!(p.policy, PolicySpec::hybrid(400.0));
     }
 

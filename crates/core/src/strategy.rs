@@ -10,7 +10,7 @@
 //! `repro --policy` command line, in `RuntimeConfig`, bench group
 //! labels and result tables.
 
-use crate::context::SyncContext;
+use crate::context::{SlackWindow, SyncContext};
 use crate::solver::{solve_extra_rounds, solve_hybrid};
 use crate::{SyncError, SyncPlan};
 use std::fmt;
@@ -60,7 +60,7 @@ pub const DEFAULT_DYNAMIC_DEEP_ROUNDS: u32 = 25;
 /// assert_eq!(spec.to_string().parse::<PolicySpec>().unwrap(), spec);
 /// assert!("pasive".parse::<PolicySpec>().is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// The Passive baseline (paper Section 4.1.1).
     Passive,
@@ -166,16 +166,27 @@ impl PolicySpec {
     /// composition then falls back to [`PolicySpec::Active`], mirroring
     /// the runtime policy selection of paper Section 5.
     pub fn plan(&self, ctx: &SyncContext) -> Result<SyncPlan, SyncError> {
+        self.plan_observed(ctx, &ctx.observed)
+    }
+
+    /// [`plan`](PolicySpec::plan) with `observed` standing in for
+    /// `ctx.observed`: the k-patch composition borrows one window for
+    /// every pairwise context instead of cloning it into each.
+    pub(crate) fn plan_observed(
+        &self,
+        ctx: &SyncContext,
+        observed: &SlackWindow,
+    ) -> Result<SyncPlan, SyncError> {
         let tau = ctx.wrapped_tau_ns();
         match self {
             PolicySpec::Passive => Ok(SyncPlan {
                 final_idle_ns: tau,
-                ..SyncPlan::noop(self.clone(), ctx.rounds)
+                ..SyncPlan::noop(*self, ctx.rounds)
             }),
             PolicySpec::Active => Ok(self.spread(ctx, 0, tau)),
             PolicySpec::ActiveIntra => Ok(SyncPlan {
                 intra_round_idle_ns: tau,
-                ..SyncPlan::noop(self.clone(), ctx.rounds)
+                ..SyncPlan::noop(*self, ctx.rounds)
             }),
             PolicySpec::ExtraRounds => {
                 let m = solve_extra_rounds(
@@ -186,7 +197,7 @@ impl PolicySpec {
                 )?;
                 Ok(SyncPlan {
                     extra_rounds: m,
-                    ..SyncPlan::noop(self.clone(), ctx.rounds + m)
+                    ..SyncPlan::noop(*self, ctx.rounds)
                 })
             }
             PolicySpec::Hybrid {
@@ -216,7 +227,7 @@ impl PolicySpec {
                     Ok(_) => *max_epsilon_ns,
                     Err(_) => max_epsilon_ns.min(tau),
                 };
-                let tolerance = dynamic_tolerance(ctx, *max_epsilon_ns, *floor_ns, *quantile);
+                let tolerance = dynamic_tolerance(observed, *max_epsilon_ns, *floor_ns, *quantile);
                 let deep = (*deep_rounds).max(*max_extra_rounds).max(1);
                 let candidate = deep_search(ctx, tolerance, limit, deep)
                     .map(|(z, residual)| self.spread(ctx, z, residual));
@@ -262,13 +273,10 @@ impl PolicySpec {
     /// (`extra_rounds == 0`) and the one residual convention both
     /// Hybrid variants share.
     fn spread(&self, ctx: &SyncContext, extra_rounds: u32, idle_ns: f64) -> SyncPlan {
-        let total_rounds = ctx.rounds + extra_rounds;
         SyncPlan {
-            policy: self.clone(),
             extra_rounds,
-            pre_round_idle_ns: vec![idle_ns / total_rounds as f64; total_rounds as usize],
-            intra_round_idle_ns: 0.0,
-            final_idle_ns: 0.0,
+            idle_per_round_ns: idle_ns / (ctx.rounds + extra_rounds) as f64,
+            ..SyncPlan::noop(*self, ctx.rounds)
         }
     }
 }
@@ -277,15 +285,18 @@ impl PolicySpec {
 /// of paper Fig. 10 use the same horizon).
 const EXTRA_ROUNDS_SEARCH_LIMIT: u32 = 100;
 
-/// `DynamicHybrid`'s starting tolerance for `ctx`: the observed
-/// window's `quantile`-quantile clamped to `[floor_ns, max_epsilon_ns]`,
-/// or the cap when the window is empty.
-fn dynamic_tolerance(ctx: &SyncContext, max_epsilon_ns: f64, floor_ns: f64, quantile: f64) -> f64 {
-    ctx.observed
-        .quantile_ns(quantile)
-        .map_or(max_epsilon_ns, |q| {
-            q.clamp(floor_ns.min(max_epsilon_ns), max_epsilon_ns)
-        })
+/// `DynamicHybrid`'s starting tolerance: the `observed` window's
+/// `quantile`-quantile clamped to `[floor_ns, max_epsilon_ns]`, or the
+/// cap when the window is empty.
+fn dynamic_tolerance(
+    observed: &SlackWindow,
+    max_epsilon_ns: f64,
+    floor_ns: f64,
+    quantile: f64,
+) -> f64 {
+    observed.quantile_ns(quantile).map_or(max_epsilon_ns, |q| {
+        q.clamp(floor_ns.min(max_epsilon_ns), max_epsilon_ns)
+    })
 }
 
 /// First `z <= deep` whose Eq. (2) residual is below `tolerance`,
@@ -348,6 +359,7 @@ impl fmt::Display for PolicyParseError {
 
 impl std::error::Error for PolicyParseError {}
 
+// analyzer: allow(alloc) -- the spec parser runs once per config, never per merge
 fn parse_params<'a>(
     spec: &str,
     params: &'a str,
@@ -491,11 +503,11 @@ impl FromStr for PolicySpec {
         }
     }
 }
+// analyzer: end-allow(alloc)
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SlackWindow;
 
     fn all_specs() -> Vec<PolicySpec> {
         vec![
@@ -570,7 +582,7 @@ mod tests {
     #[test]
     fn dynamic_hybrid_tracks_the_window() {
         let strat = PolicySpec::dynamic_hybrid();
-        let tolerance = |ctx: &SyncContext| dynamic_tolerance(ctx, 400.0, 50.0, 0.25);
+        let tolerance = |ctx: &SyncContext| dynamic_tolerance(&ctx.observed, 400.0, 50.0, 0.25);
         let base = SyncContext::new(1000.0, 1000.0, 1325.0, 8).unwrap();
         // Empty window: behaves exactly like the fixed Hybrid at the cap.
         assert_eq!(tolerance(&base), 400.0);
@@ -611,7 +623,7 @@ mod tests {
         let ctx = SyncContext::new(500.0, 1000.0, 1150.0, 8)
             .unwrap()
             .with_observed(w);
-        assert_eq!(dynamic_tolerance(&ctx, 400.0, 10.0, 0.0), 10.0);
+        assert_eq!(dynamic_tolerance(&ctx.observed, 400.0, 10.0, 0.0), 10.0);
         let fixed = PolicySpec::hybrid(400.0)
             .plan(&SyncContext::new(500.0, 1000.0, 1150.0, 8).unwrap())
             .unwrap();

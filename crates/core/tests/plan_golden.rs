@@ -87,7 +87,10 @@ fn render() -> Vec<String> {
     for spec in [PolicySpec::Active, PolicySpec::hybrid(400.0)] {
         for k in [2, 10, 50] {
             let clocks = fig20_clocks(k);
-            let result = synchronize_patches(&spec, &clocks, 12, &SlackWindow::default());
+            let mut plans = Vec::new();
+            let result =
+                synchronize_patches(&spec, &clocks, 12, &SlackWindow::default(), &mut plans)
+                    .map(|slowest| (plans, slowest));
             lines.push(format!("{result:?}"));
         }
     }

@@ -299,7 +299,7 @@ pub mod fig19_table4 {
                 pas.t_p_ns = 1000.0;
                 pas.t_p_prime_ns = tpp;
                 pas.decoder = DecoderKind::UnionFind;
-                let mut pol = LsSetup::homogeneous(d, &hw, policy.clone(), tau);
+                let mut pol = LsSetup::homogeneous(d, &hw, *policy, tau);
                 pol.t_p_ns = 1000.0;
                 pol.t_p_prime_ns = tpp;
                 pol.decoder = DecoderKind::UnionFind;
@@ -341,7 +341,7 @@ pub mod fig19_table4 {
                     pas.t_p_ns = 1000.0;
                     pas.t_p_prime_ns = tpp;
                     pas.decoder = DecoderKind::UnionFind;
-                    let mut pol = LsSetup::homogeneous(dd, &hw, policy.clone(), 1000.0);
+                    let mut pol = LsSetup::homogeneous(dd, &hw, policy, 1000.0);
                     pol.t_p_ns = 1000.0;
                     pol.t_p_prime_ns = tpp;
                     pol.decoder = DecoderKind::UnionFind;
@@ -400,7 +400,7 @@ pub mod fig21_table5 {
                     pas.t_p_ns = 2.0 * ms;
                     pas.t_p_prime_ns = tpp * ms;
                     pas.decoder = DecoderKind::UnionFind;
-                    let mut pol = LsSetup::homogeneous(d, &hw, policy.clone(), tau_ms * ms);
+                    let mut pol = LsSetup::homogeneous(d, &hw, *policy, tau_ms * ms);
                     pol.t_p_ns = 2.0 * ms;
                     pol.t_p_prime_ns = tpp * ms;
                     pol.decoder = DecoderKind::UnionFind;

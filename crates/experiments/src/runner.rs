@@ -147,7 +147,7 @@ mod tests {
         let s = LsSetup::homogeneous(3, &hw, PolicySpec::Passive, 700.0);
         let plan = s.plan();
         assert_eq!(plan.final_idle_ns, 700.0);
-        assert_eq!(plan.pre_round_idle_ns.len(), 4);
+        assert_eq!(plan.rounds, 4);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub mod runtime {
         let hw = HardwareConfig::ibm();
         let cap = max_merges(config);
         let selected = match &config.policy {
-            Some(spec) => vec![spec.clone()],
+            Some(spec) => vec![*spec],
             None => policies(),
         };
         let mut t = Table::new(
@@ -125,10 +125,7 @@ pub mod runtime {
             let estimate = LogicalEstimate::for_workload(w, 1e-3, 1e-2);
             let schedule = ProgramSchedule::compile(w, &estimate, cap, config.seed);
             for policy in &selected {
-                let report = execute(
-                    &schedule,
-                    &RuntimeConfig::new(&hw, policy.clone(), config.seed),
-                );
+                let report = execute(&schedule, &RuntimeConfig::new(&hw, *policy, config.seed));
                 t.push_row([
                     w.name.clone(),
                     policy.to_string(),

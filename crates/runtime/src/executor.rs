@@ -96,11 +96,11 @@ pub fn execute(schedule: &ProgramSchedule, config: &RuntimeConfig) -> ProgramRep
         .map(|_| register(&mut ctl, &mut rng, &mut calibrated_ns, None))
         .collect();
 
-    let requested = config.policy.clone();
+    let requested = config.policy;
     let epsilon_bin = config.timing.base_cycle_ns / 8.0;
     let mut report = ProgramReport {
         workload: schedule.workload.clone(),
-        policy: requested.clone(),
+        policy: requested,
         merges: 0,
         total_ns: 0,
         sync_idle_ns: 0,
@@ -155,7 +155,7 @@ pub fn execute(schedule: &ProgramSchedule, config: &RuntimeConfig) -> ProgramRep
                 ],
             );
         }
-        for (_, plan) in &sync.plans {
+        for plan in ctl.last_plans() {
             match plan.policy {
                 // A genuine Hybrid plan always runs z >= 1 extra rounds;
                 // the slowest patch's no-op plan carries the requested

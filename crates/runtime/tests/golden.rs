@@ -38,7 +38,7 @@ fn render() -> Vec<String> {
         let schedule = ProgramSchedule::compile(&workload, &estimate, MERGE_CAP, SCHEDULE_SEED);
         for policy in policies() {
             for seed in RUNTIME_SEEDS {
-                let report = execute(&schedule, &RuntimeConfig::new(&hw, policy.clone(), seed));
+                let report = execute(&schedule, &RuntimeConfig::new(&hw, policy, seed));
                 lines.push(format!("{report:?}"));
             }
         }

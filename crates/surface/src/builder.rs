@@ -50,7 +50,7 @@ pub struct LatticeSurgeryConfig {
     pub pre_rounds: u32,
     /// Merged syndrome rounds before the destructive readout (`d + 1`).
     pub merged_rounds: u32,
-    /// Synchronization plan applied to the leading patch `P`.
+    /// Synchronization plan applied to the leading patch `P`, made for `pre_rounds` rounds.
     pub plan: SyncPlan,
     /// Extra idle inserted into each round of the lagging patch `P'`,
     /// emulating the longer syndrome cycle of a different code (e.g.
@@ -97,9 +97,6 @@ pub struct MemoryConfig {
     pub hardware: HardwareConfig,
     /// Number of syndrome rounds.
     pub rounds: u32,
-    /// Idle inserted before each round (for idling studies); must have
-    /// `rounds` entries or be empty.
-    pub pre_round_idle_ns: Vec<f64>,
     /// Idle inserted right before the final readout.
     pub final_idle_ns: f64,
 }
@@ -117,7 +114,6 @@ impl MemoryConfig {
             basis: LsBasis::Z,
             hardware: hardware.clone(),
             rounds,
-            pre_round_idle_ns: Vec::new(),
             final_idle_ns: 0.0,
         }
     }
@@ -150,8 +146,29 @@ struct Emitter {
 }
 
 impl Emitter {
+    fn new(num_qubits: u32, hw: &HardwareConfig, basis: LsBasis, d: u32) -> Emitter {
+        Emitter {
+            sched: Schedule::new(num_qubits),
+            hw: hw.clone(),
+            basis,
+            d,
+            records: 0,
+            last_meas: HashMap::new(),
+            round_tag: 0,
+        }
+    }
+
     fn data_qubit(&self, col: u32, row: u32) -> Qubit {
         col * self.d + row
+    }
+
+    /// The data qubits of `region`, in its coordinate order.
+    fn data_qubits(&self, region: &Lattice) -> Vec<Qubit> {
+        region
+            .data_coords()
+            .iter()
+            .map(|&(i, j)| self.data_qubit(i, j))
+            .collect()
     }
 
     fn detector_basis(&self, kind: StabKind) -> DetectorBasis {
@@ -166,13 +183,12 @@ impl Emitter {
     /// at `end`.
     fn emit_init(&mut self, end: f64, data: &[Qubit], buffer_even_basis: bool, ancillas: &[Qubit]) {
         let t = end - self.hw.reset_ns;
-        let data_op = match (self.basis.odd_is_x(), buffer_even_basis) {
-            // Patch data is initialized in the odd-check basis; the
-            // merge buffer in the even-check basis.
-            (true, false) => Op::ResetX(data.to_vec()),
-            (true, true) => Op::ResetZ(data.to_vec()),
-            (false, false) => Op::ResetZ(data.to_vec()),
-            (false, true) => Op::ResetX(data.to_vec()),
+        // Patch data is initialized in the odd-check basis; the merge
+        // buffer in the even-check basis.
+        let data_op = if self.basis.odd_is_x() != buffer_even_basis {
+            Op::ResetX(data.to_vec())
+        } else {
+            Op::ResetZ(data.to_vec())
         };
         self.sched.push(t, self.hw.reset_ns, data_op);
         if !ancillas.is_empty() {
@@ -256,48 +272,35 @@ impl Emitter {
         let mut seam_obs = seam_obs;
         for (k, anc) in ancillas.iter().enumerate() {
             let rec = MeasRef(first_rec + k as u32);
-            let key = (anc.a, anc.b);
+            let records = match self.last_meas.insert((anc.a, anc.b), rec) {
+                Some(prev) => vec![prev, rec],
+                // Initialization basis makes odd checks deterministic
+                // in their first round.
+                None if first_of_patch && anc.kind == StabKind::Odd => vec![rec],
+                None => {
+                    if let (Some(obs), StabKind::Odd) = (seam_obs.as_deref_mut(), anc.kind) {
+                        // New merge-type check: random individually,
+                        // but the product over the seam is the
+                        // logical surgery measurement.
+                        obs.push(rec);
+                    }
+                    continue;
+                }
+            };
             let coords = [
                 2.0 * anc.a as f64,
                 2.0 * anc.b as f64,
                 self.round_tag as f64,
             ];
-            match self.last_meas.get(&key) {
-                Some(prev) => {
-                    self.sched.push(
-                        t,
-                        0.0,
-                        Op::Detector {
-                            records: vec![*prev, rec],
-                            basis: self.detector_basis(anc.kind),
-                            coords,
-                        },
-                    );
-                }
-                None => {
-                    if first_of_patch && anc.kind == StabKind::Odd {
-                        // Initialization basis makes odd checks
-                        // deterministic in their first round.
-                        self.sched.push(
-                            t,
-                            0.0,
-                            Op::Detector {
-                                records: vec![rec],
-                                basis: self.detector_basis(anc.kind),
-                                coords,
-                            },
-                        );
-                    } else if let Some(obs) = seam_obs.as_deref_mut() {
-                        if anc.kind == StabKind::Odd {
-                            // New merge-type check: random individually,
-                            // but the product over the seam is the
-                            // logical surgery measurement.
-                            obs.push(rec);
-                        }
-                    }
-                }
-            }
-            self.last_meas.insert(key, rec);
+            self.sched.push(
+                t,
+                0.0,
+                Op::Detector {
+                    records,
+                    basis: self.detector_basis(anc.kind),
+                    coords,
+                },
+            );
         }
         self.round_tag += 1;
         t
@@ -307,7 +310,7 @@ impl Emitter {
     /// the final odd-check detectors, starting at `t0`.
     fn final_readout(&mut self, t0: f64, region: &Lattice, anc_present: &[Ancilla]) -> f64 {
         let data = region.data_coords();
-        let qubits: Vec<Qubit> = data.iter().map(|&(i, j)| self.data_qubit(i, j)).collect();
+        let qubits = self.data_qubits(region);
         let op = if self.basis.odd_is_x() {
             Op::measure_x(qubits.clone(), 0.0)
         } else {
@@ -343,11 +346,8 @@ impl Emitter {
         // edge columns — both edges for a merged region (P and P'),
         // only one for a single patch.
         let merged_region = region.col_hi - region.col_lo + 1 > self.d;
-        let mut columns = vec![(OBS_P, region.col_lo)];
-        if merged_region {
-            columns.push((OBS_P_PRIME, region.col_hi));
-        }
-        for (obs, col) in columns {
+        let columns = [(OBS_P, region.col_lo), (OBS_P_PRIME, region.col_hi)];
+        for (obs, col) in columns.into_iter().take(1 + merged_region as usize) {
             let records: Vec<MeasRef> = (0..self.d).map(|j| rec_of[&(col, j)]).collect();
             self.sched.push(
                 t_end,
@@ -381,8 +381,7 @@ impl Emitter {
 /// # Panics
 ///
 /// Panics on inconsistent configurations (even distance, zero rounds,
-/// or a plan whose idle vector does not match `pre_rounds` plus its
-/// extra rounds).
+/// or a plan made for other than `pre_rounds` pre-merge rounds).
 pub fn lattice_surgery_schedule(cfg: &LatticeSurgeryConfig) -> Schedule {
     let d = cfg.distance;
     assert!(d % 2 == 1, "code distance must be odd");
@@ -390,13 +389,9 @@ pub fn lattice_surgery_schedule(cfg: &LatticeSurgeryConfig) -> Schedule {
         cfg.pre_rounds > 0 && cfg.merged_rounds > 0,
         "rounds must be positive"
     );
-    let plan = &cfg.plan;
+    let plan = cfg.plan;
+    assert_eq!(plan.rounds, cfg.pre_rounds, "plan made for other rounds");
     let rounds_p = cfg.pre_rounds + plan.extra_rounds;
-    assert_eq!(
-        plan.pre_round_idle_ns.len(),
-        rounds_p as usize,
-        "plan idle vector must cover pre-merge rounds plus extras"
-    );
 
     let patch_p = Lattice::patch(d, 0);
     let patch_q = Lattice::patch(d, d + 1);
@@ -406,18 +401,14 @@ pub fn lattice_surgery_schedule(cfg: &LatticeSurgeryConfig) -> Schedule {
     // then the union of all ancilla coordinates.
     let num_data = (2 * d + 1) * d;
     let mut anc_index: HashMap<(u32, u32), Qubit> = HashMap::new();
-    let mut next = num_data;
     for anc in patch_p
         .ancillas()
         .iter()
         .chain(patch_q.ancillas().iter())
         .chain(merged.ancillas().iter())
     {
-        anc_index.entry((anc.a, anc.b)).or_insert_with(|| {
-            let q = next;
-            next += 1;
-            q
-        });
+        let next = num_data + anc_index.len() as u32;
+        anc_index.entry((anc.a, anc.b)).or_insert(next);
     }
 
     let hw = cfg.hardware.clone();
@@ -427,7 +418,7 @@ pub fn lattice_surgery_schedule(cfg: &LatticeSurgeryConfig) -> Schedule {
 
     // Span of each patch's pre-merge phase.
     let span_p: f64 = hw.reset_ns
-        + plan.pre_round_idle_ns.iter().sum::<f64>()
+        + plan.round_idle_ns()
         + rounds_p as f64 * t_round
         + intra_total
         + plan.final_idle_ns;
@@ -435,28 +426,16 @@ pub fn lattice_surgery_schedule(cfg: &LatticeSurgeryConfig) -> Schedule {
         hw.reset_ns + cfg.pre_rounds as f64 * (t_round + cfg.lagging_round_stretch_ns);
     let merge_at = span_p.max(span_q);
 
-    let mut em = Emitter {
-        sched: Schedule::new(next),
-        hw: hw.clone(),
-        basis: cfg.basis,
-        d,
-        records: 0,
-        last_meas: HashMap::new(),
-        round_tag: 0,
-    };
+    let mut em = Emitter::new(num_data + anc_index.len() as u32, &hw, cfg.basis, d);
 
     // --- Patch P (leading; plan applied), anchored to end at merge_at.
     let p_anc = patch_p.ancillas();
-    let p_data: Vec<Qubit> = patch_p
-        .data_coords()
-        .iter()
-        .map(|&(i, j)| em.data_qubit(i, j))
-        .collect();
+    let p_data = em.data_qubits(&patch_p);
     let p_anc_q: Vec<Qubit> = p_anc.iter().map(|a| anc_index[&(a.a, a.b)]).collect();
     let mut t = merge_at - span_p + hw.reset_ns;
     em.emit_init(t, &p_data, false, &p_anc_q);
     for r in 0..rounds_p {
-        t += plan.pre_round_idle_ns[r as usize];
+        t += plan.idle_per_round_ns;
         let is_last = r + 1 == rounds_p;
         let gap = if is_last { intra_gap } else { 0.0 };
         t = em.round(t, &p_anc, &anc_index, r == 0, None, gap, 0.0);
@@ -466,11 +445,7 @@ pub fn lattice_surgery_schedule(cfg: &LatticeSurgeryConfig) -> Schedule {
     // --- Patch P' (lagging), back-to-back rounds ending at merge_at.
     em.round_tag = 0;
     let q_anc = patch_q.ancillas();
-    let q_data: Vec<Qubit> = patch_q
-        .data_coords()
-        .iter()
-        .map(|&(i, j)| em.data_qubit(i, j))
-        .collect();
+    let q_data = em.data_qubits(&patch_q);
     let q_anc_q: Vec<Qubit> = q_anc.iter().map(|a| anc_index[&(a.a, a.b)]).collect();
     let mut t = merge_at - span_q + hw.reset_ns;
     em.emit_init(t, &q_data, false, &q_anc_q);
@@ -523,27 +498,17 @@ pub fn lattice_surgery_schedule(cfg: &LatticeSurgeryConfig) -> Schedule {
 }
 
 /// Builds a single-patch memory experiment: initialize in the
-/// odd-check basis, run `rounds` syndrome rounds (with optional idle
-/// insertion) and read out destructively; observable 0 is the vertical
-/// logical string on column 0.
+/// odd-check basis, run `rounds` syndrome rounds, idle `final_idle_ns`
+/// and read out destructively; observable 0 is the vertical logical
+/// string on column 0.
 ///
 /// # Panics
 ///
-/// Panics on inconsistent configurations (see [`MemoryConfig`]).
+/// Panics on an even distance or zero rounds.
 pub fn memory_schedule(cfg: &MemoryConfig) -> Schedule {
     let d = cfg.distance;
     assert!(d % 2 == 1, "code distance must be odd");
     assert!(cfg.rounds > 0, "rounds must be positive");
-    let idles = if cfg.pre_round_idle_ns.is_empty() {
-        vec![0.0; cfg.rounds as usize]
-    } else {
-        assert_eq!(
-            cfg.pre_round_idle_ns.len(),
-            cfg.rounds as usize,
-            "idle vector must have one entry per round"
-        );
-        cfg.pre_round_idle_ns.clone()
-    };
     let patch = Lattice::patch(d, 0);
     let anc = patch.ancillas();
     let num_data = d * d;
@@ -551,25 +516,12 @@ pub fn memory_schedule(cfg: &MemoryConfig) -> Schedule {
     for (k, a) in anc.iter().enumerate() {
         anc_index.insert((a.a, a.b), num_data + k as u32);
     }
-    let mut em = Emitter {
-        sched: Schedule::new(num_data + anc.len() as u32),
-        hw: cfg.hardware.clone(),
-        basis: cfg.basis,
-        d,
-        records: 0,
-        last_meas: HashMap::new(),
-        round_tag: 0,
-    };
-    let data: Vec<Qubit> = patch
-        .data_coords()
-        .iter()
-        .map(|&(i, j)| em.data_qubit(i, j))
-        .collect();
+    let mut em = Emitter::new(num_data + anc.len() as u32, &cfg.hardware, cfg.basis, d);
+    let data = em.data_qubits(&patch);
     let anc_q: Vec<Qubit> = anc.iter().map(|a| anc_index[&(a.a, a.b)]).collect();
     let mut t = cfg.hardware.reset_ns;
     em.emit_init(t, &data, false, &anc_q);
     for r in 0..cfg.rounds {
-        t += idles[r as usize];
         t = em.round(t, &anc, &anc_index, r == 0, None, 0.0, 0.0);
     }
     t += cfg.final_idle_ns;
@@ -633,7 +585,7 @@ mod tests {
             PolicySpec::ActiveIntra,
         ] {
             let mut cfg = LatticeSurgeryConfig::new(3, &hw());
-            cfg.plan = plan(policy.clone(), 700.0, t, t, 4);
+            cfg.plan = plan(policy, 700.0, t, t, 4);
             let c = CircuitNoiseModel::ideal().apply(&cfg.build());
             verify_deterministic(&c, 6).unwrap_or_else(|e| panic!("{policy}: {e}"));
         }

@@ -41,11 +41,13 @@ fn main() {
     let compute = ctl.add_patch(t_sc as u32, 500);
     let memory = ctl.add_patch(t_qldpc as u32, 1200);
     let t_state = ctl.add_patch(t_sc as u32, 0);
+    let patches = [compute, memory, t_state];
     let report = ctl
-        .synchronize_report(&[compute, memory, t_state], &PolicySpec::hybrid(400.0), 12)
+        .synchronize_report(&patches, &PolicySpec::hybrid(400.0), 12)
         .expect("plannable");
+    // The controller keeps the request's plans, index-parallel to its ids.
     println!("\nsynchronization plans:");
-    for (id, plan) in &report.plans {
+    for (id, plan) in patches.iter().zip(ctl.last_plans()) {
         println!(
             "  patch {:?}: {:>2} extra rounds, {:>6.1} ns idle ({})",
             id,
@@ -56,7 +58,7 @@ fn main() {
     }
     let merge_tick = report.merge_tick;
     println!("\ncontroller: all patches aligned at tick {merge_tick}");
-    for id in [compute, memory, t_state] {
+    for id in patches {
         let st = ctl.status(id).expect("valid");
         assert_eq!(st.cycle_end_tick, merge_tick);
         println!("  patch {id:?}: {} rounds completed", st.rounds_completed);

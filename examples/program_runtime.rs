@@ -40,7 +40,7 @@ fn main() {
         // u64::MAX to execute the full program.
         let schedule = ProgramSchedule::compile(&workload, &estimate, 2_000, seed);
         for policy in &policies {
-            let report = execute(&schedule, &RuntimeConfig::new(&hw, policy.clone(), seed));
+            let report = execute(&schedule, &RuntimeConfig::new(&hw, *policy, seed));
             println!(
                 "{:<14} {:<52} {:>8} {:>12.3} {:>12.1} {:>10.3} {:>8}",
                 report.workload,

@@ -3,7 +3,7 @@
 use ftqc::pauli::{Pauli, PauliString};
 use ftqc::sync::{
     solve_extra_rounds, solve_hybrid, synchronize_patches, Controller, ControllerSyncReport,
-    LogicalClock, PatchId, PatchStatus, PolicySpec, SlackWindow, SyncContext, SyncError,
+    LogicalClock, PatchId, PatchStatus, PolicySpec, SlackWindow, SyncContext, SyncError, SyncPlan,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -159,17 +159,13 @@ proptest! {
             prop_assert!(plan.policy == spec, "{spec}: stamped {}", plan.policy);
             // The circuit generator idles before every pre-merge round,
             // extras included.
-            let len = plan.pre_round_idle_ns.len();
             prop_assert!(
-                len == (rounds + plan.extra_rounds) as usize,
-                "{spec}: {len} pre-round idles for {rounds} + {} rounds",
-                plan.extra_rounds
+                plan.rounds == rounds,
+                "{spec}: planned for {} rounds, asked for {rounds}",
+                plan.rounds
             );
-            let entries = plan
-                .pre_round_idle_ns
-                .iter()
-                .chain([&plan.intra_round_idle_ns, &plan.final_idle_ns]);
-            for &x in entries {
+            let entries = [plan.idle_per_round_ns, plan.intra_round_idle_ns, plan.final_idle_ns];
+            for x in entries {
                 prop_assert!(x.is_finite() && x >= 0.0, "{spec}: idle entry {x}");
             }
             let idle = plan.total_idle_ns();
@@ -286,10 +282,7 @@ proptest! {
         if let Ok(plan) = PolicySpec::ExtraRounds.plan(&ctx) {
             prop_assert!(plan.policy == PolicySpec::ExtraRounds);
             prop_assert_eq!(plan.total_idle_ns(), 0.0);
-            prop_assert_eq!(
-                plan.pre_round_idle_ns.len(),
-                (rounds + plan.extra_rounds) as usize
-            );
+            prop_assert_eq!(plan.rounds, rounds);
             // The chosen round count satisfies Eq. (1) for the wrapped
             // slack (the context reduces tau modulo the lagging cycle).
             let elapsed = plan.extra_rounds as f64 * tp + tau % tpp;
@@ -309,6 +302,8 @@ struct EagerController {
     patches: Vec<EagerPatch>,
     free: Vec<u32>,
     window: SlackWindow,
+    /// The last request's plans; empty after a failed request.
+    plans: Vec<SyncPlan>,
 }
 
 #[derive(Clone, Copy)]
@@ -388,6 +383,7 @@ impl EagerController {
         policy: &PolicySpec,
         rounds: u32,
     ) -> Result<ControllerSyncReport, SyncError> {
+        self.plans.clear();
         self.catch_up();
         let mut requested = vec![false; self.patches.len()];
         let mut clocks = Vec::new();
@@ -412,7 +408,8 @@ impl EagerController {
             .iter()
             .map(|c| worst - c.time_to_cycle_end_ns())
             .fold(0.0f64, f64::max);
-        let (plans, _) = synchronize_patches(policy, &clocks, rounds, &self.window)?;
+        let mut plans = Vec::new();
+        synchronize_patches(policy, &clocks, rounds, &self.window, &mut plans)?;
         self.window.record(slack_ns);
         let finish: Vec<u64> = ids
             .iter()
@@ -441,13 +438,13 @@ impl EagerController {
         }
         self.now = merge_tick;
         self.catch_up();
+        self.plans = plans;
         Ok(ControllerSyncReport {
             merge_tick,
             slack_ns,
             planned_idle_ticks,
             alignment_idle_ticks,
             extra_rounds,
-            plans: ids.iter().copied().zip(plans).collect(),
         })
     }
 }
@@ -523,6 +520,8 @@ proptest! {
                         eager.synchronize_report(&ids, policy, rounds),
                     );
                     prop_assert!(got == want, "step {step}: {policy} over {ids:?}: {got:?} vs {want:?}");
+                    let (got, want) = (lazy.last_plans(), eager.plans.as_slice());
+                    prop_assert!(got == want, "step {step}: plans {got:?} vs {want:?}");
                 }
             }
             prop_assert!(lazy.now() == eager.now, "step {step}: now {} vs {}", lazy.now(), eager.now);

@@ -90,8 +90,8 @@ fn runtime_is_deterministic_for_a_fixed_seed() {
         PolicySpec::hybrid(EPSILON_NS),
         PolicySpec::dynamic_hybrid(),
     ] {
-        let a = run_policy(&schedule, policy.clone());
-        let b = run_policy(&schedule, policy.clone());
+        let a = run_policy(&schedule, policy);
+        let b = run_policy(&schedule, policy);
         assert_eq!(a, b, "{policy} not reproducible");
     }
     // A different seed perturbs the calibration draws and therefore
