@@ -6,7 +6,9 @@
 //! distance (d in {3, 5, 11}, seed 2025) against goldens generated from
 //! the pre-refactor implementation — the Dijkstra settle order is
 //! specified as (distance, node index), so the goldens are a pure
-//! function of the decoding graph, not of heap internals.
+//! function of the decoding graph, not of heap internals. One more
+//! section pins union-find on the d = 5 lattice-surgery graph of paper
+//! Table 2's Hybrid row, the graph the `surgery-ler` benchmark decodes.
 //!
 //! Regenerate after an *intentional* behavior change with:
 //!
@@ -18,7 +20,8 @@
 use ftqc_decoder::{Decoder, DecoderKind, DecoderScratch, DecodingGraph};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{sample_batch, DetectorErrorModel};
-use ftqc_surface::MemoryConfig;
+use ftqc_surface::{LatticeSurgeryConfig, MemoryConfig};
+use ftqc_sync::{PolicySpec, SyncContext};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -27,6 +30,8 @@ use std::path::PathBuf;
 const SEED: u64 = 2025;
 const SYNDROMES: usize = 1_000;
 const DISTANCES: [u32; 3] = [3, 5, 11];
+const SURGERY_DISTANCE: u32 = 5;
+const SURGERY_HEADER: &str = "uf surgery-d5 n=1000";
 
 /// Reduced LUT training budget so the sampling-trained kinds stay fast
 /// in debug builds; deterministic, so goldens don't care.
@@ -65,6 +70,22 @@ fn memory_circuit(d: u32) -> ftqc_circuit::Circuit {
     CircuitNoiseModel::standard(1e-3, &hw).apply(&MemoryConfig::new(d, d + 1, &hw).build())
 }
 
+/// Paper Table 2's Hybrid row at d = 5 (T_P = 1000 ns, T_P' = 1325 ns,
+/// tau = 1000 ns, `hybrid:eps=400`, falling back to Active when
+/// infeasible), as `LsSetup::surgery_config` builds it.
+fn surgery_circuit() -> ftqc_circuit::Circuit {
+    let hw = HardwareConfig::ibm();
+    let d = SURGERY_DISTANCE;
+    let ctx = SyncContext::new(1000.0, 1000.0, 1325.0, d + 1).expect("valid context");
+    let mut cfg = LatticeSurgeryConfig::new(d, &hw);
+    cfg.plan = PolicySpec::hybrid(400.0)
+        .plan(&ctx)
+        .or_else(|_| PolicySpec::Active.plan(&ctx))
+        .expect("active planning is total");
+    cfg.lagging_round_stretch_ns = 325.0;
+    CircuitNoiseModel::standard(1e-3, &hw).apply(&cfg.build())
+}
+
 /// Half realistic syndromes sampled from the circuit, half random
 /// detector subsets. Density is capped lower at large distance so the
 /// heavy adversarial cases stay tractable while still pushing MWPM onto
@@ -87,15 +108,24 @@ fn syndrome_corpus(circuit: &ftqc_circuit::Circuit, num_detectors: u32, d: u32) 
     corpus
 }
 
-/// Decodes the corpus for one (kind, distance) config through a reused
-/// scratch — the arena hot path — returning the correction stream.
+/// Decodes the corpus for one (kind, distance) memory config through a
+/// reused scratch — the arena hot path — returning the correction
+/// stream.
 fn corrections(label: &str, kind: DecoderKind, d: u32) -> Vec<u32> {
-    let circuit = memory_circuit(d);
-    let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+    corrections_for(label, kind, &memory_circuit(d), d)
+}
+
+fn corrections_for(
+    label: &str,
+    kind: DecoderKind,
+    circuit: &ftqc_circuit::Circuit,
+    d: u32,
+) -> Vec<u32> {
+    let (dem, _) = DetectorErrorModel::from_circuit(circuit, true);
     let graph = DecodingGraph::from_dem(&dem);
-    let corpus = syndrome_corpus(&circuit, graph.num_detectors(), d);
+    let corpus = syndrome_corpus(circuit, graph.num_detectors(), d);
     assert_eq!(corpus.len(), SYNDROMES, "{label}/d{d}: corpus size");
-    let decoder = kind.build(&circuit, graph, SEED);
+    let decoder = kind.build(circuit, graph, SEED);
     let mut scratch = DecoderScratch::new();
     let mut correction = 0u32;
     corpus
@@ -107,9 +137,9 @@ fn corrections(label: &str, kind: DecoderKind, d: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Renders one config's golden section.
-fn section(label: &str, d: u32, values: &[u32]) -> String {
-    let mut out = format!("## {label} d{d} n={}\n", values.len());
+/// Renders one config's golden section under `header`.
+fn section(header: &str, values: &[u32]) -> String {
+    let mut out = format!("## {header}\n");
     for chunk in values.chunks(64) {
         for (i, v) in chunk.iter().enumerate() {
             if i > 0 {
@@ -147,33 +177,59 @@ fn parse_goldens(text: &str) -> std::collections::HashMap<String, Vec<u32>> {
     map
 }
 
-fn check_kind(label: &str, kind: DecoderKind) {
+fn goldens() -> std::collections::HashMap<String, Vec<u32>> {
     let text = std::fs::read_to_string(golden_path())
         .expect("arena_goldens.txt missing; run the ignored generate_goldens test");
-    let goldens = parse_goldens(&text);
+    parse_goldens(&text)
+}
+
+fn assert_matches(
+    goldens: &std::collections::HashMap<String, Vec<u32>>,
+    header: &str,
+    got: &[u32],
+) {
+    let want = goldens
+        .get(header)
+        .unwrap_or_else(|| panic!("golden section '{header}' missing"));
+    assert_eq!(got.len(), want.len(), "{header}: corpus size");
+    let mismatches: Vec<usize> = (0..got.len()).filter(|&i| got[i] != want[i]).collect();
+    assert!(
+        mismatches.is_empty(),
+        "{header}: {} / {} corrections diverged from pre-refactor goldens \
+         (first at syndrome #{}: got {:#x}, want {:#x})",
+        mismatches.len(),
+        got.len(),
+        mismatches[0],
+        got[mismatches[0]],
+        want[mismatches[0]],
+    );
+}
+
+fn check_kind(label: &str, kind: DecoderKind) {
+    let goldens = goldens();
     for d in DISTANCES {
         let got = corrections(label, kind, d);
-        let header = format!("{label} d{d} n={SYNDROMES}");
-        let want = goldens
-            .get(&header)
-            .unwrap_or_else(|| panic!("golden section '{header}' missing"));
-        let mismatches: Vec<usize> = (0..got.len()).filter(|&i| got[i] != want[i]).collect();
-        assert!(
-            mismatches.is_empty(),
-            "{label}/d{d}: {} / {} corrections diverged from pre-refactor goldens \
-             (first at syndrome #{}: got {:#x}, want {:#x})",
-            mismatches.len(),
-            got.len(),
-            mismatches[0],
-            got[mismatches[0]],
-            want[mismatches[0]],
-        );
+        assert_matches(&goldens, &format!("{label} d{d} n={SYNDROMES}"), &got);
     }
+}
+
+fn surgery_corrections() -> Vec<u32> {
+    corrections_for(
+        "uf",
+        DecoderKind::UnionFind,
+        &surgery_circuit(),
+        SURGERY_DISTANCE,
+    )
 }
 
 #[test]
 fn uf_matches_pre_refactor_goldens() {
     check_kind("uf", DecoderKind::UnionFind);
+}
+
+#[test]
+fn uf_matches_surgery_goldens() {
+    assert_matches(&goldens(), SURGERY_HEADER, &surgery_corrections());
 }
 
 #[test]
@@ -207,10 +263,14 @@ fn generate_goldens() {
     for (label, kind) in kinds() {
         for d in DISTANCES {
             let values = corrections(label, kind, d);
-            out.push_str(&section(label, d, &values));
+            out.push_str(&section(
+                &format!("{label} d{d} n={}", values.len()),
+                &values,
+            ));
             eprintln!("generated {label}/d{d}");
         }
     }
+    out.push_str(&section(SURGERY_HEADER, &surgery_corrections()));
     let path = golden_path();
     std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/data");
     std::fs::write(&path, out).expect("write goldens");
