@@ -33,8 +33,10 @@
 //!   memory is returned. Size is bounded by the declared capacity, or
 //!   by the largest graph and heaviest syndrome decoded through an
 //!   unbounded scratch.
-//! * Contents between calls are unspecified — every decode re-seeds
-//!   what it reads; results are bit-identical to a fresh scratch.
+//! * Contents between calls are unspecified, except that the
+//!   union-find arenas are left pristine (each decode re-arms the
+//!   entries it dirtied); results are bit-identical to a fresh
+//!   scratch.
 
 use crate::evaluate::Decoder;
 use crate::graph::{DecodingGraph, DijkstraScratch, NO_NODE};
@@ -185,10 +187,26 @@ pub(crate) const CLUSTER_BOUNDARY: u32 = 2;
 pub(crate) const DEFECT: u8 = 1;
 /// Mark-byte flag: node visited by the peeling BFS.
 pub(crate) const VISITED: u8 = 2;
+/// Mark-byte flag: node entered in the decode's touched list.
+pub(crate) const TOUCHED: u8 = 4;
 
 /// High bit of a `grown` entry: the edge has saturated (fully grown);
-/// the low 31 bits keep the growth count.
+/// the low 30 bits keep the growth count.
 pub(crate) const SATURATED: u32 = 1 << 31;
+/// Bit 30 of a `grown` entry, set only while a growth round lists
+/// frontiers: the edge is already on a growing cluster's frontier.
+pub(crate) const LISTED: u32 = 1 << 30;
+
+/// One growing cluster's slice of a frontier list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment {
+    /// The cluster's root.
+    pub(crate) root: u32,
+    /// The cluster's size when its frontier was listed.
+    pub(crate) size: u32,
+    /// End of the slice (its start is the previous segment's end).
+    pub(crate) end: u32,
+}
 
 /// Sentinel edge index: "no edge" (peeling-tree root / boundary drain
 /// absent).
@@ -197,19 +215,39 @@ pub(crate) const NO_EDGE: u32 = u32::MAX;
 /// Union-find arenas: packed DSU records, single-byte node marks, and
 /// the growth/peeling state — all flat, u32-indexed, and bounded by
 /// `(nodes, edges)` of the graph.
+///
+/// Between decodes the per-node and per-edge arenas are *pristine*:
+/// every node its own singleton cluster with no marks and no tree
+/// edge, every edge ungrown. A decode dirties only the nodes its
+/// clusters reach, lists them in `touched`, and re-arms exactly those
+/// entries (and their edges) before it returns, so neither end of a
+/// decode costs O(nodes + edges).
 pub(crate) struct UfScratch {
     /// Per-node DSU + membership-list record (8 B each).
     pub(crate) node: Vec<UfNode>,
     /// Per-node cluster record, live while the node is a root (16 B).
     pub(crate) root: Vec<UfRoot>,
-    /// Per-node [`DEFECT`] | [`VISITED`] mark bits.
+    /// Per-node [`DEFECT`] | [`VISITED`] | [`TOUCHED`] mark bits.
     pub(crate) mark: Vec<u8>,
     /// Per-edge growth counter with the [`SATURATED`] high bit.
     pub(crate) grown: Vec<u32>,
     /// Roots of still-odd clusters (one growth pass's worklist).
     pub(crate) roots: Vec<u32>,
-    /// Unsaturated frontier edges of the cluster being grown.
+    /// Unsaturated frontier edges of every growing cluster, one sorted
+    /// slice per entry of `segments`.
     pub(crate) frontier: Vec<u32>,
+    /// The growing clusters whose frontiers `frontier` lists, by root.
+    pub(crate) segments: Vec<Segment>,
+    /// The next round's `frontier`, built from this one; between
+    /// listings, the frontier of a cluster that merged mid-pass.
+    pub(crate) next_frontier: Vec<u32>,
+    /// The next round's `segments`.
+    pub(crate) next_segments: Vec<Segment>,
+    /// Edges in the order they saturated (sorted before peeling).
+    pub(crate) saturated: Vec<u32>,
+    /// Nodes the decode dirtied: the syndrome plus every endpoint of
+    /// a saturated edge, sorted.
+    pub(crate) touched: Vec<u32>,
     /// Peeling BFS order; also *is* the BFS queue (FIFO scan-by-index).
     pub(crate) order: Vec<u32>,
     /// Peeling-tree parent edge per node ([`NO_EDGE`] = tree root).
@@ -233,6 +271,11 @@ impl Default for UfScratch {
             grown: Vec::new(),
             roots: Vec::new(),
             frontier: Vec::new(),
+            segments: Vec::new(),
+            next_frontier: Vec::new(),
+            next_segments: Vec::new(),
+            saturated: Vec::new(),
+            touched: Vec::new(),
             order: Vec::new(),
             parent_edge: Vec::new(),
             root_drains: Vec::new(),
@@ -243,11 +286,30 @@ impl Default for UfScratch {
 }
 // analyzer: end-allow(alloc)
 
+/// Node `i`'s DSU record when it is its own singleton cluster.
+fn pristine_node(i: u32) -> UfNode {
+    UfNode {
+        parent: i,
+        next: NO_NODE,
+    }
+}
+
+/// Node `i`'s cluster record when it is its own singleton cluster.
+fn pristine_root(i: u32) -> UfRoot {
+    UfRoot {
+        head: i,
+        tail: i,
+        size: 1,
+        flags: 0,
+    }
+}
+
 impl UfScratch {
     /// Preallocates every arena for decodes within `cap` and arms the
-    /// debug-asserted bounds. The frontier gets `2 * edges` slots: each
-    /// internal edge can enter a growth pass once per endpoint before
-    /// dedup.
+    /// debug-asserted bounds. The two frontier lists get `2 * edges`
+    /// slots: an internal edge is listed once per endpoint before
+    /// dedup, and once per cluster when two growing clusters share it.
+    /// Every other list holds each node or edge at most once.
     pub(crate) fn bound(&mut self, cap: ScratchCapacity) {
         let n = cap.nodes as usize;
         let e = cap.edges as usize;
@@ -257,6 +319,11 @@ impl UfScratch {
         reserve_to(&mut self.grown, e);
         reserve_to(&mut self.roots, n);
         reserve_to(&mut self.frontier, 2 * e);
+        reserve_to(&mut self.segments, n);
+        reserve_to(&mut self.next_frontier, 2 * e);
+        reserve_to(&mut self.next_segments, n);
+        reserve_to(&mut self.saturated, e);
+        reserve_to(&mut self.touched, n);
         reserve_to(&mut self.order, n);
         reserve_to(&mut self.parent_edge, n);
         reserve_to(&mut self.root_drains, n);
@@ -264,10 +331,13 @@ impl UfScratch {
         self.bound_edges = cap.edges;
     }
 
-    /// Re-arms the arenas for a graph with `nodes` detectors and
-    /// `edges` edges. Allocation-free once the arenas hold the graph's
-    /// size; debug builds panic when a declared bound is exceeded.
-    pub(crate) fn reset(&mut self, nodes: usize, edges: usize) {
+    /// Readies the arenas for a graph with `nodes` detectors and
+    /// `edges` edges: extends them with pristine entries when the graph
+    /// is larger than any before (never shrinking them, so graphs of
+    /// different sizes can share the scratch) and clears the per-decode
+    /// lists. Allocation-free once the arenas hold the graph's size;
+    /// debug builds panic when a declared bound is exceeded.
+    pub(crate) fn arm(&mut self, nodes: usize, edges: usize) {
         debug_assert!(
             self.bound_nodes == u32::MAX || nodes <= self.bound_nodes as usize,
             "UfScratch bound overflow: {nodes} nodes through a workspace bounded to {} \
@@ -279,26 +349,63 @@ impl UfScratch {
             "UfScratch bound overflow: {edges} edges through a workspace bounded to {}",
             self.bound_edges
         );
-        self.node.clear();
-        self.node.extend((0..nodes as u32).map(|i| UfNode {
-            parent: i,
-            next: NO_NODE,
-        }));
-        self.root.clear();
-        self.root.extend((0..nodes as u32).map(|i| UfRoot {
-            head: i,
-            tail: i,
-            size: 1,
-            flags: 0,
-        }));
-        self.mark.clear();
-        self.mark.resize(nodes, 0);
-        self.grown.clear();
-        self.grown.resize(edges, 0);
-        self.parent_edge.clear();
-        self.parent_edge.resize(nodes, NO_EDGE);
+        if self.node.len() < nodes {
+            let have = self.node.len() as u32;
+            self.node.extend((have..nodes as u32).map(pristine_node));
+            self.root.extend((have..nodes as u32).map(pristine_root));
+            self.mark.resize(nodes, 0);
+            self.parent_edge.resize(nodes, NO_EDGE);
+        }
+        if self.grown.len() < edges {
+            self.grown.resize(edges, 0);
+        }
+        debug_assert!(self.is_pristine(), "UfScratch arenas dirty at decode start");
+        self.saturated.clear();
+        self.touched.clear();
         self.order.clear();
         self.root_drains.clear();
+    }
+
+    /// Whether every node and edge entry holds its pristine value.
+    fn is_pristine(&self) -> bool {
+        (0..self.node.len() as u32).all(|i| {
+            let (n, r) = (self.node[i as usize], self.root[i as usize]);
+            let (pn, pr) = (pristine_node(i), pristine_root(i));
+            (n.parent, n.next) == (pn.parent, pn.next)
+                && (r.head, r.tail, r.size, r.flags) == (pr.head, pr.tail, pr.size, pr.flags)
+                && self.mark[i as usize] == 0
+                && self.parent_edge[i as usize] == NO_EDGE
+        }) && self.grown.iter().all(|&g| g == 0)
+    }
+
+    /// Appends `x` to the touched list unless it is already there.
+    pub(crate) fn touch(&mut self, x: u32) {
+        if self.mark[x as usize] & TOUCHED == 0 {
+            self.mark[x as usize] |= TOUCHED;
+            self.touched.push(x);
+        }
+    }
+
+    /// Returns every touched node, and every edge of `graph` at one, to
+    /// its pristine value. Clusters only ever hold syndrome nodes and
+    /// endpoints of saturated edges, and only their frontier edges
+    /// grow, so this re-arms everything the decode wrote.
+    pub(crate) fn rearm(&mut self, graph: &DecodingGraph) {
+        for &x in &self.touched {
+            self.node[x as usize] = pristine_node(x);
+            self.root[x as usize] = pristine_root(x);
+            self.mark[x as usize] = 0;
+            self.parent_edge[x as usize] = NO_EDGE;
+            for a in graph.neighbors(x) {
+                self.grown[a.edge as usize] = 0;
+            }
+        }
+    }
+
+    /// Whether the cluster rooted at `r` is still growing: odd parity
+    /// and no boundary contact.
+    pub(crate) fn growing(&self, r: u32) -> bool {
+        self.root[r as usize].flags & (PARITY | CLUSTER_BOUNDARY) == PARITY
     }
 
     /// Root of `x`'s cluster, with path compression.

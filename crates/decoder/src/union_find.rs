@@ -5,20 +5,27 @@ use crate::evaluate::Decoder;
 use crate::fusion::WindowView;
 use crate::graph::{DecodingGraph, NO_NODE};
 use crate::scratch::{
-    DecoderScratch, ScratchCapacity, UfScratch, CLUSTER_BOUNDARY, DEFECT, NO_EDGE, PARITY,
-    SATURATED, VISITED,
+    DecoderScratch, ScratchCapacity, Segment, UfScratch, CLUSTER_BOUNDARY, DEFECT, LISTED, NO_EDGE,
+    PARITY, SATURATED, VISITED,
 };
 use std::sync::Arc;
 
 /// A weighted union-find decoder (Delfosse–Nickerson).
 ///
-/// Odd clusters of flagged detectors grow in unit steps along their
-/// frontier edges (each edge's capacity is its integer-scaled
+/// Odd clusters of flagged detectors grow along their frontier edges,
+/// one unit per pass (each edge's capacity is its integer-scaled
 /// log-likelihood weight); clusters merge when an edge saturates, and
 /// stop growing once their defect parity is even or they touch the
 /// boundary. A peeling pass over each cluster's spanning forest then
 /// produces the correction, whose edge observable masks XOR into the
 /// logical prediction.
+///
+/// The decode's cost follows the clusters, not the graph, as in the
+/// almost-linear bound of Delfosse–Nickerson: growth jumps in one step
+/// over the passes that saturate no edge, the peeling forests are
+/// seeded from the saturated edges and the syndrome instead of a scan
+/// of the graph, and only the arena entries a decode dirtied are
+/// re-armed. The result is bit-identical to running every unit pass.
 ///
 /// The whole decode runs over flat u32 arenas: CSR adjacency from the
 /// graph, packed 8/16-byte DSU records and single-byte node marks from
@@ -82,6 +89,11 @@ impl UfDecoder {
 /// [`WindowView`](crate::WindowView)'s sub-graph and per-view
 /// capacities — same core, same arenas, so a full-range view decodes
 /// bit-identically to the batch path.
+///
+/// Its cost follows the clusters, not the graph: growth jumps over
+/// passes that saturate nothing, peeling seeds its forests from the
+/// saturated edges and the syndrome, and only the entries the decode
+/// dirtied are re-armed afterwards.
 pub(crate) fn uf_decode(
     graph: &DecodingGraph,
     capacity: &[u32],
@@ -93,58 +105,162 @@ pub(crate) fn uf_decode(
     if syndrome.is_empty() {
         return;
     }
-    let n = graph.num_detectors() as usize;
-    let rec = graph.records();
-    debug_assert_eq!(capacity.len(), rec.len());
+    debug_assert_eq!(capacity.len(), graph.records().len());
     let s = &mut scratch.uf;
-    s.reset(n, rec.len());
+    s.arm(graph.num_detectors() as usize, capacity.len());
     for &f in syndrome {
         s.mark[f as usize] |= DEFECT;
         s.root[f as usize].flags |= PARITY;
     }
-    // The root/frontier lists are borrowed out of the scratch for
-    // the growth loop (which needs `&mut s` for find/union) and
-    // handed back after, so their capacity is retained.
+    grow(graph, capacity, s, syndrome);
+    // Peeling: build spanning forests over saturated edges and peel
+    // leaves, flipping defects toward the root (boundary-anchored
+    // when available).
+    *correction = peel(graph, s, syndrome);
+    s.rearm(graph);
+}
+
+/// Appends the unsaturated edges at the members of `root`'s cluster
+/// (walked through the intrusive list) to `out`, then sorts and
+/// dedups the appended tail.
+fn push_frontier(graph: &DecodingGraph, s: &UfScratch, root: u32, out: &mut Vec<u32>) {
+    let start = out.len();
+    let mut node = s.root[root as usize].head;
+    while node != NO_NODE {
+        for a in graph.neighbors(node) {
+            if s.grown[a.edge as usize] & SATURATED == 0 {
+                out.push(a.edge);
+            }
+        }
+        node = s.node[node as usize].next;
+    }
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..out.len() {
+        if kept == start || out[i] != out[kept - 1] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
+/// Cluster growth. Every pass grows each odd, boundary-free cluster
+/// (in ascending root order) by one unit along each of its frontier
+/// edges (in ascending edge order); an edge that reaches its capacity
+/// saturates and merges the clusters at its ends, or gives its
+/// cluster boundary contact.
+///
+/// A pass that saturates nothing leaves the clusters as they were, so
+/// the passes before the next saturation differ only in the counts
+/// they add: one per pass on a frontier edge, two where two growing
+/// clusters share it. Each round therefore lists every growing
+/// cluster's frontier once, adds the counts of all those silent
+/// passes in one step, and runs the pass that saturates. That pass
+/// reuses a cluster's listed frontier unless the cluster merged
+/// earlier in the pass — the only way its frontier can change — so
+/// the result is exactly that of running every pass. A cluster that
+/// did not merge since the last round keeps its listed frontier too,
+/// less the edges that saturated.
+fn grow(graph: &DecodingGraph, capacity: &[u32], s: &mut UfScratch, syndrome: &[u32]) {
+    let rec = graph.records();
+    // The work lists are borrowed out of the scratch for the growth
+    // loop (which needs `&mut s` for find/union) and handed back
+    // after, so their capacity is retained.
     let mut roots = std::mem::take(&mut s.roots);
     let mut frontier = std::mem::take(&mut s.frontier);
+    let mut segments = std::mem::take(&mut s.segments);
+    let mut next = std::mem::take(&mut s.next_frontier);
+    let mut next_segments = std::mem::take(&mut s.next_segments);
+    // Roots of still-odd, boundary-free clusters. Every such cluster
+    // holds a defect, and after the first round one that was growing
+    // in the round before.
+    roots.clear();
+    roots.extend_from_slice(syndrome);
+    segments.clear();
     loop {
-        // Roots of still-odd, boundary-free clusters.
-        roots.clear();
-        for &x in syndrome {
-            let r = s.find(x);
-            if s.root[r as usize].flags & (PARITY | CLUSTER_BOUNDARY) == PARITY {
-                roots.push(r);
-            }
+        for r in roots.iter_mut() {
+            *r = s.find(*r);
         }
+        roots.retain(|&r| s.growing(r));
         roots.sort_unstable();
         roots.dedup();
-        if roots.is_empty() {
+        // List each frontier and find the first pass that saturates.
+        next.clear();
+        next_segments.clear();
+        let mut passes = u32::MAX;
+        let mut prev = segments.iter().peekable();
+        let mut prev_start = 0;
+        for &root in &roots {
+            let size = s.root[root as usize].size;
+            let start = next.len();
+            while let Some(p) = prev.next_if(|p| p.root < root) {
+                prev_start = p.end as usize;
+            }
+            match prev.next_if(|p| p.root == root) {
+                Some(p) if p.size == size => {
+                    for &ei in &frontier[prev_start..p.end as usize] {
+                        if s.grown[ei as usize] & SATURATED == 0 {
+                            next.push(ei);
+                        }
+                    }
+                    prev_start = p.end as usize;
+                }
+                Some(p) => {
+                    prev_start = p.end as usize;
+                    push_frontier(graph, s, root, &mut next);
+                }
+                None => push_frontier(graph, s, root, &mut next),
+            }
+            for &ei in &next[start..] {
+                let grown = s.grown[ei as usize];
+                let left = capacity[ei as usize] - (grown & !LISTED);
+                // Listed twice: two growing clusters share the edge.
+                passes = passes.min(if grown & LISTED != 0 {
+                    left.div_ceil(2)
+                } else {
+                    left
+                });
+                s.grown[ei as usize] = grown | LISTED;
+            }
+            next_segments.push(Segment {
+                root,
+                size,
+                end: next.len() as u32,
+            });
+        }
+        std::mem::swap(&mut frontier, &mut next);
+        std::mem::swap(&mut segments, &mut next_segments);
+        if passes == u32::MAX {
+            // No growing cluster, or none with an edge left to grow.
             break;
         }
-        for &root in &roots {
+        let silent = passes - 1;
+        for &ei in &frontier {
+            s.grown[ei as usize] = (s.grown[ei as usize] & !LISTED) + silent;
+        }
+        // The saturating pass.
+        let mut start = 0;
+        for seg in &segments {
+            let listed = start..seg.end as usize;
+            start = seg.end as usize;
             // A merge earlier in this pass may have neutralized it.
-            let r = s.find(root);
-            if r != root || s.root[r as usize].flags & (PARITY | CLUSTER_BOUNDARY) != PARITY {
+            let r = s.find(seg.root);
+            if r != seg.root || !s.growing(r) {
                 continue;
             }
-            // Grow every unsaturated edge on the cluster frontier
-            // (members are walked through the intrusive list).
-            frontier.clear();
-            let mut node = s.root[root as usize].head;
-            while node != NO_NODE {
-                for a in graph.neighbors(node) {
-                    if s.grown[a.edge as usize] & SATURATED == 0 {
-                        frontier.push(a.edge);
-                    }
-                }
-                node = s.node[node as usize].next;
-            }
-            frontier.sort_unstable();
-            frontier.dedup();
-            for &ei in &frontier {
+            let edges = if s.root[r as usize].size == seg.size {
+                &frontier[listed]
+            } else {
+                next.clear();
+                push_frontier(graph, s, r, &mut next);
+                &next[..]
+            };
+            for &ei in edges {
                 s.grown[ei as usize] += 1;
                 if s.grown[ei as usize] >= capacity[ei as usize] {
                     s.grown[ei as usize] |= SATURATED;
+                    s.saturated.push(ei);
                     let e = &rec[ei as usize];
                     if e.v == NO_NODE {
                         let r = s.find(e.u);
@@ -155,13 +271,14 @@ pub(crate) fn uf_decode(
                 }
             }
         }
+        roots.clear();
+        roots.extend(segments.iter().map(|seg| seg.root));
     }
     s.roots = roots;
     s.frontier = frontier;
-    // Peeling: build spanning forests over saturated edges and peel
-    // leaves, flipping defects toward the root (boundary-anchored
-    // when available).
-    *correction = peel(graph, s);
+    s.segments = segments;
+    s.next_frontier = next;
+    s.next_segments = next_segments;
 }
 
 impl Decoder for UfDecoder {
@@ -216,33 +333,47 @@ fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
 }
 
 /// Peels the saturated subgraph (in `s.grown` / `s.mark`), returning
-/// the observable mask of the correction.
-fn peel(graph: &DecodingGraph, s: &mut UfScratch) -> u32 {
-    let n = graph.num_detectors() as usize;
+/// the observable mask of the correction, and lists the nodes the
+/// decode touched in `s.touched`.
+///
+/// The forest roots are the ones a scan of every edge and then every
+/// node would pick, in the same order: first the detector end of each
+/// saturated boundary edge, by edge index, then each node that is a
+/// defect or ends a saturated edge, by node index.
+fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32]) -> u32 {
     let rec = graph.records();
     let mut mask = 0u32;
-    // VISITED bits are clear here: reset zeroed the marks and only the
+    s.saturated.sort_unstable();
+    // VISITED bits are clear here: marks start pristine and only the
     // peeling BFS below sets them.
     // Boundary-anchored spanning trees first: each root's BFS claims
     // its whole component before other roots are considered, so
     // boundary-reachable defects drain to the boundary.
-    for (ei, e) in rec.iter().enumerate() {
-        if s.grown[ei] & SATURATED != 0 && e.v == NO_NODE && s.mark[e.u as usize] & VISITED == 0 {
-            s.root_drains.push((e.u, ei as u32));
+    for i in 0..s.saturated.len() {
+        let ei = s.saturated[i];
+        let e = &rec[ei as usize];
+        if e.v == NO_NODE && s.mark[e.u as usize] & VISITED == 0 {
+            s.root_drains.push((e.u, ei));
             bfs(graph, s, e.u);
         }
     }
     // Remaining components of the saturated subgraph.
-    for node in 0..n as u32 {
+    for &x in syndrome {
+        s.touch(x);
+    }
+    for i in 0..s.saturated.len() {
+        let e = &rec[s.saturated[i] as usize];
+        s.touch(e.u);
+        if e.v != NO_NODE {
+            s.touch(e.v);
+        }
+    }
+    s.touched.sort_unstable();
+    for i in 0..s.touched.len() {
+        let node = s.touched[i];
         if s.mark[node as usize] & VISITED == 0 {
-            let in_subgraph = graph
-                .neighbors(node)
-                .iter()
-                .any(|a| s.grown[a.edge as usize] & SATURATED != 0);
-            if in_subgraph || s.mark[node as usize] & DEFECT != 0 {
-                s.root_drains.push((node, NO_EDGE));
-                bfs(graph, s, node);
-            }
+            s.root_drains.push((node, NO_EDGE));
+            bfs(graph, s, node);
         }
     }
     // Peel in reverse BFS order: each non-root node pushes its defect
@@ -275,6 +406,129 @@ fn peel(graph: &DecodingGraph, s: &mut UfScratch) -> u32 {
         }
     }
     mask
+}
+
+/// The unit-step growth and full-graph peel that [`uf_decode`]
+/// replaced, kept as the oracle its equivalence tests compare against:
+/// every pass walks every member of every growing cluster, and peeling
+/// scans every edge and every node for forest roots.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Decodes `syndrome` through `s`, which it first resets in full,
+    /// and returns the correction's observable mask.
+    pub(super) fn decode(
+        graph: &DecodingGraph,
+        capacity: &[u32],
+        s: &mut UfScratch,
+        syndrome: &[u32],
+    ) -> u32 {
+        if syndrome.is_empty() {
+            return 0;
+        }
+        let n = graph.num_detectors() as usize;
+        let rec = graph.records();
+        s.node.clear();
+        s.root.clear();
+        s.mark.clear();
+        s.grown.clear();
+        s.parent_edge.clear();
+        s.arm(n, rec.len());
+        for &f in syndrome {
+            s.mark[f as usize] |= DEFECT;
+            s.root[f as usize].flags |= PARITY;
+        }
+        let mut roots = Vec::new();
+        let mut frontier = Vec::new();
+        loop {
+            roots.clear();
+            for &x in syndrome {
+                let r = s.find(x);
+                if s.growing(r) {
+                    roots.push(r);
+                }
+            }
+            roots.sort_unstable();
+            roots.dedup();
+            if roots.is_empty() {
+                break;
+            }
+            for &root in &roots {
+                let r = s.find(root);
+                if r != root || !s.growing(r) {
+                    continue;
+                }
+                frontier.clear();
+                let mut node = s.root[root as usize].head;
+                while node != NO_NODE {
+                    for a in graph.neighbors(node) {
+                        if s.grown[a.edge as usize] & SATURATED == 0 {
+                            frontier.push(a.edge);
+                        }
+                    }
+                    node = s.node[node as usize].next;
+                }
+                frontier.sort_unstable();
+                frontier.dedup();
+                for &ei in &frontier {
+                    s.grown[ei as usize] += 1;
+                    if s.grown[ei as usize] >= capacity[ei as usize] {
+                        s.grown[ei as usize] |= SATURATED;
+                        let e = &rec[ei as usize];
+                        if e.v == NO_NODE {
+                            let r = s.find(e.u);
+                            s.root[r as usize].flags |= CLUSTER_BOUNDARY;
+                        } else {
+                            s.union(e.u, e.v);
+                        }
+                    }
+                }
+            }
+        }
+        let mut mask = 0u32;
+        for (ei, e) in rec.iter().enumerate() {
+            if s.grown[ei] & SATURATED != 0 && e.v == NO_NODE && s.mark[e.u as usize] & VISITED == 0
+            {
+                s.root_drains.push((e.u, ei as u32));
+                bfs(graph, s, e.u);
+            }
+        }
+        for node in 0..n as u32 {
+            if s.mark[node as usize] & VISITED == 0 {
+                let in_subgraph = graph
+                    .neighbors(node)
+                    .iter()
+                    .any(|a| s.grown[a.edge as usize] & SATURATED != 0);
+                if in_subgraph || s.mark[node as usize] & DEFECT != 0 {
+                    s.root_drains.push((node, NO_EDGE));
+                    bfs(graph, s, node);
+                }
+            }
+        }
+        for i in (0..s.order.len()).rev() {
+            let node = s.order[i];
+            let ei = s.parent_edge[node as usize];
+            if ei == NO_EDGE {
+                continue;
+            }
+            if s.mark[node as usize] & DEFECT != 0 {
+                let e = &rec[ei as usize];
+                mask ^= e.observables;
+                s.mark[node as usize] &= !DEFECT;
+                let parent = if e.u == node { e.v } else { e.u };
+                s.mark[parent as usize] ^= DEFECT;
+            }
+        }
+        for i in 0..s.root_drains.len() {
+            let (root, bedge) = s.root_drains[i];
+            if s.mark[root as usize] & DEFECT != 0 && bedge != NO_EDGE {
+                mask ^= rec[bedge as usize].observables;
+                s.mark[root as usize] &= !DEFECT;
+            }
+        }
+        mask
+    }
 }
 
 #[cfg(test)]
@@ -347,17 +601,97 @@ mod tests {
         assert_eq!(d.predict(&[0]), 1);
     }
 
-    #[test]
-    fn peeling_conserves_parity() {
-        // Any syndrome must produce *some* valid correction without
-        // panicking; randomized smoke test.
+    /// Noisy memory (`rounds` = 0) or Table 2 Hybrid-row lattice
+    /// surgery circuit at distance `d`.
+    fn code_graph(d: u32, surgery: bool) -> DecodingGraph {
+        use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
+        use ftqc_surface::{LatticeSurgeryConfig, MemoryConfig};
+        use ftqc_sync::{PolicySpec, SyncContext};
+        let hw = HardwareConfig::ibm();
+        let schedule = if surgery {
+            let ctx = SyncContext::new(1000.0, 1000.0, 1325.0, d + 1).unwrap();
+            let mut cfg = LatticeSurgeryConfig::new(d, &hw);
+            cfg.plan = PolicySpec::hybrid(400.0)
+                .plan(&ctx)
+                .or_else(|_| PolicySpec::Active.plan(&ctx))
+                .unwrap();
+            cfg.lagging_round_stretch_ns = 325.0;
+            cfg.build()
+        } else {
+            MemoryConfig::new(d, d + 1, &hw).build()
+        };
+        let circuit = CircuitNoiseModel::standard(1e-3, &hw).apply(&schedule);
+        let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+        DecodingGraph::from_dem(&dem)
+    }
+
+    /// Decodes `trials` random syndromes under random integer
+    /// capacities in 1..=40 through one reused scratch and checks each
+    /// against the reference: same correction, same saturated edges,
+    /// same peeling forest. Capacity 1 saturates on the first unit,
+    /// and odd capacities on edges two clusters grow from both sides
+    /// saturate in the middle of a pass.
+    fn check_against_reference(graph: &DecodingGraph, trials: usize, seed: u64) {
         use rand::{Rng, SeedableRng};
-        let d = UfDecoder::new(chain_graph(8, 0.01));
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-        for _ in 0..200 {
-            let flagged: Vec<u32> = (0..8).filter(|_| rng.gen_bool(0.3)).collect();
-            let _ = d.predict(&flagged);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let n = graph.num_detectors();
+        let mut scratch = DecoderScratch::new();
+        let mut oracle = UfScratch::default();
+        let mut capacity = vec![0u32; graph.records().len()];
+        for trial in 0..trials {
+            if trial % 4 == 0 {
+                capacity.iter_mut().for_each(|c| *c = rng.gen_range(1..41));
+            }
+            let density = rng.gen::<f64>() * 0.3;
+            let syndrome: Vec<u32> = (0..n).filter(|_| rng.gen_bool(density)).collect();
+            let mut got = 0u32;
+            uf_decode(graph, &capacity, &mut scratch, &syndrome, &mut got);
+            let want = reference::decode(graph, &capacity, &mut oracle, &syndrome);
+            assert_eq!(got, want, "trial {trial}: correction of {syndrome:?}");
+            if syndrome.is_empty() {
+                continue;
+            }
+            let s = &scratch.uf;
+            let saturated: Vec<u32> = (0..oracle.grown.len() as u32)
+                .filter(|&ei| oracle.grown[ei as usize] & SATURATED != 0)
+                .collect();
+            assert_eq!(s.saturated, saturated, "trial {trial}: saturated edges");
+            assert_eq!(s.order, oracle.order, "trial {trial}: peeling order");
+            assert_eq!(
+                s.root_drains, oracle.root_drains,
+                "trial {trial}: forest roots"
+            );
         }
+    }
+
+    #[test]
+    fn matches_reference_on_the_chain() {
+        check_against_reference(&chain_graph(8, 0.01), 1000, 5);
+    }
+
+    #[test]
+    fn matches_reference_on_d3_memory() {
+        check_against_reference(&code_graph(3, false), 600, 6);
+    }
+
+    #[test]
+    fn matches_reference_on_d5_memory() {
+        check_against_reference(&code_graph(5, false), 200, 7);
+    }
+
+    #[test]
+    fn matches_reference_on_d3_surgery() {
+        check_against_reference(&code_graph(3, true), 200, 8);
+    }
+
+    #[test]
+    fn matches_reference_on_a_d5_memory_window() {
+        // Cut edges become extra boundary edges of the window view.
+        let full = code_graph(5, false);
+        let mut view = DecodingGraph::empty();
+        let n = full.num_detectors();
+        view.rebuild_window(&full, n / 3, 2 * n / 3);
+        check_against_reference(&view, 200, 9);
     }
 
     #[test]
