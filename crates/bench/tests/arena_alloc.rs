@@ -7,7 +7,7 @@
 //! is strictly stronger than the steady-state guarantee pinned by
 //! `zero_alloc.rs`.
 
-use ftqc_bench::alloc::{allocation_count, CountingAlloc};
+use ftqc_bench::alloc::{thread_allocation_count, CountingAlloc};
 use ftqc_decoder::{Decoder, DecoderScratch, DecodingGraph, MwpmDecoder, UfDecoder};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{sample_batch, DetectorErrorModel};
@@ -15,17 +15,6 @@ use ftqc_surface::MemoryConfig;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// The allocation counter is process-wide and the test harness runs
-/// tests concurrently; every test takes this lock around its counted
-/// region so a neighbour's allocations never leak into an assertion.
-static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
-    COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Syndromes plus a decoding graph for a distance-`d` memory circuit.
 fn setup(d: u32) -> (DecodingGraph, Vec<Vec<u32>>) {
@@ -43,21 +32,21 @@ fn setup(d: u32) -> (DecodingGraph, Vec<Vec<u32>>) {
 }
 
 /// Decodes every syndrome exactly once through a capacity-preallocated
-/// scratch — cold, no warm-up — and returns the allocations performed.
+/// scratch — cold, no warm-up — and returns the allocations this
+/// thread performed.
 fn cold_allocs(decoder: &impl Decoder, syndromes: &[Vec<u32>]) -> u64 {
     let mut scratch = DecoderScratch::for_decoder(decoder);
     let mut correction = 0u32;
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for syndrome in syndromes {
         decoder.decode_into(&mut scratch, syndrome, &mut correction);
         std::hint::black_box(correction);
     }
-    allocation_count() - before
+    thread_allocation_count() - before
 }
 
 #[test]
 fn uf_first_decode_through_bounded_scratch_is_allocation_free() {
-    let _guard = counter_guard();
     let (graph, syndromes) = setup(5);
     let decoder = UfDecoder::new(graph);
     let allocs = cold_allocs(&decoder, &syndromes);
@@ -72,7 +61,6 @@ fn uf_first_decode_through_bounded_scratch_is_allocation_free() {
 
 #[test]
 fn mwpm_first_decode_through_bounded_scratch_is_allocation_free() {
-    let _guard = counter_guard();
     let (graph, syndromes) = setup(5);
     let decoder = MwpmDecoder::new(graph);
     let allocs = cold_allocs(&decoder, &syndromes);

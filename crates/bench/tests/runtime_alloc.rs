@@ -8,7 +8,7 @@
 //! * `execute` allocates only its set-up: its allocation count is the
 //!   same at 200 and at 2,000 merges for every `runtime-sweep` policy.
 
-use ftqc_bench::alloc::{allocation_count, CountingAlloc};
+use ftqc_bench::alloc::{thread_allocation_count, CountingAlloc};
 use ftqc_estimator::{workloads, LogicalEstimate};
 use ftqc_noise::HardwareConfig;
 use ftqc_runtime::{execute, ProgramSchedule, RuntimeConfig};
@@ -16,17 +16,6 @@ use ftqc_sync::{Controller, PatchId, PolicySpec};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// The allocation counter is process-wide and the test harness runs
-/// tests concurrently; every test takes this lock around its counted
-/// region so a neighbour's allocations never leak into an assertion.
-static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
-    COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Cycle durations the merging patches are re-timed to. Repeats make
 /// equal-cycle pairs common, where ExtraRounds falls back to Active.
@@ -76,25 +65,13 @@ fn merge_loop(ctl: &mut Controller, patches: &[PatchId], first: u64, merges: u64
 
 #[test]
 fn warmed_controller_merges_without_allocating() {
-    let _guard = counter_guard();
     let mut ctl = Controller::new();
     let patches: Vec<PatchId> = (0..6).map(|i| ctl.add_patch(1900, i * 300)).collect();
     // Warm-up: the slack window fills and the plan buffers reach size.
     merge_loop(&mut ctl, &patches, 0, 200);
-    // The counter is process-wide, and the harness may still be
-    // starting the other test's thread when this one begins, so a
-    // window is retried (twice at most) when it saw allocations. An
-    // allocating merge path fails every window.
-    let mut first = 200;
-    let (allocs, tally) = loop {
-        let before = allocation_count();
-        let tally = merge_loop(&mut ctl, &patches, first, 5_000);
-        let allocs = allocation_count() - before;
-        first += 5_000;
-        if allocs == 0 || first > 10_200 {
-            break (allocs, tally);
-        }
-    };
+    let before = thread_allocation_count();
+    let tally = merge_loop(&mut ctl, &patches, 200, 5_000);
+    let allocs = thread_allocation_count() - before;
     assert_eq!(
         allocs, 0,
         "5000 warmed merges made {allocs} allocations; the merge path must not touch the heap"
@@ -108,7 +85,6 @@ fn warmed_controller_merges_without_allocating() {
 
 #[test]
 fn execute_allocations_do_not_grow_with_merges() {
-    let _guard = counter_guard();
     let workload = workloads::qft(80);
     let estimate = LogicalEstimate::for_workload(&workload, 1e-3, 1e-2);
     let short = ProgramSchedule::compile(&workload, &estimate, 200, 2025);
@@ -123,11 +99,11 @@ fn execute_allocations_do_not_grow_with_merges() {
     ] {
         let config = RuntimeConfig::new(&hw, policy, 2025);
         let count = |schedule: &ProgramSchedule| {
-            let before = allocation_count();
+            let before = thread_allocation_count();
             let report = execute(schedule, &config);
             std::hint::black_box(&report);
             drop(report);
-            allocation_count() - before
+            thread_allocation_count() - before
         };
         let (at_200, at_2000) = (count(&short), count(&long));
         assert_eq!(

@@ -9,7 +9,7 @@
 //!   are reused across every batch a worker claims, and nothing
 //!   circuit- or DEM-derived is cloned per batch.
 
-use ftqc_bench::alloc::{allocation_count, CountingAlloc};
+use ftqc_bench::alloc::{allocation_count, thread_allocation_count, CountingAlloc};
 use ftqc_decoder::{count_batch_errors, Decoder, DecoderKind, DecoderScratch, DecodingGraph};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{batch_plan, sample_batch, DetectorErrorModel};
@@ -18,9 +18,11 @@ use ftqc_surface::MemoryConfig;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// The allocation counter is process-wide and the test harness runs
-/// tests concurrently; every test takes this lock around its counted
-/// region so a neighbour's allocations never leak into an assertion.
+/// `count_batch_errors` decodes on worker threads, so its tests read
+/// the process-wide counter; every test takes this lock so that a
+/// neighbour's set-up never leaks into those counts. The decode tests
+/// run on one thread and read the per-thread counter, which the
+/// harness's own threads cannot disturb.
 static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -48,14 +50,14 @@ fn steady_state_allocs(decoder: &impl Decoder, syndromes: &[Vec<u32>], passes: u
     for syndrome in syndromes {
         decoder.decode_into(&mut scratch, syndrome, &mut correction);
     }
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..passes {
         for syndrome in syndromes {
             decoder.decode_into(&mut scratch, syndrome, &mut correction);
             std::hint::black_box(correction);
         }
     }
-    allocation_count() - before
+    thread_allocation_count() - before
 }
 
 #[test]
@@ -145,4 +147,38 @@ fn count_batch_errors_per_batch_overhead_is_result_vector_only() {
         doubled <= base + 8 * 4,
         "per-batch overhead too high: {base} allocs for 8 batches vs {doubled} for 16"
     );
+}
+
+#[test]
+fn thread_counter_sees_only_its_own_thread() {
+    let _guard = counter_guard();
+    // Spawning allocates on the spawning thread, so the other thread
+    // is started first and allocates between two barrier waits.
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            barrier.wait();
+            std::hint::black_box(vec![0u8; 64]);
+            barrier.wait();
+        });
+        let (process, thread) = (allocation_count(), thread_allocation_count());
+        barrier.wait();
+        barrier.wait();
+        assert_eq!(
+            thread_allocation_count(),
+            thread,
+            "another thread's allocation leaked in"
+        );
+        assert!(
+            allocation_count() > process,
+            "the process-wide counter saw it"
+        );
+        let before = thread_allocation_count();
+        std::hint::black_box(vec![0u8; 64]);
+        assert_eq!(
+            thread_allocation_count() - before,
+            1,
+            "this thread's own allocation counted"
+        );
+    });
 }
