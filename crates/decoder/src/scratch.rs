@@ -155,7 +155,7 @@ impl DecoderScratch {
 /// Packed per-node DSU record (8 bytes): parent link plus the intrusive
 /// membership-list link. Index-parallel to the graph's detector nodes.
 #[repr(C)]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct UfNode {
     /// DSU parent (self = root).
     pub(crate) parent: u32,
@@ -166,7 +166,7 @@ pub(crate) struct UfNode {
 /// Packed per-root cluster record (16 bytes). Only meaningful while the
 /// node is its cluster's DSU root.
 #[repr(C)]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct UfRoot {
     /// First member of the intrusive membership list.
     pub(crate) head: u32,
@@ -197,6 +197,10 @@ pub(crate) const SATURATED: u32 = 1 << 31;
 /// frontiers: the edge is already on a growing cluster's frontier.
 pub(crate) const LISTED: u32 = 1 << 30;
 
+/// Sentinel edge index: "no edge" (peeling-tree root / boundary drain
+/// absent).
+pub(crate) const NO_EDGE: u32 = u32::MAX;
+
 /// One growing cluster's slice of a frontier list.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Segment {
@@ -207,10 +211,6 @@ pub(crate) struct Segment {
     /// End of the slice (its start is the previous segment's end).
     pub(crate) end: u32,
 }
-
-/// Sentinel edge index: "no edge" (peeling-tree root / boundary drain
-/// absent).
-pub(crate) const NO_EDGE: u32 = u32::MAX;
 
 /// Union-find arenas: packed DSU records, single-byte node marks, and
 /// the growth/peeling state — all flat, u32-indexed, and bounded by
@@ -231,6 +231,8 @@ pub(crate) struct UfScratch {
     pub(crate) mark: Vec<u8>,
     /// Per-edge growth counter with the [`SATURATED`] high bit.
     pub(crate) grown: Vec<u32>,
+    /// One bit per edge, set only while a frontier is being collected.
+    pub(crate) edge_bits: Vec<u64>,
     /// Roots of still-odd clusters (one growth pass's worklist).
     pub(crate) roots: Vec<u32>,
     /// Unsaturated frontier edges of every growing cluster, one sorted
@@ -269,6 +271,7 @@ impl Default for UfScratch {
             root: Vec::new(),
             mark: Vec::new(),
             grown: Vec::new(),
+            edge_bits: Vec::new(),
             roots: Vec::new(),
             frontier: Vec::new(),
             segments: Vec::new(),
@@ -317,6 +320,7 @@ impl UfScratch {
         reserve_to(&mut self.root, n);
         reserve_to(&mut self.mark, n);
         reserve_to(&mut self.grown, e);
+        reserve_to(&mut self.edge_bits, e.div_ceil(64));
         reserve_to(&mut self.roots, n);
         reserve_to(&mut self.frontier, 2 * e);
         reserve_to(&mut self.segments, n);
@@ -358,6 +362,7 @@ impl UfScratch {
         }
         if self.grown.len() < edges {
             self.grown.resize(edges, 0);
+            self.edge_bits.resize(edges.div_ceil(64), 0);
         }
         debug_assert!(self.is_pristine(), "UfScratch arenas dirty at decode start");
         self.saturated.clear();
@@ -368,14 +373,13 @@ impl UfScratch {
 
     /// Whether every node and edge entry holds its pristine value.
     fn is_pristine(&self) -> bool {
-        (0..self.node.len() as u32).all(|i| {
-            let (n, r) = (self.node[i as usize], self.root[i as usize]);
-            let (pn, pr) = (pristine_node(i), pristine_root(i));
-            (n.parent, n.next) == (pn.parent, pn.next)
-                && (r.head, r.tail, r.size, r.flags) == (pr.head, pr.tail, pr.size, pr.flags)
-                && self.mark[i as usize] == 0
-                && self.parent_edge[i as usize] == NO_EDGE
+        (0..self.node.len()).all(|i| {
+            self.node[i] == pristine_node(i as u32)
+                && self.root[i] == pristine_root(i as u32)
+                && self.mark[i] == 0
+                && self.parent_edge[i] == NO_EDGE
         }) && self.grown.iter().all(|&g| g == 0)
+            && self.edge_bits.iter().all(|&w| w == 0)
     }
 
     /// Appends `x` to the touched list unless it is already there.

@@ -89,11 +89,6 @@ impl UfDecoder {
 /// [`WindowView`](crate::WindowView)'s sub-graph and per-view
 /// capacities — same core, same arenas, so a full-range view decodes
 /// bit-identically to the batch path.
-///
-/// Its cost follows the clusters, not the graph: growth jumps over
-/// passes that saturate nothing, peeling seeds its forests from the
-/// saturated edges and the syndrome, and only the entries the decode
-/// dirtied are re-armed afterwards.
 pub(crate) fn uf_decode(
     graph: &DecodingGraph,
     capacity: &[u32],
@@ -121,28 +116,33 @@ pub(crate) fn uf_decode(
 }
 
 /// Appends the unsaturated edges at the members of `root`'s cluster
-/// (walked through the intrusive list) to `out`, then sorts and
-/// dedups the appended tail.
-fn push_frontier(graph: &DecodingGraph, s: &UfScratch, root: u32, out: &mut Vec<u32>) {
-    let start = out.len();
+/// (walked through the intrusive list) to `out`, in ascending order
+/// and each once. The edges are collected as bits of `s.edge_bits`
+/// and read back word by word over the range they span, which leaves
+/// the bitmap clear and costs no sort.
+fn push_frontier(graph: &DecodingGraph, s: &mut UfScratch, root: u32, out: &mut Vec<u32>) {
+    let (mut lo, mut hi) = (u32::MAX, 0);
     let mut node = s.root[root as usize].head;
     while node != NO_NODE {
         for a in graph.neighbors(node) {
             if s.grown[a.edge as usize] & SATURATED == 0 {
-                out.push(a.edge);
+                s.edge_bits[a.edge as usize / 64] |= 1 << (a.edge % 64);
+                lo = lo.min(a.edge);
+                hi = hi.max(a.edge);
             }
         }
         node = s.node[node as usize].next;
     }
-    out[start..].sort_unstable();
-    let mut kept = start;
-    for i in start..out.len() {
-        if kept == start || out[i] != out[kept - 1] {
-            out[kept] = out[i];
-            kept += 1;
+    if lo > hi {
+        return;
+    }
+    for w in lo / 64..=hi / 64 {
+        let mut bits = std::mem::take(&mut s.edge_bits[w as usize]);
+        while bits != 0 {
+            out.push(w * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
         }
     }
-    out.truncate(kept);
 }
 
 /// Cluster growth. Every pass grows each odd, boundary-free cluster
