@@ -491,11 +491,12 @@ pub fn validate_scratch(
 }
 
 /// `FTQC018`: fused-streaming window domain check. A fused window of
-/// `W` rounds keeps `W` rounds of detectors in the active view, so an
-/// edge whose endpoints are `k` rounds apart needs `W >= k + 1` to
-/// ever hold both endpoints simultaneously — a shorter window expels
-/// one endpoint before the other can arrive, and the fusion boundary
-/// cuts that edge on *every* slide rather than transiently.
+/// `W` rounds decodes each committing round with the `W - 1` rounds
+/// after it in view, so an edge whose endpoints are `k` rounds apart
+/// needs `W >= k + 1` for both endpoints to be in view when the lower
+/// one's round commits — a shorter window sees that edge only as a cut
+/// edge at *every* commit, and hands the defect it carries to a round
+/// the commit could not look at, rather than transiently.
 /// `round_of` maps a global detector id to its round (e.g.
 /// `RoundSchedule::round_of`, or the `.dem` file's round tags).
 pub fn validate_window(
@@ -522,7 +523,7 @@ pub fn validate_window(
             "fused streaming window of {window} rounds cannot cover the graph's \
              longest round-spanning edge ({reach} rounds apart): use a window of \
              at least {min_window} rounds or the window boundary will cut that \
-             edge on every slide"
+             edge at every commit"
         ),
     )]
 }

@@ -39,8 +39,8 @@ pub enum Code {
     /// QASM program failed to parse.
     QasmParse,
     /// Fused streaming window too short for the decoding graph: the
-    /// window must cover the longest round-spanning edge, or defects
-    /// it connects can be expelled before their partner arrives.
+    /// window must cover the longest round-spanning edge, or a commit
+    /// decides that edge before the round at its far end arrives.
     WindowDomain,
 }
 

@@ -23,29 +23,24 @@ pub trait Decoder: Sync {
     /// Decodes one windowed-fusion sub-problem: `syndrome` holds
     /// *view-local* detector ids (global id minus
     /// [`WindowView::first_detector`]), sorted ascending, and the
-    /// predicted observable-flip mask lands in `correction`.
+    /// view-local edges of the correction land in `edges` (replacing
+    /// its contents). Their boundary is the syndrome, with the view's
+    /// boundary edges ending at the boundary. Returns `false`, leaving
+    /// `edges` alone, for a decoder with no graph to correct on.
     ///
-    /// The default implementation remaps the syndrome back to global
-    /// ids (through a scratch buffer, allocation-free in steady state)
-    /// and decodes it against the full problem with
-    /// [`decode_into`](Decoder::decode_into) — correct for any decoder,
-    /// and exactly right for table decoders, which have no graph to
-    /// slice. Graph-based decoders override this to materialize the
-    /// view's sub-graph ([`WindowView::ensure`]) and decode only the
-    /// window, which is what makes fused streaming O(window) per round.
+    /// Graph decoders materialize the view's sub-graph
+    /// ([`WindowView`]) and decode only the window, which is what makes
+    /// fused streaming O(window) per round. The default is the table
+    /// decoders' answer: they return `false`, and fused streaming runs
+    /// them through exact mode's prefix path instead.
     fn decode_window_into(
         &self,
-        scratch: &mut DecoderScratch,
-        view: &mut WindowView,
-        syndrome: &[u32],
-        correction: &mut u32,
-    ) {
-        let first = view.first_detector();
-        let mut global = std::mem::take(&mut scratch.window_remap);
-        global.clear();
-        global.extend(syndrome.iter().map(|&d| d + first));
-        self.decode_into(scratch, &global, correction);
-        scratch.window_remap = global;
+        _scratch: &mut DecoderScratch,
+        _view: &mut WindowView,
+        _syndrome: &[u32],
+        _edges: &mut Vec<u32>,
+    ) -> bool {
+        false
     }
 
     /// [`decode_into`](Decoder::decode_into) through a fresh workspace
@@ -81,9 +76,9 @@ impl<D: Decoder + ?Sized> Decoder for &D {
         scratch: &mut DecoderScratch,
         view: &mut WindowView,
         syndrome: &[u32],
-        correction: &mut u32,
-    ) {
-        (**self).decode_window_into(scratch, view, syndrome, correction)
+        edges: &mut Vec<u32>,
+    ) -> bool {
+        (**self).decode_window_into(scratch, view, syndrome, edges)
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {

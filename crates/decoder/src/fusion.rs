@@ -1,304 +1,334 @@
-//! Windowed fusion: round-sliced graph views and the frozen-prefix
-//! fusion state behind [`StreamingMode::Fused`](crate::StreamingMode).
+//! Windowed fusion: round-sliced graph views and the forward-window
+//! commit state behind [`StreamingMode::Fused`](crate::StreamingMode).
 //!
-//! True windowed fusion decodes only the *active* W-round detector
-//! window against a [`WindowView`] — a compact sub-graph of the full
-//! [`DecodingGraph`] rebuilt in place from the CSR arenas, with edges
-//! that leave the window remapped to artificial-boundary terminals
-//! (the *cut edges* that fusion stitches across). Per-round decode
-//! cost is therefore O(window), independent of how long the stream has
-//! been running — the property the paper's real-time decode budget
-//! needs and the full-prefix exact mode cannot provide.
+//! Fused streaming decodes only a window of rounds against a
+//! [`WindowView`] — a compact sub-graph of the full [`DecodingGraph`]
+//! rebuilt in place from the CSR arenas — so per-round decode cost is
+//! O(window), independent of how long the stream has been running:
+//! the property the paper's real-time decode budget needs and the
+//! full-prefix exact mode cannot provide.
 //!
-//! Stitching is mask-only ("frozen-prefix telescoping"): when defects
-//! scroll past the trailing window boundary they are *expelled* from
-//! the active set, and the XOR difference between the window decode
-//! with and without them is folded into a `frozen` prefix mask. The
-//! running estimate is always `frozen ^ decode(active window)`, so
-//! commit deltas telescope exactly like exact mode's — only the
-//! estimate itself is approximate, because an expelled defect can no
-//! longer re-pair with a defect that arrives later. The `overlap`
-//! knob delays expulsion by that many rounds, trading window size for
-//! accuracy; flush-path commits (end of shot) never expel, which is
-//! what makes a window covering the whole shot degenerate to the batch
-//! decode bit for bit.
+//! Commits follow the forward-window scheme of Skoric et al.
+//! (*Parallel window decoding enables scalable fault tolerant quantum
+//! computation*, Nat. Commun. 2023). A graph decoder returns the edges
+//! of its correction, not just their observable mask. Each commit
+//! finalizes one round and keeps, of the window's correction, every
+//! edge with an endpoint in a committed or the committing round; its
+//! observables are the commit's correction. The other endpoint of such
+//! an edge lies in an uncommitted round and becomes an *artificial
+//! defect* there, XOR-ed into that round's real defects, so the next
+//! window corrects what the commit left over. Edges wholly inside the
+//! uncommitted rounds are kept for later commits, and are re-decoded
+//! only once new defects arrive. The view omits the edges it would cut
+//! on its committed side, so a commit never flips a finalized detector
+//! again, and `overlap` committed rounds stay in it as defect-free
+//! context. Every real defect is therefore corrected exactly once, the
+//! commits' corrections XOR to the stream's estimate, and a window
+//! that never commits before the end of the shot decodes it in one
+//! batch decode.
 
-use crate::graph::DecodingGraph;
-use crate::union_find::quantize_capacity;
+use crate::evaluate::Decoder;
+use crate::graph::{cancel_pairs, DecodingGraph, EdgeRecord, NO_NODE};
+use crate::scratch::{DecoderScratch, ScratchCapacity};
 use ftqc_sim::RoundSchedule;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A round-sliced view of a [`DecodingGraph`], rebuilt in place.
 ///
 /// The view covers a contiguous global-detector range `[dlo, dhi)`
-/// (local node `i` = global detector `dlo + i`). It is *lazy*: the
-/// streaming layer only records the requested range, and the sub-graph
-/// is materialized by [`WindowView::ensure`] the first time a
-/// graph-based decoder actually needs it — table decoders never pay
-/// for a rebuild. All buffers are reused across rebuilds, and after
-/// the first [`ensure`](WindowView::ensure) against a given source
-/// graph every rebuild is allocation-free.
+/// (local node `i` = global detector `dlo + i`). Its edges are the run
+/// of source edges leaving the range's detectors, so a view edge maps
+/// to its source edge by an offset. Edges leaving the range upward
+/// become boundary edges at their in-range endpoint (the view's *cut
+/// edges*), and edges leaving it downward are omitted. The
+/// view is *lazy*: [`set_range`](WindowView::set_range) only records
+/// the range, and the graph decoder materializes the sub-graph when it
+/// decodes the window. All buffers are reused across rebuilds, and
+/// after the first build from a given source graph every rebuild is
+/// allocation-free.
 pub struct WindowView {
     /// Requested global-detector range (valid even when not built).
     dlo: u32,
     dhi: u32,
     /// Range the sub-graph was last materialized for.
     built: (u32, u32),
-    /// Address of the source graph the buffers are sized for
-    /// (`0` = never built).
-    built_for: usize,
+    /// The graph the buffers are sized for and the view was built from.
+    src: Option<Arc<DecodingGraph>>,
     graph: DecodingGraph,
-    /// Quantized union-find growth capacities, index-parallel to the
-    /// view's edge records.
-    capacity: Vec<u32>,
-    /// Cut edges of the last materialized range: edges whose far
-    /// endpoint fell outside the window and became an
-    /// artificial-boundary terminal.
+    /// Source-graph index of view edge 0.
+    first: u32,
+    /// Cut edges of the last materialized range.
     cut: u32,
 }
 
-impl WindowView {
-    pub(crate) fn new() -> WindowView {
+impl Default for WindowView {
+    fn default() -> WindowView {
         // analyzer: allow(alloc) -- constructor: the empty buffers are
-        // presized on first `ensure` and reused for every rebuild.
+        // presized on the first build and reused for every rebuild.
         WindowView {
             dlo: 0,
             dhi: 0,
             built: (u32::MAX, u32::MAX),
-            built_for: 0,
+            src: None,
             graph: DecodingGraph::empty(),
-            capacity: Vec::new(),
+            first: 0,
             cut: 0,
         }
         // analyzer: end-allow(alloc)
     }
+}
 
-    /// Records the requested global-detector range without building
-    /// anything; [`ensure`](WindowView::ensure) materializes it on
-    /// demand.
-    pub(crate) fn set_range(&mut self, dlo: u32, dhi: u32) {
+impl WindowView {
+    /// An empty view; set its range, then hand it to a graph decoder's
+    /// [`decode_window_into`](crate::Decoder::decode_window_into).
+    pub fn new() -> WindowView {
+        WindowView::default()
+    }
+
+    /// Records the requested global-detector range `[dlo, dhi)` without
+    /// building anything.
+    pub fn set_range(&mut self, dlo: u32, dhi: u32) {
         debug_assert!(dlo <= dhi);
         self.dlo = dlo;
         self.dhi = dhi;
     }
 
     /// First global detector of the window: view-local syndrome index
-    /// `i` names global detector `first_detector() + i`. Valid without
-    /// materializing the sub-graph, which is what lets table decoders
-    /// remap a windowed syndrome back to global ids without ever
-    /// building a view graph.
+    /// `i` names global detector `first_detector() + i`.
     #[inline]
     pub fn first_detector(&self) -> u32 {
         self.dlo
     }
 
-    /// Requested global-detector range `[lo, hi)`.
-    pub fn detector_range(&self) -> (u32, u32) {
-        (self.dlo, self.dhi)
-    }
-
     /// Materializes the sub-graph of `src` for the requested range (a
     /// no-op when it is already built for exactly this range and
-    /// source). Graph-based decoders call this from their
-    /// `decode_window_into`; afterwards [`graph`](WindowView::graph),
-    /// [`uf_capacities`](WindowView::uf_capacities) and
-    /// [`cut_edges`](WindowView::cut_edges) describe the view.
-    pub fn ensure(&mut self, src: &DecodingGraph) -> &DecodingGraph {
-        let key = src as *const DecodingGraph as usize;
-        if self.built_for != key {
+    /// source) and returns the run of source edges it holds, which
+    /// slices any per-edge table of `src` down to the view. Graph
+    /// decoders call this from their `decode_window_into`.
+    pub(crate) fn ensure(&mut self, src: &Arc<DecodingGraph>) -> Range<usize> {
+        if !self.src.as_ref().is_some_and(|s| Arc::ptr_eq(s, src)) {
             // First contact with this source graph: pre-size every
             // buffer to the source's arenas so rebuilds never allocate.
             self.graph.reserve_for_window_of(src);
-            let want = src.records().len();
-            self.capacity
-                .reserve(want.saturating_sub(self.capacity.len()));
-            self.built_for = key;
+            self.src = Some(Arc::clone(src));
             self.built = (u32::MAX, u32::MAX);
         }
         if self.built != (self.dlo, self.dhi) {
-            self.cut = self.graph.rebuild_window(src, self.dlo, self.dhi);
-            self.capacity.clear();
-            self.capacity.extend(
-                self.graph
-                    .records()
-                    .iter()
-                    .map(|r| quantize_capacity(r.weight)),
-            );
+            (self.first, self.cut) = self.graph.rebuild_window(src, self.dlo, self.dhi);
             self.built = (self.dlo, self.dhi);
         }
-        &self.graph
+        let first = self.first as usize;
+        first..first + self.graph.records().len()
     }
 
-    /// The materialized sub-graph (call [`ensure`](WindowView::ensure)
-    /// first).
+    /// The sub-graph last materialized by a window decode.
     #[inline]
     pub fn graph(&self) -> &DecodingGraph {
         &self.graph
     }
 
-    /// Quantized union-find growth capacities of the materialized
-    /// sub-graph, index-parallel to its edge records — the same
-    /// quantization the full-graph [`UfDecoder`](crate::UfDecoder)
-    /// uses, so a full-range view decodes bit-identically.
-    #[inline]
-    pub fn uf_capacities(&self) -> &[u32] {
-        &self.capacity
+    /// The record of view edge `e` in the source graph, where it is
+    /// edge `e` plus the view's offset: its global endpoints and
+    /// observables.
+    pub fn source_record(&self, e: u32) -> EdgeRecord {
+        let src = self.src.as_ref().expect("view materialized");
+        src.records()[(self.first + e) as usize]
     }
 
-    /// Cut edges of the last materialized range (0 until
-    /// [`ensure`](WindowView::ensure) runs).
+    /// Cut edges of the last materialized range: edges leaving it
+    /// upward, which the view turned into boundary edges (0 until a
+    /// window decode materializes the view).
     #[inline]
     pub fn cut_edges(&self) -> u32 {
         self.cut
     }
 }
 
-/// Frozen-prefix fusion state for one streaming decoder.
+/// One fused commit: what [`FusionCore::commit`] finalized.
+pub(crate) struct FusedCommit {
+    /// XOR of the committed edges' observables.
+    pub(crate) correction: u32,
+    /// Artificial defects handed to uncommitted rounds.
+    pub(crate) carried: u32,
+    /// Cut edges of the view this commit decoded (0 when it reused an
+    /// earlier decode).
+    pub(crate) stitched: u32,
+    /// Whether the commit ran a window decode.
+    pub(crate) decoded: bool,
+}
+
+/// Forward-window commit state of one streaming decoder.
 ///
-/// Invariant: the current cumulative-correction estimate is
-/// `frozen ^ decode(active defects on the current window view)`. All
-/// mutation happens through the streaming layer, which is responsible
-/// for keeping `frozen` consistent when it expels defects (decode with
-/// them, decode without them, XOR the difference in).
+/// Invariant: `pending` is the syndrome the uncommitted rounds still
+/// need corrected — their real defects XOR the artificial defects
+/// earlier commits carried forward — and while `valid`, `retained` is
+/// a correction of the `pending` defects in the last decode's view.
 pub(crate) struct FusionCore {
-    /// Rounds of context retained behind the newest committed round.
-    pub(crate) overlap: u32,
-    /// Per-detector round index (flattened from the schedule).
-    round_of: Vec<u32>,
-    /// Per-round global-detector envelope `[lo, hi)`.
-    env: Vec<(u32, u32)>,
-    num_rounds: u32,
-    pub(crate) view: WindowView,
-    /// Retained (not yet expelled) defects, global ids, ascending.
-    pub(crate) active: Vec<u32>,
-    /// Scratch: the active set remapped to view-local ids.
-    pub(crate) local: Vec<u32>,
-    /// XOR contribution of every expelled defect prefix.
-    pub(crate) frozen: u32,
-    /// Oldest retained round (monotone non-decreasing).
-    pub(crate) alo: u32,
-    /// Memoized decode of the current (view, active) pair.
-    pub(crate) cached: u32,
-    pub(crate) cached_valid: bool,
+    /// Committed rounds kept in the view as context.
+    overlap: u32,
+    schedule: RoundSchedule,
+    view: WindowView,
+    /// Defects of uncommitted rounds, global ids, ascending.
+    pending: Vec<u32>,
+    /// Scratch: the pending defects inside the view, view-local.
+    local: Vec<u32>,
+    /// Scratch: the view-local edges of the last window decode.
+    edges: Vec<u32>,
+    /// Edges of the last decode no commit has taken yet, as global
+    /// source records.
+    retained: Vec<EdgeRecord>,
+    /// Whether `retained` still corrects `pending`.
+    valid: bool,
+    /// Whether an edge of the last decode left its view upward, so
+    /// that the next round to arrive reaches it.
+    ahead: bool,
 }
 
 impl FusionCore {
-    pub(crate) fn new(overlap: u32, schedule: &RoundSchedule) -> FusionCore {
-        // analyzer: allow(alloc) -- constructor: one-time flattening of
-        // the round schedule and presizing of the defect buffers; the
-        // push/slide/decode path reuses them allocation-free.
-        let round_of: Vec<u32> = (0..schedule.num_detectors())
-            .map(|d| schedule.round_of(d))
-            .collect();
-        let env: Vec<(u32, u32)> = (0..schedule.num_rounds())
-            .map(|r| schedule.round_envelope(r))
-            .collect();
-        // analyzer: end-allow(alloc)
-        FusionCore {
+    /// The fused state for `decoder`, or `None` for a decoder without
+    /// edge output (a table decoder), which streams through the exact
+    /// prefix path instead.
+    pub(crate) fn new<D: Decoder>(
+        decoder: &D,
+        scratch: &mut DecoderScratch,
+        overlap: u32,
+        schedule: &RoundSchedule,
+        cap: ScratchCapacity,
+    ) -> Option<FusionCore> {
+        // analyzer: allow(alloc) -- constructor: one-time copy of the
+        // round schedule and presizing of the defect and edge buffers;
+        // the push/commit path reuses them allocation-free.
+        let nodes = cap.nodes as usize;
+        let mut core = FusionCore {
             overlap,
-            round_of,
-            env,
-            num_rounds: schedule.num_rounds(),
+            schedule: schedule.clone(),
             view: WindowView::new(),
-            active: Vec::with_capacity(schedule.num_detectors() as usize),
-            local: Vec::with_capacity(schedule.num_detectors() as usize),
-            frozen: 0,
-            alo: 0,
-            cached: 0,
-            cached_valid: false,
-        }
+            pending: Vec::with_capacity(nodes + cap.edges as usize),
+            local: Vec::with_capacity(nodes),
+            edges: Vec::with_capacity(cap.correction_edges()),
+            retained: Vec::with_capacity(cap.edges as usize),
+            valid: true,
+            ahead: false,
+        };
+        // analyzer: end-allow(alloc)
+        // An empty window decode tells graph decoders, which also size
+        // the view for their graph, from table decoders, which decline.
+        decoder
+            .decode_window_into(scratch, &mut core.view, &[], &mut core.edges)
+            .then_some(core)
     }
 
     /// Resets per-shot state (buffers and the materialized view keep
     /// their capacity).
     pub(crate) fn reset(&mut self) {
-        self.active.clear();
-        self.frozen = 0;
-        self.alo = 0;
-        self.cached_valid = false;
+        self.pending.clear();
+        self.retained.clear();
+        self.valid = true;
+        self.ahead = false;
     }
 
-    /// Absorbs one round's defects into the active set, keeping it
-    /// sorted. Invalidates the decode memo whenever the next decode
-    /// could differ (new defects, or an existing active set whose
-    /// window grows with the push).
+    /// XORs one round's defects into the pending syndrome. New defects,
+    /// or a round that an edge of the last decode reached, invalidate
+    /// that decode.
     pub(crate) fn push(&mut self, defects: &[u32]) {
-        if defects.is_empty() {
-            // An empty round still widens the window's round range; if
-            // anything is active the next decode sees a larger view.
-            if !self.active.is_empty() {
-                self.cached_valid = false;
-            }
-            return;
+        if !defects.is_empty() || self.ahead {
+            self.valid = false;
         }
-        let in_order = self.active.last().is_none_or(|&last| defects[0] > last);
-        self.active.extend_from_slice(defects);
+        let in_order = self
+            .pending
+            .last()
+            .is_none_or(|&last| defects.first().is_none_or(|&d| d > last));
+        self.pending.extend_from_slice(defects);
         if !in_order {
-            self.active.sort_unstable();
+            cancel_pairs(&mut self.pending);
         }
-        self.cached_valid = false;
     }
 
-    /// The round range the next window decode must cover: from the
-    /// oldest retained round through the newest pushed round, widened
-    /// (defensively) to span every active defect.
-    fn decode_rounds(&self, pushed: u32) -> (u32, u32) {
-        let mut rlo = self.alo;
-        let mut rhi = pushed.min(self.num_rounds).max(rlo + 1);
-        for &d in &self.active {
-            let r = self.round_of[d as usize];
-            rlo = rlo.min(r);
-            rhi = rhi.max(r + 1);
-        }
-        (rlo, rhi)
+    /// Number of pending defects.
+    pub(crate) fn pending_len(&self) -> usize {
+        self.pending.len()
     }
 
-    /// Sets the view's detector range for the next decode and remaps
-    /// the active set into view-local ids (in `self.local`). Call with
-    /// a non-empty active set.
-    pub(crate) fn prepare(&mut self, pushed: u32) {
-        debug_assert!(!self.active.is_empty());
-        let (rlo, rhi) = self.decode_rounds(pushed);
-        let mut dlo = u32::MAX;
-        let mut dhi = 0;
-        for r in rlo..rhi {
-            let (lo, hi) = self.env[r as usize];
-            dlo = dlo.min(lo);
-            dhi = dhi.max(hi);
+    /// Commits round `round`, the oldest uncommitted one, with rounds
+    /// up to `pushed` arrived: decodes the window when the retained
+    /// correction is stale, takes every retained edge with an endpoint
+    /// in a round up to `round`, and carries the uncommitted endpoints
+    /// of those edges forward as artificial defects.
+    pub(crate) fn commit<D: Decoder>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut DecoderScratch,
+        round: u32,
+        pushed: u32,
+    ) -> FusedCommit {
+        let (decoded, stitched) = if self.valid {
+            (false, 0)
+        } else {
+            self.decode(decoder, scratch, round, pushed)
+        };
+        let schedule = &self.schedule;
+        let committed = |d: u32| d != NO_NODE && schedule.round_of(d) <= round;
+        self.pending.retain(|&d| !committed(d));
+        let (mut correction, mut carried) = (0, 0);
+        let pending = &mut self.pending;
+        self.retained.retain(|e| {
+            if !committed(e.u) && !committed(e.v) {
+                return true;
+            }
+            correction ^= e.observables;
+            for x in [e.u, e.v] {
+                if x != NO_NODE && !committed(x) {
+                    pending.push(x);
+                    carried += 1;
+                }
+            }
+            false
+        });
+        if carried > 0 {
+            cancel_pairs(&mut self.pending);
         }
-        debug_assert!(self.active.iter().all(|&d| d >= dlo && d < dhi));
-        self.view.set_range(dlo, dhi);
+        FusedCommit {
+            correction,
+            carried,
+            stitched,
+            decoded,
+        }
+    }
+
+    /// Decodes the pending defects on the view of rounds
+    /// `[round - overlap, pushed)` into `retained`. Returns whether the
+    /// decoder ran and the view's cut-edge count.
+    fn decode<D: Decoder>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut DecoderScratch,
+        round: u32,
+        pushed: u32,
+    ) -> (bool, u32) {
+        self.valid = true;
+        self.ahead = false;
+        self.retained.clear();
+        let (dlo, dhi) = self
+            .schedule
+            .window_envelope(round.saturating_sub(self.overlap), pushed);
         self.local.clear();
-        self.local.extend(self.active.iter().map(|&d| d - dlo));
-    }
-
-    /// Advances the trailing window boundary to `new_alo`, expelling
-    /// active defects from rounds before it. Returns the number of
-    /// defects expelled; when it is non-zero the caller must fold the
-    /// decode difference into `frozen`. A no-op (returning 0) when the
-    /// boundary would not move forward.
-    pub(crate) fn slide_to(&mut self, new_alo: u32) -> u32 {
-        if new_alo <= self.alo {
-            return 0;
+        // Artificial defects in rounds not yet arrived wait for them.
+        self.local
+            .extend(self.pending.iter().filter(|&&d| d < dhi).map(|&d| d - dlo));
+        if self.local.is_empty() {
+            return (false, 0);
         }
-        let before = self.active.len();
-        let round_of = &self.round_of;
-        self.active.retain(|&d| round_of[d as usize] >= new_alo);
-        self.alo = new_alo;
-        self.cached_valid = false;
-        (before - self.active.len()) as u32
-    }
-
-    /// Number of retained (active) defects.
-    pub(crate) fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Active defects belonging to rounds older than `committed` — the
-    /// cross-boundary context a fused commit carried forward.
-    pub(crate) fn carried(&self, committed: u32) -> u32 {
-        self.active
-            .iter()
-            .filter(|&&d| self.round_of[d as usize] < committed)
-            .count() as u32
+        self.view.set_range(dlo, dhi);
+        let windowed =
+            decoder.decode_window_into(scratch, &mut self.view, &self.local, &mut self.edges);
+        debug_assert!(windowed, "graph decoders decode every window");
+        for &e in &self.edges {
+            let r = self.view.source_record(e);
+            // A view edge's `u` is in view; a cut edge's `v` is beyond it.
+            self.ahead |= r.v != NO_NODE && r.v >= dhi;
+            self.retained.push(r);
+        }
+        (true, self.view.cut_edges())
     }
 }

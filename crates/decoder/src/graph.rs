@@ -80,6 +80,9 @@ pub struct AdjEntry {
 /// mechanisms with identical endpoints and observable mask are merged
 /// ("exactly one occurs"); mechanisms with more than two detectors are
 /// rejected — run DEM extraction with decomposition enabled first.
+/// Edges are ordered by `(u, v, observables)` with `u < v`, so the
+/// edges leaving the detectors of any index range form one contiguous
+/// run of edge indices.
 ///
 /// # Example
 ///
@@ -115,7 +118,10 @@ impl DecodingGraph {
             let key = match m.detectors.len() {
                 0 => continue, // pure observable flips are not decodable
                 1 => (m.detectors[0], None, m.observables),
-                2 => (m.detectors[0], Some(m.detectors[1]), m.observables),
+                2 => {
+                    let (a, b) = (m.detectors[0], m.detectors[1]);
+                    (a.min(b), Some(a.max(b)), m.observables)
+                }
                 _ => {
                     dropped += 1;
                     continue;
@@ -212,12 +218,16 @@ impl DecodingGraph {
 
     /// Rebuilds `self` in place as the window view of `src` over the
     /// contiguous detector range `[dlo, dhi)`: local node `i` is global
-    /// detector `dlo + i`. Edges with both endpoints inside the range
-    /// stay internal; edges with exactly one endpoint inside are
-    /// remapped to *artificial-boundary* edges at that endpoint
-    /// (keeping their weight and observable mask) — these are the cut
-    /// edges windowed fusion stitches across — and edges entirely
-    /// outside are omitted. Returns the number of cut edges.
+    /// detector `dlo + i`. The view's edges are the run of `src`'s
+    /// edges whose `u` endpoint is in the range, in order, so view edge
+    /// `e` is source edge `e + first`, where `first` is returned. An
+    /// edge whose `v` endpoint is at or above `dhi` leaves the range
+    /// *upward* and becomes a boundary edge at `u`, keeping its weight
+    /// and observable mask: a *cut edge*, through which a window decode
+    /// can hand a defect to rounds it cannot see yet. An edge leaving
+    /// the range *downward* (its `u` endpoint below `dlo`) is omitted,
+    /// so no correction through the view touches a detector below it.
+    /// Returns `(first, cut edges)`.
     ///
     /// For the full range (`dlo == 0`, `dhi == src.num_detectors()`)
     /// the rebuilt view is bit-identical to `src` (same edge order,
@@ -225,95 +235,49 @@ impl DecodingGraph {
     /// window-covering-everything fused decode degenerate to the exact
     /// batch decode. Reuses every buffer: allocation-free after
     /// [`reserve_for_window_of`](DecodingGraph::reserve_for_window_of).
-    pub(crate) fn rebuild_window(&mut self, src: &DecodingGraph, dlo: u32, dhi: u32) -> u32 {
+    pub(crate) fn rebuild_window(&mut self, src: &DecodingGraph, dlo: u32, dhi: u32) -> (u32, u32) {
         debug_assert!(dlo <= dhi && dhi <= src.num_detectors);
-        let n = (dhi - dlo) as usize;
-        self.num_detectors = n as u32;
+        self.num_detectors = dhi - dlo;
         self.dropped = 0;
-        self.edges.clear();
+        let first = src.rec.partition_point(|r| r.u < dlo);
+        let last = src.rec.partition_point(|r| r.u < dhi);
+        let local = |x: u32| if x < dhi { x - dlo } else { NO_NODE };
         self.rec.clear();
-        let in_view = |d: u32| d != NO_NODE && d >= dlo && d < dhi;
+        self.edges.clear();
         let mut cut = 0u32;
-        // Each kept edge is claimed by exactly one in-view endpoint: its
-        // `u` endpoint when that is in view, else its `v` endpoint.
-        // Iterating nodes ascending and each node's CSR entries in
-        // ascending edge index keeps the full-range view in the source's
-        // exact edge order.
-        for g in dlo..dhi {
-            for &AdjEntry { edge, .. } in src.neighbors(g) {
-                let e = &src.rec[edge as usize];
-                let claimed = e.u == g || (e.v == g && !in_view(e.u));
-                if !claimed {
-                    continue;
-                }
-                let (local_u, local_v, is_cut) = if e.u == g {
-                    if in_view(e.v) {
-                        (e.u - dlo, e.v - dlo, false)
-                    } else {
-                        // Original boundary edges stay boundary edges;
-                        // out-of-window endpoints become artificial
-                        // boundary terminals (cut edges).
-                        (e.u - dlo, NO_NODE, e.v != NO_NODE)
-                    }
-                } else {
-                    (e.v - dlo, NO_NODE, true)
-                };
-                cut += u32::from(is_cut);
-                self.rec.push(EdgeRecord {
-                    weight: e.weight,
-                    u: local_u,
-                    v: local_v,
-                    observables: e.observables,
-                });
-                let cold = &src.edges[edge as usize];
-                self.edges.push(GraphEdge {
-                    u: local_u,
-                    v: (local_v != NO_NODE).then_some(local_v),
-                    probability: cold.probability,
-                    weight: cold.weight,
-                    observables: cold.observables,
-                });
-            }
+        for (r, cold) in src.rec[first..last].iter().zip(&src.edges[first..last]) {
+            let v = local(r.v);
+            cut += u32::from(v == NO_NODE && r.v != NO_NODE);
+            self.rec.push(EdgeRecord {
+                u: r.u - dlo,
+                v,
+                ..*r
+            });
+            self.edges.push(GraphEdge {
+                u: r.u - dlo,
+                v: (v != NO_NODE).then_some(v),
+                probability: cold.probability,
+                weight: cold.weight,
+                observables: cold.observables,
+            });
         }
-        // CSR: count, prefix-sum, scatter — the scatter advances each
-        // node's offset in place and the final shift restores it, so no
-        // cursor buffer is needed.
+        // A node's entries keep their source order, less the edges that
+        // leave downward.
         self.adj_off.clear();
-        self.adj_off.resize(n + 1, 0);
-        for e in &self.rec {
-            self.adj_off[e.u as usize + 1] += 1;
-            if e.v != NO_NODE {
-                self.adj_off[e.v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            self.adj_off[i + 1] += self.adj_off[i];
-        }
         self.adj.clear();
-        self.adj
-            .resize(self.adj_off[n] as usize, AdjEntry { edge: 0, to: 0 });
-        for i in 0..self.rec.len() {
-            let e = self.rec[i];
-            let slot = self.adj_off[e.u as usize] as usize;
-            self.adj[slot] = AdjEntry {
-                edge: i as u32,
-                to: e.v,
-            };
-            self.adj_off[e.u as usize] += 1;
-            if e.v != NO_NODE {
-                let slot = self.adj_off[e.v as usize] as usize;
-                self.adj[slot] = AdjEntry {
-                    edge: i as u32,
-                    to: e.u,
-                };
-                self.adj_off[e.v as usize] += 1;
+        self.adj_off.push(0);
+        for g in dlo..dhi {
+            for a in src.neighbors(g) {
+                if a.to >= dlo {
+                    self.adj.push(AdjEntry {
+                        edge: a.edge - first as u32,
+                        to: local(a.to),
+                    });
+                }
             }
+            self.adj_off.push(self.adj.len() as u32);
         }
-        for i in (1..=n).rev() {
-            self.adj_off[i] = self.adj_off[i - 1];
-        }
-        self.adj_off[0] = 0;
-        cut
+        (first as u32, cut)
     }
 
     /// Number of detector nodes.
@@ -345,6 +309,14 @@ impl DecodingGraph {
         self.dropped
     }
 
+    /// The observable mask of a correction: the XOR of the listed
+    /// edges' [`EdgeRecord::observables`].
+    pub fn observables_of(&self, edges: &[u32]) -> u32 {
+        edges
+            .iter()
+            .fold(0, |mask, &e| mask ^ self.rec[e as usize].observables)
+    }
+
     /// Single-source Dijkstra over the graph (boundary modelled as a
     /// virtual node `num_detectors`). Returns `(dist, obs_mask)` per
     /// node (`f64::INFINITY` where unreachable); `obs_mask[v]` is the
@@ -367,9 +339,10 @@ impl DecodingGraph {
     /// [`DecodingGraph::dijkstra_to`] into a reusable workspace —
     /// allocation-free once the workspace is sized to the graph (which
     /// [`DijkstraScratch::bound`] does up front). Results land in
-    /// [`DijkstraScratch::dist`] / [`DijkstraScratch::mask`] and are
-    /// bit-identical to the allocating variant: nodes settle strictly
-    /// in `(distance, node index)` order regardless of heap layout.
+    /// [`DijkstraScratch::dist`] / [`DijkstraScratch::mask`] (plus the
+    /// shortest-path tree's predecessor edges) and are bit-identical to
+    /// the allocating variant: nodes settle strictly in
+    /// `(distance, node index)` order regardless of heap layout.
     pub fn dijkstra_to_with(&self, source: u32, targets: &[u32], scratch: &mut DijkstraScratch) {
         let n = self.num_detectors as usize + 1; // + boundary
         let boundary = self.num_detectors;
@@ -397,6 +370,7 @@ impl DecodingGraph {
                 if nd < scratch.dist[v as usize] {
                     scratch.dist[v as usize] = nd;
                     scratch.mask[v as usize] = from_mask ^ r.observables;
+                    scratch.pred[v as usize] = edge;
                     scratch.heap_relax(v);
                 }
             }
@@ -422,6 +396,10 @@ const SETTLED: u32 = u32::MAX - 1;
 pub struct DijkstraScratch {
     pub(crate) dist: Vec<f64>,
     pub(crate) mask: Vec<u32>,
+    /// Edge through which each node reached in the last search was
+    /// last relaxed: its shortest-path tree. Entries of nodes the
+    /// search did not reach are stale.
+    pub(crate) pred: Vec<u32>,
     heap: Vec<u32>,
     pos: Vec<u32>,
     /// Debug-asserted size bound (`nodes + 1`), set by
@@ -434,6 +412,7 @@ impl Default for DijkstraScratch {
         DijkstraScratch {
             dist: Vec::new(),
             mask: Vec::new(),
+            pred: Vec::new(),
             heap: Vec::new(),
             pos: Vec::new(),
             bound_n: u32::MAX,
@@ -460,6 +439,7 @@ impl DijkstraScratch {
     pub(crate) fn bound_nodes(&mut self, n: usize) {
         self.dist.reserve(n.saturating_sub(self.dist.len()));
         self.mask.reserve(n.saturating_sub(self.mask.len()));
+        self.pred.reserve(n.saturating_sub(self.pred.len()));
         self.heap.reserve(n.saturating_sub(self.heap.len()));
         self.pos.reserve(n.saturating_sub(self.pos.len()));
         self.bound_n = n as u32;
@@ -487,6 +467,9 @@ impl DijkstraScratch {
         self.dist.resize(n, f64::INFINITY);
         self.mask.clear();
         self.mask.resize(n, 0);
+        if self.pred.len() < n {
+            self.pred.resize(n, 0);
+        }
         self.pos.clear();
         self.pos.resize(n, UNREACHED);
         self.heap.clear();
@@ -562,6 +545,47 @@ impl DijkstraScratch {
             i = best;
         }
     }
+}
+
+/// Appends to `edges` the shortest path from `source` to `target` in
+/// the tree `pred` that a search from `source` left
+/// ([`DijkstraScratch`]'s predecessor row; `target` may be the virtual
+/// boundary node `num_detectors`). The XOR of the path's observables
+/// is the search's mask at `target`.
+pub(crate) fn push_path(
+    graph: &DecodingGraph,
+    pred: &[u32],
+    source: u32,
+    target: u32,
+    edges: &mut Vec<u32>,
+) {
+    let mut x = target;
+    while x != source {
+        let e = pred[x as usize];
+        edges.push(e);
+        let r = &graph.rec[e as usize];
+        // Searches never route through the boundary, so a boundary edge
+        // only ever leads *into* it, from its detector end `u`.
+        x = if r.u == x { r.v } else { r.u };
+    }
+}
+
+/// Sorts `ids` and keeps one copy of each id listed an odd number of
+/// times: the mod-2 sum of the listed edges or detectors.
+pub(crate) fn cancel_pairs(ids: &mut Vec<u32>) {
+    ids.sort_unstable();
+    let mut kept = 0;
+    let mut i = 0;
+    while i < ids.len() {
+        let x = ids[i];
+        let run = ids[i..].iter().take_while(|&&y| y == x).count();
+        if run % 2 == 1 {
+            ids[kept] = x;
+            kept += 1;
+        }
+        i += run;
+    }
+    ids.truncate(kept);
 }
 
 /// Log-likelihood weight of an edge with flip probability `p`.

@@ -1,7 +1,6 @@
 //! Hierarchical LUT + MWPM decoding with a latency model (Fig. 22).
 
 use crate::evaluate::Decoder;
-use crate::fusion::WindowView;
 use crate::lut::LutDecoder;
 use crate::mwpm::MwpmDecoder;
 use crate::scratch::{DecoderScratch, ScratchCapacity};
@@ -150,33 +149,6 @@ impl HierarchicalDecoder {
 impl Decoder for HierarchicalDecoder {
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32) {
         *correction = self.decode_timed_with(scratch, syndrome).prediction;
-    }
-
-    /// Windowed decode with the same two-level structure: the LUT is
-    /// consulted on the syndrome remapped to *global* ids (tables are
-    /// trained on full-circuit syndromes), and a miss decodes the
-    /// window through the backing matcher. Skips the latency model and
-    /// hit counters — windowed fusion measures its own per-round
-    /// latency; the modelled hit/miss timing study stays on the batch
-    /// path ([`decode_timed_with`](HierarchicalDecoder::decode_timed_with)).
-    fn decode_window_into(
-        &self,
-        scratch: &mut DecoderScratch,
-        view: &mut WindowView,
-        syndrome: &[u32],
-        correction: &mut u32,
-    ) {
-        let first = view.first_detector();
-        let mut global = std::mem::take(&mut scratch.window_remap);
-        global.clear();
-        global.extend(syndrome.iter().map(|&d| d + first));
-        match self.lut.lookup(&global) {
-            Some(prediction) => *correction = prediction,
-            None => self
-                .mwpm
-                .decode_window_into(scratch, view, syndrome, correction),
-        }
-        scratch.window_remap = global;
     }
 
     /// The LUT front end never touches the scratch, so the bound is the

@@ -245,25 +245,20 @@ impl Decoder for AnyDecoder {
         scratch: &mut crate::DecoderScratch,
         view: &mut crate::WindowView,
         syndrome: &[u32],
-        correction: &mut u32,
-    ) {
+        edges: &mut Vec<u32>,
+    ) -> bool {
         // Same kind-tagged spans as `decode_into`, suffixed so a trace
         // separates full-prefix decodes from windowed-fusion decodes.
-        let span = ftqc_telemetry::span(match self {
-            AnyDecoder::UnionFind(_) => "decode/union-find/window",
-            AnyDecoder::Mwpm(_) => "decode/mwpm/window",
-            AnyDecoder::Lut(_) => "decode/lut/window",
-            AnyDecoder::Hierarchical(_) => "decode/hierarchical/window",
-        });
-        match self {
-            AnyDecoder::UnionFind(d) => d.decode_window_into(scratch, view, syndrome, correction),
-            AnyDecoder::Mwpm(d) => d.decode_window_into(scratch, view, syndrome, correction),
-            AnyDecoder::Lut(d) => d.decode_window_into(scratch, view, syndrome, correction),
-            AnyDecoder::Hierarchical(d) => {
-                d.decode_window_into(scratch, view, syndrome, correction)
-            }
-        }
+        // Only the graph decoders decode windows.
+        let (name, decoder): (_, &dyn Decoder) = match self {
+            AnyDecoder::UnionFind(d) => ("decode/union-find/window", d),
+            AnyDecoder::Mwpm(d) => ("decode/mwpm/window", d),
+            AnyDecoder::Lut(_) | AnyDecoder::Hierarchical(_) => return false,
+        };
+        let span = ftqc_telemetry::span(name);
+        let windowed = decoder.decode_window_into(scratch, view, syndrome, edges);
         span.end_with(&[ftqc_telemetry::Arg::new("defects", syndrome.len() as f64)]);
+        windowed
     }
 
     fn scratch_capacity(&self) -> crate::ScratchCapacity {

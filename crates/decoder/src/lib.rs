@@ -10,9 +10,10 @@
 //!   parameter sweeps.
 //! * [`MwpmDecoder`] — minimum-weight perfect matching on the flagged
 //!   detectors: exact (subset dynamic programming over Dijkstra
-//!   distances) up to a configurable syndrome weight, falling back to
-//!   union-find beyond it. This plays the role of PyMatching in the
-//!   paper's toolchain.
+//!   distances, the matched pairs' shortest paths recovered from the
+//!   searches' predecessor edges) up to a configurable syndrome
+//!   weight, falling back to union-find beyond it. This plays the role
+//!   of PyMatching in the paper's toolchain.
 //! * [`LutDecoder`] — a capacity-limited lookup-table decoder
 //!   (LILLIPUT-style), used for the repetition-code experiment of
 //!   Fig. 1(c) and the hierarchical decoder of Fig. 22.
@@ -38,11 +39,18 @@
 //!   prefix each commit and is bit-identical to batch decoding by
 //!   construction (telescoping XOR deltas; the type's docs carry the
 //!   argument), while [`Fused`](StreamingMode::Fused) decodes only the
-//!   active window against a round-sliced [`WindowView`] of the graph
-//!   — O(window) per round, independent of stream length, with a
-//!   measured accuracy delta. [`count_batch_errors_streaming`] is the
-//!   batch-driver form; the `decode-latency` scenario of `ftqc-bench`
-//!   measures per-round latency for both modes.
+//!   uncommitted rounds against a round-sliced [`WindowView`] of the
+//!   graph, at most once per commit, and commits the correction edges
+//!   that reach the finalized round, carrying their far endpoints
+//!   forward as artificial defects — O(window) per round, independent
+//!   of stream length, with a measured accuracy delta. The graph
+//!   decoders' primary output is that edge set
+//!   ([`Decoder::decode_window_into`]); their batch mask is the XOR of
+//!   its edges' observables. Table decoders have no edges and stream
+//!   through the exact prefix path in both modes.
+//!   [`count_batch_errors_streaming`] is the batch-driver form; the
+//!   `decode-latency` scenario of `ftqc-bench` measures per-round
+//!   latency for both modes.
 //!
 //! # Example
 //!
@@ -81,7 +89,6 @@ pub use lut::LutDecoder;
 pub use mwpm::MwpmDecoder;
 pub use scratch::{DecoderScratch, ScratchCapacity};
 pub use streaming::{
-    count_batch_errors_streaming, CommitPolicy, RoundCommit, StreamingConfig, StreamingDecoder,
-    StreamingMode,
+    count_batch_errors_streaming, RoundCommit, StreamingConfig, StreamingDecoder, StreamingMode,
 };
 pub use union_find::UfDecoder;

@@ -104,8 +104,8 @@ impl Decoder for LutDecoder {
         *correction = self.lookup(syndrome).unwrap_or(0);
     }
 
-    /// The table decodes with no graph and no scratch; only the
-    /// remap buffer of the default windowed path needs `nodes` slots.
+    /// The table decodes with no graph and no scratch; `nodes` sizes
+    /// the syndrome buffers of the streaming layer.
     fn scratch_capacity(&self) -> ScratchCapacity {
         ScratchCapacity {
             nodes: self.num_detectors,

@@ -2,16 +2,18 @@
 
 use crate::evaluate::Decoder;
 use crate::fusion::WindowView;
-use crate::graph::DecodingGraph;
+use crate::graph::{cancel_pairs, push_path, DecodingGraph};
 use crate::scratch::{DecoderScratch, MatchScratch, ScratchCapacity};
-use crate::union_find::{uf_decode, UfDecoder};
+use crate::union_find::UfDecoder;
 use std::sync::Arc;
 /// A minimum-weight perfect-matching decoder (the role PyMatching plays
 /// in the paper's toolchain).
 ///
 /// Flagged detectors are matched to each other or to the boundary so
 /// that the total path weight through the decoding graph is minimal.
-/// Pairwise distances come from per-defect Dijkstra; the matching
+/// Pairwise distances come from per-defect Dijkstra, and the
+/// correction is the matched pairs' shortest paths, read back from each
+/// search's predecessor edges; the matching
 /// itself is solved *exactly* by dynamic programming over defect
 /// subsets, which is `O(2^k k)` for syndrome weight `k` — exact up to
 /// [`MwpmDecoder::exact_limit`] defects (default 16) and delegated to
@@ -74,12 +76,16 @@ impl MwpmDecoder {
 }
 
 /// Exact subset-DP matching of the flagged detectors over an explicit
-/// `graph`, working out of `s` (flattened `k x k` matrices plus the
-/// `2^k` DP tables). Returns the observable mask of the minimum-weight
-/// pairing, bit-identical to the historically allocating formulation.
-/// [`MwpmDecoder`] calls this with its full graph; the windowed-fusion
-/// path calls it with a round-sliced [`WindowView`]'s sub-graph.
-fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32]) -> u32 {
+/// `graph`, working out of `s` (the flattened `k x k` distance matrix,
+/// each defect's shortest-path tree and the `2^k` DP tables). Writes
+/// the edges of the minimum-weight pairing's shortest paths into
+/// `edges`, an edge two paths share cancelling; their observables XOR
+/// to the mask the matcher has always returned, because each search's
+/// mask is accumulated along exactly the predecessor edges walked
+/// here. [`MwpmDecoder`] calls this with its full graph; the
+/// windowed-fusion path calls it with a round-sliced [`WindowView`]'s
+/// sub-graph.
+fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32], edges: &mut Vec<u32>) {
     let k = flagged.len();
     debug_assert!(
         s.bound_k == u32::MAX || k <= s.bound_k as usize,
@@ -87,25 +93,23 @@ fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32]) -> 
          (was the scratch built for a smaller exact limit?)",
         s.bound_k
     );
-    let boundary = graph.num_detectors() as usize;
-    // Pairwise distances and boundary distances with observable
-    // masks along shortest paths.
+    let boundary = graph.num_detectors();
+    // Pairwise distances and boundary distances, keeping each search's
+    // shortest-path tree for the matched paths.
     s.pair_d.clear();
     s.pair_d.resize(k * k, f64::INFINITY);
-    s.pair_m.clear();
-    s.pair_m.resize(k * k, 0);
     s.bdry_d.clear();
     s.bdry_d.resize(k, f64::INFINITY);
-    s.bdry_m.clear();
-    s.bdry_m.resize(k, 0);
+    if s.pred.len() < k {
+        s.pred.resize_with(k, Default::default);
+    }
     for (i, &f) in flagged.iter().enumerate() {
         graph.dijkstra_to_with(f, flagged, &mut s.dijkstra);
         for (j, &g) in flagged.iter().enumerate() {
             s.pair_d[i * k + j] = s.dijkstra.dist[g as usize];
-            s.pair_m[i * k + j] = s.dijkstra.mask[g as usize];
         }
-        s.bdry_d[i] = s.dijkstra.dist[boundary];
-        s.bdry_m[i] = s.dijkstra.mask[boundary];
+        s.bdry_d[i] = s.dijkstra.dist[boundary as usize];
+        std::mem::swap(&mut s.dijkstra.pred, &mut s.pred[i]);
     }
     // dp[mask] = (cost, choice) over unmatched defects in `mask`.
     let full = (1usize << k) - 1;
@@ -135,23 +139,26 @@ fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32]) -> 
             }
         }
     }
-    // Reconstruct the observable mask.
-    let mut obs = 0u32;
+    // Walk the matched paths.
+    edges.clear();
     let mut mask = full;
     while mask != 0 {
         let (i, j) = s.choice[mask];
-        match j {
+        let (target, dist) = match j {
             None => {
-                obs ^= s.bdry_m[i];
                 mask &= !(1 << i);
+                (boundary, s.bdry_d[i])
             }
             Some(j) => {
-                obs ^= s.pair_m[i * k + j];
                 mask &= !(1 << i) & !(1 << j);
+                (flagged[j], s.pair_d[i * k + j])
             }
+        };
+        if dist.is_finite() {
+            push_path(graph, &s.pred[i], flagged[i], target, edges);
         }
     }
-    obs
+    cancel_pairs(edges);
 }
 
 impl Decoder for MwpmDecoder {
@@ -163,7 +170,13 @@ impl Decoder for MwpmDecoder {
         if syndrome.len() > self.exact_limit {
             return self.fallback.decode_into(scratch, syndrome, correction);
         }
-        *correction = match_exact(&self.graph, &mut scratch.matching, syndrome);
+        match_exact(
+            &self.graph,
+            &mut scratch.matching,
+            syndrome,
+            &mut scratch.edges,
+        );
+        *correction = self.graph.observables_of(&scratch.edges);
     }
 
     fn decode_window_into(
@@ -171,26 +184,18 @@ impl Decoder for MwpmDecoder {
         scratch: &mut DecoderScratch,
         view: &mut WindowView,
         syndrome: &[u32],
-        correction: &mut u32,
-    ) {
-        if syndrome.is_empty() {
-            *correction = 0;
-            return;
-        }
-        view.ensure(&self.graph);
+        edges: &mut Vec<u32>,
+    ) -> bool {
         if syndrome.len() > self.exact_limit {
             // Same heavy-syndrome fallback as the batch path, on the
             // same windowed sub-graph.
-            uf_decode(
-                view.graph(),
-                view.uf_capacities(),
-                scratch,
-                syndrome,
-                correction,
-            );
-            return;
+            return self
+                .fallback
+                .decode_window_into(scratch, view, syndrome, edges);
         }
-        *correction = match_exact(view.graph(), &mut scratch.matching, syndrome);
+        view.ensure(&self.graph);
+        match_exact(view.graph(), &mut scratch.matching, syndrome, edges);
+        true
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {

@@ -71,6 +71,14 @@ impl ScratchCapacity {
         }
     }
 
+    /// The most correction edges a decode lists: a union-find
+    /// correction holds at most one edge per node, and the matcher's
+    /// up to `exact_limit` shortest paths at most `nodes` edges each
+    /// (before paths that overlap cancel).
+    pub fn correction_edges(&self) -> usize {
+        self.nodes as usize * self.exact_limit.max(1) as usize
+    }
+
     /// The element-wise maximum of two capacities: sufficient for any
     /// decode either input was sufficient for.
     pub fn max(self, other: ScratchCapacity) -> ScratchCapacity {
@@ -120,10 +128,9 @@ fn reserve_to<T>(v: &mut Vec<T>, n: usize) {
 pub struct DecoderScratch {
     pub(crate) uf: UfScratch,
     pub(crate) matching: MatchScratch,
-    /// Local→global id remap buffer for the default
-    /// [`Decoder::decode_window_into`](crate::Decoder::decode_window_into)
-    /// path; bounded by `nodes`.
-    pub(crate) window_remap: Vec<u32>,
+    /// Correction edges of the last graph decode, whose observables
+    /// XOR into the decode's mask.
+    pub(crate) edges: Vec<u32>,
 }
 
 impl DecoderScratch {
@@ -140,7 +147,7 @@ impl DecoderScratch {
         let mut scratch = DecoderScratch::new();
         scratch.uf.bound(cap);
         scratch.matching.bound(cap);
-        reserve_to(&mut scratch.window_remap, cap.nodes as usize);
+        reserve_to(&mut scratch.edges, cap.correction_edges());
         scratch
     }
 
@@ -451,15 +458,18 @@ impl UfScratch {
     }
 }
 
-/// Matching buffers: one Dijkstra workspace plus the flattened `k x k`
-/// distance/mask matrices and the `2^k` subset-DP tables of the exact
-/// matcher, bounded by the matcher's `exact_limit`.
+/// Matching buffers: one Dijkstra workspace, the shortest-path tree of
+/// each defect's search, the flattened `k x k` distance matrix and the
+/// `2^k` subset-DP tables of the exact matcher, bounded by the
+/// matcher's `exact_limit`.
 pub(crate) struct MatchScratch {
     pub(crate) dijkstra: DijkstraScratch,
+    /// Predecessor row of defect `i`'s search, swapped out of the
+    /// Dijkstra workspace so the matched paths can be walked after the
+    /// DP.
+    pub(crate) pred: Vec<Vec<u32>>,
     pub(crate) pair_d: Vec<f64>,
-    pub(crate) pair_m: Vec<u32>,
     pub(crate) bdry_d: Vec<f64>,
-    pub(crate) bdry_m: Vec<u32>,
     pub(crate) dp: Vec<f64>,
     pub(crate) choice: Vec<(usize, Option<usize>)>,
     /// Debug-asserted defect-count bound; `u32::MAX` = unbounded.
@@ -472,10 +482,9 @@ impl Default for MatchScratch {
     fn default() -> MatchScratch {
         MatchScratch {
             dijkstra: DijkstraScratch::new(),
+            pred: Vec::new(),
             pair_d: Vec::new(),
-            pair_m: Vec::new(),
             bdry_d: Vec::new(),
-            bdry_m: Vec::new(),
             dp: Vec::new(),
             choice: Vec::new(),
             bound_k: u32::MAX,
@@ -485,18 +494,24 @@ impl Default for MatchScratch {
 // analyzer: end-allow(alloc)
 
 impl MatchScratch {
-    /// Preallocates the `k x k` matrices and `2^k` DP tables for up to
-    /// `cap.exact_limit` defects, plus the Dijkstra workspace for
-    /// `cap.nodes` detectors, and arms the debug-asserted bound.
+    /// Preallocates the `k x k` matrix, `k` predecessor rows and `2^k`
+    /// DP tables for up to `cap.exact_limit` defects, plus the Dijkstra
+    /// workspace for `cap.nodes` detectors, and arms the
+    /// debug-asserted bound.
     pub(crate) fn bound(&mut self, cap: ScratchCapacity) {
         let k = cap.exact_limit as usize;
+        let n = cap.nodes as usize + 1;
+        if self.pred.len() < k {
+            self.pred.resize_with(k, Default::default);
+        }
+        for row in &mut self.pred {
+            reserve_to(row, n);
+        }
         reserve_to(&mut self.pair_d, k * k);
-        reserve_to(&mut self.pair_m, k * k);
         reserve_to(&mut self.bdry_d, k);
-        reserve_to(&mut self.bdry_m, k);
         reserve_to(&mut self.dp, 1usize << k);
         reserve_to(&mut self.choice, 1usize << k);
-        self.dijkstra.bound_nodes(cap.nodes as usize + 1);
+        self.dijkstra.bound_nodes(n);
         self.bound_k = cap.exact_limit;
     }
 }

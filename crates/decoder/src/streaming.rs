@@ -7,15 +7,16 @@
 //!   prefix on every commit and emits telescoping XOR deltas —
 //!   bit-identical to batch decoding for any [`Decoder`], at a
 //!   per-round cost that grows with the stream.
-//! * [`StreamingMode::Fused`] decodes only the active W-round window
-//!   against a round-sliced [`WindowView`] of the decoding graph and
-//!   stitches across window boundaries with a frozen-prefix mask
-//!   (see the [`fusion`](crate::WindowView) module docs) — per-round
-//!   cost O(window), independent of stream length, at the price of a
-//!   small, measurable accuracy delta.
+//! * [`StreamingMode::Fused`] decodes only a window of rounds against
+//!   a round-sliced [`WindowView`] of the decoding graph and commits
+//!   its correction edges forward, one round at a time (see the
+//!   [`fusion`](crate::WindowView) module docs) — per-round cost
+//!   O(window), independent of stream length, at the price of a small,
+//!   measurable accuracy delta. Table decoders have no edges; in fused
+//!   mode they stream through exact mode's prefix path.
 
 use crate::evaluate::Decoder;
-use crate::fusion::FusionCore;
+use crate::fusion::{FusedCommit, FusionCore};
 use crate::scratch::DecoderScratch;
 use ftqc_circuit::Circuit;
 use ftqc_sim::{parallel_batches_with, BatchSpec, RoundSchedule, RoundStream};
@@ -27,48 +28,27 @@ pub enum StreamingMode {
     /// Bit-identical to batch decoding for any decoder (deltas
     /// telescope), but per-round cost grows with the stream.
     Exact,
-    /// True windowed fusion: decode only the retained W-round window
-    /// on a round-sliced graph view, carrying boundary defects forward
-    /// and freezing the contribution of defects that scroll out.
-    /// Per-round cost is O(window); accuracy is approximate (measured
-    /// by the `fusion-accuracy` harness).
+    /// Forward-window fusion: each commit decodes at most one window
+    /// of rounds on a round-sliced graph view, finalizes the
+    /// correction edges that reach the committing round, and carries
+    /// their far endpoints forward as artificial defects. Per-round
+    /// cost is O(window); accuracy is approximate (measured by the
+    /// `fusion-accuracy` harness).
     Fused {
-        /// Extra rounds of already-committed context retained behind
-        /// the newest committed round before defects are expelled.
-        /// `0` expels immediately at the commit boundary; larger
-        /// values trade window size for accuracy. An overlap of at
-        /// least the graph's round-spanning edge reach keeps matched
-        /// pairs intact across commits.
+        /// Committed rounds kept in the view, behind the committing
+        /// round, as defect-free graph context.
         overlap: u32,
     },
 }
 
-/// When pending rounds are finalized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitPolicy {
-    /// Finalize the oldest pending round as soon as the window fills —
-    /// one commit per push in steady state.
-    PerRound,
-    /// Accumulate `stride` rounds past the full window, then finalize
-    /// them as one block commit (one decode amortized over `stride`
-    /// rounds). `Strided { stride: 1 }` is equivalent to
-    /// [`CommitPolicy::PerRound`].
-    Strided {
-        /// Rounds finalized per block commit.
-        stride: u32,
-    },
-}
-
-/// Configuration of a [`StreamingDecoder`]: window size, decode mode
-/// and commit policy. Build one with [`StreamingConfig::exact`] or
-/// [`StreamingConfig::fused`], optionally adjust the commit policy
-/// with [`commit`](StreamingConfig::commit), then obtain the decoder
-/// with [`build`](StreamingConfig::build).
+/// Configuration of a [`StreamingDecoder`]: window size and decode
+/// mode. Build one with [`StreamingConfig::exact`] or
+/// [`StreamingConfig::fused`], then obtain the decoder with
+/// [`build`](StreamingConfig::build).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingConfig {
     window: u32,
     mode: StreamingMode,
-    commit: CommitPolicy,
 }
 
 impl StreamingConfig {
@@ -84,12 +64,11 @@ impl StreamingConfig {
         StreamingConfig {
             window,
             mode: StreamingMode::Exact,
-            commit: CommitPolicy::PerRound,
         }
     }
 
-    /// A fused-mode configuration: commits decode only the retained
-    /// window (plus `overlap` rounds of committed context) on a
+    /// A fused-mode configuration: commits decode only the uncommitted
+    /// rounds (plus `overlap` rounds of committed context) on a
     /// round-sliced graph view.
     ///
     /// # Panics
@@ -100,21 +79,7 @@ impl StreamingConfig {
         StreamingConfig {
             window,
             mode: StreamingMode::Fused { overlap },
-            commit: CommitPolicy::PerRound,
         }
-    }
-
-    /// Replaces the commit policy (default [`CommitPolicy::PerRound`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a strided policy has a zero stride.
-    pub fn commit(mut self, policy: CommitPolicy) -> StreamingConfig {
-        if let CommitPolicy::Strided { stride } = policy {
-            assert!(stride > 0, "commit stride must be at least one round");
-        }
-        self.commit = policy;
-        self
     }
 
     /// The window size `W`.
@@ -127,11 +92,6 @@ impl StreamingConfig {
         self.mode
     }
 
-    /// The commit policy.
-    pub fn commit_policy(&self) -> CommitPolicy {
-        self.commit
-    }
-
     /// Builds the streaming decoder for this configuration. The round
     /// schedule tells fused mode which detectors belong to which round
     /// (exact mode carries no per-round state, but takes the schedule
@@ -141,12 +101,11 @@ impl StreamingConfig {
     }
 }
 
-/// One block of finalized rounds emitted by [`StreamingDecoder`]: the
-/// correction contribution of these rounds will never change.
+/// One finalized round emitted by [`StreamingDecoder`]: the correction
+/// contribution of this round will never change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundCommit {
-    /// Index of the newest round being finalized (0-based; with the
-    /// per-round commit policy, exactly the single finalized round).
+    /// Index of the finalized round (0-based).
     pub round: u32,
     /// Observable-flip delta contributed by this commit (bit `i` =
     /// observable `i`). XOR-ing the `correction` of every commit of a
@@ -157,16 +116,16 @@ pub struct RoundCommit {
     /// decode of the full syndrome; in fused mode it is the windowed
     /// estimate of it.
     pub cumulative: u32,
-    /// Fusion provenance: defects from already-committed rounds that
-    /// the window carried across the trailing boundary as context for
-    /// this commit's decode. Always `0` in exact mode, and `0` on
-    /// steady-state fused commits with `overlap: 0`.
+    /// Fusion provenance: artificial defects this commit carried
+    /// forward — the uncommitted endpoints of the correction edges it
+    /// finalized, which later windows must still correct. Always `0`
+    /// in exact mode and for table decoders.
     pub boundary_defects: u32,
-    /// Fusion provenance: cut edges of the materialized window view —
-    /// edges leaving the window that were remapped to
-    /// artificial-boundary terminals (the stitching surface). `0` in
-    /// exact mode and on commits that never materialized a view
-    /// (memoized or table-decoded).
+    /// Fusion provenance: cut edges of the window view this commit
+    /// decoded — edges leaving the view toward rounds not yet arrived,
+    /// which the view turned into boundary edges. `0` in exact mode,
+    /// for table decoders, and on commits that reused an earlier
+    /// decode.
     pub stitched_edges: u32,
 }
 
@@ -181,6 +140,7 @@ struct ExactState {
 }
 
 enum ModeState {
+    /// Exact mode, and fused mode for table decoders.
     Exact(ExactState),
     /// Boxed: the fusion core is ~10x the exact state.
     Fused(Box<FusionCore>),
@@ -197,8 +157,8 @@ enum ModeState {
 /// wraps any [`Decoder`] and consumes per-round defect lists (e.g.
 /// from [`RoundStream`](ftqc_sim::RoundStream)) through a sliding
 /// window of `W` rounds; a committed round's correction never changes
-/// afterwards. Configure it with [`StreamingConfig`] (window, mode,
-/// commit policy); per shot:
+/// afterwards. Configure it with [`StreamingConfig`] (window and
+/// mode); per shot:
 /// [`begin_shot`](StreamingDecoder::begin_shot), then
 /// [`push_round`](StreamingDecoder::push_round) per round, then
 /// [`finish_shot`](StreamingDecoder::finish_shot) to drain the tail.
@@ -221,23 +181,26 @@ enum ModeState {
 ///
 /// # Fused mode: O(window) per round
 ///
-/// In [`StreamingMode::Fused`], commits decode only the *retained*
-/// defects — the last `W + overlap` rounds — against a round-sliced
-/// [`WindowView`](crate::WindowView) of the decoding graph whose cut
-/// edges become artificial-boundary terminals. Defects that scroll
-/// out are expelled: the decoder decodes the window once with them and
-/// once without, and the XOR difference is frozen into a prefix mask,
-/// so committed deltas keep telescoping. The estimate equals the batch
-/// decode whenever no expelled defect would have re-paired with a
-/// later one — windows at least as wide as the error diameter make
-/// disagreements rare (the `fusion-accuracy` harness measures the
-/// residual LER delta) — and a window covering the whole shot is
-/// bit-identical, because nothing is ever expelled before the
-/// end-of-shot drain.
+/// In [`StreamingMode::Fused`], a commit decodes only the uncommitted
+/// rounds' defects (plus `overlap` committed rounds of defect-free
+/// context) against a round-sliced [`WindowView`](crate::WindowView)
+/// of the decoding graph, and finalizes the correction edges that
+/// reach the committing round. Their far endpoints become artificial
+/// defects of the rounds after it, so every later window corrects
+/// exactly what earlier commits left over (the forward-window scheme;
+/// the [`fusion`](crate::WindowView) module docs carry the argument).
+/// A commit runs at most one window decode, and none when no new
+/// defect arrived since the last one. The estimate is approximate —
+/// a commit cannot see defects more than `W - 1` rounds ahead — and
+/// the `fusion-accuracy` harness measures the residual LER delta; a
+/// window covering the whole shot commits nothing before the
+/// end-of-shot drain, which decodes the shot once, so it is
+/// bit-identical to batch decoding. Table decoders have no correction
+/// edges: in fused mode they stream through the exact prefix path.
 ///
 /// Both modes keep the steady state cheap and allocation-free:
 /// commits only invoke the decoder when the relevant syndrome changed
-/// since the last decode (a defect-free round costs one XOR), the
+/// since the last decode (a defect-free round costs a few compares), the
 /// all-empty syndrome is memoized per stream exactly like
 /// `count_batch_errors`' empty-syndrome path, buffers are presized
 /// from [`ScratchCapacity`](crate::ScratchCapacity), and the scratch
@@ -317,22 +280,25 @@ impl<D: Decoder> StreamingDecoder<D> {
             config.window > 0,
             "streaming window must be at least one round"
         );
-        // analyzer: allow(alloc) -- constructor: one-time presizing of
-        // the scratch and streaming buffers; the push/commit path
-        // reuses them allocation-free.
-        let scratch = DecoderScratch::for_decoder(&decoder);
+        let mut scratch = DecoderScratch::for_decoder(&decoder);
         let cap = decoder.scratch_capacity();
-        let mode = match config.mode {
-            StreamingMode::Exact => ModeState::Exact(ExactState {
+        let fused = match config.mode {
+            StreamingMode::Exact => None,
+            StreamingMode::Fused { overlap } => {
+                FusionCore::new(&decoder, &mut scratch, overlap, schedule, cap)
+            }
+        };
+        let mode = match fused {
+            // analyzer: allow(alloc) -- constructor: the fusion core is
+            // boxed once per stream.
+            Some(core) => ModeState::Fused(Box::new(core)),
+            // analyzer: end-allow(alloc)
+            None => ModeState::Exact(ExactState {
                 syndrome: Vec::with_capacity(cap.nodes as usize),
                 running: 0,
                 running_valid: false,
             }),
-            StreamingMode::Fused { overlap } => {
-                ModeState::Fused(Box::new(FusionCore::new(overlap, schedule)))
-            }
         };
-        // analyzer: end-allow(alloc)
         StreamingDecoder {
             decoder,
             config,
@@ -365,12 +331,12 @@ impl<D: Decoder> StreamingDecoder<D> {
 
     /// Feeds the next round's flagged detectors (sorted ascending, as
     /// [`RoundStream`] emits them). Returns the commit finalizing the
-    /// oldest pending rounds when the window (plus any commit stride)
-    /// is full, `None` while it is still filling.
+    /// oldest pending round when the window is full, `None` while it
+    /// is still filling.
     ///
     /// Rounds may arrive with detector indices below already-pushed
     /// ones (misaligned streams à la block synchronization); the
-    /// retained defect set is re-sorted in place in that case, off the
+    /// held defect set is re-sorted in place in that case, off the
     /// common path.
     pub fn push_round(&mut self, defects: &[u32]) -> Option<RoundCommit> {
         if !defects.is_empty() {
@@ -397,43 +363,28 @@ impl<D: Decoder> StreamingDecoder<D> {
             ModeState::Fused(f) => f.push(defects),
         }
         self.pushed += 1;
-        let (stride, threshold) = match self.config.commit {
-            CommitPolicy::PerRound => (1, self.config.window),
-            CommitPolicy::Strided { stride } => (stride, self.config.window + stride - 1),
-        };
-        if self.pushed - self.committed >= threshold {
-            Some(self.commit_block(stride, true))
-        } else {
-            None
-        }
+        (self.pushed - self.committed >= self.config.window).then(|| self.commit_round())
     }
 
-    /// Commits the oldest pending rounds (one, or up to the commit
-    /// stride) without pushing a new round — `None` when nothing is
-    /// pending. [`finish_shot`] drains the tail with this at end of
-    /// stream; calling it early shrinks the effective lookahead of the
-    /// rounds it flushes. Flush commits never expel fused context (the
-    /// remaining rounds are decoded jointly), which is what makes a
-    /// window covering the whole shot exactly batch-equivalent.
+    /// Commits the oldest pending round without pushing a new one —
+    /// `None` when nothing is pending. [`finish_shot`] drains the tail
+    /// with this at end of stream; calling it early shrinks the
+    /// effective lookahead of the round it flushes. In fused mode the
+    /// first flush decodes the remaining rounds once and the ones after
+    /// it commit that decode, which is what makes a window covering
+    /// the whole shot exactly batch-equivalent.
     ///
     /// [`finish_shot`]: StreamingDecoder::finish_shot
     pub fn flush_round(&mut self) -> Option<RoundCommit> {
-        let pending = self.pushed - self.committed;
-        if pending == 0 {
-            return None;
-        }
-        let stride = match self.config.commit {
-            CommitPolicy::PerRound => 1,
-            CommitPolicy::Strided { stride } => stride,
-        };
-        Some(self.commit_block(stride.min(pending), false))
+        (self.pushed > self.committed).then(|| self.commit_round())
     }
 
     /// Flushes every pending round and returns the shot's total
     /// correction. In exact mode this is bit-identical to
     /// batch-decoding the full accumulated syndrome in one
     /// [`Decoder::decode_into`] call; in fused mode it is the windowed
-    /// estimate (equal to batch whenever nothing was expelled).
+    /// estimate (equal to batch when no round committed before the
+    /// end of the shot).
     pub fn finish_shot(&mut self) -> u32 {
         while self.flush_round().is_some() {}
         if self.pushed == 0 {
@@ -493,57 +444,37 @@ impl<D: Decoder> StreamingDecoder<D> {
         &self.decoder
     }
 
-    /// Finalizes the block of `k` pending rounds ending at round
-    /// `committed + k - 1`. `slide` distinguishes the steady-state
-    /// push path (fused mode advances the trailing boundary, expelling
-    /// and freezing old defects) from the flush path (context is kept,
-    /// so the remaining rounds decode jointly).
-    fn commit_block(&mut self, k: u32, slide: bool) -> RoundCommit {
-        let c_last = self.committed + k - 1;
+    /// Finalizes the oldest pending round.
+    fn commit_round(&mut self) -> RoundCommit {
+        let round = self.committed;
         let StreamingDecoder {
             decoder,
             scratch,
             mode,
+            emitted,
             pushed,
             empty_pred,
             decodes,
             ..
         } = self;
-        let (estimate, boundary_defects, stitched_edges, defects_held) = match mode {
+        let (correction, boundary_defects, stitched_edges, defects_held) = match mode {
             ModeState::Exact(e) => {
                 exact_running(decoder, scratch, e, empty_pred, decodes);
-                (e.running, 0, 0, e.syndrome.len())
+                (e.running ^ *emitted, 0, 0, e.syndrome.len())
             }
             ModeState::Fused(f) => {
-                let (a, fresh) = fused_estimate(decoder, scratch, f, *pushed, empty_pred, decodes);
-                let estimate = f.frozen ^ a;
-                let stitched = if fresh { f.view.cut_edges() } else { 0 };
-                if slide {
-                    let new_alo = (c_last + 1).saturating_sub(f.overlap);
-                    let moved = new_alo > f.alo;
-                    f.slide_to(new_alo);
-                    if moved {
-                        // Freeze the expelled prefix. This runs on
-                        // *every* boundary advance, not only when
-                        // defects were expelled: sliding shrinks the
-                        // view, and the same active set can decode
-                        // differently once the trailing rounds become
-                        // cut edges. Folding `a ^ b` into the mask
-                        // keeps the estimate continuous
-                        // (frozen' ^ B = frozen ^ A); an empty active
-                        // set short-circuits to the memoized empty
-                        // prediction, so the fold is free there.
-                        let (b, _) =
-                            fused_estimate(decoder, scratch, f, *pushed, empty_pred, decodes);
-                        f.frozen ^= a ^ b;
-                    }
-                }
-                (estimate, f.carried(c_last + 1), stitched, f.active_len())
+                let FusedCommit {
+                    correction,
+                    carried,
+                    stitched,
+                    decoded,
+                } = f.commit(decoder, scratch, round, *pushed);
+                *decodes += u64::from(decoded);
+                (correction, carried, stitched, f.pending_len())
             }
         };
-        let delta = estimate ^ self.emitted;
-        self.emitted = estimate;
-        self.committed = c_last + 1;
+        self.emitted ^= correction;
+        self.committed = round + 1;
         // Explicitly gated so the disabled path pays one relaxed load and
         // never builds the argument arrays — this sits inside the ~40 ns
         // defect-free round commit that `decode-latency` gates in CI.
@@ -551,8 +482,8 @@ impl<D: Decoder> StreamingDecoder<D> {
             ftqc_telemetry::instant(
                 "stream/commit",
                 &[
-                    ftqc_telemetry::Arg::new("round", c_last as f64),
-                    ftqc_telemetry::Arg::new("occupancy", (self.pushed - c_last) as f64),
+                    ftqc_telemetry::Arg::new("round", round as f64),
+                    ftqc_telemetry::Arg::new("occupancy", (self.pushed - round) as f64),
                     ftqc_telemetry::Arg::new("decodes", self.decodes as f64),
                     ftqc_telemetry::Arg::new("prefix_defects", defects_held as f64),
                 ],
@@ -561,7 +492,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                 ftqc_telemetry::instant(
                     "stream/fuse",
                     &[
-                        ftqc_telemetry::Arg::new("round", c_last as f64),
+                        ftqc_telemetry::Arg::new("round", round as f64),
                         ftqc_telemetry::Arg::new("boundary_defects", boundary_defects as f64),
                         ftqc_telemetry::Arg::new("stitched_edges", stitched_edges as f64),
                         ftqc_telemetry::Arg::new("active", defects_held as f64),
@@ -570,8 +501,8 @@ impl<D: Decoder> StreamingDecoder<D> {
             }
         }
         RoundCommit {
-            round: c_last,
-            correction: delta,
+            round,
+            correction,
             cumulative: self.emitted,
             boundary_defects,
             stitched_edges,
@@ -603,43 +534,6 @@ fn exact_running<D: Decoder>(
         *decodes += 1;
     }
     e.running_valid = true;
-}
-
-/// The fused window estimate `A = decode(active defects on the current
-/// window view)`, memoized: an empty active set rides the shared
-/// empty-syndrome memo, an unchanged (view, active) pair returns the
-/// cached decode, and only genuinely new windows invoke the decoder.
-/// Returns `(A, fresh)` where `fresh` marks a real windowed decode
-/// (the only case with meaningful stitched-edge provenance).
-fn fused_estimate<D: Decoder>(
-    decoder: &D,
-    scratch: &mut DecoderScratch,
-    f: &mut FusionCore,
-    pushed: u32,
-    empty_pred: &mut Option<u32>,
-    decodes: &mut u64,
-) -> (u32, bool) {
-    if f.active_len() == 0 {
-        let p = *empty_pred.get_or_insert_with(|| {
-            let mut p = 0u32;
-            decoder.decode_into(scratch, &[], &mut p);
-            *decodes += 1;
-            p
-        });
-        return (p, false);
-    }
-    if f.cached_valid {
-        return (f.cached, false);
-    }
-    f.prepare(pushed);
-    let local = std::mem::take(&mut f.local);
-    let mut a = 0u32;
-    decoder.decode_window_into(scratch, &mut f.view, &local, &mut a);
-    f.local = local;
-    *decodes += 1;
-    f.cached = a;
-    f.cached_valid = true;
-    (a, true)
 }
 
 /// [`count_batch_errors`](crate::count_batch_errors), but every shot is

@@ -47,11 +47,8 @@ pub struct UfDecoder {
 /// Scale factor from log-likelihood weight to integer growth units.
 const WEIGHT_SCALE: f64 = 4.0;
 
-/// Quantizes a log-likelihood weight into integer growth units — the
-/// single source of truth for edge capacities, shared by the full-graph
-/// decoder and the windowed-fusion views so a full-range view decodes
-/// bit-identically to the batch path.
-pub(crate) fn quantize_capacity(weight: f64) -> u32 {
+/// Quantizes a log-likelihood weight into integer growth units.
+fn quantize_capacity(weight: f64) -> u32 {
     ((weight * WEIGHT_SCALE).round() as u32).max(1)
 }
 
@@ -83,25 +80,24 @@ impl UfDecoder {
 }
 
 /// The union-find decode core over an explicit `(graph, capacity)`
-/// pair: cluster growth plus peeling, writing the observable mask into
-/// `correction`. [`UfDecoder`] calls this with its full graph; the
+/// pair: cluster growth plus peeling, writing the correction's edges
+/// into `edges` and returning the XOR of their observables. [`UfDecoder`] calls this with its full graph; the
 /// windowed-fusion path calls it with a round-sliced
-/// [`WindowView`](crate::WindowView)'s sub-graph and per-view
-/// capacities — same core, same arenas, so a full-range view decodes
-/// bit-identically to the batch path.
+/// [`WindowView`](crate::WindowView)'s sub-graph and its run of the
+/// full graph's capacities — same core, same arenas, so a full-range
+/// view decodes bit-identically to the batch path.
 pub(crate) fn uf_decode(
     graph: &DecodingGraph,
     capacity: &[u32],
-    scratch: &mut DecoderScratch,
+    s: &mut UfScratch,
     syndrome: &[u32],
-    correction: &mut u32,
-) {
-    *correction = 0;
+    edges: &mut Vec<u32>,
+) -> u32 {
+    edges.clear();
     if syndrome.is_empty() {
-        return;
+        return 0;
     }
     debug_assert_eq!(capacity.len(), graph.records().len());
-    let s = &mut scratch.uf;
     s.arm(graph.num_detectors() as usize, capacity.len());
     for &f in syndrome {
         s.mark[f as usize] |= DEFECT;
@@ -111,8 +107,9 @@ pub(crate) fn uf_decode(
     // Peeling: build spanning forests over saturated edges and peel
     // leaves, flipping defects toward the root (boundary-anchored
     // when available).
-    *correction = peel(graph, s, syndrome);
+    let mask = peel(graph, s, syndrome, edges);
     s.rearm(graph);
+    mask
 }
 
 /// Appends the unsaturated edges at the members of `root`'s cluster
@@ -283,7 +280,8 @@ fn grow(graph: &DecodingGraph, capacity: &[u32], s: &mut UfScratch, syndrome: &[
 
 impl Decoder for UfDecoder {
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32) {
-        uf_decode(&self.graph, &self.capacity, scratch, syndrome, correction);
+        let DecoderScratch { uf, edges, .. } = scratch;
+        *correction = uf_decode(&self.graph, &self.capacity, uf, syndrome, edges);
     }
 
     fn decode_window_into(
@@ -291,16 +289,17 @@ impl Decoder for UfDecoder {
         scratch: &mut DecoderScratch,
         view: &mut WindowView,
         syndrome: &[u32],
-        correction: &mut u32,
-    ) {
-        view.ensure(&self.graph);
+        edges: &mut Vec<u32>,
+    ) -> bool {
+        let run = view.ensure(&self.graph);
         uf_decode(
             view.graph(),
-            view.uf_capacities(),
-            scratch,
+            &self.capacity[run],
+            &mut scratch.uf,
             syndrome,
-            correction,
+            edges,
         );
+        true
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {
@@ -332,15 +331,15 @@ fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
     }
 }
 
-/// Peels the saturated subgraph (in `s.grown` / `s.mark`), returning
-/// the observable mask of the correction, and lists the nodes the
-/// decode touched in `s.touched`.
+/// Peels the saturated subgraph (in `s.grown` / `s.mark`), appending
+/// the correction's edges to `edges` and returning the XOR of their
+/// observables, and lists the nodes the decode touched in `s.touched`.
 ///
 /// The forest roots are the ones a scan of every edge and then every
 /// node would pick, in the same order: first the detector end of each
 /// saturated boundary edge, by edge index, then each node that is a
 /// defect or ends a saturated edge, by node index.
-fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32]) -> u32 {
+fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32], edges: &mut Vec<u32>) -> u32 {
     let rec = graph.records();
     let mut mask = 0u32;
     s.saturated.sort_unstable();
@@ -386,6 +385,7 @@ fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32]) -> u32 {
         }
         if s.mark[node as usize] & DEFECT != 0 {
             let e = &rec[ei as usize];
+            edges.push(ei);
             mask ^= e.observables;
             s.mark[node as usize] &= !DEFECT;
             let parent = if e.u == node {
@@ -401,6 +401,7 @@ fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32]) -> u32 {
     for i in 0..s.root_drains.len() {
         let (root, bedge) = s.root_drains[i];
         if s.mark[root as usize] & DEFECT != 0 && bedge != NO_EDGE {
+            edges.push(bedge);
             mask ^= rec[bedge as usize].observables;
             s.mark[root as usize] &= !DEFECT;
         }
@@ -635,7 +636,8 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let n = graph.num_detectors();
-        let mut scratch = DecoderScratch::new();
+        let mut scratch = UfScratch::default();
+        let mut edges = Vec::new();
         let mut oracle = UfScratch::default();
         let mut capacity = vec![0u32; graph.records().len()];
         for trial in 0..trials {
@@ -644,14 +646,18 @@ mod tests {
             }
             let density = rng.gen::<f64>() * 0.3;
             let syndrome: Vec<u32> = (0..n).filter(|_| rng.gen_bool(density)).collect();
-            let mut got = 0u32;
-            uf_decode(graph, &capacity, &mut scratch, &syndrome, &mut got);
+            let got = uf_decode(graph, &capacity, &mut scratch, &syndrome, &mut edges);
+            assert_eq!(
+                got,
+                graph.observables_of(&edges),
+                "trial {trial}: mask of the edges"
+            );
             let want = reference::decode(graph, &capacity, &mut oracle, &syndrome);
             assert_eq!(got, want, "trial {trial}: correction of {syndrome:?}");
             if syndrome.is_empty() {
                 continue;
             }
-            let s = &scratch.uf;
+            let s = &scratch;
             let saturated: Vec<u32> = (0..oracle.grown.len() as u32)
                 .filter(|&ei| oracle.grown[ei as usize] & SATURATED != 0)
                 .collect();

@@ -1,15 +1,16 @@
 //! Fused-mode contracts: windowed fusion's exactness boundary and its
 //! measured accuracy inside it.
 //!
-//! Fused streaming is approximate *only* when defects are expelled
-//! past the trailing window boundary before their partners arrive.
+//! Fused streaming is approximate *only* when a round commits before
+//! the end of the shot: its correction edges are then final, and the
+//! ones reaching later rounds hand those rounds artificial defects.
 //! These tests pin both sides of that line for all four decoder
-//! families: windows (or overlaps) covering the whole shot are
-//! bit-identical to batch decoding; defect chains straddling two or
-//! more window boundaries keep the telescoping/provenance invariants
-//! at every overlap; and seeded fused-vs-batch error-count deltas stay
-//! inside a small bound at the realistic `fused(W, overlap)` settings
-//! the benches run.
+//! families: windows covering the whole shot are bit-identical to
+//! batch decoding; one-round windows and defect chains straddling two
+//! or more window boundaries keep the telescoping/provenance
+//! invariants at every overlap; every commit runs at most one decode;
+//! and seeded fused-vs-batch error-count deltas stay inside a small
+//! bound at the realistic `fused(W, overlap)` settings the benches run.
 
 use ftqc_circuit::Circuit;
 use ftqc_decoder::{
@@ -51,8 +52,8 @@ fn memory_circuit(d: u32, p: f64) -> Circuit {
 
 /// Streams every sampled shot through a fused stream built from
 /// `config` and asserts bit-identity with one batch decode per shot —
-/// the exactness contract for configurations that never expel a defect
-/// mid-shot.
+/// the exactness contract for configurations that commit nothing
+/// mid-shot, and for table decoders at any window.
 fn assert_fused_matches_batch(
     circuit: &Circuit,
     decoder: &(impl Decoder + ?Sized),
@@ -112,53 +113,71 @@ fn fused_window_covering_the_shot_is_bit_identical_to_batch() {
 }
 
 #[test]
-fn full_overlap_never_expels_even_with_a_one_round_window() {
-    // The exactness boundary is about *expulsion*, not window size: a
-    // W = 1 stream that retains `num_rounds` rounds of committed
-    // context behind the boundary never expels anything mid-shot, so
-    // it too must match batch decoding bit for bit — while its commits
-    // visibly carry cross-boundary context in their provenance.
+fn one_round_window_commits_forward_under_full_overlap() {
+    // W = 1 commits every round on arrival, so a graph decoder must
+    // finalize each round's correction edges at once and hand the ones
+    // reaching the next round to it as artificial defects; a full
+    // overlap only keeps the committed rounds in the view as context.
+    // Table decoders have no edges and stream through the exact prefix
+    // path, which stays bit-identical to batch at any window.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
     let num_rounds = schedule.num_rounds();
+    let config = StreamingConfig::fused(1, num_rounds);
     for (name, kind) in kinds() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
-        assert_fused_matches_batch(
-            &circuit,
-            &decoder,
-            StreamingConfig::fused(1, num_rounds),
-            512,
-            19,
-            &format!("{name} fused W=1 overlap={num_rounds}"),
+        let label = format!("{name} fused W=1 overlap={num_rounds}");
+        if matches!(name, "lut" | "hierarchical") {
+            assert_fused_matches_batch(&circuit, &decoder, config, 512, 19, &label);
+            continue;
+        }
+        // Every push commits its own round, the last commit leaves
+        // nothing to carry, and the commits telescope.
+        let batch = sample_batch(&circuit, 512, 19);
+        let mut rounds = RoundStream::new(&schedule);
+        let mut stream = config.build(&decoder, &schedule);
+        let mut defects = Vec::new();
+        let mut carried = 0u32;
+        rounds.begin_batch(&batch);
+        for s in 0..batch.shots {
+            rounds.begin_shot(s);
+            stream.begin_shot();
+            let mut xor_all = 0u32;
+            let mut last = None;
+            while let Some(r) = rounds.next_round_into(&batch, &mut defects) {
+                let c = stream.push_round(&defects).expect("W=1 commits each push");
+                assert_eq!(c.round, r, "{label}: shot {s} commits its own round");
+                xor_all ^= c.correction;
+                carried += c.boundary_defects;
+                last = Some(c);
+            }
+            assert!(stream.flush_round().is_none(), "{label}: nothing pending");
+            let last = last.expect("rounds");
+            assert_eq!(last.boundary_defects, 0, "{label}: shot {s} left defects");
+            assert_eq!(
+                stream.finish_shot(),
+                xor_all,
+                "{label}: shot {s} telescopes"
+            );
+        }
+        assert!(
+            carried > 0,
+            "{label}: W=1 commits must carry defects forward"
         );
     }
-    // Provenance: with defects in consecutive rounds, later commits
-    // must report the carried boundary context.
-    let decoder = DecoderKind::UnionFind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
-    let mut stream = StreamingConfig::fused(1, num_rounds).build(&decoder, &schedule);
-    stream.begin_shot();
-    let mut carried = 0u32;
-    for r in 0..num_rounds {
-        let d = schedule.detectors_in(r).next().unwrap();
-        let c = stream.push_round(&[d]).expect("W=1 commits each push");
-        carried = carried.max(c.boundary_defects);
-    }
-    stream.finish_shot();
-    assert!(
-        carried > 0,
-        "full-overlap commits must report carried context"
-    );
 }
 
 #[test]
 fn defect_chains_straddling_multiple_window_boundaries() {
     // One defect in every round — a chain straddling num_rounds - 1
     // window boundaries at W = 1. For every overlap the commits must
-    // keep the streaming invariants (in-order commits, deltas
-    // telescoping to the final correction, all rounds committed), and
-    // overlap ≥ num_rounds - 1 retains the whole chain through the
-    // last commit, which makes the result exactly the batch decode.
+    // keep the streaming invariants: in-order commits, deltas
+    // telescoping to the final correction, all rounds committed, and
+    // `boundary_defects` counting the artificial defects each commit
+    // carries forward — some for a graph decoder, none after the last
+    // round, and none at all for a table decoder, whose prefix path
+    // reproduces the batch decode.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -192,28 +211,72 @@ fn defect_chains_straddling_multiple_window_boundaries() {
                 streamed,
                 "{label}: cumulative tracks emitted"
             );
-            if overlap == 0 {
-                // Immediate expulsion: no commit may claim carried
-                // context.
+            assert_eq!(
+                commits.last().unwrap().boundary_defects,
+                0,
+                "{label}: the last round carries nothing forward"
+            );
+            if matches!(name, "lut" | "hierarchical") {
                 assert!(
                     commits.iter().all(|c| c.boundary_defects == 0),
-                    "{label}: overlap=0 commits must not carry context"
+                    "{label}: the prefix path carries nothing"
                 );
-            } else {
-                // The chain keeps at least one committed-round defect
-                // behind the boundary for later commits.
-                assert!(
-                    commits.iter().any(|c| c.boundary_defects > 0),
-                    "{label}: overlap>0 must carry the chain across boundaries"
-                );
-            }
-            if overlap >= num_rounds - 1 {
                 assert_eq!(
                     streamed,
                     decoder.predict(&chain),
-                    "{label}: chain fully retained must match batch"
+                    "{label}: the prefix path must match batch"
+                );
+            } else {
+                assert!(
+                    commits.iter().any(|c| c.boundary_defects > 0),
+                    "{label}: the chain must be carried across boundaries"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn fused_commits_decode_at_most_once() {
+    // The forward-window commit decodes the window once, and not at
+    // all while no new defect arrived: no push or flush may run two
+    // inner decodes.
+    let circuit = memory_circuit(3, 3e-3);
+    let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+    let schedule = RoundSchedule::from_circuit(&circuit);
+    let batch = sample_batch(&circuit, 256, 23);
+    let mut rounds = RoundStream::new(&schedule);
+    let mut defects = Vec::new();
+    for (name, kind) in [("uf", DecoderKind::UnionFind), ("mwpm", DecoderKind::Mwpm)] {
+        let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
+        for (window, overlap) in [(1, 0), (2, 1), (3, 2)] {
+            let label = format!("{name} fused W={window} overlap={overlap}");
+            let mut stream = StreamingConfig::fused(window, overlap).build(&decoder, &schedule);
+            let mut commits = 0u64;
+            rounds.begin_batch(&batch);
+            for s in 0..batch.shots {
+                rounds.begin_shot(s);
+                stream.begin_shot();
+                loop {
+                    let before = stream.decode_count();
+                    let commit = match rounds.next_round_into(&batch, &mut defects) {
+                        Some(_) => stream.push_round(&defects),
+                        None => match stream.flush_round() {
+                            Some(c) => Some(c),
+                            None => break,
+                        },
+                    };
+                    let ran = stream.decode_count() - before;
+                    assert!(ran <= 1, "{label}: shot {s} ran {ran} decodes in one event");
+                    commits += u64::from(commit.is_some());
+                }
+                stream.finish_shot();
+            }
+            assert!(
+                stream.decode_count() > 0 && stream.decode_count() <= commits,
+                "{label}: {} decodes over {commits} commits",
+                stream.decode_count()
+            );
         }
     }
 }

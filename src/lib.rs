@@ -87,8 +87,11 @@
 //! sliding window of `W` rounds and commits a final correction for
 //! each round that scrolls out. Exact mode is bit-identical to batch
 //! decoding of the full syndrome for every decoder family; fused mode
-//! (`StreamingConfig::fused(window, overlap)`) decodes only the active
-//! window for O(window) per-round cost at a measured accuracy delta:
+//! (`StreamingConfig::fused(window, overlap)`) decodes only the
+//! uncommitted rounds, once per commit, and commits the correction
+//! edges that reach each finalized round, for O(window) per-round cost
+//! at a measured accuracy delta (table decoders, which have no edges,
+//! take exact mode's prefix path):
 //!
 //! ```
 //! use ftqc::decoder::{DecoderKind, StreamingConfig};
