@@ -29,8 +29,9 @@
 //! * `fusion-accuracy` — the accuracy side of the same trade: the
 //!   fused-vs-batch logical-error delta per decoder family × distance
 //!   over a seeded shot plan, reported in errors per million shots
-//!   (`<kind>/d<d>/{batch,fused,delta}-epm` rows; deterministic, so
-//!   exactly reproducible).
+//!   (`<kind>/d<d>/{batch,fused,delta}-epm` rows at window 2, plus
+//!   `fused-w<d>-epm` / `delta-w<d>-epm` rows at window `d` for the
+//!   graph decoders; deterministic, so exactly reproducible).
 //! * `adaptive-pipeline` — end-to-end shots/sec of the
 //!   run-until-confident evaluation engine (sampling + decoding +
 //!   stopping), the loop behind every LER figure.
@@ -394,8 +395,11 @@ fn decode_latency(preset: Preset) -> Vec<BenchResult> {
 /// scenario measures accuracy, not time — the field is just the row's
 /// value carrier): `<kind>/d<d>/batch-epm`, `/fused-epm`, and
 /// `/delta-epm` (fused − batch, the signed fusion accuracy delta the
-/// EXPERIMENTS.md table reports). Counts are seeded and deterministic,
-/// so `samples` is 1 and the rows are exactly reproducible.
+/// EXPERIMENTS.md table reports). The graph decoders (UF, MWPM) also
+/// stream at window `d`, overlap 1 — `/fused-w<d>-epm` and
+/// `/delta-w<d>-epm` — the window at which a commit sees a full code
+/// distance of rounds ahead. Counts are seeded and deterministic, so
+/// `samples` is 1 and the rows are exactly reproducible.
 fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
     use ftqc_decoder::{count_batch_errors, count_batch_errors_streaming, StreamingConfig};
     use ftqc_sim::batch_plan;
@@ -412,9 +416,9 @@ fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
         Preset::Full => (
             100_000,
             vec![
-                ("uf", DecoderKind::UnionFind, vec![3, 5]),
+                ("uf", DecoderKind::UnionFind, vec![3, 5, 7]),
                 ("lut", DecoderKind::lut(), vec![3]),
-                ("mwpm", DecoderKind::Mwpm, vec![3]),
+                ("mwpm", DecoderKind::Mwpm, vec![3, 5, 7]),
                 ("hierarchical", DecoderKind::hierarchical(), vec![3]),
             ],
         ),
@@ -433,33 +437,32 @@ fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
                 counts.iter().map(|batch| batch.iter().sum::<u64>()).sum()
             };
             let batch = total(count_batch_errors(pipeline.circuit(), decoder, &plan, 7, 2));
-            let fused = total(count_batch_errors_streaming(
-                pipeline.circuit(),
-                decoder,
-                StreamingConfig::fused(LATENCY_WINDOW, 1),
-                &plan,
-                7,
-                2,
-            ));
             let epm = |errors: u64| errors as f64 * 1e6 / shots as f64;
-            results.push(BenchResult::new(
-                format!("{label}/d{d}/batch-epm"),
-                epm(batch),
-                0.0,
-                1,
-            ));
-            results.push(BenchResult::new(
-                format!("{label}/d{d}/fused-epm"),
-                epm(fused),
-                0.0,
-                1,
-            ));
-            results.push(BenchResult::new(
-                format!("{label}/d{d}/delta-epm"),
-                epm(fused) - epm(batch),
-                0.0,
-                1,
-            ));
+            let mut row = |name: String, value: f64| {
+                results.push(BenchResult::new(
+                    format!("{label}/d{d}/{name}"),
+                    value,
+                    0.0,
+                    1,
+                ));
+            };
+            row("batch-epm".into(), epm(batch));
+            let graph_decoder = matches!(kind, DecoderKind::UnionFind | DecoderKind::Mwpm);
+            for (window, tag) in [(LATENCY_WINDOW, String::new()), (d, format!("-w{d}"))] {
+                if window == d && !graph_decoder {
+                    continue;
+                }
+                let fused = total(count_batch_errors_streaming(
+                    pipeline.circuit(),
+                    decoder,
+                    StreamingConfig::fused(window, 1),
+                    &plan,
+                    7,
+                    2,
+                ));
+                row(format!("fused{tag}-epm"), epm(fused));
+                row(format!("delta{tag}-epm"), epm(fused) - epm(batch));
+            }
         }
     }
     results
