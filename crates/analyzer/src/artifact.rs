@@ -27,7 +27,7 @@
 use crate::diag::{Code, Diagnostic};
 use ftqc_decoder::{DecodingGraph, ScratchCapacity, NO_NODE};
 use ftqc_sim::{DetectorErrorModel, Mechanism};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// A parsed `.dem` text file (see the [module docs](self) for the
 /// format).
@@ -324,67 +324,74 @@ impl DemFile {
     }
 }
 
-/// `FTQC013`: [`DecodingGraph`] CSR consistency, checked through the
-/// public traversal API — endpoint ranges, index-parallel
-/// [`EdgeRecord`](ftqc_decoder::EdgeRecord)s, per-node adjacency in
-/// ascending edge order with every internal edge appearing under both
-/// endpoints (boundary edges under `u` only), and every detector with
-/// at least one edge able to reach a boundary edge.
-pub fn validate_graph(label: &str, graph: &DecodingGraph) -> Vec<Diagnostic> {
+/// The merged probability of each of the DEM's edge classes,
+/// re-derived independently of `DecodingGraph::from_dem` but under its
+/// merge rule: graphlike mechanisms keyed by `(lower detector, upper
+/// detector or None, observables)`, parallel ones merged as "exactly
+/// one occurs". Sorted by key, so entry `i` is graph edge `i`'s class.
+fn edge_classes(dem: &DetectorErrorModel) -> Vec<f64> {
+    let mut merged: HashMap<(u32, Option<u32>, u32), f64> = HashMap::new();
+    for m in dem.mechanisms() {
+        let key = match m.detectors[..] {
+            [d] => (d, None, m.observables),
+            [a, b] => (a.min(b), Some(a.max(b)), m.observables),
+            _ => continue, // not graphlike / pure observable flip
+        };
+        let p = merged.entry(key).or_insert(0.0);
+        *p = *p * (1.0 - m.probability) + m.probability * (1.0 - *p);
+    }
+    let mut classes: Vec<_> = merged.into_iter().collect();
+    classes.sort_unstable_by_key(|&(key, _)| key);
+    classes.into_iter().map(|(_, p)| p).collect()
+}
+
+/// `FTQC013`: the consistency of a [`DecodingGraph`] built from `dem`.
+/// Every merged edge class of the DEM has a probability in `(0, 1)`;
+/// and, through the graph's public traversal API: endpoint ranges,
+/// positive finite weights, per-node adjacency in ascending edge order
+/// with every internal edge appearing under both endpoints (boundary
+/// edges under `u` only), and every detector with at least one edge
+/// able to reach a boundary edge.
+pub fn validate_graph(
+    label: &str,
+    dem: &DetectorErrorModel,
+    graph: &DecodingGraph,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let n = graph.num_detectors();
-    let edges = graph.edges();
     let records = graph.records();
     let mut err = |msg: String| {
         diags.push(Diagnostic::new(Code::GraphCsr, label, 0, msg));
     };
 
-    if records.len() != edges.len() {
-        err(format!(
-            "records array ({}) is not index-parallel to edges ({})",
-            records.len(),
-            edges.len()
-        ));
+    for (i, p) in edge_classes(dem).into_iter().enumerate() {
+        if !(p > 0.0 && p < 1.0) {
+            err(format!("edge {i} probability {p} outside (0, 1)"));
+        }
     }
-    for (i, e) in edges.iter().enumerate() {
-        if e.u >= n || e.v.is_some_and(|v| v >= n) {
+    for (i, r) in records.iter().enumerate() {
+        if r.u >= n || (r.v != NO_NODE && r.v >= n) {
             err(format!("edge {i} endpoint out of range ({} detectors)", n));
             continue;
         }
-        if e.v.is_some_and(|v| v <= e.u) {
+        if r.v != NO_NODE && r.v <= r.u {
             err(format!(
-                "edge {i} endpoints not ascending (u {}, v {:?})",
-                e.u, e.v
+                "edge {i} endpoints not ascending (u {}, v {})",
+                r.u, r.v
             ));
         }
-        if !(e.probability > 0.0 && e.probability < 1.0) {
-            err(format!(
-                "edge {i} probability {} outside (0, 1)",
-                e.probability
-            ));
-        }
-        if !e.weight.is_finite() || e.weight <= 0.0 {
-            err(format!("edge {i} weight {} not positive finite", e.weight));
-        }
-        if let Some(r) = records.get(i) {
-            let v = e.v.unwrap_or(NO_NODE);
-            if r.u != e.u
-                || r.v != v
-                || r.observables != e.observables
-                || r.weight.to_bits() != e.weight.to_bits()
-            {
-                err(format!("record {i} does not mirror its cold edge"));
-            }
+        if !r.weight.is_finite() || r.weight <= 0.0 {
+            err(format!("edge {i} weight {} not positive finite", r.weight));
         }
     }
 
     // Adjacency: ascending edge order per node, entries in range,
     // resolved far endpoints correct, appearance counts exact.
-    let mut appearances = vec![0u32; edges.len()];
+    let mut appearances = vec![0u32; records.len()];
     for node in 0..n {
         let mut prev_edge = None;
         for entry in graph.neighbors(node) {
-            if (entry.edge as usize) >= edges.len() {
+            if (entry.edge as usize) >= records.len() {
                 err(format!(
                     "node {node} adjacency references edge {} out of range",
                     entry.edge
@@ -396,11 +403,11 @@ pub fn validate_graph(label: &str, graph: &DecodingGraph) -> Vec<Diagnostic> {
             }
             prev_edge = Some(entry.edge);
             appearances[entry.edge as usize] += 1;
-            let e = &edges[entry.edge as usize];
-            let expected_to = if e.u == node {
-                e.v.unwrap_or(NO_NODE)
-            } else if e.v == Some(node) {
-                e.u
+            let r = &records[entry.edge as usize];
+            let expected_to = if r.u == node {
+                r.v
+            } else if r.v == node {
+                r.u
             } else {
                 err(format!(
                     "node {node} adjacency lists edge {} which does not touch it",
@@ -416,8 +423,8 @@ pub fn validate_graph(label: &str, graph: &DecodingGraph) -> Vec<Diagnostic> {
             }
         }
     }
-    for (i, e) in edges.iter().enumerate() {
-        let expected = if e.v.is_some() { 2 } else { 1 };
+    for (i, r) in records.iter().enumerate() {
+        let expected = if r.v != NO_NODE { 2 } else { 1 };
         if appearances[i] != expected {
             err(format!(
                 "edge {i} appears {} times in the adjacency (expected {expected})",
@@ -454,26 +461,17 @@ pub fn validate_graph(label: &str, graph: &DecodingGraph) -> Vec<Diagnostic> {
 
 /// `FTQC014`: cross-checks a decoder's reported
 /// [`ScratchCapacity`] against the capacity re-derived independently
-/// from the DEM (`nodes` = detector count, `edges` = distinct
-/// graphlike `(endpoints, observables)` mechanism classes — the same
-/// merge rule `DecodingGraph::from_dem` applies). Table decoders
-/// report `edges: 0`, which the DEM cross-check cannot derive, so
-/// callers validate graph-holding decoders here.
+/// from the DEM (`nodes` = detector count, `edges` = merged edge
+/// classes, the same merge rule `DecodingGraph::from_dem` applies).
+/// Table decoders report `edges: 0`, which the DEM cross-check cannot
+/// derive, so callers validate graph-holding decoders here.
 pub fn validate_scratch(
     label: &str,
     dem: &DetectorErrorModel,
     cap: ScratchCapacity,
 ) -> Vec<Diagnostic> {
     let nodes = dem.num_detectors() as u32;
-    let mut classes: HashSet<(u32, u32, u32)> = HashSet::new();
-    for m in dem.mechanisms() {
-        match m.detectors.len() {
-            1 => classes.insert((m.detectors[0], NO_NODE, m.observables)),
-            2 => classes.insert((m.detectors[0], m.detectors[1], m.observables)),
-            _ => continue, // not graphlike / pure observable flip
-        };
-    }
-    let edges = classes.len() as u32;
+    let edges = edge_classes(dem).len() as u32;
     let mut diags = Vec::new();
     if cap.nodes != nodes || cap.edges != edges {
         diags.push(Diagnostic::new(
@@ -506,10 +504,8 @@ pub fn validate_window(
     window: u32,
 ) -> Vec<Diagnostic> {
     let mut reach = 0u32;
-    for e in graph.edges() {
-        if let Some(v) = e.v {
-            reach = reach.max(round_of(e.u).abs_diff(round_of(v)));
-        }
+    for r in graph.records().iter().filter(|r| r.v != NO_NODE) {
+        reach = reach.max(round_of(r.u).abs_diff(round_of(r.v)));
     }
     let min_window = reach + 1;
     if window >= min_window {
@@ -640,7 +636,7 @@ error 0.004 D2 L0
         assert_eq!(model.num_detectors(), 3);
         assert_eq!(model.mechanisms().len(), 4);
         let graph = DecodingGraph::from_dem(&model);
-        assert!(validate_graph("good.dem", &graph).is_empty());
+        assert!(validate_graph("good.dem", &model, &graph).is_empty());
     }
 
     #[test]
@@ -710,9 +706,9 @@ error 0.1 D0 D1
 
     #[test]
     fn graph_validation_passes_on_real_graphs() {
-        let dem = DemFile::parse("good.dem", GOOD).unwrap();
-        let graph = DecodingGraph::from_dem(&dem.to_model());
-        assert!(validate_graph("good.dem", &graph).is_empty());
+        let model = DemFile::parse("good.dem", GOOD).unwrap().to_model();
+        let graph = DecodingGraph::from_dem(&model);
+        assert!(validate_graph("good.dem", &model, &graph).is_empty());
     }
 
     #[test]
@@ -730,13 +726,55 @@ error 0.1 D0 D1
             }],
         );
         let graph = DecodingGraph::from_dem(&model);
-        let diags = validate_graph("island.dem", &graph);
+        let diags = validate_graph("island.dem", &model, &graph);
         assert!(
             diags
                 .iter()
                 .any(|d| d.code == Code::GraphCsr && d.message.contains("boundary")),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn merged_probability_outside_the_unit_interval_is_ftqc013() {
+        // D0 and D1 each reach the boundary; the D0-D1 class merges
+        // `parallel` mechanisms, which here come out at exactly 0 or 1.
+        let model = |parallel: &[f64]| {
+            let mut mechanisms: Vec<Mechanism> = [0u32, 1]
+                .iter()
+                .map(|&d| Mechanism {
+                    probability: 0.01,
+                    detectors: vec![d],
+                    observables: 0,
+                })
+                .collect();
+            mechanisms.extend(parallel.iter().map(|&probability| Mechanism {
+                probability,
+                detectors: vec![0, 1],
+                observables: 0,
+            }));
+            DetectorErrorModel::from_parts(2, 0, mechanisms)
+        };
+        for (parallel, merged) in [
+            (&[0.0][..], 0.0),
+            (&[1.0][..], 1.0),
+            (&[1.0, 1.0][..], 0.0),
+            (&[0.0, 1.0][..], 1.0),
+        ] {
+            let dem = model(parallel);
+            let graph = DecodingGraph::from_dem(&dem);
+            let diags = validate_graph("p.dem", &dem, &graph);
+            assert_eq!(diags.len(), 1, "{parallel:?}: {diags:?}");
+            assert_eq!(diags[0].code, Code::GraphCsr);
+            assert!(
+                diags[0]
+                    .message
+                    .contains(&format!("probability {merged} outside (0, 1)")),
+                "{parallel:?}: {diags:?}"
+            );
+        }
+        let dem = model(&[0.5, 0.5]);
+        assert!(validate_graph("p.dem", &dem, &DecodingGraph::from_dem(&dem)).is_empty());
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub enum Code {
     /// contiguous integers and detector ids sorted by round, or
     /// `RoundSchedule` cannot be constructed.
     DemRounds,
-    /// `DecodingGraph` CSR arrays are inconsistent.
+    /// `DecodingGraph` CSR arrays are inconsistent, or a merged edge
+    /// probability of its DEM is outside (0, 1).
     GraphCsr,
     /// `Decoder::scratch_capacity()` disagrees with the capacity
     /// re-derived independently from the DEM.

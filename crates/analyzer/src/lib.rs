@@ -80,12 +80,16 @@ pub fn lint_tree(root: &Path) -> Result<Vec<Diagnostic>, String> {
     Ok(allowlist.filter(diags))
 }
 
-/// Debug pre-flight over a freshly built decoding graph: panics with
-/// the rendered `FTQC013` report if the CSR arrays are inconsistent.
-/// Call sites gate this behind `#[cfg(debug_assertions)]` — release
-/// pipelines skip it.
-pub fn preflight_graph(label: &str, graph: &ftqc_decoder::DecodingGraph) {
-    let diags = artifact::validate_graph(label, graph);
+/// Debug pre-flight over a decoding graph freshly built from `dem`:
+/// panics with the rendered `FTQC013` report if an edge probability is
+/// out of range or the CSR arrays are inconsistent. Call sites gate
+/// this behind `#[cfg(debug_assertions)]` — release pipelines skip it.
+pub fn preflight_graph(
+    label: &str,
+    dem: &ftqc_sim::DetectorErrorModel,
+    graph: &ftqc_decoder::DecodingGraph,
+) {
+    let diags = artifact::validate_graph(label, dem, graph);
     assert!(
         diags.is_empty(),
         "decoding-graph pre-flight failed:\n{}",

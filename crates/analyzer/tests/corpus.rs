@@ -95,7 +95,7 @@ fn good_dem_survives_the_full_validation_chain() {
     assert!(file.validate("good.dem").is_empty());
     let model = file.to_model();
     let graph = ftqc_decoder::DecodingGraph::from_dem(&model);
-    assert!(artifact::validate_graph("good.dem", &graph).is_empty());
+    assert!(artifact::validate_graph("good.dem", &model, &graph).is_empty());
     let decoder = ftqc_decoder::UfDecoder::new(graph);
     assert!(artifact::validate_scratch("good.dem", &model, decoder.scratch_capacity()).is_empty());
 }

@@ -133,7 +133,7 @@ pub fn evaluate_ler(
 /// the streaming building block of the adaptive evaluation engine.
 ///
 /// Each batch's shot stream is derived from its global index (see
-/// [`ftqc_sim::parallel_batches_indexed`]), so counts are bit-identical
+/// [`ftqc_sim::parallel_batches_with`]), so counts are bit-identical
 /// whether a plan runs in one call or in chunks, at any thread count.
 ///
 /// The circuit is borrowed and every worker thread owns one reusable

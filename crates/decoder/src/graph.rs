@@ -8,10 +8,11 @@
 //! * adjacency is CSR (one offset array + one flat entry array of
 //!   8-byte [`AdjEntry`] records, neighbor pre-resolved — no jagged
 //!   `Vec<Vec<u32>>`, no per-node heap blocks);
-//! * per-edge hot fields are packed 24-byte [`EdgeRecord`]s (endpoints
-//!   as plain sentinel-coded u32s, weight, observable mask), separate
-//!   from the cold [`GraphEdge`] records that keep probabilities for
-//!   inspection and tests;
+//! * each edge is stored once, as a packed 24-byte [`EdgeRecord`]
+//!   (endpoints as plain sentinel-coded u32s, weight, observable
+//!   mask) — exactly what decoders read. Mechanism probabilities are
+//!   folded into the weights at build time and not kept; they live in
+//!   the detector error model the graph was built from;
 //! * the Dijkstra workspace is an arena-backed *indexed* binary heap
 //!   ([`DijkstraScratch`]) whose size is bounded by `nodes + 1` by
 //!   construction — no lazy-deletion duplicates, no unbounded
@@ -25,39 +26,21 @@ use std::collections::HashMap;
 pub const NO_NODE: u32 = u32::MAX;
 
 /// An edge of the decoding graph: an independent error mechanism
-/// connecting two detectors, or one detector and the boundary.
-///
-/// This is the *cold* canonical record (kept for construction,
-/// inspection and tests); hot loops read the packed [`EdgeRecord`]
-/// array instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphEdge {
-    /// First detector.
-    pub u: u32,
-    /// Second detector, or `None` for a boundary edge.
-    pub v: Option<u32>,
-    /// Occurrence probability (after merging parallel mechanisms).
-    pub probability: f64,
-    /// Log-likelihood weight `ln((1-p)/p)`, clamped positive.
-    pub weight: f64,
-    /// Logical observables flipped when this edge is in the correction.
-    pub observables: u32,
-}
-
-/// Packed hot-path edge record: 24 bytes, index-parallel to
-/// [`DecodingGraph::edges`]. The boundary endpoint is [`NO_NODE`]
-/// rather than an `Option`, so traversal is branch-light and the
-/// record has no niche-layout surprises.
+/// connecting two detectors, or one detector and the boundary, packed
+/// into 24 bytes. The boundary endpoint is [`NO_NODE`] rather than an
+/// `Option`, so traversal is branch-light and the record has no
+/// niche-layout surprises.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeRecord {
-    /// Log-likelihood weight (identical bits to the cold record).
+    /// Log-likelihood weight `ln((1-p)/p)` of the merged mechanism
+    /// probability `p`, clamped positive.
     pub weight: f64,
     /// First detector.
     pub u: u32,
     /// Second detector, or [`NO_NODE`] for a boundary edge.
     pub v: u32,
-    /// Logical observables flipped by this edge.
+    /// Logical observables flipped when this edge is in the correction.
     pub observables: u32,
 }
 
@@ -67,7 +50,7 @@ pub struct EdgeRecord {
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdjEntry {
-    /// Index into [`DecodingGraph::edges`] / [`DecodingGraph::records`].
+    /// Index into [`DecodingGraph::records`].
     pub edge: u32,
     /// The other endpoint, or [`NO_NODE`] for a boundary edge.
     pub to: u32,
@@ -79,10 +62,11 @@ pub struct AdjEntry {
 /// boundary node absorbs all single-detector mechanisms. Parallel
 /// mechanisms with identical endpoints and observable mask are merged
 /// ("exactly one occurs"); mechanisms with more than two detectors are
-/// rejected — run DEM extraction with decomposition enabled first.
-/// Edges are ordered by `(u, v, observables)` with `u < v`, so the
-/// edges leaving the detectors of any index range form one contiguous
-/// run of edge indices.
+/// dropped (`DemStats` counts them) — run DEM extraction with
+/// decomposition enabled first. Edges are ordered by `u`, then boundary
+/// edges before internal ones, then by `v` (`u < v`) and observables,
+/// so the edges leaving the detectors of any index range form one
+/// contiguous run of edge indices.
 ///
 /// # Example
 ///
@@ -90,30 +74,26 @@ pub struct AdjEntry {
 #[derive(Debug, Clone)]
 pub struct DecodingGraph {
     num_detectors: u32,
-    edges: Vec<GraphEdge>,
-    /// Packed hot records, index-parallel to `edges`.
+    /// The edge list, in edge-id order.
     rec: Vec<EdgeRecord>,
     /// CSR offsets: node `n`'s entries are `adj[adj_off[n]..adj_off[n + 1]]`
-    /// (boundary edges listed under `u` only, as before).
+    /// (boundary edges listed under `u` only).
     adj_off: Vec<u32>,
     /// Flat CSR adjacency entries, ascending edge index per node.
     adj: Vec<AdjEntry>,
-    /// Mechanisms that were not graphlike and had to be dropped.
-    dropped: usize,
 }
 
 impl DecodingGraph {
     /// Builds the graph from a detector error model.
     ///
-    /// Hyperedge mechanisms (more than 2 detectors) are counted in
-    /// [`DecodingGraph::dropped_mechanisms`] and excluded; with CSS
-    /// decomposition enabled upstream there should be none for
+    /// Hyperedge mechanisms (more than 2 detectors) are excluded; with
+    /// CSS decomposition enabled upstream there should be none for
     /// surface-code circuits.
     pub fn from_dem(dem: &DetectorErrorModel) -> DecodingGraph {
+        // analyzer: allow(alloc) -- constructor: runs once per DEM.
         let n = dem.num_detectors() as u32;
         // Merge parallel mechanisms by (endpoints, observables).
         let mut merged: HashMap<(u32, Option<u32>, u32), f64> = HashMap::new();
-        let mut dropped = 0usize;
         for m in dem.mechanisms() {
             let key = match m.detectors.len() {
                 0 => continue, // pure observable flips are not decodable
@@ -122,43 +102,31 @@ impl DecodingGraph {
                     let (a, b) = (m.detectors[0], m.detectors[1]);
                     (a.min(b), Some(a.max(b)), m.observables)
                 }
-                _ => {
-                    dropped += 1;
-                    continue;
-                }
+                _ => continue, // not graphlike
             };
             let p = merged.entry(key).or_insert(0.0);
             *p = *p * (1.0 - m.probability) + m.probability * (1.0 - *p);
         }
-        let mut edges: Vec<GraphEdge> = merged
+        // `None < Some(_)`: boundary edges sort before internal ones.
+        let mut classes: Vec<_> = merged.into_iter().collect();
+        classes.sort_unstable_by_key(|&(key, _)| key);
+        let rec: Vec<EdgeRecord> = classes
             .into_iter()
-            .map(|((u, v, observables), probability)| GraphEdge {
-                u,
-                v,
-                probability,
+            .map(|((u, v, observables), probability)| EdgeRecord {
                 weight: weight_of(probability),
+                u,
+                v: v.unwrap_or(NO_NODE),
                 observables,
-            })
-            .collect();
-        edges.sort_by_key(|e| (e.u, e.v, e.observables));
-        // Packed hot records (bit-identical weights: plain copies).
-        let rec: Vec<EdgeRecord> = edges
-            .iter()
-            .map(|e| EdgeRecord {
-                weight: e.weight,
-                u: e.u,
-                v: e.v.unwrap_or(NO_NODE),
-                observables: e.observables,
             })
             .collect();
         // CSR adjacency: count, prefix-sum, scatter. Scattering in
         // ascending edge order keeps each node's entries in ascending
-        // edge index — the same traversal order the jagged layout had.
+        // edge index.
         let mut adj_off = vec![0u32; n as usize + 1];
-        for e in &edges {
-            adj_off[e.u as usize + 1] += 1;
-            if let Some(v) = e.v {
-                adj_off[v as usize + 1] += 1;
+        for r in &rec {
+            adj_off[r.u as usize + 1] += 1;
+            if r.v != NO_NODE {
+                adj_off[r.v as usize + 1] += 1;
             }
         }
         for i in 0..n as usize {
@@ -166,41 +134,41 @@ impl DecodingGraph {
         }
         let mut cursor: Vec<u32> = adj_off[..n as usize].to_vec();
         let mut adj = vec![AdjEntry { edge: 0, to: 0 }; adj_off[n as usize] as usize];
-        for (i, e) in edges.iter().enumerate() {
-            adj[cursor[e.u as usize] as usize] = AdjEntry {
+        for (i, r) in rec.iter().enumerate() {
+            adj[cursor[r.u as usize] as usize] = AdjEntry {
                 edge: i as u32,
-                to: e.v.unwrap_or(NO_NODE),
+                to: r.v,
             };
-            cursor[e.u as usize] += 1;
-            if let Some(v) = e.v {
-                adj[cursor[v as usize] as usize] = AdjEntry {
+            cursor[r.u as usize] += 1;
+            if r.v != NO_NODE {
+                adj[cursor[r.v as usize] as usize] = AdjEntry {
                     edge: i as u32,
-                    to: e.u,
+                    to: r.u,
                 };
-                cursor[v as usize] += 1;
+                cursor[r.v as usize] += 1;
             }
         }
+        // analyzer: end-allow(alloc)
         DecodingGraph {
             num_detectors: n,
-            edges,
             rec,
             adj_off,
             adj,
-            dropped,
         }
     }
 
     /// An empty graph, for window views that are rebuilt in place
     /// ([`rebuild_window`](DecodingGraph::rebuild_window)).
     pub(crate) fn empty() -> DecodingGraph {
+        // analyzer: allow(alloc) -- constructor: empty vecs, grown once
+        // by `reserve_for_window_of`.
         DecodingGraph {
             num_detectors: 0,
-            edges: Vec::new(),
             rec: Vec::new(),
             adj_off: Vec::new(),
             adj: Vec::new(),
-            dropped: 0,
         }
+        // analyzer: end-allow(alloc)
     }
 
     /// Preallocates every internal buffer so that any
@@ -208,8 +176,6 @@ impl DecodingGraph {
     /// sub-range of `src` reallocates nothing.
     pub(crate) fn reserve_for_window_of(&mut self, src: &DecodingGraph) {
         let reserve = |v_len: usize, want: usize| want.saturating_sub(v_len);
-        self.edges
-            .reserve(reserve(self.edges.len(), src.edges.len()));
         self.rec.reserve(reserve(self.rec.len(), src.rec.len()));
         self.adj_off
             .reserve(reserve(self.adj_off.len(), src.num_detectors as usize + 1));
@@ -238,27 +204,18 @@ impl DecodingGraph {
     pub(crate) fn rebuild_window(&mut self, src: &DecodingGraph, dlo: u32, dhi: u32) -> (u32, u32) {
         debug_assert!(dlo <= dhi && dhi <= src.num_detectors);
         self.num_detectors = dhi - dlo;
-        self.dropped = 0;
         let first = src.rec.partition_point(|r| r.u < dlo);
         let last = src.rec.partition_point(|r| r.u < dhi);
         let local = |x: u32| if x < dhi { x - dlo } else { NO_NODE };
         self.rec.clear();
-        self.edges.clear();
         let mut cut = 0u32;
-        for (r, cold) in src.rec[first..last].iter().zip(&src.edges[first..last]) {
+        for r in &src.rec[first..last] {
             let v = local(r.v);
             cut += u32::from(v == NO_NODE && r.v != NO_NODE);
             self.rec.push(EdgeRecord {
                 u: r.u - dlo,
                 v,
                 ..*r
-            });
-            self.edges.push(GraphEdge {
-                u: r.u - dlo,
-                v: (v != NO_NODE).then_some(v),
-                probability: cold.probability,
-                weight: cold.weight,
-                observables: cold.observables,
             });
         }
         // A node's entries keep their source order, less the edges that
@@ -285,13 +242,7 @@ impl DecodingGraph {
         self.num_detectors
     }
 
-    /// All edges (cold canonical records).
-    pub fn edges(&self) -> &[GraphEdge] {
-        &self.edges
-    }
-
-    /// Packed hot-path edge records, index-parallel to
-    /// [`edges`](DecodingGraph::edges).
+    /// The edges, indexed by edge id.
     #[inline]
     pub fn records(&self) -> &[EdgeRecord] {
         &self.rec
@@ -304,11 +255,6 @@ impl DecodingGraph {
         &self.adj[self.adj_off[node as usize] as usize..self.adj_off[node as usize + 1] as usize]
     }
 
-    /// Mechanisms dropped for not being graphlike.
-    pub fn dropped_mechanisms(&self) -> usize {
-        self.dropped
-    }
-
     /// The observable mask of a correction: the XOR of the listed
     /// edges' [`EdgeRecord::observables`].
     pub fn observables_of(&self, edges: &[u32]) -> u32 {
@@ -318,31 +264,19 @@ impl DecodingGraph {
     }
 
     /// Single-source Dijkstra over the graph (boundary modelled as a
-    /// virtual node `num_detectors`). Returns `(dist, obs_mask)` per
-    /// node (`f64::INFINITY` where unreachable); `obs_mask[v]` is the
-    /// XOR of edge observables along the shortest path.
-    pub fn dijkstra(&self, source: u32) -> (Vec<f64>, Vec<u32>) {
-        self.dijkstra_to(source, &[])
-    }
-
-    /// [`DecodingGraph::dijkstra`] with early termination: stops once
-    /// every node in `targets` *and* the boundary have been settled
-    /// (matching only needs defect-to-defect and defect-to-boundary
-    /// distances, which keeps the search local for sparse syndromes).
-    /// An empty target list searches the whole graph.
-    pub fn dijkstra_to(&self, source: u32, targets: &[u32]) -> (Vec<f64>, Vec<u32>) {
-        let mut scratch = DijkstraScratch::new();
-        self.dijkstra_to_with(source, targets, &mut scratch);
-        (scratch.dist, scratch.mask)
-    }
-
-    /// [`DecodingGraph::dijkstra_to`] into a reusable workspace —
-    /// allocation-free once the workspace is sized to the graph (which
-    /// [`DijkstraScratch::bound`] does up front). Results land in
-    /// [`DijkstraScratch::dist`] / [`DijkstraScratch::mask`] (plus the
-    /// shortest-path tree's predecessor edges) and are bit-identical to
-    /// the allocating variant: nodes settle strictly in
+    /// virtual node `num_detectors`) into a reusable workspace. Results
+    /// land in [`DijkstraScratch::dist`] (`f64::INFINITY` where
+    /// unreachable) and [`DijkstraScratch::mask`] (the XOR of edge
+    /// observables along each shortest path), plus the shortest-path
+    /// tree's predecessor edges. Nodes settle strictly in
     /// `(distance, node index)` order regardless of heap layout.
+    ///
+    /// Stops early once every node in `targets` *and* the boundary have
+    /// been settled (matching only needs defect-to-defect and
+    /// defect-to-boundary distances, which keeps the search local for
+    /// sparse syndromes); an empty target list searches the whole
+    /// graph. Allocation-free once the workspace is sized to the graph,
+    /// which [`DijkstraScratch::bound`] does up front.
     pub fn dijkstra_to_with(&self, source: u32, targets: &[u32], scratch: &mut DijkstraScratch) {
         let n = self.num_detectors as usize + 1; // + boundary
         let boundary = self.num_detectors;
@@ -407,6 +341,8 @@ pub struct DijkstraScratch {
     bound_n: u32,
 }
 
+// analyzer: allow(alloc) -- constructors: empty buffers, sized once by
+// `bound`.
 impl Default for DijkstraScratch {
     fn default() -> DijkstraScratch {
         DijkstraScratch {
@@ -425,6 +361,7 @@ impl DijkstraScratch {
     pub fn new() -> DijkstraScratch {
         DijkstraScratch::default()
     }
+    // analyzer: end-allow(alloc)
 
     /// Preallocates every buffer for searches over `graph` and records
     /// the bound: subsequent searches on any graph of at most this size
@@ -638,25 +575,31 @@ mod tests {
         assert_eq!(g.num_detectors(), 3);
         // Edges: boundary-0 (data 0), 0-1 (data 1), 1-2 (data 2),
         // 2-boundary (data 3).
-        assert_eq!(g.edges().len(), 4);
-        let boundary_edges = g.edges().iter().filter(|e| e.v.is_none()).count();
+        assert_eq!(g.records().len(), 4);
+        let boundary_edges = g.records().iter().filter(|e| e.v == NO_NODE).count();
         assert_eq!(boundary_edges, 2);
-        assert_eq!(g.dropped_mechanisms(), 0);
+    }
+
+    #[test]
+    fn edges_sort_by_u_with_boundary_edges_first() {
+        let g = chain_graph();
+        let keys: Vec<_> = g
+            .records()
+            .iter()
+            .map(|r| (r.u, (r.v != NO_NODE).then_some(r.v), r.observables))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        assert_eq!(
+            keys.iter().map(|k| (k.0, k.1)).collect::<Vec<_>>(),
+            [(0, None), (0, Some(1)), (1, Some(2)), (2, None)]
+        );
     }
 
     #[test]
     fn csr_matches_cold_records() {
-        // Every CSR entry agrees with the canonical edge list, every
-        // packed record mirrors its cold record bit for bit, and each
-        // node's entries come back in ascending edge index.
+        // Every CSR entry agrees with the edge list, and each node's
+        // entries come back in ascending edge index.
         let g = chain_graph();
-        assert_eq!(g.records().len(), g.edges().len());
-        for (r, e) in g.records().iter().zip(g.edges()) {
-            assert_eq!(r.u, e.u);
-            assert_eq!(r.v, e.v.unwrap_or(NO_NODE));
-            assert_eq!(r.weight.to_bits(), e.weight.to_bits());
-            assert_eq!(r.observables, e.observables);
-        }
         let mut seen = 0usize;
         for node in 0..g.num_detectors() {
             let entries = g.neighbors(node);
@@ -665,19 +608,19 @@ mod tests {
                 assert!(pair[0].edge < pair[1].edge, "ascending edge order");
             }
             for entry in entries {
-                let e = &g.edges()[entry.edge as usize];
+                let e = &g.records()[entry.edge as usize];
                 let expect_to = if e.u == node {
-                    e.v.unwrap_or(NO_NODE)
+                    e.v
                 } else {
-                    assert_eq!(e.v, Some(node));
+                    assert_eq!(e.v, node);
                     e.u
                 };
                 assert_eq!(entry.to, expect_to);
             }
         }
         // Each internal edge appears twice, each boundary edge once.
-        let internal = g.edges().iter().filter(|e| e.v.is_some()).count();
-        assert_eq!(seen, 2 * internal + (g.edges().len() - internal));
+        let internal = g.records().iter().filter(|e| e.v != NO_NODE).count();
+        assert_eq!(seen, 2 * internal + (g.records().len() - internal));
     }
 
     #[test]
@@ -692,12 +635,12 @@ mod tests {
         // Only the data-0 mechanism (boundary edge of detector 0) flips
         // the observable.
         let e = g
-            .edges()
+            .records()
             .iter()
-            .find(|e| e.u == 0 && e.v.is_none())
+            .find(|e| e.u == 0 && e.v == NO_NODE)
             .expect("boundary edge");
         assert_eq!(e.observables, 1);
-        for other in g.edges().iter().filter(|e| !(e.u == 0 && e.v.is_none())) {
+        for other in g.records().iter().filter(|e| !(e.u == 0 && e.v == NO_NODE)) {
             assert_eq!(other.observables, 0);
         }
     }
@@ -705,8 +648,10 @@ mod tests {
     #[test]
     fn dijkstra_distances_accumulate() {
         let g = chain_graph();
-        let (dist, mask) = g.dijkstra(0);
-        let w = g.edges()[0].weight;
+        let mut scratch = DijkstraScratch::new();
+        g.dijkstra_to_with(0, &[], &mut scratch);
+        let (dist, mask) = (scratch.dist(), scratch.mask());
+        let w = g.records()[0].weight;
         assert!(dist[0] == 0.0);
         assert!((dist[1] - w).abs() < 1e-9);
         assert!((dist[2] - 2.0 * w).abs() < 1e-9);
@@ -730,9 +675,10 @@ mod tests {
             (scratch.dist.capacity(), scratch.heap.capacity()),
             "bounded workspace must never grow"
         );
-        let (dist, mask) = g.dijkstra(2);
-        assert_eq!(scratch.dist(), &dist[..]);
-        assert_eq!(scratch.mask(), &mask[..]);
+        let mut unbounded = DijkstraScratch::new();
+        g.dijkstra_to_with(2, &[], &mut unbounded);
+        assert_eq!(scratch.dist(), unbounded.dist());
+        assert_eq!(scratch.mask(), unbounded.mask());
     }
 
     #[test]
@@ -755,9 +701,9 @@ mod tests {
         c.push(Op::detector([MeasRef(0)], DetectorBasis::Z));
         let (dem, _) = ftqc_sim::DetectorErrorModel::from_circuit(&c, true);
         let g = DecodingGraph::from_dem(&dem);
-        assert_eq!(g.edges().len(), 1);
+        assert_eq!(g.records().len(), 1);
         let expect = 0.1 + 0.1 - 2.0 * 0.1 * 0.1;
-        assert!((g.edges()[0].probability - expect).abs() < 1e-12);
+        assert!((g.records()[0].weight - weight_of(expect)).abs() < 1e-12);
     }
 
     #[test]

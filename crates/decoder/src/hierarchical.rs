@@ -51,6 +51,11 @@ pub struct TimedDecode {
 /// [`MwpmDecoder`], with the latency model of the paper's Fig. 22
 /// evaluation.
 ///
+/// As a [`Decoder`], it is a plain LUT lookup with MWPM on a miss and
+/// shares no mutable state between threads. Only the latency probe
+/// ([`decode_timed`](HierarchicalDecoder::decode_timed)) counts hits
+/// and draws miss latencies.
+///
 /// # Example
 ///
 /// ```no_run
@@ -90,7 +95,8 @@ impl HierarchicalDecoder {
     }
 
     /// Decodes one syndrome, returning the prediction together with the
-    /// modelled latency.
+    /// modelled latency, and counts it towards
+    /// [`hit_rate`](HierarchicalDecoder::hit_rate).
     pub fn decode_timed(&self, flagged: &[u32]) -> TimedDecode {
         let mut scratch = DecoderScratch::new();
         self.decode_timed_with(&mut scratch, flagged)
@@ -101,34 +107,37 @@ impl HierarchicalDecoder {
     /// decode through the matcher's scratch buffers.
     pub fn decode_timed_with(&self, scratch: &mut DecoderScratch, flagged: &[u32]) -> TimedDecode {
         use std::sync::atomic::Ordering;
+        let (prediction, hit) = self.lookup_or_match(scratch, flagged);
         self.total.fetch_add(1, Ordering::Relaxed);
+        let latency_ns = if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.latency.hit_ns
+        } else {
+            let mut rng = self.rng.lock().expect("rng poisoned");
+            let i = rng.gen_range(0..self.latency.miss_samples_ns.len());
+            self.latency.miss_samples_ns[i]
+        };
+        TimedDecode {
+            prediction,
+            latency_ns,
+            hit,
+        }
+    }
+
+    /// The LUT's answer, or the matcher's on a miss: `(prediction, hit)`.
+    fn lookup_or_match(&self, scratch: &mut DecoderScratch, flagged: &[u32]) -> (u32, bool) {
         match self.lut.lookup(flagged) {
-            Some(prediction) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                TimedDecode {
-                    prediction,
-                    latency_ns: self.latency.hit_ns,
-                    hit: true,
-                }
-            }
+            Some(prediction) => (prediction, true),
             None => {
                 let mut prediction = 0;
                 self.mwpm.decode_into(scratch, flagged, &mut prediction);
-                let latency_ns = {
-                    let mut rng = self.rng.lock().expect("rng poisoned");
-                    let i = rng.gen_range(0..self.latency.miss_samples_ns.len());
-                    self.latency.miss_samples_ns[i]
-                };
-                TimedDecode {
-                    prediction,
-                    latency_ns,
-                    hit: false,
-                }
+                (prediction, false)
             }
         }
     }
 
-    /// Fraction of decodes answered by the LUT so far.
+    /// Fraction of [`decode_timed`](HierarchicalDecoder::decode_timed)
+    /// calls answered by the LUT so far.
     pub fn hit_rate(&self) -> f64 {
         use std::sync::atomic::Ordering;
         let total = self.total.load(Ordering::Relaxed);
@@ -148,7 +157,7 @@ impl HierarchicalDecoder {
 
 impl Decoder for HierarchicalDecoder {
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32) {
-        *correction = self.decode_timed_with(scratch, syndrome).prediction;
+        *correction = self.lookup_or_match(scratch, syndrome).0;
     }
 
     /// The LUT front end never touches the scratch, so the bound is the
@@ -192,6 +201,25 @@ mod tests {
         assert!(!out.hit);
         assert!(out.latency_ns >= 500.0);
         assert!(h.hit_rate() < 1.0);
+    }
+
+    #[test]
+    fn decode_into_leaves_the_latency_probe_alone() {
+        let (h, probe) = (setup(), setup());
+        let miss = [0, 5, 9, 13, 17];
+        assert!(h.lut.lookup(&[]).is_some() && h.lut.lookup(&miss).is_none());
+        h.reset_counters();
+        let mut scratch = DecoderScratch::new();
+        let mut correction = 0;
+        h.decode_into(&mut scratch, &[], &mut correction);
+        h.decode_into(&mut scratch, &miss, &mut correction);
+        assert_eq!(correction, h.mwpm.predict(&miss));
+        assert_eq!(h.hit_rate(), 0.0, "decode_into must not count");
+        // No miss latency was drawn either: the two latency streams
+        // still agree draw for draw.
+        for _ in 0..8 {
+            assert_eq!(h.decode_timed(&miss), probe.decode_timed(&miss));
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ mod union_find;
 
 pub use evaluate::{count_batch_errors, evaluate_ler, Decoder};
 pub use fusion::WindowView;
-pub use graph::{AdjEntry, DecodingGraph, DijkstraScratch, EdgeRecord, GraphEdge, NO_NODE};
+pub use graph::{AdjEntry, DecodingGraph, DijkstraScratch, EdgeRecord, NO_NODE};
 pub use hierarchical::{HierarchicalDecoder, LatencyModel, TimedDecode};
 pub use kind::{AnyDecoder, DecoderKind};
 pub use lut::LutDecoder;

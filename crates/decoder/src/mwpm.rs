@@ -17,10 +17,10 @@ use std::sync::Arc;
 /// itself is solved *exactly* by dynamic programming over defect
 /// subsets, which is `O(2^k k)` for syndrome weight `k` — exact up to
 /// [`MwpmDecoder::exact_limit`] defects (default 16) and delegated to
-/// the union-find decoder beyond that (heavy syndromes are where the
-/// two decoders agree best anyway, and at the code distances the paper
-/// evaluates with MWPM, `d <= 7`, syndromes essentially never exceed
-/// the limit).
+/// the union-find decoder beyond that. On `d`-round memory circuits
+/// (IBM hardware, `p = 1e-3`, 4,096 shots) the fallback decodes 0.02%
+/// of shots at `d = 5`, 8.6% at `d = 7`, 74% at `d = 9` and 99.7% at
+/// `d = 11`, so at `d >= 9` this decoder is mostly union-find.
 ///
 /// # Example
 ///
@@ -300,8 +300,10 @@ mod tests {
             let k = flagged.len();
             let mut pair_d = vec![f64::INFINITY; k * (k - 1) / 2];
             let mut bdry_d = vec![0.0; k];
+            let mut search = crate::DijkstraScratch::new();
             for (i, &f) in flagged.iter().enumerate() {
-                let (dist, _) = g.dijkstra(f);
+                g.dijkstra_to_with(f, &[], &mut search);
+                let dist = search.dist();
                 for (j, &h) in flagged.iter().enumerate().skip(i + 1) {
                     pair_d[tri_index(k, i, j)] = dist[h as usize];
                 }

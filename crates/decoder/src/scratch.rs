@@ -66,7 +66,7 @@ impl ScratchCapacity {
     pub fn for_graph(graph: &DecodingGraph, exact_limit: u32) -> ScratchCapacity {
         ScratchCapacity {
             nodes: graph.num_detectors(),
-            edges: graph.edges().len() as u32,
+            edges: graph.records().len() as u32,
             exact_limit,
         }
     }

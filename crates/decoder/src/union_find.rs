@@ -65,7 +65,7 @@ impl UfDecoder {
         // analyzer: allow(alloc) -- constructor: the quantized edge
         // capacities are computed once per graph, not per decode.
         let capacity = graph
-            .edges()
+            .records()
             .iter()
             .map(|e| quantize_capacity(e.weight))
             .collect();
@@ -705,7 +705,7 @@ mod tests {
         let d = UfDecoder::new(chain_graph(4, 0.01));
         let cap = d.scratch_capacity();
         assert_eq!(cap.nodes, d.graph().num_detectors());
-        assert_eq!(cap.edges as usize, d.graph().edges().len());
+        assert_eq!(cap.edges as usize, d.graph().records().len());
         assert_eq!(cap.exact_limit, 0);
     }
 }

@@ -50,7 +50,7 @@ fn adversarial_corpus(num_detectors: u32, max_density: f64, seed: u64) -> Vec<Ve
 #[test]
 fn declared_capacity_matches_the_graph() {
     let graph = decoding_graph(5);
-    let (nodes, edges) = (graph.num_detectors(), graph.edges().len() as u32);
+    let (nodes, edges) = (graph.num_detectors(), graph.records().len() as u32);
     let uf = UfDecoder::new(graph.clone());
     assert_eq!(
         uf.scratch_capacity(),
@@ -141,7 +141,7 @@ fn undersized_exact_limit_panics_in_debug() {
     let graph = decoding_graph(3);
     let cap = ScratchCapacity {
         nodes: graph.num_detectors(),
-        edges: graph.edges().len() as u32,
+        edges: graph.records().len() as u32,
         exact_limit: 2,
     };
     let mwpm = MwpmDecoder::new(graph).with_exact_limit(8);

@@ -206,7 +206,7 @@ fn check_and_exit(args: &[String]) -> ! {
                     // capacity built from it.
                     let model = file.to_model();
                     let graph = ftqc_decoder::DecodingGraph::from_dem(&model);
-                    diags.extend(artifact::validate_graph(&label, &graph));
+                    diags.extend(artifact::validate_graph(&label, &model, &graph));
                     if let Some(w) = window {
                         // Round tags from the file's `detector` lines,
                         // indexed by detector id.
@@ -249,7 +249,11 @@ fn check_and_exit(args: &[String]) -> ! {
                     .decoder(kind)
                     .build();
             let label = format!("<distance {d}, {kind}>");
-            diags.extend(artifact::validate_graph(&label, pipeline.graph()));
+            diags.extend(artifact::validate_graph(
+                &label,
+                pipeline.dem(),
+                pipeline.graph(),
+            ));
             diags.extend(artifact::validate_scratch(
                 &label,
                 pipeline.dem(),

@@ -55,11 +55,6 @@ enum Source {
     Surgery(LatticeSurgeryConfig),
     /// Three-qubit repetition code (Fig. 1c).
     Repetition(RepetitionConfig),
-    /// An explicit timed schedule plus the hardware that lowers it.
-    Schedule(Schedule, HardwareConfig),
-    /// A circuit that has already been lowered through a noise model
-    /// (the noise options are ignored for this source).
-    Noisy(Circuit),
 }
 
 /// Builder for [`EvalPipeline`]; construct via the `EvalPipeline`
@@ -68,8 +63,6 @@ enum Source {
 pub struct EvalPipelineBuilder {
     source: Source,
     physical_error: f64,
-    noise: Option<CircuitNoiseModel>,
-    decompose_dem: bool,
     decoder: DecoderKind,
     decoder_seed: Option<u64>,
     shots: u64,
@@ -84,8 +77,6 @@ impl EvalPipelineBuilder {
         EvalPipelineBuilder {
             source,
             physical_error: 1e-3,
-            noise: None,
-            decompose_dem: true,
             decoder: DecoderKind::UnionFind,
             decoder_seed: None,
             shots: 20_000,
@@ -97,19 +88,9 @@ impl EvalPipelineBuilder {
     }
 
     /// Physical error rate of the standard circuit noise model
-    /// (default `1e-3`; ignored when [`noise_model`] or a pre-lowered
-    /// circuit is supplied).
-    ///
-    /// [`noise_model`]: EvalPipelineBuilder::noise_model
+    /// (default `1e-3`).
     pub fn physical_error(mut self, p: f64) -> Self {
         self.physical_error = p;
-        self
-    }
-
-    /// Replaces the standard noise model entirely (e.g.
-    /// [`CircuitNoiseModel::ideal`] for determinism checks).
-    pub fn noise_model(mut self, model: CircuitNoiseModel) -> Self {
-        self.noise = Some(model);
         self
     }
 
@@ -164,13 +145,6 @@ impl EvalPipelineBuilder {
         self
     }
 
-    /// Whether to CSS-decompose DEM hyperedges into graphlike
-    /// mechanisms (default true — required by the matching decoders).
-    pub fn decompose_dem(mut self, decompose: bool) -> Self {
-        self.decompose_dem = decompose;
-        self
-    }
-
     /// Executes the front half of the chain (circuit lowering, DEM
     /// extraction, graph construction), returning the ready pipeline.
     /// The configured decoder is built lazily on first use, so
@@ -179,13 +153,15 @@ impl EvalPipelineBuilder {
     /// [`build_decoder`](EvalPipeline::build_decoder) never pay for it.
     pub fn build(self) -> EvalPipeline {
         let circuit = self.build_circuit();
-        let (dem, dem_stats) = DetectorErrorModel::from_circuit(&circuit, self.decompose_dem);
+        // CSS-decompose hyperedges: the matching decoders need a
+        // graphlike model.
+        let (dem, dem_stats) = DetectorErrorModel::from_circuit(&circuit, true);
         let graph = std::sync::Arc::new(DecodingGraph::from_dem(&dem));
         // Debug-build pre-flight: the CSR invariants FTQC013 checks are
         // assumed without re-validation by every decoder; catch a
         // malformed graph at construction, not mid-decode.
         #[cfg(debug_assertions)]
-        ftqc_analyzer::preflight_graph("EvalPipeline::build", &graph);
+        ftqc_analyzer::preflight_graph("EvalPipeline::build", &dem, &graph);
         EvalPipeline {
             circuit,
             dem,
@@ -211,16 +187,11 @@ impl EvalPipelineBuilder {
             Source::Memory(cfg) => self.lower(&cfg.build(), &cfg.hardware),
             Source::Surgery(cfg) => self.lower(&cfg.build(), &cfg.hardware),
             Source::Repetition(cfg) => self.lower(&cfg.build(), &cfg.hardware),
-            Source::Schedule(schedule, hardware) => self.lower(schedule, hardware),
-            Source::Noisy(circuit) => circuit.clone(),
         }
     }
 
     fn lower(&self, schedule: &Schedule, hardware: &HardwareConfig) -> Circuit {
-        match &self.noise {
-            Some(model) => model.apply(schedule),
-            None => CircuitNoiseModel::standard(self.physical_error, hardware).apply(schedule),
-        }
+        CircuitNoiseModel::standard(self.physical_error, hardware).apply(schedule)
     }
 }
 
@@ -255,18 +226,6 @@ impl EvalPipeline {
     /// Pipeline over the three-qubit repetition code of Fig. 1(c).
     pub fn repetition(cfg: RepetitionConfig) -> EvalPipelineBuilder {
         EvalPipelineBuilder::new(Source::Repetition(cfg))
-    }
-
-    /// Pipeline over an explicit timed schedule, lowered with
-    /// `hardware`'s noise parameters.
-    pub fn schedule(schedule: Schedule, hardware: &HardwareConfig) -> EvalPipelineBuilder {
-        EvalPipelineBuilder::new(Source::Schedule(schedule, hardware.clone()))
-    }
-
-    /// Pipeline over an already-lowered noisy circuit (the noise
-    /// options are ignored).
-    pub fn noisy_circuit(circuit: Circuit) -> EvalPipelineBuilder {
-        EvalPipelineBuilder::new(Source::Noisy(circuit))
     }
 
     /// Samples, decodes and returns one logical-error estimate per
@@ -571,19 +530,5 @@ mod tests {
         assert_eq!(base.fingerprint(), same.fingerprint());
         assert_ne!(base.fingerprint(), other_seed.fingerprint());
         assert_ne!(base.fingerprint(), other_decoder.fingerprint());
-    }
-
-    #[test]
-    fn noisy_circuit_source_skips_lowering() {
-        let cfg = d3_memory();
-        let circuit = CircuitNoiseModel::standard(1e-3, &cfg.hardware).apply(&cfg.build());
-        let a = EvalPipeline::noisy_circuit(circuit.clone())
-            .shots(500)
-            .seed(9)
-            .build()
-            .run();
-        let b = EvalPipeline::memory(cfg).shots(500).seed(9).build().run();
-        assert_eq!(a[0].successes(), b[0].successes());
-        assert_eq!(circuit.num_observables(), 1);
     }
 }

@@ -6,8 +6,6 @@
 //! * [`Pauli`] — a single-qubit Pauli operator.
 //! * [`PauliString`] — a dense, bit-packed n-qubit Pauli operator with
 //!   phase-free multiplication, commutation checks and weight queries.
-//! * [`SparsePauli`] — a sparse Pauli operator used by error-propagation
-//!   code paths where only a handful of qubits are touched.
 //! * [`Tableau`] — an Aaronson–Gottesman CHP stabilizer simulator with
 //!   deterministic-measurement detection, used to verify that the
 //!   detectors and observables emitted by the surface-code circuit
@@ -31,9 +29,7 @@
 //! ```
 
 mod pauli;
-mod sparse;
 mod tableau;
 
 pub use pauli::{Pauli, PauliString};
-pub use sparse::SparsePauli;
 pub use tableau::Tableau;

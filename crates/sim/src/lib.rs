@@ -12,11 +12,10 @@
 //! * [`verify_deterministic`] — a tableau-based check that every
 //!   detector and observable of a circuit is deterministic under zero
 //!   noise (the validity condition Stim enforces).
-//! * [`parallel_batches`] / [`parallel_batches_indexed`] /
-//!   [`parallel_batches_with`] — a deterministic multithreaded shot
-//!   runner whose per-batch seeds are derived from global batch
-//!   indices, so a run can be streamed in chunks without changing its
-//!   results; the `_with` variant gives every worker reusable
+//! * [`parallel_batches_with`] over a [`batch_plan`] — a
+//!   deterministic multithreaded shot runner whose per-batch seeds are
+//!   derived from global batch indices, so a run can be streamed in
+//!   chunks without changing its results; every worker keeps reusable
 //!   per-thread state (sampler buffers are always reused), making
 //!   steady-state batches allocation-free.
 //! * [`RoundSchedule`] / [`RoundStream`] — round-streaming syndrome
@@ -55,9 +54,7 @@ mod stream;
 
 pub use dem::{DemStats, DetectorErrorModel, Mechanism};
 pub use frame::{sample_batch, sample_batch_with, FrameSimulator, SampleBatch, SyndromeScanner};
-pub use parallel::{
-    batch_plan, parallel_batches, parallel_batches_indexed, parallel_batches_with, BatchSpec,
-};
+pub use parallel::{batch_plan, parallel_batches_with, BatchSpec};
 pub use reference::{run_reference, verify_deterministic, ReferenceRun};
 pub use stats::{BinomialEstimate, RunningEstimate, StopReason, StopRule};
 pub use stream::{RoundSchedule, RoundStream};

@@ -11,50 +11,6 @@ fn mix_seed(seed: u64, batch: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Samples `shots` shots of `circuit` in batches of `batch_shots` across
-/// `threads` OS threads, applying `f` to every batch and returning the
-/// per-batch results in batch order.
-///
-/// Seeding is deterministic: batch `i` always uses the same derived
-/// seed, so results are reproducible for a fixed `(seed, batch_shots)`
-/// regardless of thread count.
-///
-/// # Example
-///
-/// ```
-/// use ftqc_circuit::{Circuit, DetectorBasis, MeasRef, Op};
-/// use ftqc_sim::parallel_batches;
-///
-/// let mut c = Circuit::new(1);
-/// c.push(Op::ResetZ(vec![0]));
-/// c.push(Op::Depolarize1 { qubits: vec![0], p: 0.05 });
-/// c.push(Op::measure_z([0], 0.0));
-/// c.push(Op::detector([MeasRef(0)], DetectorBasis::Z));
-/// let counts = parallel_batches(&c, 10_000, 1024, 7, 2, |b| {
-///     b.count_detector_flips(0)
-/// });
-/// let total: u64 = counts.iter().sum();
-/// assert!(total > 0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `shots == 0`, `batch_shots == 0` or `threads == 0`.
-pub fn parallel_batches<R, F>(
-    circuit: &Circuit,
-    shots: u64,
-    batch_shots: usize,
-    seed: u64,
-    threads: usize,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&SampleBatch) -> R + Sync,
-{
-    parallel_batches_indexed(circuit, &batch_plan(shots, batch_shots), seed, threads, f)
-}
-
 /// One sampling work unit: `(global batch index, shots in the batch)`.
 ///
 /// The **global index** — not the position within a plan slice — is
@@ -86,44 +42,41 @@ pub fn batch_plan(shots: u64, batch_shots: usize) -> Vec<BatchSpec> {
 
 /// Samples an explicit batch plan across `threads` OS threads,
 /// applying `f` to every batch and returning the per-batch results in
-/// plan order.
+/// plan order. Every worker calls `init` once and threads the
+/// resulting state mutably through all the batches it claims.
 ///
 /// Each batch's seed is derived from its **global index** alone, so a
-/// plan produces the same results whether it is executed in one call
-/// or split into arbitrary consecutive chunks — the streaming seam the
-/// adaptive evaluation engine is built on.
+/// plan produces the same results whatever the thread count, and
+/// whether it is executed in one call or split into arbitrary
+/// consecutive chunks — the streaming seam the adaptive evaluation
+/// engine is built on. State never affects sampling.
 ///
-/// # Panics
+/// This is also the allocation seam of the decode hot loop: the
+/// sampler's frame/record buffers and the output [`SampleBatch`] are
+/// owned by the worker and reused across batches, and `init` lets
+/// callers attach their own reusable scratch (decoder workspaces,
+/// syndrome buffers) — so a steady-state batch costs zero heap
+/// allocations beyond what `f` itself returns. Stateless callers pass
+/// `|| ()`.
 ///
-/// Panics if `threads == 0` or any batch in the plan is empty.
-pub fn parallel_batches_indexed<R, F>(
-    circuit: &Circuit,
-    batches: &[BatchSpec],
-    seed: u64,
-    threads: usize,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&SampleBatch) -> R + Sync,
-{
-    parallel_batches_with(circuit, batches, seed, threads, || (), |batch, ()| f(batch))
-}
-
-/// [`parallel_batches_indexed`] with per-thread worker state: every
-/// worker calls `init` once and threads the resulting state mutably
-/// through all the batches it claims.
+/// # Example
 ///
-/// This is the allocation seam of the decode hot loop: the sampler's
-/// frame/record buffers and the output [`SampleBatch`] are owned by the
-/// worker and reused across batches, and `init` lets callers attach
-/// their own reusable scratch (decoder workspaces, syndrome buffers) —
-/// so a steady-state batch costs zero heap allocations beyond what `f`
-/// itself returns.
+/// ```
+/// use ftqc_circuit::{Circuit, DetectorBasis, MeasRef, Op};
+/// use ftqc_sim::{batch_plan, parallel_batches_with};
 ///
-/// Results are bit-identical to [`parallel_batches_indexed`]: batch
-/// seeds are derived from global indices alone, and state never affects
-/// sampling.
+/// let mut c = Circuit::new(1);
+/// c.push(Op::ResetZ(vec![0]));
+/// c.push(Op::Depolarize1 { qubits: vec![0], p: 0.05 });
+/// c.push(Op::measure_z([0], 0.0));
+/// c.push(Op::detector([MeasRef(0)], DetectorBasis::Z));
+/// let plan = batch_plan(10_000, 1024);
+/// let counts = parallel_batches_with(&c, &plan, 7, 2, || (), |b, ()| {
+///     b.count_detector_flips(0)
+/// });
+/// let total: u64 = counts.iter().sum();
+/// assert!(total > 0);
+/// ```
 ///
 /// # Panics
 ///
@@ -181,7 +134,7 @@ where
 
 /// Shared base pointer into the per-batch result slots.
 ///
-/// Safety contract (upheld by [`parallel_batches`]): concurrent
+/// Safety contract (upheld by [`parallel_batches_with`]): concurrent
 /// [`SlotWriter::write`] calls must target distinct indices within the
 /// allocation, and the owning vec must outlive all writers.
 struct SlotWriter<R>(*mut Option<R>);
@@ -225,22 +178,30 @@ mod tests {
         c
     }
 
+    /// Detector-0 flips per batch of `plan`, stateless.
+    fn flips(c: &Circuit, plan: &[BatchSpec], seed: u64, threads: usize) -> Vec<u64> {
+        parallel_batches_with(
+            c,
+            plan,
+            seed,
+            threads,
+            || (),
+            |b, ()| b.count_detector_flips(0),
+        )
+    }
+
     #[test]
     fn thread_count_does_not_change_results() {
         let c = noisy_circuit();
-        let one: u64 = parallel_batches(&c, 5000, 512, 42, 1, |b| b.count_detector_flips(0))
-            .iter()
-            .sum();
-        let four: u64 = parallel_batches(&c, 5000, 512, 42, 4, |b| b.count_detector_flips(0))
-            .iter()
-            .sum();
-        assert_eq!(one, four);
+        let plan = batch_plan(5000, 512);
+        assert_eq!(flips(&c, &plan, 42, 1), flips(&c, &plan, 42, 4));
     }
 
     #[test]
     fn total_shots_respected() {
         let c = noisy_circuit();
-        let sizes = parallel_batches(&c, 1000, 300, 1, 2, |b| b.shots as u64);
+        let plan = batch_plan(1000, 300);
+        let sizes = parallel_batches_with(&c, &plan, 1, 2, || (), |b, ()| b.shots as u64);
         assert_eq!(sizes.iter().sum::<u64>(), 1000);
         assert_eq!(sizes.len(), 4);
         assert_eq!(sizes[3], 100);
@@ -251,10 +212,10 @@ mod tests {
         // More workers than batches and tiny batches: stresses the
         // disjoint per-slot writes of the lock-free collection path.
         let c = noisy_circuit();
-        let a = parallel_batches(&c, 4_097, 64, 9, 16, |b| b.count_detector_flips(0));
-        let b = parallel_batches(&c, 4_097, 64, 9, 1, |b| b.count_detector_flips(0));
+        let plan = batch_plan(4_097, 64);
+        let a = flips(&c, &plan, 9, 16);
         assert_eq!(a.len(), 65);
-        assert_eq!(a, b);
+        assert_eq!(a, flips(&c, &plan, 9, 1));
     }
 
     #[test]
@@ -263,13 +224,11 @@ mod tests {
         // executed in chunks equals the same plan executed at once.
         let c = noisy_circuit();
         let plan = batch_plan(5_000, 512);
-        let full = parallel_batches_indexed(&c, &plan, 42, 4, |b| b.count_detector_flips(0));
-        let mut chunked = Vec::new();
-        for chunk in plan.chunks(3) {
-            chunked.extend(parallel_batches_indexed(&c, chunk, 42, 2, |b| {
-                b.count_detector_flips(0)
-            }));
-        }
+        let full = flips(&c, &plan, 42, 4);
+        let chunked: Vec<u64> = plan
+            .chunks(3)
+            .flat_map(|chunk| flips(&c, chunk, 42, 2))
+            .collect();
         assert_eq!(full, chunked);
     }
 
@@ -277,7 +236,6 @@ mod tests {
     fn per_thread_state_reuses_and_matches_stateless_path() {
         let c = noisy_circuit();
         let plan = batch_plan(5_000, 512);
-        let stateless = parallel_batches_indexed(&c, &plan, 42, 4, |b| b.count_detector_flips(0));
         // State: a reusable syndrome buffer, as the decode loop keeps.
         let stateful = parallel_batches_with(&c, &plan, 42, 4, Vec::<u32>::new, |b, buf| {
             let mut flips = 0u64;
@@ -287,7 +245,7 @@ mod tests {
             }
             flips
         });
-        assert_eq!(stateless, stateful);
+        assert_eq!(flips(&c, &plan, 42, 4), stateful);
     }
 
     #[test]
@@ -299,12 +257,9 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let c = noisy_circuit();
-        let a: u64 = parallel_batches(&c, 20_000, 1024, 1, 2, |b| b.count_detector_flips(0))
-            .iter()
-            .sum();
-        let b: u64 = parallel_batches(&c, 20_000, 1024, 2, 2, |b| b.count_detector_flips(0))
-            .iter()
-            .sum();
+        let plan = batch_plan(20_000, 1024);
+        let a: u64 = flips(&c, &plan, 1, 2).iter().sum();
+        let b: u64 = flips(&c, &plan, 2, 2).iter().sum();
         assert_ne!(a, b);
     }
 }
