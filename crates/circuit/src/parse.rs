@@ -249,11 +249,19 @@ fn parse_op(line: &str, n: usize) -> Result<Op, ParseCircuitError> {
                 .strip_prefix('(')
                 .ok_or_else(|| err(n, "observable needs an index"))?;
             let (inner, ops) = split_parens(stripped, n)?;
+            let observable: u32 = inner
+                .trim()
+                .parse()
+                .map_err(|_| err(n, "bad observable index"))?;
+            // Consumers carry observables as a `u32` bitmask.
+            if observable >= 32 {
+                return Err(err(
+                    n,
+                    format!("observable index {observable} out of range (at most 32 observables)"),
+                ));
+            }
             Op::ObservableInclude {
-                observable: inner
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(n, "bad observable index"))?,
+                observable,
                 records: parse_records(ops, n)?,
             }
         }
@@ -314,6 +322,17 @@ mod tests {
         let e = Circuit::parse("# qubits: 1\nFROB 0\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("FROB"));
+    }
+
+    #[test]
+    fn observable_index_past_the_mask_is_rejected() {
+        let text =
+            "# qubits: 1\nM 0\nOBSERVABLE_INCLUDE(31) rec[0]\nOBSERVABLE_INCLUDE(40) rec[0]\n";
+        let e = Circuit::parse(text).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.to_string().contains("observable index 40"), "{e}");
+        let ok = Circuit::parse("# qubits: 1\nM 0\nOBSERVABLE_INCLUDE(31) rec[0]\n").unwrap();
+        assert_eq!(ok.num_observables(), 32);
     }
 
     #[test]

@@ -141,6 +141,25 @@ fn undecomposed_dems_match_goldens() {
     check(false);
 }
 
+/// `DemStats::forced_observable_splits` on the default circuits: the
+/// d = 3 graphs carry forced splits (ROADMAP item 1), d >= 5 graphs none.
+#[test]
+fn forced_observable_splits_are_confined_to_d3() {
+    let forced = |c: &Circuit| {
+        DetectorErrorModel::from_circuit(c, true)
+            .1
+            .forced_observable_splits
+    };
+    assert_eq!(forced(&memory(3, 3)), 83, "memory d3 x 3");
+    assert_eq!(forced(&surgery(3)), 272, "surgery d3");
+    for d in [5, 7] {
+        for rounds in [1, 2, 3, 6, d] {
+            assert_eq!(forced(&memory(d, rounds)), 0, "memory d{d} x {rounds}");
+        }
+        assert_eq!(forced(&surgery(d)), 0, "surgery d{d}");
+    }
+}
+
 /// Regenerates `tests/data/dem_goldens.txt` from the current
 /// implementation. Ignored by default: run explicitly (see module docs)
 /// only when a behavior change is intentional, and say so in the PR.
