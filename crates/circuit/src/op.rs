@@ -22,9 +22,10 @@ impl fmt::Display for MeasRef {
 
 /// The stabilizer basis a detector monitors.
 ///
-/// Used for CSS decomposition of the detector error model (X errors flip
-/// Z-type checks and vice versa) and for syndrome-Hamming-weight
-/// breakdowns (paper Fig. 7).
+/// Used for syndrome-Hamming-weight breakdowns (paper Fig. 7). Detector
+/// error model extraction does not read it: it follows each error's
+/// actual footprint, so an X error flips Z-type checks and vice versa
+/// without being told.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DetectorBasis {
     /// Detector compares X-type stabilizer measurements.

@@ -87,7 +87,7 @@ impl DecodingGraph {
     /// Builds the graph from a detector error model.
     ///
     /// Hyperedge mechanisms (more than 2 detectors) are excluded; with
-    /// CSS decomposition enabled upstream there should be none for
+    /// decomposition enabled upstream there should be none for
     /// surface-code circuits.
     pub fn from_dem(dem: &DetectorErrorModel) -> DecodingGraph {
         // analyzer: allow(alloc) -- constructor: runs once per DEM.

@@ -153,8 +153,8 @@ impl EvalPipelineBuilder {
     /// [`build_decoder`](EvalPipeline::build_decoder) never pay for it.
     pub fn build(self) -> EvalPipeline {
         let circuit = self.build_circuit();
-        // CSS-decompose hyperedges: the matching decoders need a
-        // graphlike model.
+        // Decompose hyperedges into elementary edges: the matching
+        // decoders need a graphlike model.
         let (dem, dem_stats) = DetectorErrorModel::from_circuit(&circuit, true);
         let graph = std::sync::Arc::new(DecodingGraph::from_dem(&dem));
         // Debug-build pre-flight: the CSR invariants FTQC013 checks are

@@ -2,7 +2,7 @@
 
 use ftqc_circuit::{Circuit, Op};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 #[cfg(test)]
 mod record_sweep;
@@ -140,17 +140,32 @@ impl DetectorErrorModel {
 /// workspace's memory and surgery circuits flips more detectors.
 const INLINE: usize = 4;
 
-/// Padding of a [`DetSet::Inline`]'s unused slots.
+/// Padding of a [`DetSet::Inline`]'s unused slots; no detector index
+/// reaches it.
 const NONE: u32 = u32::MAX;
 
 /// A sorted set of detector indices. Up to [`INLINE`] detectors sit
 /// inline, padded with [`NONE`], so copying, hashing and comparing a set
 /// never touches the heap; longer sets spill to a boxed slice. A set
 /// spills only when it must, so equal sets are equal values.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum DetSet {
     Inline([u32; INLINE]),
     Spilled(Box<[u32]>),
+}
+
+impl Hash for DetSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            // Two words, without the derived discriminant and length
+            // prefix: this hash is most of a table lookup.
+            DetSet::Inline([a, b, c, d]) => {
+                state.write_u64(u64::from(*a) | u64::from(*b) << 32);
+                state.write_u64(u64::from(*c) | u64::from(*d) << 32);
+            }
+            DetSet::Spilled(dets) => dets.hash(state),
+        }
+    }
 }
 
 impl DetSet {
@@ -319,33 +334,34 @@ impl Merger {
     /// Decomposes the queued hyperedges — each distinct footprint once —
     /// and returns the mechanisms sorted by detectors, then observables.
     fn finish(mut self, stats: &mut DemStats) -> Vec<Mechanism> {
-        let mut splits: FxMap<DetSet, Option<(usize, usize)>> = FxMap::default();
-        let mut parts: Vec<DetSet> = Vec::new();
+        // Each distinct footprint's split: its parts' range in `parts`
+        // and the XOR of their edges' observables, or None if it has
+        // none.
+        let mut splits: FxMap<DetSet, Option<(usize, usize, u32)>> = FxMap::default();
+        let mut parts: Vec<(DetSet, u32)> = Vec::new();
         let mut used: Vec<bool> = Vec::new();
+        let edge_obs = |part: &DetSet| self.edge_obs.get(part).copied();
         for (footprint, obs, p) in std::mem::take(&mut self.hyperedges) {
             stats.decomposed_hyperedges += 1;
-            let edge_obs = &self.edge_obs;
             let split = *splits.entry(footprint).or_insert_with_key(|footprint| {
                 let dets = footprint.as_slice();
                 used.clear();
                 used.resize(dets.len(), false);
                 let start = parts.len();
-                let is_edge = |part: &DetSet| edge_obs.contains_key(part);
-                let found = split_into_edges(dets, &mut used, &is_edge, &mut parts);
-                found.then_some((start, parts.len()))
+                let found = split_into_edges(dets, &mut used, &edge_obs, &mut parts);
+                let known = parts[start..].iter().fold(0, |acc, (_, o)| acc ^ o);
+                found.then_some((start, parts.len(), known))
             });
-            let Some((start, end)) = split else {
+            let Some((start, end, known)) = split else {
                 stats.dropped_hyperedges += 1;
                 continue;
             };
-            let parts = &parts[start..end];
-            let forced = parts.iter().fold(obs, |acc, part| acc ^ edge_obs[part]);
+            let forced = obs ^ known;
             if forced != 0 {
                 stats.forced_observable_splits += 1;
             }
-            for (i, part) in parts.iter().enumerate() {
-                let known = edge_obs[part];
-                let o = if i == 0 { known ^ forced } else { known };
+            for (i, (part, known)) in parts[start..end].iter().enumerate() {
+                let o = if i == 0 { known ^ forced } else { *known };
                 accumulate(&mut self.probs, (part.clone(), o), p);
             }
         }
@@ -370,15 +386,17 @@ impl Merger {
 }
 
 /// Greedily partitions the entries of `dets` not yet `used` into
-/// elementary edges: the first unused detector pairs with each later
-/// unused one in turn, then stands alone as a boundary edge, and the
-/// first complete split wins. On success pushes the parts onto `parts`
-/// and returns true; otherwise leaves `parts` and `used` as they were.
+/// elementary edges — footprints for which `edge_obs` gives an
+/// observable: the first unused detector pairs with each later unused
+/// one in turn, then stands alone as a boundary edge, and the first
+/// complete split wins. On success pushes the parts and their edges'
+/// observables onto `parts` and returns true; otherwise leaves `parts`
+/// and `used` as they were.
 fn split_into_edges(
     dets: &[u32],
     used: &mut [bool],
-    is_edge: &impl Fn(&DetSet) -> bool,
-    parts: &mut Vec<DetSet>,
+    edge_obs: &impl Fn(&DetSet) -> Option<u32>,
+    parts: &mut Vec<(DetSet, u32)>,
 ) -> bool {
     let Some(first) = used.iter().position(|&u| !u) else {
         return true;
@@ -393,14 +411,14 @@ fn split_into_edges(
             Some(i) => DetSet::new(&[dets[first], dets[i]]),
             None => DetSet::new(&[dets[first]]),
         };
-        if !is_edge(&part) {
+        let Some(obs) = edge_obs(&part) else {
             continue;
-        }
+        };
         if let Some(i) = partner {
             used[i] = true;
         }
-        parts.push(part);
-        if split_into_edges(dets, used, is_edge, parts) {
+        parts.push((part, obs));
+        if split_into_edges(dets, used, edge_obs, parts) {
             return true;
         }
         parts.pop();
@@ -780,10 +798,11 @@ mod tests {
     /// Runs the greedy split of `dets` against `edges`.
     fn split(dets: &[u32], edges: &[&[u32]]) -> Option<Vec<Vec<u32>>> {
         let edges: Vec<DetSet> = edges.iter().map(|e| DetSet::new(e)).collect();
+        let edge_obs = |part: &DetSet| edges.contains(part).then_some(0);
         let mut used = vec![false; dets.len()];
         let mut parts = Vec::new();
-        split_into_edges(dets, &mut used, &|part| edges.contains(part), &mut parts)
-            .then(|| parts.iter().map(|p| p.as_slice().to_vec()).collect())
+        split_into_edges(dets, &mut used, &edge_obs, &mut parts)
+            .then(|| parts.iter().map(|(p, _)| p.as_slice().to_vec()).collect())
     }
 
     #[test]

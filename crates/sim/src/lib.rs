@@ -6,9 +6,9 @@
 //!   simulator that propagates error frames for 64 shots per machine
 //!   word and produces detector / observable flip samples.
 //! * [`DetectorErrorModel`] — extraction of every error mechanism's
-//!   detector footprint via a backward sensitivity sweep, with CSS
-//!   decomposition into graphlike (≤ 2 detector) mechanisms for matching
-//!   decoders.
+//!   detector footprint via a backward sensitivity sweep over detector
+//!   sets, with greedy decomposition of hyperedges into graphlike
+//!   (≤ 2 detector) mechanisms for matching decoders.
 //! * [`verify_deterministic`] — a tableau-based check that every
 //!   detector and observable of a circuit is deterministic under zero
 //!   noise (the validity condition Stim enforces).
