@@ -2,7 +2,7 @@
 
 use ftqc_circuit::{Circuit, Op};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 #[cfg(test)]
 mod record_sweep;
@@ -148,24 +148,10 @@ const NONE: u32 = u32::MAX;
 /// inline, padded with [`NONE`], so copying, hashing and comparing a set
 /// never touches the heap; longer sets spill to a boxed slice. A set
 /// spills only when it must, so equal sets are equal values.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum DetSet {
     Inline([u32; INLINE]),
     Spilled(Box<[u32]>),
-}
-
-impl Hash for DetSet {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            // Two words, without the derived discriminant and length
-            // prefix: this hash is most of a table lookup.
-            DetSet::Inline([a, b, c, d]) => {
-                state.write_u64(u64::from(*a) | u64::from(*b) << 32);
-                state.write_u64(u64::from(*c) | u64::from(*d) << 32);
-            }
-            DetSet::Spilled(dets) => dets.hash(state),
-        }
-    }
 }
 
 impl DetSet {
@@ -238,8 +224,10 @@ fn symdiff_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 }
 
 /// The Fx hash (rustc's): a rotate, xor and multiply per word. The
-/// tables here are keyed by a few small integers, where SipHash's
-/// flooding resistance buys nothing and costs most of a lookup.
+/// tables here are keyed by a few detector indices, where SipHash's
+/// flooding resistance costs most of a lookup and buys little: a
+/// circuit crafted to collide its keys could already make the greedy
+/// split exponential.
 #[derive(Default)]
 struct FxHasher(u64);
 
