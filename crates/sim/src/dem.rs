@@ -907,6 +907,46 @@ mod tests {
     }
 
     #[test]
+    fn split_parts_take_the_last_seen_edge_observable() {
+        // X0 flips {0, 1}; X1 flips {2}; X2 flips {2} and observable 0;
+        // X3 flips {0, 1, 2}, which splits as {0, 1} + {2}. The sweep
+        // emits X2 after X1, so edge {2} carries X2's observable, and
+        // part {0, 1} is forced to flip it back.
+        let mut c = Circuit::new(4);
+        c.push(Op::ResetZ(vec![0, 1, 2, 3]));
+        c.push(Op::PauliChannel {
+            qubits: vec![0, 1, 2, 3],
+            px: 0.01,
+            py: 0.0,
+            pz: 0.0,
+        });
+        c.push(Op::measure_z([0, 1, 2, 3], 0.0));
+        let [r0, r1, r2, r3] = [0, 1, 2, 3].map(MeasRef);
+        c.push(Op::detector([r0, r3], DetectorBasis::Z));
+        c.push(Op::detector([r0, r3], DetectorBasis::Z));
+        c.push(Op::detector([r1, r2, r3], DetectorBasis::Z));
+        c.push(Op::ObservableInclude {
+            observable: 0,
+            records: vec![r2],
+        });
+        let (dem, stats) = DetectorErrorModel::from_circuit(&c, true);
+        assert_eq!(stats.decomposed_hyperedges, 1);
+        assert_eq!(stats.forced_observable_splits, 1);
+        let footprints: Vec<(&[u32], u32)> = dem
+            .mechanisms()
+            .iter()
+            .map(|m| (&m.detectors[..], m.observables))
+            .collect();
+        assert_eq!(
+            footprints,
+            [(&[0, 1][..], 0), (&[0, 1], 1), (&[2], 0), (&[2], 1)]
+        );
+        let (reference, reference_stats) = record_sweep::from_circuit(&c, true);
+        assert_eq!(stats, reference_stats);
+        assert_eq!(dem.mechanisms(), reference.mechanisms());
+    }
+
+    #[test]
     fn dem_rates_match_sampler() {
         // Cross-validate: detector marginal rate predicted by the DEM
         // matches the frame sampler on a two-detector circuit.
@@ -1001,7 +1041,7 @@ mod tests {
                     c.push(Op::detector(records, DetectorBasis::Z));
                 }
             }
-            if rng.gen_bool(0.1) {
+            if rng.gen_bool(0.3) {
                 c.push(Op::ObservableInclude {
                     observable: rng.gen_range(0..3),
                     records: distinct(rng, 3),
