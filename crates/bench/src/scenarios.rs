@@ -309,8 +309,8 @@ fn decode_latency(preset: Preset) -> Vec<BenchResult> {
             let mut defects = Vec::with_capacity(schedule.max_round_len());
             // Both streaming modes ride the same pre-sampled stream:
             // exact (full-prefix re-decode, the bit-identity baseline)
-            // and fused (O(window) per round through the round-sliced
-            // view, one round of overlap). Exact rows keep their
+            // and fused (O(window) per round, decoding the window's
+            // detector range in place, one round of overlap). Exact rows keep their
             // historical names; fused rows insert a `fused/` segment.
             for (tag, config) in [
                 ("", StreamingConfig::exact(LATENCY_WINDOW)),
@@ -342,7 +342,7 @@ fn decode_latency(preset: Preset) -> Vec<BenchResult> {
                         }
                     }
                 };
-                pass(&mut lat); // warm-up: grow scanner/scratch/view buffers
+                pass(&mut lat); // warm-up: grow scanner/scratch buffers
                 let (mut p50, mut p99, mut max) = (
                     Vec::with_capacity(SAMPLES),
                     Vec::with_capacity(SAMPLES),

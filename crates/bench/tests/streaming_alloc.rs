@@ -27,9 +27,7 @@ fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
 
 /// Streams every shot of a pre-sampled batch through `config` `passes`
 /// times and returns the allocations of the steady-state passes (one
-/// warm-up pass grows scanner/scratch/round buffers — for fused
-/// configs that includes the one-time window-view arenas, presized to
-/// the source graph on first materialization).
+/// warm-up pass grows scanner/scratch/round buffers).
 fn steady_state_stream_allocs(kind: DecoderKind, config: StreamingConfig, passes: usize) -> u64 {
     let hw = HardwareConfig::ibm();
     let circuit =
@@ -103,10 +101,10 @@ fn immediate_commit_window_is_also_allocation_free() {
 #[test]
 fn fused_mode_is_allocation_free_at_steady_state() {
     let _guard = counter_guard();
-    // The fused commit path rebuilds the window view in place every
-    // slide: after the warm-up pass materializes the view's arenas
-    // once (presized to the source graph), re-slicing, remapping and
-    // windowed decoding must never touch the heap.
+    // The fused commit path decodes each window in place on the full
+    // graph, in the same globally indexed arenas as a batch decode:
+    // after the warm-up pass, windowed decoding and committing must
+    // never touch the heap.
     for (kind, label) in [
         (DecoderKind::UnionFind, "UF"),
         (DecoderKind::Mwpm, "MWPM"),

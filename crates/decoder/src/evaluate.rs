@@ -1,6 +1,6 @@
 //! End-to-end logical-error-rate evaluation.
 
-use crate::fusion::WindowView;
+use crate::graph::DecodingGraph;
 use crate::scratch::{DecoderScratch, ScratchCapacity};
 use ftqc_circuit::Circuit;
 use ftqc_sim::{batch_plan, parallel_batches_with, BatchSpec, BinomialEstimate, SyndromeScanner};
@@ -20,27 +20,32 @@ pub trait Decoder: Sync {
     /// regardless of what previous decodes left in `scratch`.
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32);
 
-    /// Decodes one windowed-fusion sub-problem: `syndrome` holds
-    /// *view-local* detector ids (global id minus
-    /// [`WindowView::first_detector`]), sorted ascending, and the
-    /// view-local edges of the correction land in `edges` (replacing
-    /// its contents). Their boundary is the syndrome, with the view's
-    /// boundary edges ending at the boundary. Returns `false`, leaving
-    /// `edges` alone, for a decoder with no graph to correct on.
+    /// Decodes one windowed-fusion sub-problem in place on the
+    /// decoder's graph, restricted to the detector range
+    /// `(dlo, dhi)` = `[dlo, dhi)`: an edge whose far end is below
+    /// `dlo` leaves the range downward and does not exist for the
+    /// decode, and an edge whose far end is at or above `dhi` leaves it
+    /// upward and ends at the boundary. `syndrome` holds detector ids
+    /// inside the range, sorted ascending, and the edge ids of the
+    /// correction land in `edges` (replacing its contents); their
+    /// boundary is the syndrome, with the edges ending at the boundary
+    /// left out. Returns the graph the edge ids index, or `None`,
+    /// leaving `edges` alone, for a decoder with no graph to correct
+    /// on.
     ///
-    /// Graph decoders materialize the view's sub-graph
-    /// ([`WindowView`]) and decode only the window, which is what makes
-    /// fused streaming O(window) per round. The default is the table
-    /// decoders' answer: they return `false`, and fused streaming runs
-    /// them through exact mode's prefix path instead.
+    /// The decode touches only the window, which is what makes fused
+    /// streaming O(window) per round, and over the full range
+    /// `(0, num_detectors)` it is the batch decode. The default is the
+    /// table decoders' answer: they return `None`, and fused streaming
+    /// runs them through exact mode's prefix path instead.
     fn decode_window_into(
         &self,
         _scratch: &mut DecoderScratch,
-        _view: &mut WindowView,
+        _range: (u32, u32),
         _syndrome: &[u32],
         _edges: &mut Vec<u32>,
-    ) -> bool {
-        false
+    ) -> Option<&DecodingGraph> {
+        None
     }
 
     /// [`decode_into`](Decoder::decode_into) through a fresh workspace
@@ -74,11 +79,11 @@ impl<D: Decoder + ?Sized> Decoder for &D {
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        range: (u32, u32),
         syndrome: &[u32],
         edges: &mut Vec<u32>,
-    ) -> bool {
-        (**self).decode_window_into(scratch, view, syndrome, edges)
+    ) -> Option<&DecodingGraph> {
+        (**self).decode_window_into(scratch, range, syndrome, edges)
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {

@@ -1,12 +1,14 @@
-//! Windowed fusion: round-sliced graph views and the forward-window
-//! commit state behind [`StreamingMode::Fused`](crate::StreamingMode).
+//! Windowed fusion: the forward-window commit state behind
+//! [`StreamingMode::Fused`](crate::StreamingMode).
 //!
-//! Fused streaming decodes only a window of rounds against a
-//! [`WindowView`] — a compact sub-graph of the full [`DecodingGraph`]
-//! rebuilt in place from the CSR arenas — so per-round decode cost is
-//! O(window), independent of how long the stream has been running:
-//! the property the paper's real-time decode budget needs and the
-//! full-prefix exact mode cannot provide.
+//! Fused streaming decodes only a window of rounds. A graph decoder's
+//! [`decode_window_into`](crate::Decoder::decode_window_into) runs in
+//! place on the full [`DecodingGraph`], restricted to the window's
+//! detector range `[dlo, dhi)`, and returns global edge ids; nothing is
+//! copied per decode. Per-round decode cost is therefore O(window),
+//! independent of how long the stream has been running: the property
+//! the paper's real-time decode budget needs and the full-prefix exact
+//! mode cannot provide.
 //!
 //! Commits follow the forward-window scheme of Skoric et al.
 //! (*Parallel window decoding enables scalable fault tolerant quantum
@@ -19,129 +21,77 @@
 //! defect* there, XOR-ed into that round's real defects, so the next
 //! window corrects what the commit left over. Edges wholly inside the
 //! uncommitted rounds are kept for later commits, and are re-decoded
-//! only once new defects arrive. The view omits the edges it would cut
-//! on its committed side, so a commit never flips a finalized detector
-//! again, and `overlap` committed rounds stay in it as defect-free
-//! context. Every real defect is therefore corrected exactly once, the
-//! commits' corrections XOR to the stream's estimate, and a window
-//! that never commits before the end of the shot decodes it in one
-//! batch decode.
+//! only once new defects arrive. The range skips the edges leaving it
+//! downward, so a commit never flips a finalized detector again, and
+//! `overlap` committed rounds stay in it as defect-free context. Edges
+//! leaving it upward (its *cut edges*) end at the boundary. Every real
+//! defect is therefore corrected exactly once, the commits' corrections
+//! XOR to the stream's estimate, and a window that never commits
+//! before the end of the shot decodes it in one batch decode.
 
 use crate::evaluate::Decoder;
 use crate::graph::{cancel_pairs, DecodingGraph, EdgeRecord, NO_NODE};
 use crate::scratch::{DecoderScratch, ScratchCapacity};
 use ftqc_sim::RoundSchedule;
-use std::ops::Range;
-use std::sync::Arc;
 
-/// A round-sliced view of a [`DecodingGraph`], rebuilt in place.
-///
-/// The view covers a contiguous global-detector range `[dlo, dhi)`
-/// (local node `i` = global detector `dlo + i`). Its edges are the run
-/// of source edges leaving the range's detectors, so a view edge maps
-/// to its source edge by an offset. Edges leaving the range upward
-/// become boundary edges at their in-range endpoint (the view's *cut
-/// edges*), and edges leaving it downward are omitted. The
-/// view is *lazy*: [`set_range`](WindowView::set_range) only records
-/// the range, and the graph decoder materializes the sub-graph when it
-/// decodes the window. All buffers are reused across rebuilds, and
-/// after the first build from a given source graph every rebuild is
-/// allocation-free.
-pub struct WindowView {
-    /// Requested global-detector range (valid even when not built).
-    dlo: u32,
-    dhi: u32,
-    /// Range the sub-graph was last materialized for.
-    built: (u32, u32),
-    /// The graph the buffers are sized for and the view was built from.
-    src: Option<Arc<DecodingGraph>>,
-    graph: DecodingGraph,
-    /// Source-graph index of view edge 0.
-    first: u32,
-    /// Cut edges of the last materialized range.
-    cut: u32,
+/// The cut edges of every window a fused stream decodes, counted once
+/// up front. A window ends at the end of one of the schedule's rounds;
+/// for each such end `h`, `lower` lists the `u` endpoints of the
+/// internal edges with `u < h <= v`, ascending, so the cut edges of
+/// `[dlo, h)` are the listed endpoints at or above `dlo`.
+struct CutTable {
+    /// The distinct round ends, ascending.
+    ends: Vec<u32>,
+    /// `lower[off[i]..off[i + 1]]` belongs to `ends[i]`.
+    off: Vec<u32>,
+    lower: Vec<u32>,
 }
 
-impl Default for WindowView {
-    fn default() -> WindowView {
-        // analyzer: allow(alloc) -- constructor: the empty buffers are
-        // presized on the first build and reused for every rebuild.
-        WindowView {
-            dlo: 0,
-            dhi: 0,
-            built: (u32::MAX, u32::MAX),
-            src: None,
-            graph: DecodingGraph::empty(),
-            first: 0,
-            cut: 0,
+impl CutTable {
+    fn new(graph: &DecodingGraph, schedule: &RoundSchedule) -> CutTable {
+        // analyzer: allow(alloc) -- constructor: one counting sort of
+        // the graph's internal edges by the round ends they cross.
+        let mut ends: Vec<u32> = (0..schedule.num_rounds())
+            .map(|r| schedule.round_envelope(r).1)
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        // The indices of the ends in `(u, v]`.
+        let crossed = |r: &EdgeRecord| {
+            ends.partition_point(|&h| h <= r.u)..ends.partition_point(|&h| h <= r.v)
+        };
+        let internal = || graph.records().iter().filter(|r| r.v != NO_NODE);
+        let mut off = vec![0u32; ends.len() + 1];
+        for i in internal().flat_map(crossed) {
+            off[i + 1] += 1;
+        }
+        for i in 0..ends.len() {
+            off[i + 1] += off[i];
+        }
+        let mut fill = off.clone();
+        let mut lower = vec![0u32; off[ends.len()] as usize];
+        for r in internal() {
+            for i in crossed(r) {
+                lower[fill[i] as usize] = r.u;
+                fill[i] += 1;
+            }
+        }
+        for w in off.windows(2) {
+            lower[w[0] as usize..w[1] as usize].sort_unstable();
         }
         // analyzer: end-allow(alloc)
-    }
-}
-
-impl WindowView {
-    /// An empty view; set its range, then hand it to a graph decoder's
-    /// [`decode_window_into`](crate::Decoder::decode_window_into).
-    pub fn new() -> WindowView {
-        WindowView::default()
+        CutTable { ends, off, lower }
     }
 
-    /// Records the requested global-detector range `[dlo, dhi)` without
-    /// building anything.
-    pub fn set_range(&mut self, dlo: u32, dhi: u32) {
-        debug_assert!(dlo <= dhi);
-        self.dlo = dlo;
-        self.dhi = dhi;
-    }
-
-    /// First global detector of the window: view-local syndrome index
-    /// `i` names global detector `first_detector() + i`.
-    #[inline]
-    pub fn first_detector(&self) -> u32 {
-        self.dlo
-    }
-
-    /// Materializes the sub-graph of `src` for the requested range (a
-    /// no-op when it is already built for exactly this range and
-    /// source) and returns the run of source edges it holds, which
-    /// slices any per-edge table of `src` down to the view. Graph
-    /// decoders call this from their `decode_window_into`.
-    pub(crate) fn ensure(&mut self, src: &Arc<DecodingGraph>) -> Range<usize> {
-        if !self.src.as_ref().is_some_and(|s| Arc::ptr_eq(s, src)) {
-            // First contact with this source graph: pre-size every
-            // buffer to the source's arenas so rebuilds never allocate.
-            self.graph.reserve_for_window_of(src);
-            self.src = Some(Arc::clone(src));
-            self.built = (u32::MAX, u32::MAX);
-        }
-        if self.built != (self.dlo, self.dhi) {
-            (self.first, self.cut) = self.graph.rebuild_window(src, self.dlo, self.dhi);
-            self.built = (self.dlo, self.dhi);
-        }
-        let first = self.first as usize;
-        first..first + self.graph.records().len()
-    }
-
-    /// The sub-graph last materialized by a window decode.
-    #[inline]
-    pub fn graph(&self) -> &DecodingGraph {
-        &self.graph
-    }
-
-    /// The record of view edge `e` in the source graph, where it is
-    /// edge `e` plus the view's offset: its global endpoints and
-    /// observables.
-    pub fn source_record(&self, e: u32) -> EdgeRecord {
-        let src = self.src.as_ref().expect("view materialized");
-        src.records()[(self.first + e) as usize]
-    }
-
-    /// Cut edges of the last materialized range: edges leaving it
-    /// upward, which the view turned into boundary edges (0 until a
-    /// window decode materializes the view).
-    #[inline]
-    pub fn cut_edges(&self) -> u32 {
-        self.cut
+    /// Cut edges of the window `[dlo, dhi)`: the internal edges with
+    /// `dlo <= u < dhi <= v`.
+    fn count(&self, dlo: u32, dhi: u32) -> u32 {
+        let i = self
+            .ends
+            .binary_search(&dhi)
+            .expect("a window ends at a round's end");
+        let lower = &self.lower[self.off[i] as usize..self.off[i + 1] as usize];
+        (lower.len() - lower.partition_point(|&u| u < dlo)) as u32
     }
 }
 
@@ -151,8 +101,8 @@ pub(crate) struct FusedCommit {
     pub(crate) correction: u32,
     /// Artificial defects handed to uncommitted rounds.
     pub(crate) carried: u32,
-    /// Cut edges of the view this commit decoded (0 when it reused an
-    /// earlier decode).
+    /// Cut edges of the window this commit decoded (0 when it reused
+    /// an earlier decode).
     pub(crate) stitched: u32,
     /// Whether the commit ran a window decode.
     pub(crate) decoded: bool,
@@ -163,24 +113,21 @@ pub(crate) struct FusedCommit {
 /// Invariant: `pending` is the syndrome the uncommitted rounds still
 /// need corrected — their real defects XOR the artificial defects
 /// earlier commits carried forward — and while `valid`, `retained` is
-/// a correction of the `pending` defects in the last decode's view.
+/// a correction of the `pending` defects in the last decode's window.
 pub(crate) struct FusionCore {
-    /// Committed rounds kept in the view as context.
+    /// Committed rounds kept in the window as context.
     overlap: u32,
     schedule: RoundSchedule,
-    view: WindowView,
-    /// Defects of uncommitted rounds, global ids, ascending.
+    cuts: CutTable,
+    /// Defects of uncommitted rounds, ascending.
     pending: Vec<u32>,
-    /// Scratch: the pending defects inside the view, view-local.
-    local: Vec<u32>,
-    /// Scratch: the view-local edges of the last window decode.
+    /// Scratch: the edge ids of the last window decode.
     edges: Vec<u32>,
-    /// Edges of the last decode no commit has taken yet, as global
-    /// source records.
+    /// Edges of the last decode no commit has taken yet.
     retained: Vec<EdgeRecord>,
     /// Whether `retained` still corrects `pending`.
     valid: bool,
-    /// Whether an edge of the last decode left its view upward, so
+    /// Whether an edge of the last decode left its window upward, so
     /// that the next round to arrive reaches it.
     ahead: bool,
 }
@@ -199,28 +146,24 @@ impl FusionCore {
         // analyzer: allow(alloc) -- constructor: one-time copy of the
         // round schedule and presizing of the defect and edge buffers;
         // the push/commit path reuses them allocation-free.
-        let nodes = cap.nodes as usize;
-        let mut core = FusionCore {
+        let mut edges = Vec::with_capacity(cap.correction_edges());
+        // An empty window decode tells graph decoders, which return
+        // their graph, from table decoders, which decline.
+        let graph = decoder.decode_window_into(scratch, (0, 0), &[], &mut edges)?;
+        Some(FusionCore {
             overlap,
             schedule: schedule.clone(),
-            view: WindowView::new(),
-            pending: Vec::with_capacity(nodes + cap.edges as usize),
-            local: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(cap.correction_edges()),
+            cuts: CutTable::new(graph, schedule),
+            pending: Vec::with_capacity(cap.nodes as usize + cap.edges as usize),
+            edges,
             retained: Vec::with_capacity(cap.edges as usize),
             valid: true,
             ahead: false,
-        };
+        })
         // analyzer: end-allow(alloc)
-        // An empty window decode tells graph decoders, which also size
-        // the view for their graph, from table decoders, which decline.
-        decoder
-            .decode_window_into(scratch, &mut core.view, &[], &mut core.edges)
-            .then_some(core)
     }
 
-    /// Resets per-shot state (buffers and the materialized view keep
-    /// their capacity).
+    /// Resets per-shot state (buffers keep their capacity).
     pub(crate) fn reset(&mut self) {
         self.pending.clear();
         self.retained.clear();
@@ -296,9 +239,9 @@ impl FusionCore {
         }
     }
 
-    /// Decodes the pending defects on the view of rounds
+    /// Decodes the pending defects on the window of rounds
     /// `[round - overlap, pushed)` into `retained`. Returns whether the
-    /// decoder ran and the view's cut-edge count.
+    /// decoder ran and the window's cut-edge count.
     fn decode<D: Decoder>(
         &mut self,
         decoder: &D,
@@ -312,23 +255,25 @@ impl FusionCore {
         let (dlo, dhi) = self
             .schedule
             .window_envelope(round.saturating_sub(self.overlap), pushed);
-        self.local.clear();
         // Artificial defects in rounds not yet arrived wait for them.
-        self.local
-            .extend(self.pending.iter().filter(|&&d| d < dhi).map(|&d| d - dlo));
-        if self.local.is_empty() {
+        let arrived = self.pending.partition_point(|&d| d < dhi);
+        if arrived == 0 {
             return (false, 0);
         }
-        self.view.set_range(dlo, dhi);
-        let windowed =
-            decoder.decode_window_into(scratch, &mut self.view, &self.local, &mut self.edges);
-        debug_assert!(windowed, "graph decoders decode every window");
+        let graph = decoder
+            .decode_window_into(
+                scratch,
+                (dlo, dhi),
+                &self.pending[..arrived],
+                &mut self.edges,
+            )
+            .expect("graph decoders decode every window");
         for &e in &self.edges {
-            let r = self.view.source_record(e);
-            // A view edge's `u` is in view; a cut edge's `v` is beyond it.
+            let r = graph.records()[e as usize];
+            // A window edge's `u` is in range; a cut edge's `v` is beyond it.
             self.ahead |= r.v != NO_NODE && r.v >= dhi;
             self.retained.push(r);
         }
-        (true, self.view.cut_edges())
+        (true, self.cuts.count(dlo, dhi))
     }
 }

@@ -64,9 +64,11 @@ pub struct AdjEntry {
 /// ("exactly one occurs"); mechanisms with more than two detectors are
 /// dropped (`DemStats` counts them) — run DEM extraction with
 /// decomposition enabled first. Edges are ordered by `u`, then boundary
-/// edges before internal ones, then by `v` (`u < v`) and observables,
-/// so the edges leaving the detectors of any index range form one
-/// contiguous run of edge indices.
+/// edges before internal ones, then by `v` and observables. Every
+/// internal edge has `u < v`, so an edge met from inside a detector
+/// range `[dlo, dhi)` leaves it downward when its far end is below
+/// `dlo` and upward when its `v` is at or above `dhi`: the range rule
+/// of [`Decoder::decode_window_into`](crate::Decoder::decode_window_into).
 ///
 /// # Example
 ///
@@ -110,7 +112,7 @@ impl DecodingGraph {
         // `None < Some(_)`: boundary edges sort before internal ones.
         let mut classes: Vec<_> = merged.into_iter().collect();
         classes.sort_unstable_by_key(|&(key, _)| key);
-        let rec: Vec<EdgeRecord> = classes
+        let rec = classes
             .into_iter()
             .map(|((u, v, observables), probability)| EdgeRecord {
                 weight: weight_of(probability),
@@ -119,6 +121,28 @@ impl DecodingGraph {
                 observables,
             })
             .collect();
+        // analyzer: end-allow(alloc)
+        DecodingGraph::from_records(n, rec)
+    }
+
+    /// Builds the graph over `num_detectors` detectors whose edge `i`
+    /// is `rec[i]`, deriving the CSR adjacency. [`from_dem`] is this
+    /// with the DEM's merged mechanisms, sorted.
+    ///
+    /// [`from_dem`]: DecodingGraph::from_dem
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range or an internal edge does
+    /// not have `u < v`, the order detector-range decodes rely on.
+    pub fn from_records(num_detectors: u32, rec: Vec<EdgeRecord>) -> DecodingGraph {
+        let n = num_detectors;
+        assert!(
+            rec.iter()
+                .all(|r| r.u < n && (r.v == NO_NODE || (r.u < r.v && r.v < n))),
+            "edge endpoints must be detectors with u < v"
+        );
+        // analyzer: allow(alloc) -- constructor: runs once per graph.
         // CSR adjacency: count, prefix-sum, scatter. Scattering in
         // ascending edge order keeps each node's entries in ascending
         // edge index.
@@ -155,86 +179,6 @@ impl DecodingGraph {
             adj_off,
             adj,
         }
-    }
-
-    /// An empty graph, for window views that are rebuilt in place
-    /// ([`rebuild_window`](DecodingGraph::rebuild_window)).
-    pub(crate) fn empty() -> DecodingGraph {
-        // analyzer: allow(alloc) -- constructor: empty vecs, grown once
-        // by `reserve_for_window_of`.
-        DecodingGraph {
-            num_detectors: 0,
-            rec: Vec::new(),
-            adj_off: Vec::new(),
-            adj: Vec::new(),
-        }
-        // analyzer: end-allow(alloc)
-    }
-
-    /// Preallocates every internal buffer so that any
-    /// [`rebuild_window`](DecodingGraph::rebuild_window) over a
-    /// sub-range of `src` reallocates nothing.
-    pub(crate) fn reserve_for_window_of(&mut self, src: &DecodingGraph) {
-        let reserve = |v_len: usize, want: usize| want.saturating_sub(v_len);
-        self.rec.reserve(reserve(self.rec.len(), src.rec.len()));
-        self.adj_off
-            .reserve(reserve(self.adj_off.len(), src.num_detectors as usize + 1));
-        self.adj.reserve(reserve(self.adj.len(), src.adj.len()));
-    }
-
-    /// Rebuilds `self` in place as the window view of `src` over the
-    /// contiguous detector range `[dlo, dhi)`: local node `i` is global
-    /// detector `dlo + i`. The view's edges are the run of `src`'s
-    /// edges whose `u` endpoint is in the range, in order, so view edge
-    /// `e` is source edge `e + first`, where `first` is returned. An
-    /// edge whose `v` endpoint is at or above `dhi` leaves the range
-    /// *upward* and becomes a boundary edge at `u`, keeping its weight
-    /// and observable mask: a *cut edge*, through which a window decode
-    /// can hand a defect to rounds it cannot see yet. An edge leaving
-    /// the range *downward* (its `u` endpoint below `dlo`) is omitted,
-    /// so no correction through the view touches a detector below it.
-    /// Returns `(first, cut edges)`.
-    ///
-    /// For the full range (`dlo == 0`, `dhi == src.num_detectors()`)
-    /// the rebuilt view is bit-identical to `src` (same edge order,
-    /// same weights, same CSR layout), which is what lets a
-    /// window-covering-everything fused decode degenerate to the exact
-    /// batch decode. Reuses every buffer: allocation-free after
-    /// [`reserve_for_window_of`](DecodingGraph::reserve_for_window_of).
-    pub(crate) fn rebuild_window(&mut self, src: &DecodingGraph, dlo: u32, dhi: u32) -> (u32, u32) {
-        debug_assert!(dlo <= dhi && dhi <= src.num_detectors);
-        self.num_detectors = dhi - dlo;
-        let first = src.rec.partition_point(|r| r.u < dlo);
-        let last = src.rec.partition_point(|r| r.u < dhi);
-        let local = |x: u32| if x < dhi { x - dlo } else { NO_NODE };
-        self.rec.clear();
-        let mut cut = 0u32;
-        for r in &src.rec[first..last] {
-            let v = local(r.v);
-            cut += u32::from(v == NO_NODE && r.v != NO_NODE);
-            self.rec.push(EdgeRecord {
-                u: r.u - dlo,
-                v,
-                ..*r
-            });
-        }
-        // A node's entries keep their source order, less the edges that
-        // leave downward.
-        self.adj_off.clear();
-        self.adj.clear();
-        self.adj_off.push(0);
-        for g in dlo..dhi {
-            for a in src.neighbors(g) {
-                if a.to >= dlo {
-                    self.adj.push(AdjEntry {
-                        edge: a.edge - first as u32,
-                        to: local(a.to),
-                    });
-                }
-            }
-            self.adj_off.push(self.adj.len() as u32);
-        }
-        (first as u32, cut)
     }
 
     /// Number of detector nodes.
@@ -278,15 +222,34 @@ impl DecodingGraph {
     /// graph. Allocation-free once the workspace is sized to the graph,
     /// which [`DijkstraScratch::bound`] does up front.
     pub fn dijkstra_to_with(&self, source: u32, targets: &[u32], scratch: &mut DijkstraScratch) {
-        let n = self.num_detectors as usize + 1; // + boundary
-        let boundary = self.num_detectors;
-        scratch.reset(n);
+        self.dijkstra_in(0, self.num_detectors, source, targets, scratch);
+    }
+
+    /// [`dijkstra_to_with`](DecodingGraph::dijkstra_to_with) restricted
+    /// to the detector range `[dlo, dhi)`: an edge leaving the range
+    /// downward is skipped, and one leaving it upward ends at the
+    /// boundary. `source` and `targets` are detector ids; the
+    /// workspace rows are window-local (detector `g` is row `g - dlo`,
+    /// the boundary row `dhi - dlo`), so a search resets only
+    /// window-sized rows. For the full range the two coincide.
+    pub(crate) fn dijkstra_in(
+        &self,
+        dlo: u32,
+        dhi: u32,
+        source: u32,
+        targets: &[u32],
+        scratch: &mut DijkstraScratch,
+    ) {
+        let boundary = dhi - dlo;
+        scratch.reset(boundary as usize + 1);
         let mut remaining: usize =
             targets.iter().filter(|&&t| t != source).count() + usize::from(!targets.is_empty()); // + the boundary
+        let source = source - dlo;
         scratch.dist[source as usize] = 0.0;
         scratch.heap_push(source);
         while let Some(u) = scratch.heap_pop() {
-            if !targets.is_empty() && u != source && (u == boundary || targets.contains(&u)) {
+            if !targets.is_empty() && u != source && (u == boundary || targets.contains(&(u + dlo)))
+            {
                 remaining -= 1;
                 if remaining == 0 {
                     break;
@@ -297,9 +260,12 @@ impl DecodingGraph {
             }
             let d = scratch.dist[u as usize];
             let from_mask = scratch.mask[u as usize];
-            for &AdjEntry { edge, to } in self.neighbors(u) {
+            for &AdjEntry { edge, to } in self.neighbors(u + dlo) {
+                if to < dlo {
+                    continue; // leaves the range downward
+                }
                 let r = &self.rec[edge as usize];
-                let v = if to == NO_NODE { boundary } else { to };
+                let v = if to >= dhi { boundary } else { to - dlo };
                 let nd = d + r.weight;
                 if nd < scratch.dist[v as usize] {
                     scratch.dist[v as usize] = nd;
@@ -383,7 +349,7 @@ impl DijkstraScratch {
     }
 
     /// Distances of the last search (`f64::INFINITY` = unreachable);
-    /// index `num_detectors` is the boundary.
+    /// the last index is the boundary.
     pub fn dist(&self) -> &[f64] {
         &self.dist
     }
@@ -485,12 +451,13 @@ impl DijkstraScratch {
 }
 
 /// Appends to `edges` the shortest path from `source` to `target` in
-/// the tree `pred` that a search from `source` left
-/// ([`DijkstraScratch`]'s predecessor row; `target` may be the virtual
-/// boundary node `num_detectors`). The XOR of the path's observables
-/// is the search's mask at `target`.
+/// the tree `pred` that a search over the detector range from `dlo`
+/// left ([`DijkstraScratch`]'s predecessor row; `source` and `target`
+/// are window-local rows, and `target` may be the boundary row). The
+/// XOR of the path's observables is the search's mask at `target`.
 pub(crate) fn push_path(
     graph: &DecodingGraph,
+    dlo: u32,
     pred: &[u32],
     source: u32,
     target: u32,
@@ -501,9 +468,10 @@ pub(crate) fn push_path(
         let e = pred[x as usize];
         edges.push(e);
         let r = &graph.rec[e as usize];
-        // Searches never route through the boundary, so a boundary edge
-        // only ever leads *into* it, from its detector end `u`.
-        x = if r.u == x { r.v } else { r.u };
+        // Searches never route through the boundary, so an edge ending
+        // there only ever leads *into* it, from its in-range end `u`.
+        let next = if r.u == x + dlo { r.v } else { r.u };
+        x = next - dlo;
     }
 }
 
@@ -523,6 +491,38 @@ pub(crate) fn cancel_pairs(ids: &mut Vec<u32>) {
         i += run;
     }
     ids.truncate(kept);
+}
+
+/// The window of `src` over the detector range `[dlo, dhi)`, built as
+/// a graph of its own: the oracle range decodes are checked against.
+/// Local node `i` is detector `dlo + i`, and the window's edges are the
+/// run of `src`'s edges whose `u` is in the range, so window edge `e`
+/// is source edge `first + e`. An edge leaving the range downward is
+/// omitted, and one leaving it upward becomes a boundary edge at `u`
+/// (a *cut edge*). Returns `(window, first, cut edges)`.
+#[cfg(test)]
+pub(crate) fn materialize_window(
+    src: &DecodingGraph,
+    dlo: u32,
+    dhi: u32,
+) -> (DecodingGraph, u32, u32) {
+    let first = src.rec.partition_point(|r| r.u < dlo);
+    let last = src.rec.partition_point(|r| r.u < dhi);
+    let run = &src.rec[first..last];
+    let rec = run
+        .iter()
+        .map(|r| EdgeRecord {
+            u: r.u - dlo,
+            v: if r.v < dhi { r.v - dlo } else { NO_NODE },
+            ..*r
+        })
+        .collect();
+    let cut = run.iter().filter(|r| r.v >= dhi && r.v != NO_NODE).count();
+    (
+        DecodingGraph::from_records(dhi - dlo, rec),
+        first as u32,
+        cut as u32,
+    )
 }
 
 /// Log-likelihood weight of an edge with flip probability `p`.
@@ -621,6 +621,16 @@ mod tests {
         // Each internal edge appears twice, each boundary edge once.
         let internal = g.records().iter().filter(|e| e.v != NO_NODE).count();
         assert_eq!(seen, 2 * internal + (g.records().len() - internal));
+    }
+
+    #[test]
+    fn full_range_window_is_the_graph() {
+        let g = chain_graph();
+        let (w, first, cut) = materialize_window(&g, 0, g.num_detectors());
+        assert_eq!((first, cut), (0, 0));
+        assert_eq!(w.records(), g.records());
+        assert_eq!(w.adj_off, g.adj_off);
+        assert_eq!(w.adj, g.adj);
     }
 
     #[test]

@@ -243,22 +243,22 @@ impl Decoder for AnyDecoder {
     fn decode_window_into(
         &self,
         scratch: &mut crate::DecoderScratch,
-        view: &mut crate::WindowView,
+        range: (u32, u32),
         syndrome: &[u32],
         edges: &mut Vec<u32>,
-    ) -> bool {
+    ) -> Option<&DecodingGraph> {
         // Same kind-tagged spans as `decode_into`, suffixed so a trace
         // separates full-prefix decodes from windowed-fusion decodes.
         // Only the graph decoders decode windows.
         let (name, decoder): (_, &dyn Decoder) = match self {
             AnyDecoder::UnionFind(d) => ("decode/union-find/window", d),
             AnyDecoder::Mwpm(d) => ("decode/mwpm/window", d),
-            AnyDecoder::Lut(_) | AnyDecoder::Hierarchical(_) => return false,
+            AnyDecoder::Lut(_) | AnyDecoder::Hierarchical(_) => return None,
         };
         let span = ftqc_telemetry::span(name);
-        let windowed = decoder.decode_window_into(scratch, view, syndrome, edges);
+        let graph = decoder.decode_window_into(scratch, range, syndrome, edges);
         span.end_with(&[ftqc_telemetry::Arg::new("defects", syndrome.len() as f64)]);
-        windowed
+        graph
     }
 
     fn scratch_capacity(&self) -> crate::ScratchCapacity {

@@ -39,8 +39,8 @@
 //!   prefix each commit and is bit-identical to batch decoding by
 //!   construction (telescoping XOR deltas; the type's docs carry the
 //!   argument), while [`Fused`](StreamingMode::Fused) decodes only the
-//!   uncommitted rounds against a round-sliced [`WindowView`] of the
-//!   graph, at most once per commit, and commits the correction edges
+//!   uncommitted rounds, in place on the graph restricted to their
+//!   detector range, at most once per commit, and commits the correction edges
 //!   that reach the finalized round, carrying their far endpoints
 //!   forward as artificial defects — O(window) per round, independent
 //!   of stream length, with a measured accuracy delta. The graph
@@ -81,7 +81,6 @@ mod streaming;
 mod union_find;
 
 pub use evaluate::{count_batch_errors, evaluate_ler, Decoder};
-pub use fusion::WindowView;
 pub use graph::{AdjEntry, DecodingGraph, DijkstraScratch, EdgeRecord, NO_NODE};
 pub use hierarchical::{HierarchicalDecoder, LatencyModel, TimedDecode};
 pub use kind::{AnyDecoder, DecoderKind};

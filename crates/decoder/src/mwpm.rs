@@ -1,7 +1,6 @@
 //! Minimum-weight perfect matching decoding.
 
 use crate::evaluate::Decoder;
-use crate::fusion::WindowView;
 use crate::graph::{cancel_pairs, push_path, DecodingGraph};
 use crate::scratch::{DecoderScratch, MatchScratch, ScratchCapacity};
 use crate::union_find::UfDecoder;
@@ -75,17 +74,23 @@ impl MwpmDecoder {
     }
 }
 
-/// Exact subset-DP matching of the flagged detectors over an explicit
-/// `graph`, working out of `s` (the flattened `k x k` distance matrix,
-/// each defect's shortest-path tree and the `2^k` DP tables). Writes
-/// the edges of the minimum-weight pairing's shortest paths into
-/// `edges`, an edge two paths share cancelling; their observables XOR
-/// to the mask the matcher has always returned, because each search's
-/// mask is accumulated along exactly the predecessor edges walked
-/// here. [`MwpmDecoder`] calls this with its full graph; the
-/// windowed-fusion path calls it with a round-sliced [`WindowView`]'s
-/// sub-graph.
-fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32], edges: &mut Vec<u32>) {
+/// Exact subset-DP matching of the flagged detectors over `graph`
+/// restricted to the detector range `[dlo, dhi)` (the rule of
+/// [`DecodingGraph::dijkstra_in`]), working out of `s` (the flattened
+/// `k x k` distance matrix, each defect's shortest-path tree and the
+/// `2^k` DP tables). Writes the edges of the minimum-weight pairing's
+/// shortest paths into `edges`, an edge two paths share cancelling;
+/// their observables XOR to the mask the matcher has always returned,
+/// because each search's mask is accumulated along exactly the
+/// predecessor edges walked here. [`MwpmDecoder`] matches a shot over
+/// the full range and a fused window over its own.
+fn match_exact(
+    graph: &DecodingGraph,
+    s: &mut MatchScratch,
+    (dlo, dhi): (u32, u32),
+    flagged: &[u32],
+    edges: &mut Vec<u32>,
+) {
     let k = flagged.len();
     debug_assert!(
         s.bound_k == u32::MAX || k <= s.bound_k as usize,
@@ -93,7 +98,8 @@ fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32], edg
          (was the scratch built for a smaller exact limit?)",
         s.bound_k
     );
-    let boundary = graph.num_detectors();
+    // The boundary's row in the window-local search rows.
+    let boundary = dhi - dlo;
     // Pairwise distances and boundary distances, keeping each search's
     // shortest-path tree for the matched paths.
     s.pair_d.clear();
@@ -104,9 +110,9 @@ fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32], edg
         s.pred.resize_with(k, Default::default);
     }
     for (i, &f) in flagged.iter().enumerate() {
-        graph.dijkstra_to_with(f, flagged, &mut s.dijkstra);
+        graph.dijkstra_in(dlo, dhi, f, flagged, &mut s.dijkstra);
         for (j, &g) in flagged.iter().enumerate() {
-            s.pair_d[i * k + j] = s.dijkstra.dist[g as usize];
+            s.pair_d[i * k + j] = s.dijkstra.dist[(g - dlo) as usize];
         }
         s.bdry_d[i] = s.dijkstra.dist[boundary as usize];
         std::mem::swap(&mut s.dijkstra.pred, &mut s.pred[i]);
@@ -151,11 +157,11 @@ fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32], edg
             }
             Some(j) => {
                 mask &= !(1 << i) & !(1 << j);
-                (flagged[j], s.pair_d[i * k + j])
+                (flagged[j] - dlo, s.pair_d[i * k + j])
             }
         };
         if dist.is_finite() {
-            push_path(graph, &s.pred[i], flagged[i], target, edges);
+            push_path(graph, dlo, &s.pred[i], flagged[i] - dlo, target, edges);
         }
     }
     cancel_pairs(edges);
@@ -173,6 +179,7 @@ impl Decoder for MwpmDecoder {
         match_exact(
             &self.graph,
             &mut scratch.matching,
+            (0, self.graph.num_detectors()),
             syndrome,
             &mut scratch.edges,
         );
@@ -182,20 +189,19 @@ impl Decoder for MwpmDecoder {
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        range: (u32, u32),
         syndrome: &[u32],
         edges: &mut Vec<u32>,
-    ) -> bool {
+    ) -> Option<&DecodingGraph> {
         if syndrome.len() > self.exact_limit {
             // Same heavy-syndrome fallback as the batch path, on the
-            // same windowed sub-graph.
+            // same range.
             return self
                 .fallback
-                .decode_window_into(scratch, view, syndrome, edges);
+                .decode_window_into(scratch, range, syndrome, edges);
         }
-        view.ensure(&self.graph);
-        match_exact(view.graph(), &mut scratch.matching, syndrome, edges);
-        true
+        match_exact(&self.graph, &mut scratch.matching, range, syndrome, edges);
+        Some(&self.graph)
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {
@@ -358,6 +364,27 @@ mod tests {
         let cap = d.scratch_capacity();
         assert_eq!(cap.nodes, d.graph().num_detectors());
         assert_eq!(cap.exact_limit, 6);
+    }
+
+    #[test]
+    fn window_searches_reset_window_sized_rows() {
+        let g = chain_graph(20, 0.01);
+        let d = MwpmDecoder::new(g.clone());
+        let mut scratch = DecoderScratch::for_decoder(&d);
+        let mut edges = Vec::new();
+        let windowed = d.decode_window_into(&mut scratch, (6, 11), &[7, 9], &mut edges);
+        assert!(windowed.is_some());
+        // Five detectors and the boundary.
+        assert_eq!(scratch.matching.dijkstra.dist().len(), 6);
+        assert!(edges.iter().all(|&e| {
+            let r = g.records()[e as usize];
+            r.u >= 6 && r.u < 11
+        }));
+        d.decode_into(&mut scratch, &[7, 9], &mut 0);
+        assert_eq!(
+            scratch.matching.dijkstra.dist().len(),
+            g.num_detectors() as usize + 1
+        );
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //!   prefix on every commit and emits telescoping XOR deltas —
 //!   bit-identical to batch decoding for any [`Decoder`], at a
 //!   per-round cost that grows with the stream.
-//! * [`StreamingMode::Fused`] decodes only a window of rounds against
-//!   a round-sliced [`WindowView`] of the decoding graph and commits
-//!   its correction edges forward, one round at a time (see the
-//!   [`fusion`](crate::WindowView) module docs) — per-round cost
-//!   O(window), independent of stream length, at the price of a small,
-//!   measurable accuracy delta. Table decoders have no edges; in fused
+//! * [`StreamingMode::Fused`] decodes only a window of rounds, in place
+//!   on the decoding graph restricted to the window's detector range
+//!   ([`Decoder::decode_window_into`]), and commits its correction
+//!   edges forward, one round at a time — per-round cost O(window),
+//!   independent of stream length, at the price of a small, measurable
+//!   accuracy delta. Table decoders have no edges; in fused
 //!   mode they stream through exact mode's prefix path.
 
 use crate::evaluate::Decoder;
@@ -29,13 +29,14 @@ pub enum StreamingMode {
     /// telescope), but per-round cost grows with the stream.
     Exact,
     /// Forward-window fusion: each commit decodes at most one window
-    /// of rounds on a round-sliced graph view, finalizes the
+    /// of rounds on the graph restricted to its detector range,
+    /// finalizes the
     /// correction edges that reach the committing round, and carries
     /// their far endpoints forward as artificial defects. Per-round
     /// cost is O(window); accuracy is approximate (measured by the
     /// `fusion-accuracy` harness).
     Fused {
-        /// Committed rounds kept in the view, behind the committing
+        /// Committed rounds kept in the window, behind the committing
         /// round, as defect-free graph context.
         overlap: u32,
     },
@@ -68,8 +69,8 @@ impl StreamingConfig {
     }
 
     /// A fused-mode configuration: commits decode only the uncommitted
-    /// rounds (plus `overlap` rounds of committed context) on a
-    /// round-sliced graph view.
+    /// rounds (plus `overlap` rounds of committed context), in place on
+    /// the graph restricted to their detector range.
     ///
     /// # Panics
     ///
@@ -121,11 +122,11 @@ pub struct RoundCommit {
     /// finalized, which later windows must still correct. Always `0`
     /// in exact mode and for table decoders.
     pub boundary_defects: u32,
-    /// Fusion provenance: cut edges of the window view this commit
-    /// decoded — edges leaving the view toward rounds not yet arrived,
-    /// which the view turned into boundary edges. `0` in exact mode,
-    /// for table decoders, and on commits that reused an earlier
-    /// decode.
+    /// Fusion provenance: cut edges of the window this commit decoded
+    /// — the graph's edges from a detector in the window's range to one
+    /// above it, toward rounds not yet arrived, which the decode took
+    /// as ending at the boundary. `0` in exact mode, for table
+    /// decoders, and on commits that reused an earlier decode.
     pub stitched_edges: u32,
 }
 
@@ -183,12 +184,13 @@ enum ModeState {
 ///
 /// In [`StreamingMode::Fused`], a commit decodes only the uncommitted
 /// rounds' defects (plus `overlap` committed rounds of defect-free
-/// context) against a round-sliced [`WindowView`](crate::WindowView)
-/// of the decoding graph, and finalizes the correction edges that
-/// reach the committing round. Their far endpoints become artificial
-/// defects of the rounds after it, so every later window corrects
-/// exactly what earlier commits left over (the forward-window scheme;
-/// the [`fusion`](crate::WindowView) module docs carry the argument).
+/// context), in place on the decoding graph restricted to the window's
+/// detector range ([`Decoder::decode_window_into`]; no window copy is
+/// built), and finalizes the correction edges that reach the
+/// committing round. Their far endpoints become artificial defects of
+/// the rounds after it, so every later window corrects exactly what
+/// earlier commits left over (the forward-window scheme of Skoric et
+/// al.; DESIGN.md "Fused streaming" carries the argument).
 /// A commit runs at most one window decode, and none when no new
 /// defect arrived since the last one. The estimate is approximate —
 /// a commit cannot see defects more than `W - 1` rounds ahead — and

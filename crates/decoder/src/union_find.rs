@@ -2,7 +2,6 @@
 //! index arenas.
 
 use crate::evaluate::Decoder;
-use crate::fusion::WindowView;
 use crate::graph::{DecodingGraph, NO_NODE};
 use crate::scratch::{
     DecoderScratch, ScratchCapacity, Segment, UfScratch, CLUSTER_BOUNDARY, DEFECT, LISTED, NO_EDGE,
@@ -80,16 +79,19 @@ impl UfDecoder {
 }
 
 /// The union-find decode core over an explicit `(graph, capacity)`
-/// pair: cluster growth plus peeling, writing the correction's edges
-/// into `edges` and returning the XOR of their observables. [`UfDecoder`] calls this with its full graph; the
-/// windowed-fusion path calls it with a round-sliced
-/// [`WindowView`](crate::WindowView)'s sub-graph and its run of the
-/// full graph's capacities — same core, same arenas, so a full-range
-/// view decodes bit-identically to the batch path.
+/// pair, restricted to the detector range `[dlo, dhi)`: cluster growth
+/// plus peeling, writing the correction's edges into `edges` and
+/// returning the XOR of their observables. Inside the range an
+/// adjacency entry whose far end is below `dlo` does not exist, and an
+/// edge whose far end is at or above `dhi` ends at the boundary.
+/// [`UfDecoder`] decodes a shot over the full range `(0, n)`, where
+/// these tests reduce to the boundary sentinel's, and a fused window
+/// over its own range — same core, same globally indexed arenas.
 pub(crate) fn uf_decode(
     graph: &DecodingGraph,
     capacity: &[u32],
     s: &mut UfScratch,
+    (dlo, dhi): (u32, u32),
     syndrome: &[u32],
     edges: &mut Vec<u32>,
 ) -> u32 {
@@ -98,31 +100,39 @@ pub(crate) fn uf_decode(
         return 0;
     }
     debug_assert_eq!(capacity.len(), graph.records().len());
+    debug_assert!(syndrome.iter().all(|d| (dlo..dhi).contains(d)));
     s.arm(graph.num_detectors() as usize, capacity.len());
     for &f in syndrome {
         s.mark[f as usize] |= DEFECT;
         s.root[f as usize].flags |= PARITY;
     }
-    grow(graph, capacity, s, syndrome);
+    grow(graph, capacity, s, (dlo, dhi), syndrome);
     // Peeling: build spanning forests over saturated edges and peel
     // leaves, flipping defects toward the root (boundary-anchored
     // when available).
-    let mask = peel(graph, s, syndrome, edges);
+    let mask = peel(graph, s, dhi, syndrome, edges);
     s.rearm(graph);
     mask
 }
 
 /// Appends the unsaturated edges at the members of `root`'s cluster
 /// (walked through the intrusive list) to `out`, in ascending order
-/// and each once. The edges are collected as bits of `s.edge_bits`
-/// and read back word by word over the range they span, which leaves
-/// the bitmap clear and costs no sort.
-fn push_frontier(graph: &DecodingGraph, s: &mut UfScratch, root: u32, out: &mut Vec<u32>) {
+/// and each once, skipping the edges that leave the range downward
+/// (far end below `dlo`). The edges are collected as bits of
+/// `s.edge_bits` and read back word by word over the range they span,
+/// which leaves the bitmap clear and costs no sort.
+fn push_frontier(
+    graph: &DecodingGraph,
+    s: &mut UfScratch,
+    dlo: u32,
+    root: u32,
+    out: &mut Vec<u32>,
+) {
     let (mut lo, mut hi) = (u32::MAX, 0);
     let mut node = s.root[root as usize].head;
     while node != NO_NODE {
         for a in graph.neighbors(node) {
-            if s.grown[a.edge as usize] & SATURATED == 0 {
+            if a.to >= dlo && s.grown[a.edge as usize] & SATURATED == 0 {
                 s.edge_bits[a.edge as usize / 64] |= 1 << (a.edge % 64);
                 lo = lo.min(a.edge);
                 hi = hi.max(a.edge);
@@ -159,7 +169,13 @@ fn push_frontier(graph: &DecodingGraph, s: &mut UfScratch, root: u32, out: &mut 
 /// the result is exactly that of running every pass. A cluster that
 /// did not merge since the last round keeps its listed frontier too,
 /// less the edges that saturated.
-fn grow(graph: &DecodingGraph, capacity: &[u32], s: &mut UfScratch, syndrome: &[u32]) {
+fn grow(
+    graph: &DecodingGraph,
+    capacity: &[u32],
+    s: &mut UfScratch,
+    (dlo, dhi): (u32, u32),
+    syndrome: &[u32],
+) {
     let rec = graph.records();
     // The work lists are borrowed out of the scratch for the growth
     // loop (which needs `&mut s` for find/union) and handed back
@@ -205,9 +221,9 @@ fn grow(graph: &DecodingGraph, capacity: &[u32], s: &mut UfScratch, syndrome: &[
                 }
                 Some(p) => {
                     prev_start = p.end as usize;
-                    push_frontier(graph, s, root, &mut next);
+                    push_frontier(graph, s, dlo, root, &mut next);
                 }
-                None => push_frontier(graph, s, root, &mut next),
+                None => push_frontier(graph, s, dlo, root, &mut next),
             }
             for &ei in &next[start..] {
                 let grown = s.grown[ei as usize];
@@ -250,7 +266,7 @@ fn grow(graph: &DecodingGraph, capacity: &[u32], s: &mut UfScratch, syndrome: &[
                 &frontier[listed]
             } else {
                 next.clear();
-                push_frontier(graph, s, r, &mut next);
+                push_frontier(graph, s, dlo, r, &mut next);
                 &next[..]
             };
             for &ei in edges {
@@ -259,7 +275,7 @@ fn grow(graph: &DecodingGraph, capacity: &[u32], s: &mut UfScratch, syndrome: &[
                     s.grown[ei as usize] |= SATURATED;
                     s.saturated.push(ei);
                     let e = &rec[ei as usize];
-                    if e.v == NO_NODE {
+                    if e.v >= dhi {
                         let r = s.find(e.u);
                         s.root[r as usize].flags |= CLUSTER_BOUNDARY;
                     } else {
@@ -281,25 +297,26 @@ fn grow(graph: &DecodingGraph, capacity: &[u32], s: &mut UfScratch, syndrome: &[
 impl Decoder for UfDecoder {
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32) {
         let DecoderScratch { uf, edges, .. } = scratch;
-        *correction = uf_decode(&self.graph, &self.capacity, uf, syndrome, edges);
+        let full = (0, self.graph.num_detectors());
+        *correction = uf_decode(&self.graph, &self.capacity, uf, full, syndrome, edges);
     }
 
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        range: (u32, u32),
         syndrome: &[u32],
         edges: &mut Vec<u32>,
-    ) -> bool {
-        let run = view.ensure(&self.graph);
+    ) -> Option<&DecodingGraph> {
         uf_decode(
-            view.graph(),
-            &self.capacity[run],
+            &self.graph,
+            &self.capacity,
             &mut scratch.uf,
+            range,
             syndrome,
             edges,
         );
-        true
+        Some(&self.graph)
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {
@@ -308,10 +325,12 @@ impl Decoder for UfDecoder {
 }
 
 /// Breadth-first spanning tree of `root`'s component in the saturated
-/// subgraph, appended to `s.order` / `s.parent_edge`. The order array
-/// doubles as the FIFO queue (new nodes are pushed at the tail and
-/// scanned by index), so BFS needs no separate queue arena.
-fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
+/// subgraph below `dhi`, appended to `s.order` / `s.parent_edge`. The
+/// order array doubles as the FIFO queue (new nodes are pushed at the
+/// tail and scanned by index), so BFS needs no separate queue arena.
+/// Edges leaving the range downward never grow, so the saturation test
+/// skips them.
+fn bfs(graph: &DecodingGraph, s: &mut UfScratch, dhi: u32, root: u32) {
     s.mark[root as usize] |= VISITED;
     let mut scan = s.order.len();
     s.order.push(root);
@@ -319,7 +338,7 @@ fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
         let u = s.order[scan];
         scan += 1;
         for a in graph.neighbors(u) {
-            if s.grown[a.edge as usize] & SATURATED == 0 || a.to == NO_NODE {
+            if s.grown[a.edge as usize] & SATURATED == 0 || a.to >= dhi {
                 continue;
             }
             if s.mark[a.to as usize] & VISITED == 0 {
@@ -331,15 +350,22 @@ fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
     }
 }
 
-/// Peels the saturated subgraph (in `s.grown` / `s.mark`), appending
-/// the correction's edges to `edges` and returning the XOR of their
+/// Peels the saturated subgraph (in `s.grown` / `s.mark`), in which an
+/// edge reaching `dhi` or beyond ends at the boundary, appending the
+/// correction's edges to `edges` and returning the XOR of their
 /// observables, and lists the nodes the decode touched in `s.touched`.
 ///
 /// The forest roots are the ones a scan of every edge and then every
 /// node would pick, in the same order: first the detector end of each
 /// saturated boundary edge, by edge index, then each node that is a
 /// defect or ends a saturated edge, by node index.
-fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32], edges: &mut Vec<u32>) -> u32 {
+fn peel(
+    graph: &DecodingGraph,
+    s: &mut UfScratch,
+    dhi: u32,
+    syndrome: &[u32],
+    edges: &mut Vec<u32>,
+) -> u32 {
     let rec = graph.records();
     let mut mask = 0u32;
     s.saturated.sort_unstable();
@@ -351,9 +377,9 @@ fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32], edges: &mut 
     for i in 0..s.saturated.len() {
         let ei = s.saturated[i];
         let e = &rec[ei as usize];
-        if e.v == NO_NODE && s.mark[e.u as usize] & VISITED == 0 {
+        if e.v >= dhi && s.mark[e.u as usize] & VISITED == 0 {
             s.root_drains.push((e.u, ei));
-            bfs(graph, s, e.u);
+            bfs(graph, s, dhi, e.u);
         }
     }
     // Remaining components of the saturated subgraph.
@@ -363,7 +389,7 @@ fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32], edges: &mut 
     for i in 0..s.saturated.len() {
         let e = &rec[s.saturated[i] as usize];
         s.touch(e.u);
-        if e.v != NO_NODE {
+        if e.v < dhi {
             s.touch(e.v);
         }
     }
@@ -372,7 +398,7 @@ fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32], edges: &mut 
         let node = s.touched[i];
         if s.mark[node as usize] & VISITED == 0 {
             s.root_drains.push((node, NO_EDGE));
-            bfs(graph, s, node);
+            bfs(graph, s, dhi, node);
         }
     }
     // Peel in reverse BFS order: each non-root node pushes its defect
@@ -389,7 +415,7 @@ fn peel(graph: &DecodingGraph, s: &mut UfScratch, syndrome: &[u32], edges: &mut 
             mask ^= e.observables;
             s.mark[node as usize] &= !DEFECT;
             let parent = if e.u == node {
-                debug_assert!(e.v != NO_NODE, "tree edges are internal");
+                debug_assert!(e.v < dhi, "tree edges are internal");
                 e.v
             } else {
                 e.u
@@ -492,7 +518,7 @@ mod reference {
             if s.grown[ei] & SATURATED != 0 && e.v == NO_NODE && s.mark[e.u as usize] & VISITED == 0
             {
                 s.root_drains.push((e.u, ei as u32));
-                bfs(graph, s, e.u);
+                bfs(graph, s, NO_NODE, e.u);
             }
         }
         for node in 0..n as u32 {
@@ -503,7 +529,7 @@ mod reference {
                     .any(|a| s.grown[a.edge as usize] & SATURATED != 0);
                 if in_subgraph || s.mark[node as usize] & DEFECT != 0 {
                     s.root_drains.push((node, NO_EDGE));
-                    bfs(graph, s, node);
+                    bfs(graph, s, NO_NODE, node);
                 }
             }
         }
@@ -626,16 +652,24 @@ mod tests {
         DecodingGraph::from_dem(&dem)
     }
 
-    /// Decodes `trials` random syndromes under random integer
-    /// capacities in 1..=40 through one reused scratch and checks each
-    /// against the reference: same correction, same saturated edges,
-    /// same peeling forest. Capacity 1 saturates on the first unit,
-    /// and odd capacities on edges two clusters grow from both sides
-    /// saturate in the middle of a pass.
-    fn check_against_reference(graph: &DecodingGraph, trials: usize, seed: u64) {
+    /// Decodes `trials` random syndromes of the detector range
+    /// `[dlo, dhi)` under random integer capacities in 1..=40 through
+    /// one reused scratch and checks each against the reference run on
+    /// the range's materialized window: same correction, same
+    /// saturated edges, same peeling forest, up to the window's id
+    /// offsets. Capacity 1 saturates on the first unit, and odd
+    /// capacities on edges two clusters grow from both sides saturate
+    /// in the middle of a pass.
+    fn check_against_reference(
+        graph: &DecodingGraph,
+        (dlo, dhi): (u32, u32),
+        trials: usize,
+        seed: u64,
+    ) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        let n = graph.num_detectors();
+        let (window, first, _) = crate::graph::materialize_window(graph, dlo, dhi);
+        let run = first as usize..first as usize + window.records().len();
         let mut scratch = UfScratch::default();
         let mut edges = Vec::new();
         let mut oracle = UfScratch::default();
@@ -645,14 +679,16 @@ mod tests {
                 capacity.iter_mut().for_each(|c| *c = rng.gen_range(1..41));
             }
             let density = rng.gen::<f64>() * 0.3;
-            let syndrome: Vec<u32> = (0..n).filter(|_| rng.gen_bool(density)).collect();
-            let got = uf_decode(graph, &capacity, &mut scratch, &syndrome, &mut edges);
+            let syndrome: Vec<u32> = (dlo..dhi).filter(|_| rng.gen_bool(density)).collect();
+            let range = (dlo, dhi);
+            let got = uf_decode(graph, &capacity, &mut scratch, range, &syndrome, &mut edges);
             assert_eq!(
                 got,
                 graph.observables_of(&edges),
                 "trial {trial}: mask of the edges"
             );
-            let want = reference::decode(graph, &capacity, &mut oracle, &syndrome);
+            let local: Vec<u32> = syndrome.iter().map(|&d| d - dlo).collect();
+            let want = reference::decode(&window, &capacity[run.clone()], &mut oracle, &local);
             assert_eq!(got, want, "trial {trial}: correction of {syndrome:?}");
             if syndrome.is_empty() {
                 continue;
@@ -660,44 +696,56 @@ mod tests {
             let s = &scratch;
             let saturated: Vec<u32> = (0..oracle.grown.len() as u32)
                 .filter(|&ei| oracle.grown[ei as usize] & SATURATED != 0)
+                .map(|ei| ei + first)
                 .collect();
             assert_eq!(s.saturated, saturated, "trial {trial}: saturated edges");
-            assert_eq!(s.order, oracle.order, "trial {trial}: peeling order");
-            assert_eq!(
-                s.root_drains, oracle.root_drains,
-                "trial {trial}: forest roots"
-            );
+            let order: Vec<u32> = oracle.order.iter().map(|&x| x + dlo).collect();
+            assert_eq!(s.order, order, "trial {trial}: peeling order");
+            let drains: Vec<(u32, u32)> = oracle
+                .root_drains
+                .iter()
+                .map(|&(x, e)| (x + dlo, if e == NO_EDGE { e } else { e + first }))
+                .collect();
+            assert_eq!(s.root_drains, drains, "trial {trial}: forest roots");
         }
+    }
+
+    /// The full detector range of `graph`.
+    fn full(graph: &DecodingGraph) -> (u32, u32) {
+        (0, graph.num_detectors())
     }
 
     #[test]
     fn matches_reference_on_the_chain() {
-        check_against_reference(&chain_graph(8, 0.01), 1000, 5);
+        let g = chain_graph(8, 0.01);
+        check_against_reference(&g, full(&g), 1000, 5);
     }
 
     #[test]
     fn matches_reference_on_d3_memory() {
-        check_against_reference(&code_graph(3, false), 600, 6);
+        let g = code_graph(3, false);
+        check_against_reference(&g, full(&g), 600, 6);
     }
 
     #[test]
     fn matches_reference_on_d5_memory() {
-        check_against_reference(&code_graph(5, false), 200, 7);
+        let g = code_graph(5, false);
+        check_against_reference(&g, full(&g), 200, 7);
     }
 
     #[test]
     fn matches_reference_on_d3_surgery() {
-        check_against_reference(&code_graph(3, true), 200, 8);
+        let g = code_graph(3, true);
+        check_against_reference(&g, full(&g), 200, 8);
     }
 
     #[test]
     fn matches_reference_on_a_d5_memory_window() {
-        // Cut edges become extra boundary edges of the window view.
-        let full = code_graph(5, false);
-        let mut view = DecodingGraph::empty();
-        let n = full.num_detectors();
-        view.rebuild_window(&full, n / 3, 2 * n / 3);
-        check_against_reference(&view, 200, 9);
+        // Edges leaving the range downward are skipped, and edges
+        // leaving it upward end at the boundary.
+        let g = code_graph(5, false);
+        let n = g.num_detectors();
+        check_against_reference(&g, (n / 3, 2 * n / 3), 200, 9);
     }
 
     #[test]
