@@ -21,17 +21,17 @@ pub trait Decoder: Sync {
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32);
 
     /// Decodes one windowed-fusion sub-problem in place on the
-    /// decoder's graph, restricted to the detector range
-    /// `(dlo, dhi)` = `[dlo, dhi)`: an edge whose far end is below
-    /// `dlo` leaves the range downward and does not exist for the
-    /// decode, and an edge whose far end is at or above `dhi` leaves it
-    /// upward and ends at the boundary. `syndrome` holds detector ids
+    /// decoder's graph, restricted to the detectors `dlo..dhi` of
+    /// `range = (dlo, dhi)`: an edge whose far end is below `dlo`
+    /// leaves the range downward and does not exist for the decode,
+    /// and an edge whose far end is at or above `dhi` leaves it upward
+    /// and ends at the boundary. `syndrome` holds detector ids
     /// inside the range, sorted ascending, and the edge ids of the
-    /// correction land in `edges` (replacing its contents); their
-    /// boundary is the syndrome, with the edges ending at the boundary
-    /// left out. Returns the graph the edge ids index, or `None`,
-    /// leaving `edges` alone, for a decoder with no graph to correct
-    /// on.
+    /// correction land in `edges` (replacing its contents): the
+    /// detectors below `dhi` that an odd number of them end at are
+    /// exactly the syndrome. Returns the graph the edge ids index, or
+    /// `None`, leaving `edges` alone, for a decoder with no graph to
+    /// correct on.
     ///
     /// The decode touches only the window, which is what makes fused
     /// streaming O(window) per round, and over the full range

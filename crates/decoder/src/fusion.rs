@@ -68,6 +68,7 @@ impl CutTable {
         for i in 0..ends.len() {
             off[i + 1] += off[i];
         }
+        // Edges sort by `u`, so every list fills in ascending order.
         let mut fill = off.clone();
         let mut lower = vec![0u32; off[ends.len()] as usize];
         for r in internal() {
@@ -75,9 +76,6 @@ impl CutTable {
                 lower[fill[i] as usize] = r.u;
                 fill[i] += 1;
             }
-        }
-        for w in off.windows(2) {
-            lower[w[0] as usize..w[1] as usize].sort_unstable();
         }
         // analyzer: end-allow(alloc)
         CutTable { ends, off, lower }
@@ -144,8 +142,9 @@ impl FusionCore {
         cap: ScratchCapacity,
     ) -> Option<FusionCore> {
         // analyzer: allow(alloc) -- constructor: one-time copy of the
-        // round schedule and presizing of the defect and edge buffers;
-        // the push/commit path reuses them allocation-free.
+        // round schedule, the cut-edge table and presizing of the
+        // defect and edge buffers; the push/commit path reuses them
+        // allocation-free.
         let mut edges = Vec::with_capacity(cap.correction_edges());
         // An empty window decode tells graph decoders, which return
         // their graph, from table decoders, which decline.

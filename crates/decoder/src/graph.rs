@@ -67,8 +67,9 @@ pub struct AdjEntry {
 /// edges before internal ones, then by `v` and observables. Every
 /// internal edge has `u < v`, so an edge met from inside a detector
 /// range `[dlo, dhi)` leaves it downward when its far end is below
-/// `dlo` and upward when its `v` is at or above `dhi`: the range rule
-/// of [`Decoder::decode_window_into`](crate::Decoder::decode_window_into).
+/// `dlo` (such entries lead each CSR row) and upward when its `v` is at
+/// or above `dhi`: the range rule of
+/// [`Decoder::decode_window_into`](crate::Decoder::decode_window_into).
 ///
 /// # Example
 ///
@@ -133,14 +134,16 @@ impl DecodingGraph {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range or an internal edge does
-    /// not have `u < v`, the order detector-range decodes rely on.
+    /// Panics if an endpoint is out of range, an internal edge does not
+    /// have `u < v` or the edges are not sorted by `u`: the order
+    /// detector-range decodes rely on.
     pub fn from_records(num_detectors: u32, rec: Vec<EdgeRecord>) -> DecodingGraph {
         let n = num_detectors;
         assert!(
             rec.iter()
-                .all(|r| r.u < n && (r.v == NO_NODE || (r.u < r.v && r.v < n))),
-            "edge endpoints must be detectors with u < v"
+                .all(|r| r.u < n && (r.v == NO_NODE || (r.u < r.v && r.v < n)))
+                && rec.windows(2).all(|w| w[0].u <= w[1].u),
+            "edges must join detectors u < v and be sorted by u"
         );
         // analyzer: allow(alloc) -- constructor: runs once per graph.
         // CSR adjacency: count, prefix-sum, scatter. Scattering in
@@ -197,6 +200,17 @@ impl DecodingGraph {
     #[inline]
     pub fn neighbors(&self, node: u32) -> &[AdjEntry] {
         &self.adj[self.adj_off[node as usize] as usize..self.adj_off[node as usize + 1] as usize]
+    }
+
+    /// [`neighbors`](DecodingGraph::neighbors) of `node` less the
+    /// entries whose far end is below `dlo`, which leave a range
+    /// starting at `dlo` downward. Edges sort by `u`, so those entries
+    /// lead a row and cost one compare each to skip; over the full
+    /// range the row is whole after one compare.
+    #[inline]
+    pub(crate) fn neighbors_from(&self, node: u32, dlo: u32) -> &[AdjEntry] {
+        let row = self.neighbors(node);
+        &row[row.iter().take_while(|a| a.to < dlo).count()..]
     }
 
     /// The observable mask of a correction: the XOR of the listed
@@ -260,12 +274,9 @@ impl DecodingGraph {
             }
             let d = scratch.dist[u as usize];
             let from_mask = scratch.mask[u as usize];
-            for &AdjEntry { edge, to } in self.neighbors(u + dlo) {
-                if to < dlo {
-                    continue; // leaves the range downward
-                }
-                let r = &self.rec[edge as usize];
+            for &AdjEntry { edge, to } in self.neighbors_from(u + dlo, dlo) {
                 let v = if to >= dhi { boundary } else { to - dlo };
+                let r = &self.rec[edge as usize];
                 let nd = d + r.weight;
                 if nd < scratch.dist[v as usize] {
                     scratch.dist[v as usize] = nd;

@@ -131,8 +131,8 @@ fn push_frontier(
     let (mut lo, mut hi) = (u32::MAX, 0);
     let mut node = s.root[root as usize].head;
     while node != NO_NODE {
-        for a in graph.neighbors(node) {
-            if a.to >= dlo && s.grown[a.edge as usize] & SATURATED == 0 {
+        for a in graph.neighbors_from(node, dlo) {
+            if s.grown[a.edge as usize] & SATURATED == 0 {
                 s.edge_bits[a.edge as usize / 64] |= 1 << (a.edge % 64);
                 lo = lo.min(a.edge);
                 hi = hi.max(a.edge);
