@@ -252,13 +252,55 @@ pub mod fig22 {
         }
         vec![t]
     }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// The latency model pinned on the `d = 3` tiny set-up
+        /// (Passive): fixed miss samples, seed 11, exact hit rate and
+        /// mean modelled latency over the evaluation shots.
+        #[test]
+        fn latency_model_golden() {
+            let config = super::super::tests::tiny();
+            let setup = LsSetup::homogeneous(3, &HardwareConfig::ibm(), PolicySpec::Passive, 500.0);
+            let pipeline = EvalPipeline::lattice_surgery(setup.surgery_config())
+                .decoder_seed(config.seed)
+                .build();
+            let lut = pipeline
+                .build_decoder(DecoderKind::Lut {
+                    train_shots: (config.shots as usize).max(20_000),
+                    capacity_bytes: capacity(3),
+                })
+                .into_lut()
+                .unwrap();
+            let mwpm = pipeline
+                .build_decoder(DecoderKind::Mwpm)
+                .into_mwpm()
+                .unwrap();
+            let eval = sample_batch(
+                pipeline.circuit(),
+                (config.shots as usize).min(20_000),
+                config.seed + 2,
+            );
+            let h = HierarchicalDecoder::new(lut, mwpm, LatencyModel::new(vec![500.0, 900.0]), 11);
+            let mut total_latency = 0.0;
+            for s in 0..eval.shots {
+                total_latency += h.decode_timed(&eval.flagged_detectors(s)).latency_ns;
+            }
+            let (hit_rate, mean_ns) = (h.hit_rate(), total_latency / eval.shots as f64);
+            // Exact `f64` values: the model must reproduce them bit for bit.
+            assert_eq!(hit_rate, 0.254);
+            assert_eq!(mean_ns, 530.48);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> Config {
+    pub(super) fn tiny() -> Config {
         Config {
             shots: 2_000,
             distances: vec![3],
