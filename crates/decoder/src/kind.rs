@@ -9,7 +9,7 @@
 
 use crate::evaluate::Decoder;
 use crate::graph::DecodingGraph;
-use crate::hierarchical::{HierarchicalDecoder, LatencyModel};
+use crate::hierarchical::HierarchicalDecoder;
 use crate::lut::LutDecoder;
 use crate::mwpm::MwpmDecoder;
 use crate::union_find::UfDecoder;
@@ -19,9 +19,6 @@ use ftqc_circuit::Circuit;
 const DEFAULT_TRAIN_SHOTS: usize = 20_000;
 /// Default LUT capacity (the paper's 3 KB `d = 3` table).
 const DEFAULT_CAPACITY_BYTES: usize = 3 * 1024;
-/// Default modelled MWPM miss latency when no measured samples are
-/// supplied (hierarchical kind only; see [`LatencyModel`]).
-const DEFAULT_MISS_LATENCY_NS: f64 = 1_000.0;
 
 /// Which decoder backs an evaluation.
 ///
@@ -45,7 +42,7 @@ pub enum DecoderKind {
         /// Byte budget of the table.
         capacity_bytes: usize,
     },
-    /// LUT front end backed by MWPM, with the Fig. 22 latency model.
+    /// LUT front end backed by MWPM (the decoder of Fig. 22).
     Hierarchical {
         /// Training shots sampled from the circuit.
         train_shots: usize,
@@ -101,10 +98,9 @@ impl DecoderKind {
     /// Builds the decoder for `graph`.
     ///
     /// The sampling-trained kinds additionally draw training shots from
-    /// `circuit` using `seed`; the graph-only kinds ignore both. The
-    /// hierarchical kind gets the default constant miss latency — use
-    /// [`HierarchicalDecoder::new`] directly when modelling measured
-    /// latencies (as the Fig. 22 study does).
+    /// `circuit` using `seed`; the graph-only kinds ignore both. No
+    /// kind models latency: the Fig. 22 study prices the hierarchical
+    /// decoder's hits and misses itself.
     pub fn build(&self, circuit: &Circuit, graph: DecodingGraph, seed: u64) -> AnyDecoder {
         self.build_shared(circuit, std::sync::Arc::new(graph), seed)
     }
@@ -137,12 +133,7 @@ impl DecoderKind {
             } => {
                 let lut = LutDecoder::train(circuit, train_shots, seed, capacity_bytes);
                 let mwpm = MwpmDecoder::from_shared(graph);
-                AnyDecoder::Hierarchical(HierarchicalDecoder::new(
-                    lut,
-                    mwpm,
-                    LatencyModel::new(vec![DEFAULT_MISS_LATENCY_NS]),
-                    seed,
-                ))
+                AnyDecoder::Hierarchical(HierarchicalDecoder::new(lut, mwpm))
             }
         }
     }
@@ -176,42 +167,6 @@ impl AnyDecoder {
             AnyDecoder::Mwpm(_) => "mwpm",
             AnyDecoder::Lut(_) => "lut",
             AnyDecoder::Hierarchical(_) => "hierarchical",
-        }
-    }
-
-    /// The hierarchical decoder, when that is what was built (for
-    /// latency-model probes like `decode_timed` / `hit_rate`).
-    pub fn as_hierarchical(&self) -> Option<&HierarchicalDecoder> {
-        match self {
-            AnyDecoder::Hierarchical(h) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// The LUT decoder, when that is what was built.
-    pub fn as_lut(&self) -> Option<&LutDecoder> {
-        match self {
-            AnyDecoder::Lut(l) => Some(l),
-            _ => None,
-        }
-    }
-
-    /// Consumes the union, returning the LUT decoder when that is what
-    /// was built (for studies that assemble composite decoders from
-    /// pipeline-built parts, like the Fig. 22 latency study).
-    pub fn into_lut(self) -> Option<LutDecoder> {
-        match self {
-            AnyDecoder::Lut(l) => Some(l),
-            _ => None,
-        }
-    }
-
-    /// Consumes the union, returning the MWPM decoder when that is
-    /// what was built.
-    pub fn into_mwpm(self) -> Option<MwpmDecoder> {
-        match self {
-            AnyDecoder::Mwpm(m) => Some(m),
-            _ => None,
         }
     }
 }
@@ -324,15 +279,5 @@ mod tests {
                 built_mwpm.predict(&syndrome)
             );
         }
-    }
-
-    #[test]
-    fn hierarchical_accessor_exposes_latency_probe() {
-        let (c, g) = d3_graph();
-        let dec = DecoderKind::hierarchical().build(&c, g, 2);
-        let h = dec.as_hierarchical().expect("hierarchical");
-        assert!(dec.as_lut().is_none());
-        let timed = h.decode_timed(&[]);
-        assert!(timed.hit);
     }
 }

@@ -17,9 +17,10 @@
 //! * [`LutDecoder`] — a capacity-limited lookup-table decoder
 //!   (LILLIPUT-style), used for the repetition-code experiment of
 //!   Fig. 1(c) and the hierarchical decoder of Fig. 22.
-//! * [`HierarchicalDecoder`] — LUT front end backed by MWPM with a
-//!   latency model (20 ns hits; miss latencies sampled from measured
-//!   MWPM decode times), reproducing the Fig. 22 speedup study.
+//! * [`HierarchicalDecoder`] — LUT front end backed by MWPM: a table
+//!   lookup, with matching on a miss. The Fig. 22 speedup study prices
+//!   it with its own latency model (20 ns hits; miss latencies sampled
+//!   from measured MWPM decode times).
 //! * [`DecoderKind`] / [`AnyDecoder`] — unified decoder selection: a
 //!   kind is a complete recipe (`kind.build(&circuit, graph, seed)`),
 //!   so callers never branch on decoder families themselves.
@@ -82,7 +83,7 @@ mod union_find;
 
 pub use evaluate::{count_batch_errors, evaluate_ler, Decoder};
 pub use graph::{AdjEntry, DecodingGraph, DijkstraScratch, EdgeRecord, NO_NODE};
-pub use hierarchical::{HierarchicalDecoder, LatencyModel, TimedDecode};
+pub use hierarchical::HierarchicalDecoder;
 pub use kind::{AnyDecoder, DecoderKind};
 pub use lut::LutDecoder;
 pub use mwpm::MwpmDecoder;

@@ -1,19 +1,21 @@
 //! Compare the decoding stack on a surface-code memory: union-find vs
-//! exact matching vs a capacity-limited lookup table, plus the
-//! hierarchical LUT+MWPM decoder with its latency model (paper
-//! Fig. 22's machinery). Every decoder is built through the unified
-//! [`DecoderKind`]/[`EvalPipeline`] layer over one shared
-//! circuit → DEM → graph preparation.
+//! exact matching vs a capacity-limited lookup table, plus paper
+//! Fig. 22's latency model for hierarchical LUT+MWPM decoding (LUT
+//! hits at 20 ns, misses at drawn matcher latencies). Every decoder is
+//! built through the unified [`DecoderKind`]/[`EvalPipeline`] layer
+//! over one shared circuit → DEM → graph preparation.
 //!
 //! ```text
 //! cargo run --release --example decoder_comparison
 //! ```
 
-use ftqc::decoder::{DecoderKind, HierarchicalDecoder, LatencyModel};
+use ftqc::decoder::{AnyDecoder, DecoderKind};
 use ftqc::experiments::EvalPipeline;
 use ftqc::noise::HardwareConfig;
 use ftqc::sim::sample_batch;
 use ftqc::surface::MemoryConfig;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let hw = HardwareConfig::ibm();
@@ -49,29 +51,30 @@ fn main() {
         println!("{name:<12}{}", pipeline.run_with(kind)[0]);
     }
 
-    // Hierarchical decoding with modelled latency: assembled from
-    // pipeline-built parts so the LUT and matcher share the graph.
-    let lut = pipeline
-        .build_decoder(DecoderKind::Lut {
-            train_shots: 50_000,
-            capacity_bytes: 3 * 1024,
-        })
-        .into_lut()
-        .expect("lut");
-    let mwpm = pipeline
-        .build_decoder(DecoderKind::Mwpm)
-        .into_mwpm()
-        .expect("mwpm");
-    let hier =
-        HierarchicalDecoder::new(lut, mwpm, LatencyModel::new(vec![600.0, 900.0, 1500.0]), 5);
+    // Hierarchical decoding with Fig. 22's latency model: a LUT hit
+    // costs 20 ns, a miss one draw from measured matcher latencies. The
+    // table tier comes from the pipeline, trained on its circuit.
+    let AnyDecoder::Lut(lut) = pipeline.build_decoder(DecoderKind::Lut {
+        train_shots: 50_000,
+        capacity_bytes: 3 * 1024,
+    }) else {
+        unreachable!("the Lut kind builds a LutDecoder")
+    };
+    let miss_samples_ns = [600.0, 900.0, 1500.0];
+    let mut rng = SmallRng::seed_from_u64(5);
     let probe = sample_batch(pipeline.circuit(), 20_000, 3);
-    let mut latency = 0.0;
+    let (mut hits, mut latency) = (0, 0.0);
     for s in 0..probe.shots {
-        latency += hier.decode_timed(&probe.flagged_detectors(s)).latency_ns;
+        latency += if lut.lookup(&probe.flagged_detectors(s)).is_some() {
+            hits += 1;
+            20.0
+        } else {
+            miss_samples_ns[rng.gen_range(0..miss_samples_ns.len())]
+        };
     }
     println!(
         "\nhierarchical decoder: hit rate {:.3}, mean latency {:.0} ns",
-        hier.hit_rate(),
+        hits as f64 / probe.shots as f64,
         latency / probe.shots as f64
     );
 }
