@@ -161,7 +161,7 @@ pub mod fig07 {
 /// drawn from measured MWPM decode times.
 pub mod fig22 {
     use super::*;
-    use ftqc_decoder::{AnyDecoder, LutDecoder};
+    use ftqc_decoder::{AnyDecoder, DecoderScratch, LutDecoder};
     use ftqc_sim::SampleBatch;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -255,8 +255,12 @@ pub mod fig22 {
                 let AnyDecoder::Mwpm(mwpm) = pipeline.build_decoder(DecoderKind::Mwpm) else {
                     unreachable!("the Mwpm kind builds an MwpmDecoder")
                 };
-                // Measure real MWPM latencies on sampled syndromes.
+                // Measure real MWPM latencies on sampled syndromes. One
+                // scratch sized up front serves every decode, so no sample
+                // includes growing the matcher's workspace.
                 let probe = sample_batch(pipeline.circuit(), 256, config.seed + 1);
+                let mut scratch = DecoderScratch::for_decoder(&mwpm);
+                let mut correction = 0;
                 let mut samples = Vec::new();
                 for s in 0..probe.shots {
                     let flagged = probe.flagged_detectors(s);
@@ -264,7 +268,8 @@ pub mod fig22 {
                         continue;
                     }
                     let start = Instant::now();
-                    std::hint::black_box(mwpm.predict(&flagged));
+                    mwpm.decode_into(&mut scratch, &flagged, &mut correction);
+                    std::hint::black_box(correction);
                     samples.push(start.elapsed().as_nanos() as f64);
                     if samples.len() >= 100 {
                         break;
