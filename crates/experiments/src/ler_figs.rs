@@ -550,7 +550,7 @@ mod tests {
     fn fig14_adaptive_rows_report_intervals_and_shots() {
         use ftqc_sim::StopRule;
         let config = Config {
-            stop: Some(StopRule::max_shots(20_000).min_failures(10)),
+            stop: Some(StopRule::max_shots(2_048).min_failures(10)),
             ..tiny()
         };
         let t = &fig14::run(&config)[0];
