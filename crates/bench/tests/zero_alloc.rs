@@ -2,8 +2,8 @@
 //! discipline (the tentpole guarantee behind `DecoderScratch` /
 //! `decode_into`):
 //!
-//! * steady-state UF and LUT decodes perform **zero** heap allocations
-//!   per shot (exact, not statistical);
+//! * steady-state UF, MWPM, LUT and hierarchical decodes perform
+//!   **zero** heap allocations per shot (exact, not statistical);
 //! * `count_batch_errors` allocations do not scale with shots — the
 //!   per-thread sampler buffers, syndrome buffer and decoder scratch
 //!   are reused across every batch a worker claims, and nothing
@@ -101,6 +101,19 @@ fn mwpm_decode_is_allocation_free_at_steady_state() {
         .collect();
     let allocs = steady_state_allocs(&decoder, &syndromes, 3);
     assert_eq!(allocs, 0, "MWPM scratch decode must not touch the heap");
+}
+
+#[test]
+fn hierarchical_decode_is_allocation_free_at_steady_state() {
+    let _guard = counter_guard();
+    // Hits answer from the table, misses from the matcher's scratch.
+    let (circuit, decoder) = d3_setup(DecoderKind::hierarchical());
+    let batch = sample_batch(&circuit, 1024, 7);
+    let syndromes: Vec<Vec<u32>> = (0..batch.shots)
+        .map(|s| batch.flagged_detectors(s))
+        .collect();
+    let allocs = steady_state_allocs(&decoder, &syndromes, 3);
+    assert_eq!(allocs, 0, "hierarchical decode must not touch the heap");
 }
 
 #[test]
