@@ -80,13 +80,16 @@ fn uf_decode_is_allocation_free_at_steady_state() {
 #[test]
 fn lut_decode_is_allocation_free_at_steady_state() {
     let _guard = counter_guard();
-    let (circuit, decoder) = d3_setup(DecoderKind::lut());
-    let batch = sample_batch(&circuit, 1024, 7);
-    let syndromes: Vec<Vec<u32>> = (0..batch.shots)
-        .map(|s| batch.flagged_detectors(s))
-        .collect();
-    let allocs = steady_state_allocs(&decoder, &syndromes, 3);
-    assert_eq!(allocs, 0, "LUT lookups must not touch the heap");
+    // The hierarchical kind answers misses from its matcher's scratch.
+    for kind in [DecoderKind::lut(), DecoderKind::hierarchical()] {
+        let (circuit, decoder) = d3_setup(kind);
+        let batch = sample_batch(&circuit, 1024, 7);
+        let syndromes: Vec<Vec<u32>> = (0..batch.shots)
+            .map(|s| batch.flagged_detectors(s))
+            .collect();
+        let allocs = steady_state_allocs(&decoder, &syndromes, 3);
+        assert_eq!(allocs, 0, "{kind} decodes must not touch the heap");
+    }
 }
 
 #[test]
@@ -101,19 +104,6 @@ fn mwpm_decode_is_allocation_free_at_steady_state() {
         .collect();
     let allocs = steady_state_allocs(&decoder, &syndromes, 3);
     assert_eq!(allocs, 0, "MWPM scratch decode must not touch the heap");
-}
-
-#[test]
-fn hierarchical_decode_is_allocation_free_at_steady_state() {
-    let _guard = counter_guard();
-    // Hits answer from the table, misses from the matcher's scratch.
-    let (circuit, decoder) = d3_setup(DecoderKind::hierarchical());
-    let batch = sample_batch(&circuit, 1024, 7);
-    let syndromes: Vec<Vec<u32>> = (0..batch.shots)
-        .map(|s| batch.flagged_detectors(s))
-        .collect();
-    let allocs = steady_state_allocs(&decoder, &syndromes, 3);
-    assert_eq!(allocs, 0, "hierarchical decode must not touch the heap");
 }
 
 #[test]

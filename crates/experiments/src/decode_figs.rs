@@ -186,8 +186,8 @@ pub mod fig22 {
         policy: PolicySpec,
         config: &Config,
     ) -> (EvalPipeline, LutDecoder, SampleBatch) {
-        let setup = LsSetup::homogeneous(d, &HardwareConfig::ibm(), policy, 500.0);
-        let pipeline = EvalPipeline::lattice_surgery(setup.surgery_config())
+        let surgery = LsSetup::homogeneous(d, &HardwareConfig::ibm(), policy, 500.0);
+        let pipeline = EvalPipeline::lattice_surgery(surgery.surgery_config())
             .decoder_seed(config.seed)
             .build();
         let AnyDecoder::Lut(lut) = pipeline.build_decoder(DecoderKind::Lut {
