@@ -10,20 +10,16 @@
 //! * `decode-latency` — the *distribution* of per-round latency
 //!   through the streaming sliding-window path
 //!   ([`StreamingDecoder`](ftqc_decoder::StreamingDecoder) fed by a
-//!   [`RoundStream`](ftqc_sim::RoundStream), window = 2): every round
-//!   arrival/commit event is timed individually and reported as three
-//!   rows per decoder × distance — `<kind>/d<d>/p50`, `/p99` and
-//!   `/max` ns per round (each row's `median_ns_per_op` carries that
-//!   order statistic — median-of-passes for p50/p99, min-of-passes
-//!   for the noise-sensitive max — so tail latency rides the
-//!   existing compare gate with no schema change; the committed
-//!   baseline carries only the statistically stable p50/p99 rows,
-//!   leaving max reported-but-ungated). Each decoder × distance is
-//!   measured in both streaming modes: exact (full-prefix re-decode;
-//!   the historical row names) and fused (`<kind>/d<d>/fused/<stat>`
-//!   rows; O(window) windowed-fusion decode with one round of
-//!   overlap), so the fused mode's flat-in-stream-length latency
-//!   claim is gated alongside the exact baseline. This mirrors
+//!   [`RoundStream`](ftqc_sim::RoundStream), window = 2, one round of
+//!   overlap, so O(window) per round): every round arrival/commit
+//!   event is timed individually and reported as three rows per
+//!   decoder × distance — `<kind>/d<d>/fused/p50`, `/p99` and `/max`
+//!   ns per round (each row's `median_ns_per_op` carries that order
+//!   statistic — median-of-passes for p50/p99, min-of-passes for the
+//!   noise-sensitive max — so tail latency rides the existing compare
+//!   gate with no schema change; the committed baseline carries only
+//!   the statistically stable p50/p99 rows, leaving max
+//!   reported-but-ungated). This mirrors
 //!   micro-blossom's `decoding_speed/distribution` harness and is the
 //!   number a real-time claim rests on.
 //! * `fusion-accuracy` — the accuracy side of the same trade: the
@@ -264,9 +260,9 @@ fn decode_throughput(preset: Preset) -> Vec<BenchResult> {
 const LATENCY_WINDOW: u32 = 2;
 
 /// `(decoder label, kind, distances per preset)` rows of the per-round
-/// latency sweep. Smaller than the throughput matrix: every commit
-/// decodes an accumulated prefix, so a row costs ~`rounds ×` a
-/// throughput row.
+/// latency sweep. Smaller than the throughput matrix: a row times
+/// every round event of every shot, and table decoders re-decode the
+/// accumulated prefix on each commit.
 fn latency_matrix(preset: Preset) -> Matrix {
     match preset {
         // Keep one large-distance row (uf/d11) so the gate sees tail
@@ -307,80 +303,70 @@ fn decode_latency(preset: Preset) -> Vec<BenchResult> {
             let batch = sample_batch(pipeline.circuit(), decode_shots(d), 2025);
             let mut rounds = RoundStream::new(&schedule);
             let mut defects = Vec::with_capacity(schedule.max_round_len());
-            // Both streaming modes ride the same pre-sampled stream:
-            // exact (full-prefix re-decode, the bit-identity baseline)
-            // and fused (O(window) per round, decoding the window's
-            // detector range in place, one round of overlap). Exact rows keep their
-            // historical names; fused rows insert a `fused/` segment.
-            for (tag, config) in [
-                ("", StreamingConfig::exact(LATENCY_WINDOW)),
-                ("fused/", StreamingConfig::fused(LATENCY_WINDOW, 1)),
-            ] {
-                let mut stream = config.build(decoder, &schedule);
-                // One pass streams every shot, timing each round event
-                // (arrival push or tail flush) individually into `lat`.
-                let mut lat: Vec<u64> = Vec::new();
-                let mut pass = |lat: &mut Vec<u64>| {
-                    lat.clear();
-                    rounds.begin_batch(&batch);
-                    for s in 0..batch.shots {
-                        rounds.begin_shot(s);
-                        stream.begin_shot();
-                        while rounds.next_round_into(&batch, &mut defects).is_some() {
-                            let t0 = Instant::now();
-                            std::hint::black_box(stream.push_round(&defects));
-                            lat.push(t0.elapsed().as_nanos() as u64);
-                        }
-                        loop {
-                            let t0 = Instant::now();
-                            let commit = stream.flush_round();
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            if commit.is_none() {
-                                break;
-                            }
-                            lat.push(ns);
-                        }
+            let mut stream = StreamingConfig::fused(LATENCY_WINDOW, 1).build(decoder, &schedule);
+            // One pass streams every shot, timing each round event
+            // (arrival push or tail flush) individually into `lat`.
+            let mut lat: Vec<u64> = Vec::new();
+            let mut pass = |lat: &mut Vec<u64>| {
+                lat.clear();
+                rounds.begin_batch(&batch);
+                for s in 0..batch.shots {
+                    rounds.begin_shot(s);
+                    stream.begin_shot();
+                    while rounds.next_round_into(&batch, &mut defects).is_some() {
+                        let t0 = Instant::now();
+                        std::hint::black_box(stream.push_round(&defects));
+                        lat.push(t0.elapsed().as_nanos() as u64);
                     }
+                    loop {
+                        let t0 = Instant::now();
+                        let commit = stream.flush_round();
+                        let ns = t0.elapsed().as_nanos() as u64;
+                        if commit.is_none() {
+                            break;
+                        }
+                        lat.push(ns);
+                    }
+                }
+            };
+            pass(&mut lat); // warm-up: grow scanner/scratch buffers
+            let (mut p50, mut p99, mut max) = (
+                Vec::with_capacity(SAMPLES),
+                Vec::with_capacity(SAMPLES),
+                Vec::with_capacity(SAMPLES),
+            );
+            let mut allocs = 0u64;
+            let mut events = 0usize;
+            for _ in 0..SAMPLES {
+                let a0 = allocation_count();
+                pass(&mut lat);
+                allocs += allocation_count() - a0;
+                events += lat.len();
+                lat.sort_unstable();
+                p50.push(lat[lat.len() / 2] as f64);
+                p99.push(lat[lat.len() * 99 / 100] as f64);
+                max.push(lat[lat.len() - 1] as f64);
+            }
+            let allocs_per_event = allocs as f64 / events.max(1) as f64;
+            // p50/p99 gate on the median across passes — stable order
+            // statistics. The max is one event per pass, and scheduler
+            // noise only ever *adds* time, so the min across passes is
+            // the robust estimate of the worst round's true cost (the
+            // deterministic stream makes it the same logical round
+            // each pass); a median-of-maxes flaps 10x under load.
+            for (stat, mut samples) in [("p50", p50), ("p99", p99), ("max", max)] {
+                samples.sort_by(|a, b| a.total_cmp(b));
+                let ns = if stat == "max" {
+                    samples[0]
+                } else {
+                    samples[samples.len() / 2]
                 };
-                pass(&mut lat); // warm-up: grow scanner/scratch buffers
-                let (mut p50, mut p99, mut max) = (
-                    Vec::with_capacity(SAMPLES),
-                    Vec::with_capacity(SAMPLES),
-                    Vec::with_capacity(SAMPLES),
-                );
-                let mut allocs = 0u64;
-                let mut events = 0usize;
-                for _ in 0..SAMPLES {
-                    let a0 = allocation_count();
-                    pass(&mut lat);
-                    allocs += allocation_count() - a0;
-                    events += lat.len();
-                    lat.sort_unstable();
-                    p50.push(lat[lat.len() / 2] as f64);
-                    p99.push(lat[lat.len() * 99 / 100] as f64);
-                    max.push(lat[lat.len() - 1] as f64);
-                }
-                let allocs_per_event = allocs as f64 / events.max(1) as f64;
-                // p50/p99 gate on the median across passes — stable order
-                // statistics. The max is one event per pass, and scheduler
-                // noise only ever *adds* time, so the min across passes is
-                // the robust estimate of the worst round's true cost (the
-                // deterministic stream makes it the same logical round
-                // each pass); a median-of-maxes flaps 10x under load.
-                for (stat, mut samples) in [("p50", p50), ("p99", p99), ("max", max)] {
-                    samples.sort_by(|a, b| a.total_cmp(b));
-                    let ns = if stat == "max" {
-                        samples[0]
-                    } else {
-                        samples[samples.len() / 2]
-                    };
-                    results.push(BenchResult::new(
-                        format!("{label}/d{d}/{tag}{stat}"),
-                        ns,
-                        allocs_per_event,
-                        SAMPLES,
-                    ));
-                }
+                results.push(BenchResult::new(
+                    format!("{label}/d{d}/fused/{stat}"),
+                    ns,
+                    allocs_per_event,
+                    SAMPLES,
+                ));
             }
         }
     }

@@ -36,8 +36,8 @@ pub trait Decoder: Sync {
     /// The decode touches only the window, which is what makes fused
     /// streaming O(window) per round, and over the full range
     /// `(0, num_detectors)` it is the batch decode. The default is the
-    /// table decoders' answer: they return `None`, and fused streaming
-    /// runs them through exact mode's prefix path instead.
+    /// table decoders' answer: they return `None`, and streaming runs
+    /// them through its prefix path instead.
     fn decode_window_into(
         &self,
         _scratch: &mut DecoderScratch,

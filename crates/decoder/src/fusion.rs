@@ -1,5 +1,5 @@
-//! Windowed fusion: the forward-window commit state behind
-//! [`StreamingMode::Fused`](crate::StreamingMode).
+//! Windowed fusion: the forward-window commit state behind a graph
+//! decoder's [`StreamingDecoder`](crate::StreamingDecoder).
 //!
 //! Fused streaming decodes only a window of rounds. A graph decoder's
 //! [`decode_window_into`](crate::Decoder::decode_window_into) runs in
@@ -7,8 +7,8 @@
 //! detector range `[dlo, dhi)`, and returns global edge ids; nothing is
 //! copied per decode. Per-round decode cost is therefore O(window),
 //! independent of how long the stream has been running: the property
-//! the paper's real-time decode budget needs and the full-prefix exact
-//! mode cannot provide.
+//! the paper's real-time decode budget needs and a full-prefix
+//! re-decode cannot provide.
 //!
 //! Commits follow the forward-window scheme of Skoric et al.
 //! (*Parallel window decoding enables scalable fault tolerant quantum
@@ -132,8 +132,8 @@ pub(crate) struct FusionCore {
 
 impl FusionCore {
     /// The fused state for `decoder`, or `None` for a decoder without
-    /// edge output (a table decoder), which streams through the exact
-    /// prefix path instead.
+    /// edge output (a table decoder), which streams through the prefix
+    /// path instead.
     pub(crate) fn new<D: Decoder>(
         decoder: &D,
         scratch: &mut DecoderScratch,

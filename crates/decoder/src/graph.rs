@@ -224,9 +224,8 @@ impl DecodingGraph {
     /// Single-source Dijkstra over the graph (boundary modelled as a
     /// virtual node `num_detectors`) into a reusable workspace. Results
     /// land in [`DijkstraScratch::dist`] (`f64::INFINITY` where
-    /// unreachable) and [`DijkstraScratch::mask`] (the XOR of edge
-    /// observables along each shortest path), plus the shortest-path
-    /// tree's predecessor edges. Nodes settle strictly in
+    /// unreachable), plus the shortest-path tree's predecessor edges.
+    /// Nodes settle strictly in
     /// `(distance, node index)` order regardless of heap layout.
     ///
     /// Stops early once every node in `targets` *and* the boundary have
@@ -273,14 +272,12 @@ impl DecodingGraph {
                 continue; // do not route through the boundary
             }
             let d = scratch.dist[u as usize];
-            let from_mask = scratch.mask[u as usize];
             for &AdjEntry { edge, to } in self.neighbors_from(u + dlo, dlo) {
                 let v = if to >= dhi { boundary } else { to - dlo };
                 let r = &self.rec[edge as usize];
                 let nd = d + r.weight;
                 if nd < scratch.dist[v as usize] {
                     scratch.dist[v as usize] = nd;
-                    scratch.mask[v as usize] = from_mask ^ r.observables;
                     scratch.pred[v as usize] = edge;
                     scratch.heap_relax(v);
                 }
@@ -294,19 +291,19 @@ const UNREACHED: u32 = u32::MAX;
 /// Heap-position sentinel: node settled (popped).
 const SETTLED: u32 = u32::MAX - 1;
 
-/// Reusable Dijkstra workspace: distance/mask rows plus an *indexed*
-/// binary min-heap held in two flat u32 arenas (`heap` = node ids,
-/// `pos` = each node's heap slot). Decrease-key updates in place, so
-/// the heap never holds stale duplicates and its size is bounded by
-/// `nodes + 1` — the whole workspace is capacity-bounded by the graph,
-/// which [`DijkstraScratch::bound`] exploits to preallocate exactly.
+/// Reusable Dijkstra workspace: distance and predecessor rows plus an
+/// *indexed* binary min-heap held in two flat u32 arenas (`heap` =
+/// node ids, `pos` = each node's heap slot). Decrease-key updates in
+/// place, so the heap never holds stale duplicates and its size is
+/// bounded by `nodes + 1` — the whole workspace is capacity-bounded by
+/// the graph, which [`DijkstraScratch::bound`] exploits to preallocate
+/// exactly.
 ///
 /// The heap orders nodes by `(dist, node index)`, making the settle
-/// order — and therefore every distance and shortest-path observable
-/// mask — a pure function of the graph.
+/// order — and therefore every distance and shortest-path tree — a
+/// pure function of the graph.
 pub struct DijkstraScratch {
     pub(crate) dist: Vec<f64>,
-    pub(crate) mask: Vec<u32>,
     /// Edge through which each node reached in the last search was
     /// last relaxed: its shortest-path tree. Entries of nodes the
     /// search did not reach are stale.
@@ -324,7 +321,6 @@ impl Default for DijkstraScratch {
     fn default() -> DijkstraScratch {
         DijkstraScratch {
             dist: Vec::new(),
-            mask: Vec::new(),
             pred: Vec::new(),
             heap: Vec::new(),
             pos: Vec::new(),
@@ -352,7 +348,6 @@ impl DijkstraScratch {
     /// (detectors + 1 for the boundary).
     pub(crate) fn bound_nodes(&mut self, n: usize) {
         self.dist.reserve(n.saturating_sub(self.dist.len()));
-        self.mask.reserve(n.saturating_sub(self.mask.len()));
         self.pred.reserve(n.saturating_sub(self.pred.len()));
         self.heap.reserve(n.saturating_sub(self.heap.len()));
         self.pos.reserve(n.saturating_sub(self.pos.len()));
@@ -365,11 +360,6 @@ impl DijkstraScratch {
         &self.dist
     }
 
-    /// Observable masks along the last search's shortest paths.
-    pub fn mask(&self) -> &[u32] {
-        &self.mask
-    }
-
     fn reset(&mut self, n: usize) {
         debug_assert!(
             self.bound_n == u32::MAX || n <= self.bound_n as usize,
@@ -379,8 +369,6 @@ impl DijkstraScratch {
         );
         self.dist.clear();
         self.dist.resize(n, f64::INFINITY);
-        self.mask.clear();
-        self.mask.resize(n, 0);
         if self.pred.len() < n {
             self.pred.resize(n, 0);
         }
@@ -464,8 +452,7 @@ impl DijkstraScratch {
 /// Appends to `edges` the shortest path from `source` to `target` in
 /// the tree `pred` that a search over the detector range from `dlo`
 /// left ([`DijkstraScratch`]'s predecessor row; `source` and `target`
-/// are window-local rows, and `target` may be the boundary row). The
-/// XOR of the path's observables is the search's mask at `target`.
+/// are window-local rows, and `target` may be the boundary row).
 pub(crate) fn push_path(
     graph: &DecodingGraph,
     dlo: u32,
@@ -671,7 +658,7 @@ mod tests {
         let g = chain_graph();
         let mut scratch = DijkstraScratch::new();
         g.dijkstra_to_with(0, &[], &mut scratch);
-        let (dist, mask) = (scratch.dist(), scratch.mask());
+        let dist = scratch.dist();
         let w = g.records()[0].weight;
         assert!(dist[0] == 0.0);
         assert!((dist[1] - w).abs() < 1e-9);
@@ -679,7 +666,10 @@ mod tests {
         // Boundary is one edge away from detector 0, carrying the
         // observable.
         assert!((dist[3] - w).abs() < 1e-9);
-        assert_eq!(mask[3], 1);
+        let mut path = Vec::new();
+        push_path(&g, 0, &scratch.pred, 0, 3, &mut path);
+        assert_eq!(path.len(), 1);
+        assert_eq!(g.observables_of(&path), 1);
     }
 
     #[test]
@@ -699,7 +689,16 @@ mod tests {
         let mut unbounded = DijkstraScratch::new();
         g.dijkstra_to_with(2, &[], &mut unbounded);
         assert_eq!(scratch.dist(), unbounded.dist());
-        assert_eq!(scratch.mask(), unbounded.mask());
+        // The boundary path's observables agree too.
+        let boundary = g.num_detectors();
+        let (mut bounded_path, mut unbounded_path) = (Vec::new(), Vec::new());
+        push_path(&g, 0, &scratch.pred, 2, boundary, &mut bounded_path);
+        push_path(&g, 0, &unbounded.pred, 2, boundary, &mut unbounded_path);
+        assert_eq!(bounded_path, unbounded_path);
+        assert_eq!(
+            g.observables_of(&bounded_path),
+            g.observables_of(&unbounded_path)
+        );
     }
 
     #[test]

@@ -35,23 +35,21 @@
 //! * [`StreamingDecoder`] — the real-time face of the stack: any
 //!   decoder consumed round by round through a sliding window of `W`
 //!   rounds, committing corrections for rounds that scroll out.
-//!   Configured by [`StreamingConfig`] with two modes:
-//!   [`Exact`](StreamingMode::Exact) re-decodes the full accumulated
-//!   prefix each commit and is bit-identical to batch decoding by
-//!   construction (telescoping XOR deltas; the type's docs carry the
-//!   argument), while [`Fused`](StreamingMode::Fused) decodes only the
-//!   uncommitted rounds, in place on the graph restricted to their
-//!   detector range, at most once per commit, and commits the correction edges
-//!   that reach the finalized round, carrying their far endpoints
-//!   forward as artificial defects — O(window) per round, independent
-//!   of stream length, with a measured accuracy delta. The graph
-//!   decoders' primary output is that edge set
-//!   ([`Decoder::decode_window_into`]); their batch mask is the XOR of
-//!   its edges' observables. Table decoders have no edges and stream
-//!   through the exact prefix path in both modes.
+//!   Configured by [`StreamingConfig`] (window and overlap), a commit
+//!   decodes only the uncommitted rounds, in place on the graph
+//!   restricted to their detector range, at most once per commit, and
+//!   commits the correction edges that reach the finalized round,
+//!   carrying their far endpoints forward as artificial defects —
+//!   O(window) per round, independent of stream length, with a
+//!   measured accuracy delta. The graph decoders' primary output is
+//!   that edge set ([`Decoder::decode_window_into`]); their batch mask
+//!   is the XOR of its edges' observables. Table decoders have no
+//!   edges: they re-decode the accumulated prefix each commit, which
+//!   is bit-identical to batch decoding by construction (telescoping
+//!   XOR deltas; the type's docs carry the argument).
 //!   [`count_batch_errors_streaming`] is the batch-driver form; the
 //!   `decode-latency` scenario of `ftqc-bench` measures per-round
-//!   latency for both modes.
+//!   latency.
 //!
 //! # Example
 //!
@@ -88,7 +86,5 @@ pub use kind::{AnyDecoder, DecoderKind};
 pub use lut::LutDecoder;
 pub use mwpm::MwpmDecoder;
 pub use scratch::{DecoderScratch, ScratchCapacity};
-pub use streaming::{
-    count_batch_errors_streaming, RoundCommit, StreamingConfig, StreamingDecoder, StreamingMode,
-};
+pub use streaming::{count_batch_errors_streaming, RoundCommit, StreamingConfig, StreamingDecoder};
 pub use union_find::UfDecoder;

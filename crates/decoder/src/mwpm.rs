@@ -80,10 +80,9 @@ impl MwpmDecoder {
 /// `k x k` distance matrix, each defect's shortest-path tree and the
 /// `2^k` DP tables). Writes the edges of the minimum-weight pairing's
 /// shortest paths into `edges`, an edge two paths share cancelling;
-/// their observables XOR to the mask the matcher has always returned,
-/// because each search's mask is accumulated along exactly the
-/// predecessor edges walked here. [`MwpmDecoder`] matches a shot over
-/// the full range and a fused window over its own.
+/// the XOR of their observables is the matcher's mask.
+/// [`MwpmDecoder`] matches a shot over the full range and a fused
+/// window over its own.
 fn match_exact(
     graph: &DecodingGraph,
     s: &mut MatchScratch,
@@ -290,42 +289,63 @@ mod tests {
         assert_eq!(d.predict(&[0, 1]), 0); // error on data 1
     }
 
+    /// Decodes `flagged` and asserts the DP's optimum equals the brute
+    /// force over the same full-graph distances.
+    fn assert_dp_is_optimal(decoder: &MwpmDecoder, flagged: &[u32], scratch: &mut DecoderScratch) {
+        let g = &decoder.graph;
+        let boundary = g.num_detectors() as usize;
+        let k = flagged.len();
+        let mut pair_d = vec![f64::INFINITY; k * (k - 1) / 2];
+        let mut bdry_d = vec![0.0; k];
+        let mut search = crate::DijkstraScratch::new();
+        for (i, &f) in flagged.iter().enumerate() {
+            g.dijkstra_to_with(f, &[], &mut search);
+            let dist = search.dist();
+            for (j, &h) in flagged.iter().enumerate().skip(i + 1) {
+                pair_d[tri_index(k, i, j)] = dist[h as usize];
+            }
+            bdry_d[i] = dist[boundary];
+        }
+        let brute = brute_force_matching(k, &pair_d, &bdry_d);
+        let mut correction = 0;
+        decoder.decode_into(scratch, flagged, &mut correction);
+        let dp = scratch.matching.dp[(1 << k) - 1];
+        assert!(brute.is_finite(), "{flagged:?}: no finite matching");
+        assert!(
+            (dp - brute).abs() <= 1e-9,
+            "{flagged:?}: DP optimum {dp} vs brute force {brute}"
+        );
+    }
+
     #[test]
     fn dp_matches_brute_force_on_random_instances() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
-        let g = chain_graph(10, 0.01);
-        let decoder = MwpmDecoder::new(g.clone());
+        let decoder = MwpmDecoder::new(chain_graph(10, 0.01));
+        let mut scratch = DecoderScratch::for_decoder(&decoder);
         for _ in 0..50 {
             let flagged: Vec<u32> = (0..10u32).filter(|_| rng.gen_bool(0.4)).collect();
-            if flagged.is_empty() {
-                continue;
+            if !flagged.is_empty() {
+                assert_dp_is_optimal(&decoder, &flagged, &mut scratch);
             }
-            // Distances for the brute force reference (flat triangle).
-            let boundary = g.num_detectors() as usize;
-            let k = flagged.len();
-            let mut pair_d = vec![f64::INFINITY; k * (k - 1) / 2];
-            let mut bdry_d = vec![0.0; k];
-            let mut search = crate::DijkstraScratch::new();
-            for (i, &f) in flagged.iter().enumerate() {
-                g.dijkstra_to_with(f, &[], &mut search);
-                let dist = search.dist();
-                for (j, &h) in flagged.iter().enumerate().skip(i + 1) {
-                    pair_d[tri_index(k, i, j)] = dist[h as usize];
-                }
-                bdry_d[i] = dist[boundary];
-            }
-            let brute = brute_force_matching(k, &pair_d, &bdry_d);
-            // Recompute the DP cost by re-running match_exact's inner
-            // logic through the public API: predictions must agree on
-            // observable parity whenever costs are unique; at minimum
-            // the exact matcher must not panic and must be
-            // deterministic.
-            let a = decoder.predict(&flagged);
-            let b = decoder.predict(&flagged);
-            assert_eq!(a, b);
-            assert!(brute.is_finite());
         }
+        // d = 3 memory syndromes of at most 8 defects.
+        let hw = ftqc_noise::HardwareConfig::ibm();
+        let circuit = ftqc_noise::CircuitNoiseModel::standard(3e-3, &hw)
+            .apply(&ftqc_surface::MemoryConfig::new(3, 3, &hw).build());
+        let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+        let decoder = MwpmDecoder::new(DecodingGraph::from_dem(&dem));
+        let mut scratch = DecoderScratch::for_decoder(&decoder);
+        let batch = ftqc_sim::sample_batch(&circuit, 400, 11);
+        let mut checked = 0;
+        for s in 0..batch.shots {
+            let flagged = batch.flagged_detectors(s);
+            if (1..=8).contains(&flagged.len()) {
+                assert_dp_is_optimal(&decoder, &flagged, &mut scratch);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 100, "only {checked} d = 3 syndromes checked");
     }
 
     #[test]

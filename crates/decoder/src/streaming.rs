@@ -1,19 +1,13 @@
 //! Streaming decoding: [`StreamingConfig`], [`StreamingDecoder`],
 //! [`RoundCommit`] and the [`count_batch_errors_streaming`] driver.
 //!
-//! Two streaming modes share one decoder surface:
-//!
-//! * [`StreamingMode::Exact`] re-decodes the full accumulated syndrome
-//!   prefix on every commit and emits telescoping XOR deltas —
-//!   bit-identical to batch decoding for any [`Decoder`], at a
-//!   per-round cost that grows with the stream.
-//! * [`StreamingMode::Fused`] decodes only a window of rounds, in place
-//!   on the decoding graph restricted to the window's detector range
-//!   ([`Decoder::decode_window_into`]), and commits its correction
-//!   edges forward, one round at a time — per-round cost O(window),
-//!   independent of stream length, at the price of a small, measurable
-//!   accuracy delta. Table decoders have no edges; in fused
-//!   mode they stream through exact mode's prefix path.
+//! A stream decodes only a window of rounds, in place on the decoding
+//! graph restricted to the window's detector range
+//! ([`Decoder::decode_window_into`]), and commits its correction edges
+//! forward, one round at a time: per-round cost O(window), independent
+//! of stream length, at the price of a small, measurable accuracy
+//! delta. Table decoders have no edges; they stream through a prefix
+//! path that re-decodes the accumulated syndrome on every commit.
 
 use crate::evaluate::Decoder;
 use crate::fusion::{FusedCommit, FusionCore};
@@ -21,66 +15,31 @@ use crate::scratch::DecoderScratch;
 use ftqc_circuit::Circuit;
 use ftqc_sim::{parallel_batches_with, BatchSpec, RoundSchedule, RoundStream};
 
-/// Which decode the streaming window performs on each commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamingMode {
-    /// Decode the full accumulated syndrome prefix every commit.
-    /// Bit-identical to batch decoding for any decoder (deltas
-    /// telescope), but per-round cost grows with the stream.
-    Exact,
-    /// Forward-window fusion: each commit decodes at most one window
-    /// of rounds on the graph restricted to its detector range,
-    /// finalizes the
-    /// correction edges that reach the committing round, and carries
-    /// their far endpoints forward as artificial defects. Per-round
-    /// cost is O(window); accuracy is approximate (measured by the
-    /// `fusion-accuracy` harness).
-    Fused {
-        /// Committed rounds kept in the window, behind the committing
-        /// round, as defect-free graph context.
-        overlap: u32,
-    },
-}
-
-/// Configuration of a [`StreamingDecoder`]: window size and decode
-/// mode. Build one with [`StreamingConfig::exact`] or
-/// [`StreamingConfig::fused`], then obtain the decoder with
-/// [`build`](StreamingConfig::build).
+/// Configuration of a [`StreamingDecoder`]: window size and overlap.
+/// Build one with [`StreamingConfig::fused`], then obtain the decoder
+/// with [`build`](StreamingConfig::build).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingConfig {
     window: u32,
-    mode: StreamingMode,
+    overlap: u32,
 }
 
 impl StreamingConfig {
-    /// An exact-mode configuration: round `r` is committed once round
-    /// `r + window - 1` has arrived, and every commit re-decodes the
-    /// full accumulated prefix (bit-identical to batch decoding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn exact(window: u32) -> StreamingConfig {
-        assert!(window > 0, "streaming window must be at least one round");
-        StreamingConfig {
-            window,
-            mode: StreamingMode::Exact,
-        }
-    }
-
-    /// A fused-mode configuration: commits decode only the uncommitted
-    /// rounds (plus `overlap` rounds of committed context), in place on
-    /// the graph restricted to their detector range.
+    /// Round `r` is committed once round `r + window - 1` has arrived.
+    /// Each commit decodes at most one window of rounds on the graph
+    /// restricted to its detector range: the uncommitted rounds plus
+    /// `overlap` committed rounds kept behind the committing round as
+    /// defect-free context. It finalizes the correction edges that
+    /// reach the committing round and carries their far endpoints
+    /// forward as artificial defects; the `fusion-accuracy` harness
+    /// measures the resulting accuracy delta against batch decoding.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
     pub fn fused(window: u32, overlap: u32) -> StreamingConfig {
         assert!(window > 0, "streaming window must be at least one round");
-        StreamingConfig {
-            window,
-            mode: StreamingMode::Fused { overlap },
-        }
+        StreamingConfig { window, overlap }
     }
 
     /// The window size `W`.
@@ -88,15 +47,9 @@ impl StreamingConfig {
         self.window
     }
 
-    /// The decode mode.
-    pub fn mode(&self) -> StreamingMode {
-        self.mode
-    }
-
     /// Builds the streaming decoder for this configuration. The round
-    /// schedule tells fused mode which detectors belong to which round
-    /// (exact mode carries no per-round state, but takes the schedule
-    /// uniformly so callers never branch on the mode).
+    /// schedule tells the decoder which detectors belong to which
+    /// round.
     pub fn build<D: Decoder>(self, decoder: D, schedule: &RoundSchedule) -> StreamingDecoder<D> {
         StreamingDecoder::with_config(decoder, self, schedule)
     }
@@ -112,27 +65,27 @@ pub struct RoundCommit {
     /// observable `i`). XOR-ing the `correction` of every commit of a
     /// shot yields the shot's full streamed correction.
     pub correction: u32,
-    /// Running XOR of every correction committed so far this shot. In
-    /// exact mode this is, after the last commit, exactly the batch
-    /// decode of the full syndrome; in fused mode it is the windowed
-    /// estimate of it.
+    /// Running XOR of every correction committed so far this shot:
+    /// after the last commit, the windowed estimate of the batch decode
+    /// of the full syndrome (exactly the batch decode for a table
+    /// decoder, or for a window covering the shot).
     pub cumulative: u32,
     /// Fusion provenance: artificial defects this commit carried
     /// forward — the uncommitted endpoints of the correction edges it
     /// finalized, which later windows must still correct. Always `0`
-    /// in exact mode and for table decoders.
+    /// for table decoders.
     pub boundary_defects: u32,
     /// Fusion provenance: cut edges of the window this commit decoded
     /// — the graph's edges from a detector in the window's range to one
     /// above it, toward rounds not yet arrived, which the decode took
-    /// as ending at the boundary. `0` in exact mode, for table
-    /// decoders, and on commits that reused an earlier decode.
+    /// as ending at the boundary. `0` for table decoders and on commits
+    /// that reused an earlier decode.
     pub stitched_edges: u32,
 }
 
-/// Exact-mode state: the accumulated syndrome prefix and its memoized
-/// decode.
-struct ExactState {
+/// A table decoder's prefix state: the accumulated syndrome prefix and
+/// its memoized decode.
+struct PrefixState {
     /// Accumulated syndrome prefix (sorted ascending).
     syndrome: Vec<u32>,
     /// Decode of `syndrome`, valid only when `running_valid`.
@@ -140,10 +93,10 @@ struct ExactState {
     running_valid: bool,
 }
 
-enum ModeState {
-    /// Exact mode, and fused mode for table decoders.
-    Exact(ExactState),
-    /// Boxed: the fusion core is ~10x the exact state.
+enum StreamPath {
+    /// Table decoders, which have no correction edges.
+    Prefix(PrefixState),
+    /// Graph decoders. Boxed: the fusion core is ~10x the prefix state.
     Fused(Box<FusionCore>),
 }
 
@@ -159,48 +112,44 @@ enum ModeState {
 /// from [`RoundStream`](ftqc_sim::RoundStream)) through a sliding
 /// window of `W` rounds; a committed round's correction never changes
 /// afterwards. Configure it with [`StreamingConfig`] (window and
-/// mode); per shot:
+/// overlap); per shot:
 /// [`begin_shot`](StreamingDecoder::begin_shot), then
 /// [`push_round`](StreamingDecoder::push_round) per round, then
 /// [`finish_shot`](StreamingDecoder::finish_shot) to drain the tail.
 /// [`count_batch_errors_streaming`] is the batch-driver form.
 ///
-/// # Exact mode: fusion by telescoping, not truncation
+/// # O(window) per round
 ///
-/// In [`StreamingMode::Exact`], every commit decodes the full
-/// *accumulated prefix* of the syndrome and emits the XOR **delta**
-/// against the corrections already committed. Deltas telescope —
-/// XOR-ing every committed correction of a shot yields exactly
-/// `decode(full syndrome)` — so the stream is bit-identical to batch
-/// decoding *by construction, for any `Decoder`*, which is what lets
-/// the identity tests pin all four decoder families. The window size
-/// `W` carries the real-time semantics: round `r` is finalized once
-/// round `r + W - 1` has arrived (lookahead `W - 1`), so `W = 1`
-/// commits every round on arrival and `W ≥` total rounds degenerates
-/// to batch decoding. The cost: each commit's decode spans the whole
-/// prefix, so late rounds decode the entire shot's syndrome.
+/// A commit decodes only the uncommitted rounds' defects (plus
+/// `overlap` committed rounds of defect-free context), in place on the
+/// decoding graph restricted to the window's detector range
+/// ([`Decoder::decode_window_into`]; no window copy is built), and
+/// finalizes the correction edges that reach the committing round.
+/// Their far endpoints become artificial defects of the rounds after
+/// it, so every later window corrects exactly what earlier commits
+/// left over (the forward-window scheme of Skoric et al.; DESIGN.md
+/// "Graph decoders: forward-window commits" carries the argument). The
+/// window size `W` carries the real-time semantics: round `r` is
+/// finalized once round `r + W - 1` has arrived (lookahead `W - 1`), so
+/// `W = 1` commits every round on arrival. A commit runs at most one
+/// window decode, and none when no new defect arrived since the last
+/// one. The estimate is approximate — a commit cannot see defects more
+/// than `W - 1` rounds ahead — and the `fusion-accuracy` harness
+/// measures the residual LER delta; a window covering the whole shot
+/// commits nothing before the end-of-shot drain, which decodes the
+/// shot once, so it is bit-identical to batch decoding.
 ///
-/// # Fused mode: O(window) per round
+/// # Table decoders: the prefix path
 ///
-/// In [`StreamingMode::Fused`], a commit decodes only the uncommitted
-/// rounds' defects (plus `overlap` committed rounds of defect-free
-/// context), in place on the decoding graph restricted to the window's
-/// detector range ([`Decoder::decode_window_into`]; no window copy is
-/// built), and finalizes the correction edges that reach the
-/// committing round. Their far endpoints become artificial defects of
-/// the rounds after it, so every later window corrects exactly what
-/// earlier commits left over (the forward-window scheme of Skoric et
-/// al.; DESIGN.md "Fused streaming" carries the argument).
-/// A commit runs at most one window decode, and none when no new
-/// defect arrived since the last one. The estimate is approximate —
-/// a commit cannot see defects more than `W - 1` rounds ahead — and
-/// the `fusion-accuracy` harness measures the residual LER delta; a
-/// window covering the whole shot commits nothing before the
-/// end-of-shot drain, which decodes the shot once, so it is
-/// bit-identical to batch decoding. Table decoders have no correction
-/// edges: in fused mode they stream through the exact prefix path.
+/// Table decoders have no correction edges. Every commit of theirs
+/// decodes the full *accumulated prefix* of the syndrome and emits the
+/// XOR **delta** against the corrections already committed. Deltas
+/// telescope — XOR-ing every committed correction of a shot yields
+/// exactly `decode(full syndrome)` — so their stream is bit-identical
+/// to batch decoding at any window, at a per-commit cost that grows
+/// with the stream.
 ///
-/// Both modes keep the steady state cheap and allocation-free:
+/// Both paths keep the steady state cheap and allocation-free:
 /// commits only invoke the decoder when the relevant syndrome changed
 /// since the last decode (a defect-free round costs a few compares), the
 /// all-empty syndrome is memoized per stream exactly like
@@ -225,7 +174,7 @@ enum ModeState {
 /// let schedule = RoundSchedule::from_circuit(&circuit);
 /// let batch = sample_batch(&circuit, 64, 9);
 /// let mut rounds = RoundStream::new(&schedule);
-/// let mut stream = StreamingConfig::exact(2).build(&decoder, &schedule); // W = 2
+/// let mut stream = StreamingConfig::fused(2, 1).build(&decoder, &schedule); // W = 2
 /// rounds.begin_batch(&batch);
 ///
 /// let mut defects = Vec::new();
@@ -237,18 +186,15 @@ enum ModeState {
 ///             // commit.correction is final for commit.round.
 ///         }
 ///     }
-///     let streamed = stream.finish_shot();
-///     // Exact mode: bit-identical to batch-decoding the whole shot:
-///     let mut full = Vec::new();
-///     batch.flagged_detectors_into(s, &mut full);
-///     assert_eq!(streamed, decoder.predict(&full));
+///     // The windowed estimate of batch-decoding the whole shot.
+///     let _streamed = stream.finish_shot();
 /// }
 /// ```
 pub struct StreamingDecoder<D> {
     decoder: D,
     config: StreamingConfig,
     scratch: DecoderScratch,
-    mode: ModeState,
+    path: StreamPath,
     /// XOR of every correction committed so far this shot.
     emitted: u32,
     pushed: u32,
@@ -271,8 +217,8 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// [`DecoderScratch::for_decoder`] and every streaming buffer is
     /// presized from the decoder's declared
     /// [`scratch_capacity`](Decoder::scratch_capacity) (plus the round
-    /// schedule, for fused mode), so decoding streams with zero heap
-    /// allocations from the very first round.
+    /// schedule, for a graph decoder), so decoding streams with zero
+    /// heap allocations from the very first round.
     fn with_config(
         decoder: D,
         config: StreamingConfig,
@@ -284,18 +230,13 @@ impl<D: Decoder> StreamingDecoder<D> {
         );
         let mut scratch = DecoderScratch::for_decoder(&decoder);
         let cap = decoder.scratch_capacity();
-        let fused = match config.mode {
-            StreamingMode::Exact => None,
-            StreamingMode::Fused { overlap } => {
-                FusionCore::new(&decoder, &mut scratch, overlap, schedule, cap)
-            }
-        };
-        let mode = match fused {
+        let fused = FusionCore::new(&decoder, &mut scratch, config.overlap, schedule, cap);
+        let path = match fused {
             // analyzer: allow(alloc) -- constructor: the fusion core is
             // boxed once per stream.
-            Some(core) => ModeState::Fused(Box::new(core)),
+            Some(core) => StreamPath::Fused(Box::new(core)),
             // analyzer: end-allow(alloc)
-            None => ModeState::Exact(ExactState {
+            None => StreamPath::Prefix(PrefixState {
                 syndrome: Vec::with_capacity(cap.nodes as usize),
                 running: 0,
                 running_valid: false,
@@ -305,7 +246,7 @@ impl<D: Decoder> StreamingDecoder<D> {
             decoder,
             config,
             scratch,
-            mode,
+            path,
             emitted: 0,
             pushed: 0,
             committed: 0,
@@ -318,13 +259,13 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// Resets per-shot state (the empty-syndrome memo survives —
     /// decoders are deterministic across shots).
     pub fn begin_shot(&mut self) {
-        match &mut self.mode {
-            ModeState::Exact(e) => {
+        match &mut self.path {
+            StreamPath::Prefix(e) => {
                 e.syndrome.clear();
                 e.running = 0;
                 e.running_valid = false;
             }
-            ModeState::Fused(f) => f.reset(),
+            StreamPath::Fused(f) => f.reset(),
         }
         self.emitted = 0;
         self.pushed = 0;
@@ -351,8 +292,8 @@ impl<D: Decoder> StreamingDecoder<D> {
                 self.node_bound
             );
         }
-        match &mut self.mode {
-            ModeState::Exact(e) => {
+        match &mut self.path {
+            StreamPath::Prefix(e) => {
                 if !defects.is_empty() {
                     let in_order = e.syndrome.last().is_none_or(|&last| defects[0] > last);
                     e.syndrome.extend_from_slice(defects);
@@ -362,7 +303,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                     e.running_valid = false;
                 }
             }
-            ModeState::Fused(f) => f.push(defects),
+            StreamPath::Fused(f) => f.push(defects),
         }
         self.pushed += 1;
         (self.pushed - self.committed >= self.config.window).then(|| self.commit_round())
@@ -371,10 +312,10 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// Commits the oldest pending round without pushing a new one —
     /// `None` when nothing is pending. [`finish_shot`] drains the tail
     /// with this at end of stream; calling it early shrinks the
-    /// effective lookahead of the round it flushes. In fused mode the
-    /// first flush decodes the remaining rounds once and the ones after
-    /// it commit that decode, which is what makes a window covering
-    /// the whole shot exactly batch-equivalent.
+    /// effective lookahead of the round it flushes. For a graph decoder
+    /// the first flush decodes the remaining rounds once and the ones
+    /// after it commit that decode, which is what makes a window
+    /// covering the whole shot exactly batch-equivalent.
     ///
     /// [`finish_shot`]: StreamingDecoder::finish_shot
     pub fn flush_round(&mut self) -> Option<RoundCommit> {
@@ -382,11 +323,10 @@ impl<D: Decoder> StreamingDecoder<D> {
     }
 
     /// Flushes every pending round and returns the shot's total
-    /// correction. In exact mode this is bit-identical to
-    /// batch-decoding the full accumulated syndrome in one
-    /// [`Decoder::decode_into`] call; in fused mode it is the windowed
-    /// estimate (equal to batch when no round committed before the
-    /// end of the shot).
+    /// correction: the windowed estimate of batch-decoding the full
+    /// syndrome in one [`Decoder::decode_into`] call, equal to it when
+    /// no round committed before the end of the shot, and for table
+    /// decoders always.
     pub fn finish_shot(&mut self) -> u32 {
         while self.flush_round().is_some() {}
         if self.pushed == 0 {
@@ -452,19 +392,19 @@ impl<D: Decoder> StreamingDecoder<D> {
         let StreamingDecoder {
             decoder,
             scratch,
-            mode,
+            path,
             emitted,
             pushed,
             empty_pred,
             decodes,
             ..
         } = self;
-        let (correction, boundary_defects, stitched_edges, defects_held) = match mode {
-            ModeState::Exact(e) => {
-                exact_running(decoder, scratch, e, empty_pred, decodes);
+        let (correction, boundary_defects, stitched_edges, defects_held) = match path {
+            StreamPath::Prefix(e) => {
+                prefix_running(decoder, scratch, e, empty_pred, decodes);
                 (e.running ^ *emitted, 0, 0, e.syndrome.len())
             }
-            ModeState::Fused(f) => {
+            StreamPath::Fused(f) => {
                 let FusedCommit {
                     correction,
                     carried,
@@ -490,7 +430,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                     ftqc_telemetry::Arg::new("prefix_defects", defects_held as f64),
                 ],
             );
-            if matches!(self.mode, ModeState::Fused(_)) {
+            if matches!(self.path, StreamPath::Fused(_)) {
                 ftqc_telemetry::instant(
                     "stream/fuse",
                     &[
@@ -512,12 +452,12 @@ impl<D: Decoder> StreamingDecoder<D> {
     }
 }
 
-/// Makes `e.running` the decode of the exact mode's accumulated
+/// Makes `e.running` the decode of a table decoder's accumulated
 /// syndrome (memoizing the empty syndrome in `empty_pred`).
-fn exact_running<D: Decoder>(
+fn prefix_running<D: Decoder>(
     decoder: &D,
     scratch: &mut DecoderScratch,
-    e: &mut ExactState,
+    e: &mut PrefixState,
     empty_pred: &mut Option<u32>,
     decodes: &mut u64,
 ) {
@@ -544,13 +484,13 @@ fn exact_running<D: Decoder>(
 /// per-worker [`StreamingDecoder`] built from `config`, and the shot's
 /// prediction is the XOR of its committed corrections.
 ///
-/// With an exact-mode config, streaming commits telescope to the batch
-/// decode, so the returned per-batch error counts are bit-identical to
+/// The counts differ from
 /// [`count_batch_errors`](crate::count_batch_errors) on the same plan
-/// for any window — the decoder-crate identity tests enforce this for
-/// all four decoder kinds. With a fused-mode config the counts differ
 /// by the fusion accuracy delta, which the `fusion-accuracy` harness
-/// measures per decoder family. Steady-state shots allocate nothing
+/// measures per decoder family; they equal it for table decoders and
+/// for a window covering the shot, and they do not depend on
+/// `threads` (the decoder-crate streaming tests enforce both).
+/// Steady-state shots allocate nothing
 /// beyond the batch path (same scratch, same scanner, plus the
 /// reusable round/window buffers).
 ///

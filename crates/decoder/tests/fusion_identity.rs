@@ -1,4 +1,4 @@
-//! Fused-mode contracts: windowed fusion's exactness boundary and its
+//! Streaming contracts: windowed fusion's exactness boundary and its
 //! measured accuracy inside it.
 //!
 //! Fused streaming is approximate *only* when a round commits before
@@ -118,7 +118,7 @@ fn one_round_window_commits_forward_under_full_overlap() {
     // finalize each round's correction edges at once and hand the ones
     // reaching the next round to it as artificial defects; a full
     // overlap only keeps the committed rounds in the view as context.
-    // Table decoders have no edges and stream through the exact prefix
+    // Table decoders have no edges and stream through the prefix
     // path, which stays bit-identical to batch at any window.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);

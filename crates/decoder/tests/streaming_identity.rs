@@ -1,18 +1,22 @@
-//! Streaming ≡ batch bit-identity for the sliding-window decoder.
+//! Streaming contracts of the sliding-window decoder.
 //!
-//! The streaming layer's contract is that committed corrections
-//! telescope to exactly the batch decode of the full syndrome, for any
-//! decoder kind and any window size. These tests pin that over
-//! thousands of sampled shots for all four kinds, exercise the window
-//! edge cases (W = 1, W ≥ total rounds), defects straddling a commit
-//! boundary, and the interaction of defect-free rounds with the
-//! memoized empty-syndrome fast path, and check the parallel driver
-//! (`count_batch_errors_streaming`) against `count_batch_errors`.
+//! At every window and overlap, commits arrive once per round, in
+//! order, and their deltas telescope to the shot's correction. That
+//! correction is bit-identical to the batch decode of the full
+//! syndrome for table decoders (their prefix path) at any window, and
+//! for every decoder when the window covers the shot. These tests pin
+//! both over thousands of sampled shots for all four kinds, exercise
+//! the window edge cases (W = 1, W ≥ total rounds), defects straddling
+//! a commit boundary, rounds arriving below held defects, the decode
+//! counts of defect-free rounds and the memoized empty-syndrome fast
+//! path, and check that the parallel driver
+//! (`count_batch_errors_streaming`) is invariant to thread count and
+//! matches `count_batch_errors` where streaming is exact.
 
 use ftqc_circuit::Circuit;
 use ftqc_decoder::{
     count_batch_errors, count_batch_errors_streaming, Decoder, DecoderKind, DecoderScratch,
-    DecodingGraph, StreamingConfig,
+    DecodingGraph, StreamingConfig, NO_NODE,
 };
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{batch_plan, sample_batch, DetectorErrorModel, RoundSchedule, RoundStream};
@@ -47,14 +51,22 @@ fn memory_circuit(d: u32, p: f64) -> Circuit {
     CircuitNoiseModel::standard(p, &hw).apply(&MemoryConfig::new(d, d + 1, &hw).build())
 }
 
-/// Streams every shot of a sampled batch through `stream` and asserts
-/// each shot's finished correction is bit-identical to one batch
-/// `decode_into` of the full syndrome — plus the telescoping
-/// invariants on the commits themselves.
+/// Whether `name` is a table decoder, which streams through the prefix
+/// path: bit-identical to batch at any window, and never carrying
+/// defects forward.
+fn is_table(name: &str) -> bool {
+    matches!(name, "lut" | "hierarchical")
+}
+
+/// Streams every shot of a sampled batch through a `fused(window, 1)`
+/// stream and asserts the telescoping invariants on the commits. When
+/// `identical`, it also asserts each shot's finished correction is
+/// bit-identical to one batch `decode_into` of the full syndrome.
 fn assert_stream_matches_batch(
     circuit: &Circuit,
     decoder: &(impl Decoder + ?Sized),
     window: u32,
+    identical: bool,
     shots: usize,
     seed: u64,
     label: &str,
@@ -62,7 +74,7 @@ fn assert_stream_matches_batch(
     let schedule = RoundSchedule::from_circuit(circuit);
     let batch = sample_batch(circuit, shots, seed);
     let mut rounds = RoundStream::new(&schedule);
-    let mut stream = StreamingConfig::exact(window).build(decoder, &schedule);
+    let mut stream = StreamingConfig::fused(window, 1).build(decoder, &schedule);
     let mut scratch = DecoderScratch::for_decoder(decoder);
     rounds.begin_batch(&batch);
     let mut defects = Vec::new();
@@ -107,9 +119,11 @@ fn assert_stream_matches_batch(
         } else {
             busy_shots += 1;
         }
-        let mut reference = 0u32;
-        decoder.decode_into(&mut scratch, &full, &mut reference);
-        assert_eq!(streamed, reference, "{label}: shot {s} diverged from batch");
+        if identical {
+            let mut reference = 0u32;
+            decoder.decode_into(&mut scratch, &full, &mut reference);
+            assert_eq!(streamed, reference, "{label}: shot {s} diverged from batch");
+        }
     }
     assert!(
         empty_shots > 0 && busy_shots > 0,
@@ -126,9 +140,12 @@ fn streaming_matches_batch_for_all_kinds_and_windows() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         for window in [1, 2, 3, num_rounds, num_rounds + 5] {
             let label = format!("{name} W={window}");
+            let identical = is_table(name) || window >= num_rounds;
             // 3 × 512 = 1 536 randomized syndromes per (kind, window).
             for seed in [11, 12, 13] {
-                assert_stream_matches_batch(&circuit, &decoder, window, 512, seed, &label);
+                assert_stream_matches_batch(
+                    &circuit, &decoder, window, identical, 512, seed, &label,
+                );
             }
         }
     }
@@ -139,11 +156,13 @@ fn streaming_matches_batch_at_distance_five() {
     let circuit = memory_circuit(5, 2e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let decoder = DecoderKind::UnionFind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
-    for window in [1, 3] {
+    let num_rounds = RoundSchedule::from_circuit(&circuit).num_rounds();
+    for window in [1, 3, num_rounds] {
         assert_stream_matches_batch(
             &circuit,
             &decoder,
             window,
+            window >= num_rounds,
             1024,
             29,
             &format!("uf5 W={window}"),
@@ -162,7 +181,8 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
     let schedule = RoundSchedule::from_circuit(&circuit);
     let batch = sample_batch(&circuit, 256, 41);
     let mut rounds = RoundStream::new(&schedule);
-    let mut stream = StreamingConfig::exact(schedule.num_rounds() + 3).build(&decoder, &schedule);
+    let mut stream =
+        StreamingConfig::fused(schedule.num_rounds() + 3, 0).build(&decoder, &schedule);
     rounds.begin_batch(&batch);
     // Prime the (per-stream, cross-shot) empty-syndrome memo with one
     // defect-free shot so the counts below are exact.
@@ -191,7 +211,7 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
         stream.finish_shot();
         batch.flagged_detectors_into(s, &mut full);
         let expected = if full.is_empty() {
-            0 // memoized
+            0 // nothing pending
         } else {
             saw_busy = true;
             1
@@ -208,61 +228,118 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
 #[test]
 fn empty_rounds_ride_the_memoized_fast_path() {
     // W = 1 commits every round on arrival; rounds that add no defects
-    // must not invoke the decoder at all, and a fully-empty shot must
+    // must not invoke the decoder at all, and a zero-round shot must
     // reuse the one memoized empty-syndrome decode from prior shots.
+    // A table decoder runs exactly one prefix decode per round that
+    // changed the syndrome, and none for a fully-empty shot (the memo
+    // answers). A graph decoder, with no overlap, decodes a round's
+    // window exactly when its defects are non-empty, unless the
+    // previous commit carried artificial defects into the rounds ahead:
+    // they may cancel real ones or stand alone, so that round runs at
+    // most one decode.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
-    let decoder = DecoderKind::UnionFind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
     let schedule = RoundSchedule::from_circuit(&circuit);
     let batch = sample_batch(&circuit, 512, 47);
     let mut rounds = RoundStream::new(&schedule);
-    let mut stream = StreamingConfig::exact(1).build(&decoder, &schedule);
-    rounds.begin_batch(&batch);
-    // Prime the empty-syndrome memo so the counts below are exact.
-    stream.begin_shot();
-    stream.finish_shot();
-    assert_eq!(stream.decode_count(), 1);
     let mut defects = Vec::new();
-    let (mut empty_shots, mut partial_shots) = (0u32, 0u32);
-    for s in 0..batch.shots {
-        rounds.begin_shot(s);
+    for (name, kind) in kinds() {
+        let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
+        let mut stream = StreamingConfig::fused(1, 0).build(&decoder, &schedule);
+        // Prime the empty-syndrome memo so the counts below are exact.
         stream.begin_shot();
-        let before = stream.decode_count();
-        let mut dirty_rounds = 0u64;
-        while rounds.next_round_into(&batch, &mut defects).is_some() {
-            if !defects.is_empty() {
-                dirty_rounds += 1;
-            }
-            stream.push_round(&defects);
-        }
         stream.finish_shot();
-        let spent = stream.decode_count() - before;
-        if dirty_rounds == 0 {
-            empty_shots += 1;
-        } else if dirty_rounds < schedule.num_rounds() as u64 {
-            partial_shots += 1;
+        assert_eq!(stream.decode_count(), 1, "{name}: one memo decode");
+        stream.begin_shot();
+        stream.finish_shot();
+        assert_eq!(stream.decode_count(), 1, "{name}: the memo answers");
+        rounds.begin_batch(&batch);
+        let (mut empty_shots, mut partial_shots, mut carried_rounds) = (0u32, 0u32, 0u32);
+        for s in 0..batch.shots {
+            rounds.begin_shot(s);
+            stream.begin_shot();
+            let mut dirty_rounds = 0u64;
+            let mut carried = 0u32;
+            while rounds.next_round_into(&batch, &mut defects).is_some() {
+                let dirty = !defects.is_empty();
+                dirty_rounds += u64::from(dirty);
+                let before = stream.decode_count();
+                let commit = stream.push_round(&defects).expect("W=1 commits each push");
+                let spent = stream.decode_count() - before;
+                if is_table(name) || carried == 0 {
+                    assert_eq!(
+                        spent,
+                        u64::from(dirty),
+                        "{name} shot {s} round {}: {spent} decodes",
+                        commit.round
+                    );
+                } else {
+                    carried_rounds += 1;
+                    assert!(spent <= 1, "{name} shot {s}: {spent} decodes in one round");
+                }
+                carried = commit.boundary_defects;
+            }
+            let before = stream.decode_count();
+            stream.finish_shot();
+            assert_eq!(
+                stream.decode_count(),
+                before,
+                "{name}: nothing left to decode"
+            );
+            if dirty_rounds == 0 {
+                empty_shots += 1;
+            } else if dirty_rounds < schedule.num_rounds() as u64 {
+                partial_shots += 1;
+            }
         }
-        // Exactly one decode per round that changed the syndrome:
-        // defect-free rounds (and fully-empty shots) commit by pure
-        // XOR against the memoized empty prediction.
+        assert!(
+            empty_shots > 0 && partial_shots > 0,
+            "{name}: want empty ({empty_shots}) and partially-empty ({partial_shots}) shots"
+        );
         assert_eq!(
-            spent, dirty_rounds,
-            "shot {s}: {spent} decodes for {dirty_rounds} dirty rounds"
+            carried_rounds > 0,
+            !is_table(name),
+            "{name}: only graph decoders carry defects forward"
         );
     }
-    assert!(
-        empty_shots > 0 && partial_shots > 0,
-        "want empty ({empty_shots}) and partially-empty ({partial_shots}) shots"
-    );
+
+    // A wider window keeps the edges of a decode that no commit has
+    // taken yet, and a quiet round leaves them valid: a defect pair
+    // joined by an edge inside round 1, streamed at W = 3, costs one
+    // decode at the commit of round 0 and none at the commit of round
+    // 1, which takes the kept edge.
+    let graph = DecodingGraph::from_dem(&dem);
+    let round_1 = |d: u32| schedule.round_of(d) == 1;
+    let pair = graph
+        .records()
+        .iter()
+        .find(|r| round_1(r.u) && r.v != NO_NODE && round_1(r.v))
+        .expect("an edge inside round 1");
+    for kind in [DecoderKind::UnionFind, DecoderKind::Mwpm] {
+        let decoder = kind.build(&circuit, graph.clone(), 2025);
+        let mut stream = StreamingConfig::fused(3, 1).build(&decoder, &schedule);
+        stream.begin_shot();
+        for r in 0..schedule.num_rounds() {
+            let defects: &[u32] = if r == 1 { &[pair.u, pair.v] } else { &[] };
+            stream.push_round(defects);
+        }
+        stream.finish_shot();
+        assert_eq!(
+            stream.decode_count(),
+            1,
+            "{kind:?}: the kept edge is reused"
+        );
+    }
 }
 
 #[test]
 fn defects_straddling_a_commit_boundary() {
-    // A matched defect pair split across rounds r and r+1: with W = 1,
-    // round r is finalized before its partner arrives, so the commit
-    // of r+1 must carry the fix-up delta. The telescoped result must
-    // still equal the batch decode, and the two commits must differ
-    // whenever the pair flips the prefix decode's prediction.
+    // A defect pair split across rounds r and r+1: with W = 1, round r
+    // is finalized before its partner arrives, so the commit of r+1
+    // must carry the fix-up. For every kind the commits telescope to
+    // the shot's correction and the last commit carries nothing
+    // forward. A table decoder's commit of round r is the prefix
+    // decode [a], and its total is the batch decode.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -275,7 +352,7 @@ fn defects_straddling_a_commit_boundary() {
             // commit boundary between r and r+1.
             let a = schedule.detectors_in(r).last().unwrap();
             let b = schedule.detectors_in(r + 1).next().unwrap();
-            let mut stream = StreamingConfig::exact(1).build(&decoder, &schedule);
+            let mut stream = StreamingConfig::fused(1, 1).build(&decoder, &schedule);
             stream.begin_shot();
             let mut commits = Vec::new();
             for round in 0..schedule.num_rounds() {
@@ -287,20 +364,27 @@ fn defects_straddling_a_commit_boundary() {
                 commits.push(stream.push_round(&defects).expect("W=1 commits each push"));
             }
             let streamed = stream.finish_shot();
-            assert_eq!(
-                streamed,
-                decoder.predict(&[a, b]),
-                "{name} rounds {r},{}",
-                r + 1
-            );
             let xor_all = commits.iter().fold(0u32, |acc, c| acc ^ c.correction);
             assert_eq!(xor_all, streamed, "{name}: straddling commits telescope");
-            // The commit of round r saw only the prefix decode [a].
             assert_eq!(
-                commits[r as usize].cumulative,
-                decoder.predict(&[a]),
-                "{name}: early commit is the prefix decode"
+                commits.last().unwrap().boundary_defects,
+                0,
+                "{name}: the last round carries nothing forward"
             );
+            if is_table(name) {
+                assert_eq!(
+                    streamed,
+                    decoder.predict(&[a, b]),
+                    "{name} rounds {r},{}",
+                    r + 1
+                );
+                // The commit of round r saw only the prefix decode [a].
+                assert_eq!(
+                    commits[r as usize].cumulative,
+                    decoder.predict(&[a]),
+                    "{name}: early commit is the prefix decode"
+                );
+            }
         }
     }
 }
@@ -309,42 +393,69 @@ fn defects_straddling_a_commit_boundary() {
 fn out_of_order_round_indices_are_resorted() {
     // RoundSchedule tolerates interleaved detector numbering; the
     // streaming decoder must accept rounds whose indices are not
-    // globally ascending and still match the batch decode of the
-    // sorted union.
+    // globally ascending — the graph decoders' pending set re-sorts
+    // through `cancel_pairs`, the table decoders' prefix by a sort —
+    // and, with a window covering the shot, still match the batch
+    // decode. Every sampled shot is pushed last round first; a table
+    // is keyed on the sorted syndrome, so an unsorted prefix misses.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
-    let decoder = DecoderKind::Mwpm.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
     let schedule = RoundSchedule::from_circuit(&circuit);
-    let n = schedule.num_detectors();
-    // "Round 0" carries high indices, "round 1" low ones.
-    let (hi, lo) = ([n - 2, n - 1], [0u32, 1]);
-    let mut stream = StreamingConfig::exact(2).build(&decoder, &schedule);
-    stream.begin_shot();
-    stream.push_round(&hi);
-    stream.push_round(&lo);
-    let mut union: Vec<u32> = hi.iter().chain(lo.iter()).copied().collect();
-    union.sort_unstable();
-    assert_eq!(stream.finish_shot(), decoder.predict(&union));
+    let num_rounds = schedule.num_rounds();
+    let batch = sample_batch(&circuit, 512, 53);
+    let mut rounds = RoundStream::new(&schedule);
+    let mut per_round = vec![Vec::new(); num_rounds as usize];
+    let mut full = Vec::new();
+    for (name, kind) in kinds() {
+        let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
+        let mut stream = StreamingConfig::fused(num_rounds, 0).build(&decoder, &schedule);
+        let mut telling_shots = 0u32;
+        rounds.begin_batch(&batch);
+        for s in 0..batch.shots {
+            rounds.begin_shot(s);
+            for defects in &mut per_round {
+                rounds.next_round_into(&batch, defects).expect("a round");
+            }
+            stream.begin_shot();
+            for defects in per_round.iter().rev() {
+                stream.push_round(defects);
+            }
+            batch.flagged_detectors_into(s, &mut full);
+            let expected = decoder.predict(&full);
+            assert_eq!(stream.finish_shot(), expected, "{name}: shot {s}");
+            let dirty_rounds = per_round.iter().filter(|d| !d.is_empty()).count();
+            telling_shots += u32::from(expected != 0 && dirty_rounds > 1);
+        }
+        assert!(telling_shots > 0, "{name}: no shot whose order matters");
+    }
 }
 
 #[test]
 fn parallel_streaming_driver_matches_batch_driver() {
+    // The driver's counts do not depend on the thread count at any
+    // window, and equal the batch driver's where streaming is exact:
+    // for table decoders at every window, and for every kind when the
+    // window covers the shot.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+    let num_rounds = RoundSchedule::from_circuit(&circuit).num_rounds();
     let plan = batch_plan(2_000, 512);
     for (name, kind) in kinds() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         let batch = count_batch_errors(&circuit, &decoder, &plan, 2025, 2);
-        for window in [1, 4] {
-            let streamed = count_batch_errors_streaming(
-                &circuit,
-                &decoder,
-                StreamingConfig::exact(window),
-                &plan,
-                2025,
-                2,
-            );
-            assert_eq!(streamed, batch, "{name} W={window}");
+        for window in [1, 4, num_rounds] {
+            let config = StreamingConfig::fused(window, 1);
+            let streamed = count_batch_errors_streaming(&circuit, &decoder, config, &plan, 2025, 2);
+            for threads in [1, 3] {
+                assert_eq!(
+                    count_batch_errors_streaming(&circuit, &decoder, config, &plan, 2025, threads),
+                    streamed,
+                    "{name} W={window}: {threads} threads"
+                );
+            }
+            if is_table(name) || window >= num_rounds {
+                assert_eq!(streamed, batch, "{name} W={window}");
+            }
         }
     }
 }
@@ -352,5 +463,5 @@ fn parallel_streaming_driver_matches_batch_driver() {
 #[test]
 #[should_panic(expected = "window must be at least one round")]
 fn zero_window_is_rejected() {
-    let _ = StreamingConfig::exact(0);
+    let _ = StreamingConfig::fused(0, 1);
 }

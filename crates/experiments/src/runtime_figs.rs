@@ -63,20 +63,17 @@ pub mod runtime {
         let batch = sample_batch(pipeline.circuit(), 64, config.seed);
         let mut rounds = RoundStream::new(&schedule);
         let mut defects = Vec::with_capacity(schedule.max_round_len());
-        // Both streaming modes, so recordings carry the exact commit
-        // events (stream/commit) and the fused stitch provenance
-        // (stream/fuse + decode/*/window spans).
-        for config in [StreamingConfig::exact(2), StreamingConfig::fused(2, 1)] {
-            let mut stream = config.build(pipeline.decoder(), &schedule);
-            rounds.begin_batch(&batch);
-            for s in 0..batch.shots.min(8) {
-                rounds.begin_shot(s);
-                stream.begin_shot();
-                while rounds.next_round_into(&batch, &mut defects).is_some() {
-                    let _ = stream.push_round(&defects);
-                }
-                let _ = stream.finish_shot();
+        // Recordings carry the commit events (stream/commit) and the
+        // fused stitch provenance (stream/fuse + decode/*/window spans).
+        let mut stream = StreamingConfig::fused(2, 1).build(pipeline.decoder(), &schedule);
+        rounds.begin_batch(&batch);
+        for s in 0..batch.shots.min(8) {
+            rounds.begin_shot(s);
+            stream.begin_shot();
+            while rounds.next_round_into(&batch, &mut defects).is_some() {
+                let _ = stream.push_round(&defects);
             }
+            let _ = stream.finish_shot();
         }
     }
 

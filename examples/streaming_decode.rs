@@ -1,9 +1,8 @@
 //! Stream a surface-code memory shot round by round through the
 //! sliding-window decoder, printing each commit as it is finalized,
-//! then verify the whole batch: exact-mode streaming with any window
-//! is bit-identical to batch decoding (the telescoping-delta guarantee
-//! behind `StreamingDecoder`), while fused mode decodes only the
-//! uncommitted rounds — O(window) per round — and commits the
+//! then verify the whole batch: a window covering the shot is
+//! bit-identical to batch decoding, while shorter windows decode only
+//! the uncommitted rounds — O(window) per round — and commit the
 //! correction edges that reach each finalized round, at a small,
 //! measured accuracy delta.
 //!
@@ -43,7 +42,7 @@ fn main() {
         .find(|&s| batch.hamming_weight(s) >= 2)
         .expect("a shot with defects");
     let mut rounds = RoundStream::new(&schedule);
-    let mut stream = StreamingConfig::exact(2).build(decoder, &schedule);
+    let mut stream = StreamingConfig::fused(2, 1).build(decoder, &schedule);
     rounds.begin_batch(&batch);
     rounds.begin_shot(shot);
     stream.begin_shot();
@@ -67,34 +66,33 @@ fn main() {
         schedule.num_rounds(),
     );
 
-    // --- Whole-batch identity: per-observable error counts through
-    // the exact streaming path equal the batch path, for any window.
+    // --- Whole-batch identity: a window covering the shot commits
+    // nothing before the end-of-shot drain, which decodes the shot
+    // once, so its per-observable error counts equal the batch path's.
     let plan = batch_plan(20_000, 512);
     let batch_counts = count_batch_errors(pipeline.circuit(), decoder, &plan, 7, 2);
-    for window in [1, 2, schedule.num_rounds()] {
-        let streamed_counts = count_batch_errors_streaming(
-            pipeline.circuit(),
-            decoder,
-            StreamingConfig::exact(window),
-            &plan,
-            7,
-            2,
-        );
-        assert_eq!(streamed_counts, batch_counts);
-        let errors: u64 = streamed_counts.iter().map(|b| b[0]).sum();
-        println!(
-            "W = {window}: 20k shots streamed, observable-0 errors = {errors} \
-             (bit-identical to batch decode)"
-        );
-    }
+    let window = schedule.num_rounds();
+    let streamed_counts = count_batch_errors_streaming(
+        pipeline.circuit(),
+        decoder,
+        StreamingConfig::fused(window, 1),
+        &plan,
+        7,
+        2,
+    );
+    assert_eq!(streamed_counts, batch_counts);
+    let batch_errors: u64 = batch_counts.iter().map(|b| b[0]).sum();
+    println!(
+        "W = {window}: 20k shots streamed, observable-0 errors = {batch_errors} \
+         (bit-identical to batch decode)"
+    );
 
-    // --- Fused mode: O(window) per round instead of O(prefix). Each
-    // commit decodes the uncommitted rounds once, finalizes the
+    // --- Shorter windows: O(window) per round instead of O(shot).
+    // Each commit decodes the uncommitted rounds once, finalizes the
     // correction edges that reach the committing round, and hands
     // their far endpoints to the next rounds as artificial defects. A
     // commit cannot see defects more than W - 1 rounds ahead, which is
     // the accuracy trade: W = d gives it a code distance of lookahead.
-    let batch_errors: u64 = batch_counts.iter().map(|b| b[0]).sum();
     for window in [2, d] {
         let fused_counts = count_batch_errors_streaming(
             pipeline.circuit(),
@@ -106,7 +104,7 @@ fn main() {
         );
         let fused_errors: u64 = fused_counts.iter().map(|b| b[0]).sum();
         println!(
-            "fused W = {window}, overlap 1: observable-0 errors = {fused_errors} vs \
+            "W = {window}, overlap 1: observable-0 errors = {fused_errors} vs \
              {batch_errors} batch (delta {:+}) — bounded per-round cost, measured accuracy trade",
             fused_errors as i64 - batch_errors as i64,
         );

@@ -52,7 +52,7 @@ fn main() {
     let schedule = RoundSchedule::from_circuit(pipeline.circuit());
     let batch = sample_batch(pipeline.circuit(), 64, 7);
     let mut rounds = RoundStream::new(&schedule);
-    let mut stream = StreamingConfig::exact(2).build(pipeline.decoder(), &schedule);
+    let mut stream = StreamingConfig::fused(2, 1).build(pipeline.decoder(), &schedule);
     let mut defects = Vec::with_capacity(schedule.max_round_len());
     rounds.begin_batch(&batch);
     for shot in 0..batch.shots.min(16) {

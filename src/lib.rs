@@ -85,13 +85,13 @@
 //! through [`decoder::StreamingDecoder`], built by a
 //! [`decoder::StreamingConfig`] that wraps any batch decoder in a
 //! sliding window of `W` rounds and commits a final correction for
-//! each round that scrolls out. Exact mode is bit-identical to batch
-//! decoding of the full syndrome for every decoder family; fused mode
-//! (`StreamingConfig::fused(window, overlap)`) decodes only the
-//! uncommitted rounds, once per commit, and commits the correction
-//! edges that reach each finalized round, for O(window) per-round cost
-//! at a measured accuracy delta (table decoders, which have no edges,
-//! take exact mode's prefix path):
+//! each round that scrolls out. `StreamingConfig::fused(window,
+//! overlap)` decodes only the uncommitted rounds, once per commit, and
+//! commits the correction edges that reach each finalized round, for
+//! O(window) per-round cost at a measured accuracy delta; a window
+//! covering the shot is bit-identical to batch decoding (table
+//! decoders, which have no edges, re-decode the accumulated prefix and
+//! are bit-identical at any window):
 //!
 //! ```
 //! use ftqc::decoder::{DecoderKind, StreamingConfig};
@@ -109,7 +109,7 @@
 //! let batch = sample_batch(pipeline.circuit(), 64, 5);
 //!
 //! let mut rounds = RoundStream::new(&schedule);
-//! let mut stream = StreamingConfig::exact(2) // W = 2
+//! let mut stream = StreamingConfig::fused(2, 1) // W = 2, overlap 1
 //!     .build(pipeline.decoder(), &schedule);
 //! let mut defects = Vec::with_capacity(schedule.max_round_len());
 //! rounds.begin_batch(&batch);
@@ -126,10 +126,11 @@
 //! ```
 //!
 //! `cargo run --release --example streaming_decode` narrates one
-//! shot's commits, proves exact streaming ≡ batch over 20 000 shots,
-//! and reports the fused-mode accuracy delta; the `decode-latency`
-//! bench scenario tracks the per-round latency distribution of both
-//! modes and `fusion-accuracy` tracks the fused-vs-batch LER delta.
+//! shot's commits, proves that a window covering the shot ≡ batch over
+//! 20 000 shots, and reports the accuracy delta of shorter windows;
+//! the `decode-latency` bench scenario tracks the per-round latency
+//! distribution and `fusion-accuracy` tracks the fused-vs-batch LER
+//! delta.
 //!
 //! To see *where inside a run* the time goes, install a
 //! [`telemetry::RingSink`] before running any of the above and export
