@@ -12,8 +12,9 @@
 //!   ([`StreamingDecoder`](ftqc_decoder::StreamingDecoder) fed by a
 //!   [`RoundStream`](ftqc_sim::RoundStream), window = 2, one round of
 //!   overlap, so O(window) per round): every round arrival/commit
-//!   event is timed individually and reported as three rows per
-//!   decoder × distance — `<kind>/d<d>/fused/p50`, `/p99` and `/max`
+//!   event is timed individually and reported as three rows per graph
+//!   decoder (UF, MWPM; table decoders do not stream) × distance —
+//!   `<kind>/d<d>/fused/p50`, `/p99` and `/max`
 //!   ns per round (each row's `median_ns_per_op` carries that order
 //!   statistic — median-of-passes for p50/p99, min-of-passes for the
 //!   noise-sensitive max — so tail latency rides the existing compare
@@ -23,11 +24,11 @@
 //!   micro-blossom's `decoding_speed/distribution` harness and is the
 //!   number a real-time claim rests on.
 //! * `fusion-accuracy` — the accuracy side of the same trade: the
-//!   fused-vs-batch logical-error delta per decoder family × distance
-//!   over a seeded shot plan, reported in errors per million shots
-//!   (`<kind>/d<d>/{batch,fused,delta}-epm` rows at window 2, plus
-//!   `fused-w<d>-epm` / `delta-w<d>-epm` rows at window `d` for the
-//!   graph decoders; deterministic, so exactly reproducible).
+//!   fused-vs-batch logical-error delta per graph decoder family ×
+//!   distance over a seeded shot plan, reported in errors per million
+//!   shots (`<kind>/d<d>/{batch,fused,delta}-epm` rows at window 2,
+//!   plus `fused-w<d>-epm` / `delta-w<d>-epm` rows at window `d`;
+//!   deterministic, so exactly reproducible).
 //! * `adaptive-pipeline` — end-to-end shots/sec of the
 //!   run-until-confident evaluation engine (sampling + decoding +
 //!   stopping), the loop behind every LER figure.
@@ -260,24 +261,20 @@ fn decode_throughput(preset: Preset) -> Vec<BenchResult> {
 const LATENCY_WINDOW: u32 = 2;
 
 /// `(decoder label, kind, distances per preset)` rows of the per-round
-/// latency sweep. Smaller than the throughput matrix: a row times
-/// every round event of every shot, and table decoders re-decode the
-/// accumulated prefix on each commit.
+/// latency sweep: the graph decoders only, since table decoders do not
+/// stream. Smaller than the throughput matrix: a row times every round
+/// event of every shot.
 fn latency_matrix(preset: Preset) -> Matrix {
     match preset {
         // Keep one large-distance row (uf/d11) so the gate sees tail
         // latency at a graph size that misses L1.
         Preset::Quick => vec![
             ("uf", DecoderKind::UnionFind, vec![3, 11]),
-            ("lut", DecoderKind::lut(), vec![3]),
             ("mwpm", DecoderKind::Mwpm, vec![3]),
-            ("hierarchical", DecoderKind::hierarchical(), vec![3]),
         ],
         Preset::Full => vec![
             ("uf", DecoderKind::UnionFind, vec![3, 5, 7, 11, 15]),
-            ("lut", DecoderKind::lut(), vec![3, 5]),
             ("mwpm", DecoderKind::Mwpm, vec![3, 5, 11]),
-            ("hierarchical", DecoderKind::hierarchical(), vec![3, 5]),
         ],
     }
 }
@@ -376,15 +373,14 @@ fn decode_latency(preset: Preset) -> Vec<BenchResult> {
 /// `fusion-accuracy` — the *accuracy* side of the windowed-fusion
 /// trade: the same pre-planned shot set decoded batch-wise and through
 /// the fused streaming path (window = [`LATENCY_WINDOW`], overlap 1),
-/// per decoder family × distance. Rows carry logical-error counts
+/// per graph decoder family × distance. Rows carry logical-error counts
 /// scaled to **errors per million shots** in `median_ns_per_op` (this
 /// scenario measures accuracy, not time — the field is just the row's
 /// value carrier): `<kind>/d<d>/batch-epm`, `/fused-epm`, and
 /// `/delta-epm` (fused − batch, the signed fusion accuracy delta the
-/// EXPERIMENTS.md table reports). The graph decoders (UF, MWPM) also
-/// stream at window `d`, overlap 1 — `/fused-w<d>-epm` and
-/// `/delta-w<d>-epm` — the window at which a commit sees a full code
-/// distance of rounds ahead. Counts are seeded and deterministic, so
+/// EXPERIMENTS.md table reports). Each family also streams at window
+/// `d`, overlap 1 — `/fused-w<d>-epm` and `/delta-w<d>-epm` — the
+/// window at which a commit sees a full code distance of rounds ahead. Counts are seeded and deterministic, so
 /// `samples` is 1 and the rows are exactly reproducible.
 fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
     use ftqc_decoder::{count_batch_errors, count_batch_errors_streaming, StreamingConfig};
@@ -403,9 +399,7 @@ fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
             100_000,
             vec![
                 ("uf", DecoderKind::UnionFind, vec![3, 5, 7]),
-                ("lut", DecoderKind::lut(), vec![3]),
                 ("mwpm", DecoderKind::Mwpm, vec![3, 5, 7]),
-                ("hierarchical", DecoderKind::hierarchical(), vec![3]),
             ],
         ),
     };
@@ -433,11 +427,7 @@ fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
                 ));
             };
             row("batch-epm".into(), epm(batch));
-            let graph_decoder = matches!(kind, DecoderKind::UnionFind | DecoderKind::Mwpm);
             for (window, tag) in [(LATENCY_WINDOW, String::new()), (d, format!("-w{d}"))] {
-                if window == d && !graph_decoder {
-                    continue;
-                }
                 let fused = total(count_batch_errors_streaming(
                     pipeline.circuit(),
                     decoder,

@@ -1,9 +1,8 @@
 //! Counting-allocator proofs for the streaming decode path: once the
 //! round stream and the sliding-window decoder have warmed up, pushing
 //! a round — extraction from the sample batch included — performs
-//! **zero** heap allocations (exact, not statistical), for the
-//! graph-based kinds even on the first pass (their buffers are
-//! presized from `ScratchCapacity`).
+//! **zero** heap allocations (exact, not statistical), even on the
+//! first pass (the buffers are presized from `ScratchCapacity`).
 
 use ftqc_bench::alloc::{allocation_count, CountingAlloc};
 use ftqc_decoder::{DecoderKind, DecodingGraph, StreamingConfig};
@@ -80,15 +79,9 @@ fn immediate_commit_window_is_also_allocation_free() {
 fn fused_mode_is_allocation_free_at_steady_state() {
     let _guard = counter_guard();
     // The fused commit path decodes each window in place on the full
-    // graph, in the same globally indexed arenas as a batch decode,
-    // and table decoders re-decode their presized prefix: after the
-    // warm-up pass, streaming must never touch the heap.
-    for (kind, label) in [
-        (DecoderKind::UnionFind, "UF"),
-        (DecoderKind::Mwpm, "MWPM"),
-        (DecoderKind::lut(), "LUT"),
-        (DecoderKind::hierarchical(), "hierarchical"),
-    ] {
+    // graph, in the same globally indexed arenas as a batch decode:
+    // after the warm-up pass, streaming must never touch the heap.
+    for (kind, label) in [(DecoderKind::UnionFind, "UF"), (DecoderKind::Mwpm, "MWPM")] {
         for window in [1, 2] {
             let allocs = steady_state_stream_allocs(kind, StreamingConfig::fused(window, 1), 3);
             assert_eq!(

@@ -73,15 +73,6 @@ impl Circuit {
         first
     }
 
-    /// Appends every op from `other` (useful for composing circuit
-    /// fragments built separately against the same register and record
-    /// numbering).
-    pub fn extend_from(&mut self, other: &Circuit) {
-        for op in &other.ops {
-            self.push(op.clone());
-        }
-    }
-
     /// Basis and coordinates of each detector, in declaration order.
     pub fn detector_metadata(&self) -> Vec<(DetectorBasis, [f64; 3])> {
         self.ops

@@ -1,7 +1,6 @@
 //! Timed schedules: circuits with explicit per-op start times.
 
 use crate::op::Op;
-use crate::Circuit;
 
 /// An operation with an explicit start time and duration (nanoseconds).
 #[derive(Debug, Clone, PartialEq)]
@@ -84,14 +83,6 @@ impl Schedule {
         &self.ops
     }
 
-    /// The operations sorted by start time (ties keep insertion order),
-    /// which is the execution order used when lowering to a [`Circuit`].
-    pub fn sorted_ops(&self) -> Vec<&ScheduledOp> {
-        let mut v: Vec<&ScheduledOp> = self.ops.iter().collect();
-        v.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("finite times"));
-        v
-    }
-
     /// End time of the schedule: max over ops of `start + duration`.
     pub fn end_time(&self) -> f64 {
         self.ops
@@ -99,72 +90,11 @@ impl Schedule {
             .map(|s| s.start + s.duration)
             .fold(0.0, f64::max)
     }
-
-    /// Lowers the schedule to a flat noiseless [`Circuit`] (insertion
-    /// order, timing dropped — builders emit each qubit's timeline
-    /// chronologically, so insertion order keeps measurement record
-    /// indices stable). Noise models provide their own lowering that
-    /// inserts gate and idle errors.
-    pub fn to_circuit(&self) -> Circuit {
-        let mut c = Circuit::new(self.num_qubits);
-        for s in self.ops() {
-            c.push(s.op.clone());
-        }
-        c
-    }
-
-    /// Shifts every op starting at or after `at` forward by `delta` ns,
-    /// opening an idle gap in the schedule. Used by synchronization
-    /// policies to insert slack.
-    pub fn insert_gap(&mut self, at: f64, delta: f64) {
-        assert!(delta >= 0.0, "gap must be non-negative");
-        for s in &mut self.ops {
-            if s.start >= at {
-                s.start += delta;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MeasRef;
-
-    #[test]
-    fn sorted_ops_orders_by_time() {
-        let mut s = Schedule::new(2);
-        s.push(100.0, 10.0, Op::h([1]));
-        s.push(0.0, 10.0, Op::h([0]));
-        let order: Vec<f64> = s.sorted_ops().iter().map(|o| o.start).collect();
-        assert_eq!(order, vec![0.0, 100.0]);
-    }
-
-    #[test]
-    fn to_circuit_preserves_records() {
-        let mut s = Schedule::new(1);
-        s.push(0.0, 10.0, Op::ResetZ(vec![0]));
-        s.push(10.0, 100.0, Op::measure_z([0], 0.0));
-        s.push(
-            110.0,
-            0.0,
-            Op::detector([MeasRef(0)], crate::DetectorBasis::Z),
-        );
-        let c = s.to_circuit();
-        assert_eq!(c.num_measurements(), 1);
-        assert_eq!(c.num_detectors(), 1);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn insert_gap_shifts_later_ops_only() {
-        let mut s = Schedule::new(1);
-        s.push(0.0, 10.0, Op::h([0]));
-        s.push(20.0, 10.0, Op::h([0]));
-        s.insert_gap(15.0, 100.0);
-        assert_eq!(s.ops()[0].start, 0.0);
-        assert_eq!(s.ops()[1].start, 120.0);
-    }
 
     #[test]
     fn end_time_is_max_extent() {

@@ -36,8 +36,9 @@ pub trait Decoder: Sync {
     /// The decode touches only the window, which is what makes fused
     /// streaming O(window) per round, and over the full range
     /// `(0, num_detectors)` it is the batch decode. The default is the
-    /// table decoders' answer: they return `None`, and streaming runs
-    /// them through its prefix path instead.
+    /// table decoders' answer: they return `None`, so they cannot
+    /// stream ([`StreamingConfig::build`](crate::StreamingConfig::build)
+    /// rejects them).
     fn decode_window_into(
         &self,
         _scratch: &mut DecoderScratch,

@@ -1,5 +1,5 @@
-//! Windowed fusion: the forward-window commit state behind a graph
-//! decoder's [`StreamingDecoder`](crate::StreamingDecoder).
+//! Windowed fusion: the forward-window commit state behind every
+//! [`StreamingDecoder`](crate::StreamingDecoder).
 //!
 //! Fused streaming decodes only a window of rounds. A graph decoder's
 //! [`decode_window_into`](crate::Decoder::decode_window_into) runs in
@@ -131,16 +131,18 @@ pub(crate) struct FusionCore {
 }
 
 impl FusionCore {
-    /// The fused state for `decoder`, or `None` for a decoder without
-    /// edge output (a table decoder), which streams through the prefix
-    /// path instead.
+    /// The fused state for `decoder`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a decoder without a decoding graph (a table decoder).
     pub(crate) fn new<D: Decoder>(
         decoder: &D,
         scratch: &mut DecoderScratch,
         overlap: u32,
         schedule: &RoundSchedule,
         cap: ScratchCapacity,
-    ) -> Option<FusionCore> {
+    ) -> FusionCore {
         // analyzer: allow(alloc) -- constructor: one-time copy of the
         // round schedule, the cut-edge table and presizing of the
         // defect and edge buffers; the push/commit path reuses them
@@ -148,8 +150,13 @@ impl FusionCore {
         let mut edges = Vec::with_capacity(cap.correction_edges());
         // An empty window decode tells graph decoders, which return
         // their graph, from table decoders, which decline.
-        let graph = decoder.decode_window_into(scratch, (0, 0), &[], &mut edges)?;
-        Some(FusionCore {
+        let graph = decoder
+            .decode_window_into(scratch, (0, 0), &[], &mut edges)
+            .expect(
+                "streaming needs a decoder with a decoding graph \
+                 (table decoders decline `decode_window_into`)",
+            );
+        FusionCore {
             overlap,
             schedule: schedule.clone(),
             cuts: CutTable::new(graph, schedule),
@@ -158,7 +165,7 @@ impl FusionCore {
             retained: Vec::with_capacity(cap.edges as usize),
             valid: true,
             ahead: false,
-        })
+        }
         // analyzer: end-allow(alloc)
     }
 

@@ -203,8 +203,8 @@ impl Decoder for AnyDecoder {
         edges: &mut Vec<u32>,
     ) -> Option<&DecodingGraph> {
         // Same kind-tagged spans as `decode_into`, suffixed so a trace
-        // separates full-prefix decodes from windowed-fusion decodes.
-        // Only the graph decoders decode windows.
+        // separates batch decodes from windowed-fusion decodes. Only
+        // the graph decoders decode windows.
         let (name, decoder): (_, &dyn Decoder) = match self {
             AnyDecoder::UnionFind(d) => ("decode/union-find/window", d),
             AnyDecoder::Mwpm(d) => ("decode/mwpm/window", d),

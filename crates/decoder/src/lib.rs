@@ -32,7 +32,7 @@
 //!   noisy circuit under any [`Decoder`]; [`count_batch_errors`] is the
 //!   streaming per-batch variant the adaptive evaluation engine merges
 //!   incrementally, with one scratch per worker thread.
-//! * [`StreamingDecoder`] — the real-time face of the stack: any
+//! * [`StreamingDecoder`] — the real-time face of the stack: a graph
 //!   decoder consumed round by round through a sliding window of `W`
 //!   rounds, committing corrections for rounds that scroll out.
 //!   Configured by [`StreamingConfig`] (window and overlap), a commit
@@ -44,9 +44,7 @@
 //!   measured accuracy delta. The graph decoders' primary output is
 //!   that edge set ([`Decoder::decode_window_into`]); their batch mask
 //!   is the XOR of its edges' observables. Table decoders have no
-//!   edges: they re-decode the accumulated prefix each commit, which
-//!   is bit-identical to batch decoding by construction (telescoping
-//!   XOR deltas; the type's docs carry the argument).
+//!   edges and do not stream: [`StreamingConfig::build`] rejects them.
 //!   [`count_batch_errors_streaming`] is the batch-driver form; the
 //!   `decode-latency` scenario of `ftqc-bench` measures per-round
 //!   latency.

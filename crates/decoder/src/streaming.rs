@@ -6,8 +6,9 @@
 //! ([`Decoder::decode_window_into`]), and commits its correction edges
 //! forward, one round at a time: per-round cost O(window), independent
 //! of stream length, at the price of a small, measurable accuracy
-//! delta. Table decoders have no edges; they stream through a prefix
-//! path that re-decodes the accumulated syndrome on every commit.
+//! delta. Streaming is a graph-decoder feature: table decoders have no
+//! correction edges to commit, and [`StreamingConfig::build`] rejects
+//! them.
 
 use crate::evaluate::Decoder;
 use crate::fusion::{FusedCommit, FusionCore};
@@ -50,6 +51,14 @@ impl StreamingConfig {
     /// Builds the streaming decoder for this configuration. The round
     /// schedule tells the decoder which detectors belong to which
     /// round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decoder` has no decoding graph: table decoders
+    /// ([`LutDecoder`](crate::LutDecoder),
+    /// [`HierarchicalDecoder`](crate::HierarchicalDecoder)) decline
+    /// [`Decoder::decode_window_into`], so they have no correction
+    /// edges to commit.
     pub fn build<D: Decoder>(self, decoder: D, schedule: &RoundSchedule) -> StreamingDecoder<D> {
         StreamingDecoder::with_config(decoder, self, schedule)
     }
@@ -67,40 +76,22 @@ pub struct RoundCommit {
     pub correction: u32,
     /// Running XOR of every correction committed so far this shot:
     /// after the last commit, the windowed estimate of the batch decode
-    /// of the full syndrome (exactly the batch decode for a table
-    /// decoder, or for a window covering the shot).
+    /// of the full syndrome (exactly the batch decode for a window
+    /// covering the shot).
     pub cumulative: u32,
     /// Fusion provenance: artificial defects this commit carried
     /// forward — the uncommitted endpoints of the correction edges it
-    /// finalized, which later windows must still correct. Always `0`
-    /// for table decoders.
+    /// finalized, which later windows must still correct.
     pub boundary_defects: u32,
     /// Fusion provenance: cut edges of the window this commit decoded
     /// — the graph's edges from a detector in the window's range to one
     /// above it, toward rounds not yet arrived, which the decode took
-    /// as ending at the boundary. `0` for table decoders and on commits
-    /// that reused an earlier decode.
+    /// as ending at the boundary. `0` on commits that reused an earlier
+    /// decode.
     pub stitched_edges: u32,
 }
 
-/// A table decoder's prefix state: the accumulated syndrome prefix and
-/// its memoized decode.
-struct PrefixState {
-    /// Accumulated syndrome prefix (sorted ascending).
-    syndrome: Vec<u32>,
-    /// Decode of `syndrome`, valid only when `running_valid`.
-    running: u32,
-    running_valid: bool,
-}
-
-enum StreamPath {
-    /// Table decoders, which have no correction edges.
-    Prefix(PrefixState),
-    /// Graph decoders. Boxed: the fusion core is ~10x the prefix state.
-    Fused(Box<FusionCore>),
-}
-
-/// Sliding-window streaming wrapper around any [`Decoder`] — the
+/// Sliding-window streaming wrapper around a graph [`Decoder`] — the
 /// real-time face of the decoding stack.
 ///
 /// Batch evaluation decodes each shot's complete syndrome in one call.
@@ -108,9 +99,10 @@ enum StreamPath {
 /// one at a time, and corrections for old rounds must be *finalized*
 /// (committed) while new rounds are still streaming in — the paper's
 /// synchronization story presumes exactly this. `StreamingDecoder`
-/// wraps any [`Decoder`] and consumes per-round defect lists (e.g.
-/// from [`RoundStream`](ftqc_sim::RoundStream)) through a sliding
-/// window of `W` rounds; a committed round's correction never changes
+/// wraps a graph decoder (union-find or matching) and consumes
+/// per-round defect lists (e.g. from
+/// [`RoundStream`](ftqc_sim::RoundStream)) through a sliding window of
+/// `W` rounds; a committed round's correction never changes
 /// afterwards. Configure it with [`StreamingConfig`] (window and
 /// overlap); per shot:
 /// [`begin_shot`](StreamingDecoder::begin_shot), then
@@ -139,21 +131,11 @@ enum StreamPath {
 /// commits nothing before the end-of-shot drain, which decodes the
 /// shot once, so it is bit-identical to batch decoding.
 ///
-/// # Table decoders: the prefix path
-///
-/// Table decoders have no correction edges. Every commit of theirs
-/// decodes the full *accumulated prefix* of the syndrome and emits the
-/// XOR **delta** against the corrections already committed. Deltas
-/// telescope — XOR-ing every committed correction of a shot yields
-/// exactly `decode(full syndrome)` — so their stream is bit-identical
-/// to batch decoding at any window, at a per-commit cost that grows
-/// with the stream.
-///
-/// Both paths keep the steady state cheap and allocation-free:
-/// commits only invoke the decoder when the relevant syndrome changed
-/// since the last decode (a defect-free round costs a few compares), the
-/// all-empty syndrome is memoized per stream exactly like
-/// `count_batch_errors`' empty-syndrome path, buffers are presized
+/// The steady state is cheap and allocation-free: commits only invoke
+/// the decoder when the relevant syndrome changed since the last
+/// decode (a defect-free round costs a few compares), a shot with no
+/// rounds answers from a per-stream memo of the empty-syndrome decode
+/// like `count_batch_errors`' empty-syndrome path, buffers are presized
 /// from [`ScratchCapacity`](crate::ScratchCapacity), and the scratch
 /// is the same reusable [`DecoderScratch`] the batch path uses.
 ///
@@ -194,7 +176,7 @@ pub struct StreamingDecoder<D> {
     decoder: D,
     config: StreamingConfig,
     scratch: DecoderScratch,
-    path: StreamPath,
+    fusion: FusionCore,
     /// XOR of every correction committed so far this shot.
     emitted: u32,
     pushed: u32,
@@ -216,37 +198,22 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// The scratch is preallocated with
     /// [`DecoderScratch::for_decoder`] and every streaming buffer is
     /// presized from the decoder's declared
-    /// [`scratch_capacity`](Decoder::scratch_capacity) (plus the round
-    /// schedule, for a graph decoder), so decoding streams with zero
-    /// heap allocations from the very first round.
+    /// [`scratch_capacity`](Decoder::scratch_capacity) and the round
+    /// schedule, so decoding streams with zero heap allocations from
+    /// the very first round.
     fn with_config(
         decoder: D,
         config: StreamingConfig,
         schedule: &RoundSchedule,
     ) -> StreamingDecoder<D> {
-        assert!(
-            config.window > 0,
-            "streaming window must be at least one round"
-        );
         let mut scratch = DecoderScratch::for_decoder(&decoder);
         let cap = decoder.scratch_capacity();
-        let fused = FusionCore::new(&decoder, &mut scratch, config.overlap, schedule, cap);
-        let path = match fused {
-            // analyzer: allow(alloc) -- constructor: the fusion core is
-            // boxed once per stream.
-            Some(core) => StreamPath::Fused(Box::new(core)),
-            // analyzer: end-allow(alloc)
-            None => StreamPath::Prefix(PrefixState {
-                syndrome: Vec::with_capacity(cap.nodes as usize),
-                running: 0,
-                running_valid: false,
-            }),
-        };
+        let fusion = FusionCore::new(&decoder, &mut scratch, config.overlap, schedule, cap);
         StreamingDecoder {
             decoder,
             config,
             scratch,
-            path,
+            fusion,
             emitted: 0,
             pushed: 0,
             committed: 0,
@@ -259,14 +226,7 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// Resets per-shot state (the empty-syndrome memo survives —
     /// decoders are deterministic across shots).
     pub fn begin_shot(&mut self) {
-        match &mut self.path {
-            StreamPath::Prefix(e) => {
-                e.syndrome.clear();
-                e.running = 0;
-                e.running_valid = false;
-            }
-            StreamPath::Fused(f) => f.reset(),
-        }
+        self.fusion.reset();
         self.emitted = 0;
         self.pushed = 0;
         self.committed = 0;
@@ -292,19 +252,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                 self.node_bound
             );
         }
-        match &mut self.path {
-            StreamPath::Prefix(e) => {
-                if !defects.is_empty() {
-                    let in_order = e.syndrome.last().is_none_or(|&last| defects[0] > last);
-                    e.syndrome.extend_from_slice(defects);
-                    if !in_order {
-                        e.syndrome.sort_unstable();
-                    }
-                    e.running_valid = false;
-                }
-            }
-            StreamPath::Fused(f) => f.push(defects),
-        }
+        self.fusion.push(defects);
         self.pushed += 1;
         (self.pushed - self.committed >= self.config.window).then(|| self.commit_round())
     }
@@ -312,10 +260,10 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// Commits the oldest pending round without pushing a new one —
     /// `None` when nothing is pending. [`finish_shot`] drains the tail
     /// with this at end of stream; calling it early shrinks the
-    /// effective lookahead of the round it flushes. For a graph decoder
-    /// the first flush decodes the remaining rounds once and the ones
-    /// after it commit that decode, which is what makes a window
-    /// covering the whole shot exactly batch-equivalent.
+    /// effective lookahead of the round it flushes. The first flush
+    /// decodes the remaining rounds once and the ones after it commit
+    /// that decode, which is what makes a window covering the whole
+    /// shot exactly batch-equivalent.
     ///
     /// [`finish_shot`]: StreamingDecoder::finish_shot
     pub fn flush_round(&mut self) -> Option<RoundCommit> {
@@ -325,8 +273,7 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// Flushes every pending round and returns the shot's total
     /// correction: the windowed estimate of batch-decoding the full
     /// syndrome in one [`Decoder::decode_into`] call, equal to it when
-    /// no round committed before the end of the shot, and for table
-    /// decoders always.
+    /// no round committed before the end of the shot.
     pub fn finish_shot(&mut self) -> u32 {
         while self.flush_round().is_some() {}
         if self.pushed == 0 {
@@ -389,38 +336,22 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// Finalizes the oldest pending round.
     fn commit_round(&mut self) -> RoundCommit {
         let round = self.committed;
-        let StreamingDecoder {
-            decoder,
-            scratch,
-            path,
-            emitted,
-            pushed,
-            empty_pred,
-            decodes,
-            ..
-        } = self;
-        let (correction, boundary_defects, stitched_edges, defects_held) = match path {
-            StreamPath::Prefix(e) => {
-                prefix_running(decoder, scratch, e, empty_pred, decodes);
-                (e.running ^ *emitted, 0, 0, e.syndrome.len())
-            }
-            StreamPath::Fused(f) => {
-                let FusedCommit {
-                    correction,
-                    carried,
-                    stitched,
-                    decoded,
-                } = f.commit(decoder, scratch, round, *pushed);
-                *decodes += u64::from(decoded);
-                (correction, carried, stitched, f.pending_len())
-            }
-        };
+        let FusedCommit {
+            correction,
+            carried: boundary_defects,
+            stitched: stitched_edges,
+            decoded,
+        } = self
+            .fusion
+            .commit(&self.decoder, &mut self.scratch, round, self.pushed);
+        self.decodes += u64::from(decoded);
         self.emitted ^= correction;
         self.committed = round + 1;
         // Explicitly gated so the disabled path pays one relaxed load and
         // never builds the argument arrays — this sits inside the ~40 ns
         // defect-free round commit that `decode-latency` gates in CI.
         if ftqc_telemetry::enabled() {
+            let defects_held = self.fusion.pending_len();
             ftqc_telemetry::instant(
                 "stream/commit",
                 &[
@@ -430,17 +361,15 @@ impl<D: Decoder> StreamingDecoder<D> {
                     ftqc_telemetry::Arg::new("prefix_defects", defects_held as f64),
                 ],
             );
-            if matches!(self.path, StreamPath::Fused(_)) {
-                ftqc_telemetry::instant(
-                    "stream/fuse",
-                    &[
-                        ftqc_telemetry::Arg::new("round", round as f64),
-                        ftqc_telemetry::Arg::new("boundary_defects", boundary_defects as f64),
-                        ftqc_telemetry::Arg::new("stitched_edges", stitched_edges as f64),
-                        ftqc_telemetry::Arg::new("active", defects_held as f64),
-                    ],
-                );
-            }
+            ftqc_telemetry::instant(
+                "stream/fuse",
+                &[
+                    ftqc_telemetry::Arg::new("round", round as f64),
+                    ftqc_telemetry::Arg::new("boundary_defects", boundary_defects as f64),
+                    ftqc_telemetry::Arg::new("stitched_edges", stitched_edges as f64),
+                    ftqc_telemetry::Arg::new("active", defects_held as f64),
+                ],
+            );
         }
         RoundCommit {
             round,
@@ -452,32 +381,6 @@ impl<D: Decoder> StreamingDecoder<D> {
     }
 }
 
-/// Makes `e.running` the decode of a table decoder's accumulated
-/// syndrome (memoizing the empty syndrome in `empty_pred`).
-fn prefix_running<D: Decoder>(
-    decoder: &D,
-    scratch: &mut DecoderScratch,
-    e: &mut PrefixState,
-    empty_pred: &mut Option<u32>,
-    decodes: &mut u64,
-) {
-    if e.running_valid {
-        return;
-    }
-    if e.syndrome.is_empty() {
-        e.running = *empty_pred.get_or_insert_with(|| {
-            let mut p = 0u32;
-            decoder.decode_into(scratch, &[], &mut p);
-            *decodes += 1;
-            p
-        });
-    } else {
-        decoder.decode_into(scratch, &e.syndrome, &mut e.running);
-        *decodes += 1;
-    }
-    e.running_valid = true;
-}
-
 /// [`count_batch_errors`](crate::count_batch_errors), but every shot is
 /// decoded through the streaming path: rounds are extracted one at a
 /// time by a per-worker [`RoundStream`] and pushed through a
@@ -487,17 +390,18 @@ fn prefix_running<D: Decoder>(
 /// The counts differ from
 /// [`count_batch_errors`](crate::count_batch_errors) on the same plan
 /// by the fusion accuracy delta, which the `fusion-accuracy` harness
-/// measures per decoder family; they equal it for table decoders and
-/// for a window covering the shot, and they do not depend on
-/// `threads` (the decoder-crate streaming tests enforce both).
+/// measures per decoder family; they equal it for a window covering
+/// the shot, and they do not depend on `threads` (the decoder-crate
+/// streaming tests enforce both).
 /// Steady-state shots allocate nothing
 /// beyond the batch path (same scratch, same scanner, plus the
 /// reusable round/window buffers).
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero, any batch in the plan is empty, or the
-/// circuit declares no detectors.
+/// Panics if `threads` is zero, any batch in the plan is empty, the
+/// circuit declares no detectors, or `decoder` is a table decoder
+/// (see [`StreamingConfig::build`]).
 pub fn count_batch_errors_streaming(
     circuit: &Circuit,
     decoder: &impl Decoder,

@@ -4,7 +4,7 @@
 //! Fused streaming is approximate *only* when a round commits before
 //! the end of the shot: its correction edges are then final, and the
 //! ones reaching later rounds hand those rounds artificial defects.
-//! These tests pin both sides of that line for all four decoder
+//! These tests pin both sides of that line for both graph decoder
 //! families: windows covering the whole shot are bit-identical to
 //! batch decoding; one-round windows and defect chains straddling two
 //! or more window boundaries keep the telescoping/provenance
@@ -21,28 +21,8 @@ use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{batch_plan, sample_batch, DetectorErrorModel, RoundSchedule, RoundStream};
 use ftqc_surface::MemoryConfig;
 
-const TRAIN_SHOTS: usize = 5_000;
-const CAPACITY_BYTES: usize = 64 * 1024;
-
-fn kinds() -> [(&'static str, DecoderKind); 4] {
-    [
-        ("uf", DecoderKind::UnionFind),
-        ("mwpm", DecoderKind::Mwpm),
-        (
-            "lut",
-            DecoderKind::Lut {
-                train_shots: TRAIN_SHOTS,
-                capacity_bytes: CAPACITY_BYTES,
-            },
-        ),
-        (
-            "hierarchical",
-            DecoderKind::Hierarchical {
-                train_shots: TRAIN_SHOTS,
-                capacity_bytes: CAPACITY_BYTES,
-            },
-        ),
-    ]
+fn kinds() -> [(&'static str, DecoderKind); 2] {
+    [("uf", DecoderKind::UnionFind), ("mwpm", DecoderKind::Mwpm)]
 }
 
 fn memory_circuit(d: u32, p: f64) -> Circuit {
@@ -53,7 +33,7 @@ fn memory_circuit(d: u32, p: f64) -> Circuit {
 /// Streams every sampled shot through a fused stream built from
 /// `config` and asserts bit-identity with one batch decode per shot —
 /// the exactness contract for configurations that commit nothing
-/// mid-shot, and for table decoders at any window.
+/// mid-shot.
 fn assert_fused_matches_batch(
     circuit: &Circuit,
     decoder: &(impl Decoder + ?Sized),
@@ -92,8 +72,9 @@ fn assert_fused_matches_batch(
 #[test]
 fn fused_window_covering_the_shot_is_bit_identical_to_batch() {
     // W ≥ total rounds: nothing commits before the end-of-shot drain,
-    // and flush commits never expel, so fusion degenerates to exact
-    // mode — bit for bit, for every decoder family and any overlap.
+    // and flush commits never expel, so fusion degenerates to one
+    // batch decode — bit for bit, for every decoder family and any
+    // overlap.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let num_rounds = RoundSchedule::from_circuit(&circuit).num_rounds();
@@ -118,8 +99,6 @@ fn one_round_window_commits_forward_under_full_overlap() {
     // finalize each round's correction edges at once and hand the ones
     // reaching the next round to it as artificial defects; a full
     // overlap only keeps the committed rounds in the view as context.
-    // Table decoders have no edges and stream through the prefix
-    // path, which stays bit-identical to batch at any window.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -128,10 +107,6 @@ fn one_round_window_commits_forward_under_full_overlap() {
     for (name, kind) in kinds() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         let label = format!("{name} fused W=1 overlap={num_rounds}");
-        if matches!(name, "lut" | "hierarchical") {
-            assert_fused_matches_batch(&circuit, &decoder, config, 512, 19, &label);
-            continue;
-        }
         // Every push commits its own round, the last commit leaves
         // nothing to carry, and the commits telescope.
         let batch = sample_batch(&circuit, 512, 19);
@@ -175,9 +150,7 @@ fn defect_chains_straddling_multiple_window_boundaries() {
     // keep the streaming invariants: in-order commits, deltas
     // telescoping to the final correction, all rounds committed, and
     // `boundary_defects` counting the artificial defects each commit
-    // carries forward — some for a graph decoder, none after the last
-    // round, and none at all for a table decoder, whose prefix path
-    // reproduces the batch decode.
+    // carries forward — some, and none after the last round.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -216,22 +189,10 @@ fn defect_chains_straddling_multiple_window_boundaries() {
                 0,
                 "{label}: the last round carries nothing forward"
             );
-            if matches!(name, "lut" | "hierarchical") {
-                assert!(
-                    commits.iter().all(|c| c.boundary_defects == 0),
-                    "{label}: the prefix path carries nothing"
-                );
-                assert_eq!(
-                    streamed,
-                    decoder.predict(&chain),
-                    "{label}: the prefix path must match batch"
-                );
-            } else {
-                assert!(
-                    commits.iter().any(|c| c.boundary_defects > 0),
-                    "{label}: the chain must be carried across boundaries"
-                );
-            }
+            assert!(
+                commits.iter().any(|c| c.boundary_defects > 0),
+                "{label}: the chain must be carried across boundaries"
+            );
         }
     }
 }
@@ -283,10 +244,9 @@ fn fused_commits_decode_at_most_once() {
 
 #[test]
 fn window_decodes_report_stitched_edges() {
-    // Graph decoders materialize the round-sliced view; a mid-stream
-    // window of a multi-round circuit necessarily cuts round-spanning
-    // edges, and the commit that decoded it must say so. Table
-    // decoders (LUT) never build a view, so their provenance stays 0.
+    // A mid-stream window of a multi-round circuit necessarily cuts
+    // round-spanning edges, and the commit that decoded it must say
+    // so.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -294,29 +254,15 @@ fn window_decodes_report_stitched_edges() {
     let chain: Vec<u32> = (0..num_rounds)
         .map(|r| schedule.detectors_in(r).next().unwrap())
         .collect();
-    let run = |kind: DecoderKind| -> u32 {
-        let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
-        let mut stream = StreamingConfig::fused(1, 1).build(&decoder, &schedule);
-        stream.begin_shot();
-        let mut stitched = 0u32;
-        for &d in &chain {
-            stitched = stitched.max(stream.push_round(&[d]).unwrap().stitched_edges);
-        }
-        stream.finish_shot();
-        stitched
-    };
-    assert!(
-        run(DecoderKind::UnionFind) > 0,
-        "UF window decodes must report cut edges"
-    );
-    assert_eq!(
-        run(DecoderKind::Lut {
-            train_shots: TRAIN_SHOTS,
-            capacity_bytes: CAPACITY_BYTES,
-        }),
-        0,
-        "table decoders never materialize a view"
-    );
+    let decoder = DecoderKind::UnionFind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
+    let mut stream = StreamingConfig::fused(1, 1).build(&decoder, &schedule);
+    stream.begin_shot();
+    let mut stitched = 0u32;
+    for &d in &chain {
+        stitched = stitched.max(stream.push_round(&[d]).unwrap().stitched_edges);
+    }
+    stream.finish_shot();
+    assert!(stitched > 0, "UF window decodes must report cut edges");
 }
 
 #[test]

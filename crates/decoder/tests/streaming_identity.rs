@@ -3,15 +3,15 @@
 //! At every window and overlap, commits arrive once per round, in
 //! order, and their deltas telescope to the shot's correction. That
 //! correction is bit-identical to the batch decode of the full
-//! syndrome for table decoders (their prefix path) at any window, and
-//! for every decoder when the window covers the shot. These tests pin
-//! both over thousands of sampled shots for all four kinds, exercise
-//! the window edge cases (W = 1, W ≥ total rounds), defects straddling
-//! a commit boundary, rounds arriving below held defects, the decode
+//! syndrome when the window covers the shot. These tests pin both over
+//! thousands of sampled shots for both graph decoders, exercise the
+//! window edge cases (W = 1, W ≥ total rounds), defects straddling a
+//! commit boundary, rounds arriving below held defects, the decode
 //! counts of defect-free rounds and the memoized empty-syndrome fast
-//! path, and check that the parallel driver
+//! path, check that the parallel driver
 //! (`count_batch_errors_streaming`) is invariant to thread count and
-//! matches `count_batch_errors` where streaming is exact.
+//! matches `count_batch_errors` where streaming is exact, and that
+//! table decoders, which have no correction edges, are rejected.
 
 use ftqc_circuit::Circuit;
 use ftqc_decoder::{
@@ -22,40 +22,13 @@ use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{batch_plan, sample_batch, DetectorErrorModel, RoundSchedule, RoundStream};
 use ftqc_surface::MemoryConfig;
 
-const TRAIN_SHOTS: usize = 5_000;
-const CAPACITY_BYTES: usize = 64 * 1024;
-
-fn kinds() -> [(&'static str, DecoderKind); 4] {
-    [
-        ("uf", DecoderKind::UnionFind),
-        ("mwpm", DecoderKind::Mwpm),
-        (
-            "lut",
-            DecoderKind::Lut {
-                train_shots: TRAIN_SHOTS,
-                capacity_bytes: CAPACITY_BYTES,
-            },
-        ),
-        (
-            "hierarchical",
-            DecoderKind::Hierarchical {
-                train_shots: TRAIN_SHOTS,
-                capacity_bytes: CAPACITY_BYTES,
-            },
-        ),
-    ]
+fn kinds() -> [(&'static str, DecoderKind); 2] {
+    [("uf", DecoderKind::UnionFind), ("mwpm", DecoderKind::Mwpm)]
 }
 
 fn memory_circuit(d: u32, p: f64) -> Circuit {
     let hw = HardwareConfig::ibm();
     CircuitNoiseModel::standard(p, &hw).apply(&MemoryConfig::new(d, d + 1, &hw).build())
-}
-
-/// Whether `name` is a table decoder, which streams through the prefix
-/// path: bit-identical to batch at any window, and never carrying
-/// defects forward.
-fn is_table(name: &str) -> bool {
-    matches!(name, "lut" | "hierarchical")
 }
 
 /// Streams every shot of a sampled batch through a `fused(window, 1)`
@@ -140,7 +113,7 @@ fn streaming_matches_batch_for_all_kinds_and_windows() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         for window in [1, 2, 3, num_rounds, num_rounds + 5] {
             let label = format!("{name} W={window}");
-            let identical = is_table(name) || window >= num_rounds;
+            let identical = window >= num_rounds;
             // 3 × 512 = 1 536 randomized syndromes per (kind, window).
             for seed in [11, 12, 13] {
                 assert_stream_matches_batch(
@@ -230,10 +203,8 @@ fn empty_rounds_ride_the_memoized_fast_path() {
     // W = 1 commits every round on arrival; rounds that add no defects
     // must not invoke the decoder at all, and a zero-round shot must
     // reuse the one memoized empty-syndrome decode from prior shots.
-    // A table decoder runs exactly one prefix decode per round that
-    // changed the syndrome, and none for a fully-empty shot (the memo
-    // answers). A graph decoder, with no overlap, decodes a round's
-    // window exactly when its defects are non-empty, unless the
+    // With no overlap, a round's window is decoded exactly when its
+    // defects are non-empty, unless the
     // previous commit carried artificial defects into the rounds ahead:
     // they may cancel real ones or stand alone, so that round runs at
     // most one decode.
@@ -266,7 +237,7 @@ fn empty_rounds_ride_the_memoized_fast_path() {
                 let before = stream.decode_count();
                 let commit = stream.push_round(&defects).expect("W=1 commits each push");
                 let spent = stream.decode_count() - before;
-                if is_table(name) || carried == 0 {
+                if carried == 0 {
                     assert_eq!(
                         spent,
                         u64::from(dirty),
@@ -296,11 +267,7 @@ fn empty_rounds_ride_the_memoized_fast_path() {
             empty_shots > 0 && partial_shots > 0,
             "{name}: want empty ({empty_shots}) and partially-empty ({partial_shots}) shots"
         );
-        assert_eq!(
-            carried_rounds > 0,
-            !is_table(name),
-            "{name}: only graph decoders carry defects forward"
-        );
+        assert!(carried_rounds > 0, "{name}: W=1 carries defects forward");
     }
 
     // A wider window keeps the edges of a decode that no commit has
@@ -338,8 +305,7 @@ fn defects_straddling_a_commit_boundary() {
     // is finalized before its partner arrives, so the commit of r+1
     // must carry the fix-up. For every kind the commits telescope to
     // the shot's correction and the last commit carries nothing
-    // forward. A table decoder's commit of round r is the prefix
-    // decode [a], and its total is the batch decode.
+    // forward.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -371,20 +337,6 @@ fn defects_straddling_a_commit_boundary() {
                 0,
                 "{name}: the last round carries nothing forward"
             );
-            if is_table(name) {
-                assert_eq!(
-                    streamed,
-                    decoder.predict(&[a, b]),
-                    "{name} rounds {r},{}",
-                    r + 1
-                );
-                // The commit of round r saw only the prefix decode [a].
-                assert_eq!(
-                    commits[r as usize].cumulative,
-                    decoder.predict(&[a]),
-                    "{name}: early commit is the prefix decode"
-                );
-            }
         }
     }
 }
@@ -393,11 +345,10 @@ fn defects_straddling_a_commit_boundary() {
 fn out_of_order_round_indices_are_resorted() {
     // RoundSchedule tolerates interleaved detector numbering; the
     // streaming decoder must accept rounds whose indices are not
-    // globally ascending — the graph decoders' pending set re-sorts
-    // through `cancel_pairs`, the table decoders' prefix by a sort —
-    // and, with a window covering the shot, still match the batch
-    // decode. Every sampled shot is pushed last round first; a table
-    // is keyed on the sorted syndrome, so an unsorted prefix misses.
+    // globally ascending — the pending set re-sorts through
+    // `cancel_pairs` — and, with a window covering the shot, still
+    // match the batch decode. Every sampled shot is pushed last round
+    // first.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -434,8 +385,7 @@ fn out_of_order_round_indices_are_resorted() {
 fn parallel_streaming_driver_matches_batch_driver() {
     // The driver's counts do not depend on the thread count at any
     // window, and equal the batch driver's where streaming is exact:
-    // for table decoders at every window, and for every kind when the
-    // window covers the shot.
+    // when the window covers the shot.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let num_rounds = RoundSchedule::from_circuit(&circuit).num_rounds();
@@ -453,7 +403,7 @@ fn parallel_streaming_driver_matches_batch_driver() {
                     "{name} W={window}: {threads} threads"
                 );
             }
-            if is_table(name) || window >= num_rounds {
+            if window >= num_rounds {
                 assert_eq!(streamed, batch, "{name} W={window}");
             }
         }
@@ -464,4 +414,28 @@ fn parallel_streaming_driver_matches_batch_driver() {
 #[should_panic(expected = "window must be at least one round")]
 fn zero_window_is_rejected() {
     let _ = StreamingConfig::fused(0, 1);
+}
+
+#[test]
+#[should_panic(expected = "streaming needs a decoder with a decoding graph \
+                           (table decoders decline `decode_window_into`)")]
+fn lut_stream_is_rejected() {
+    build_table_stream(DecoderKind::lut());
+}
+
+#[test]
+#[should_panic(expected = "streaming needs a decoder with a decoding graph \
+                           (table decoders decline `decode_window_into`)")]
+fn hierarchical_stream_is_rejected() {
+    build_table_stream(DecoderKind::hierarchical());
+}
+
+/// Builds a `fused(2, 1)` stream over a table decoder of `kind`, which
+/// has no correction edges to commit.
+fn build_table_stream(kind: DecoderKind) {
+    let circuit = memory_circuit(3, 3e-3);
+    let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+    let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
+    let schedule = RoundSchedule::from_circuit(&circuit);
+    let _ = StreamingConfig::fused(2, 1).build(&decoder, &schedule);
 }

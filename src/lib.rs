@@ -83,15 +83,15 @@
 //!
 //! Or decode in **real time**: feed syndrome rounds one at a time
 //! through [`decoder::StreamingDecoder`], built by a
-//! [`decoder::StreamingConfig`] that wraps any batch decoder in a
-//! sliding window of `W` rounds and commits a final correction for
-//! each round that scrolls out. `StreamingConfig::fused(window,
-//! overlap)` decodes only the uncommitted rounds, once per commit, and
+//! [`decoder::StreamingConfig`] that wraps a graph decoder (union-find
+//! or matching) in a sliding window of `W` rounds and commits a final
+//! correction for each round that scrolls out.
+//! `StreamingConfig::fused(window, overlap)` decodes only the
+//! uncommitted rounds, once per commit, and
 //! commits the correction edges that reach each finalized round, for
 //! O(window) per-round cost at a measured accuracy delta; a window
-//! covering the shot is bit-identical to batch decoding (table
-//! decoders, which have no edges, re-decode the accumulated prefix and
-//! are bit-identical at any window):
+//! covering the shot is bit-identical to batch decoding. Table
+//! decoders have no edges to commit and do not stream:
 //!
 //! ```
 //! use ftqc::decoder::{DecoderKind, StreamingConfig};
