@@ -37,8 +37,6 @@ impl LutDecoder {
     /// Panics if `shots == 0` or `capacity_bytes == 0`.
     pub fn train(circuit: &Circuit, shots: usize, seed: u64, capacity_bytes: usize) -> LutDecoder {
         assert!(shots > 0 && capacity_bytes > 0);
-        let bytes_per_entry = (circuit.num_detectors() as usize).div_ceil(8) + 1;
-        let max_entries = (capacity_bytes / bytes_per_entry).max(1);
         // Count (syndrome -> (obs mask -> count)).
         let mut counts: HashMap<Vec<u32>, HashMap<u32, u64>> = HashMap::new();
         let mut remaining = shots;
@@ -59,11 +57,29 @@ impl LutDecoder {
             }
             remaining -= n;
         }
+        let tallies = counts
+            .into_iter()
+            .map(|(syn, by_mask)| (syn.into_boxed_slice(), by_mask.into_iter().collect()));
+        LutDecoder::from_tallies(tallies, circuit.num_detectors(), capacity_bytes)
+    }
+
+    /// The table from training tallies, each a syndrome with its
+    /// `(mask, count)` list: every syndrome predicts its majority mask
+    /// (ties to the smallest mask), and the most frequent syndromes
+    /// that fit `capacity_bytes` are kept (ties to the
+    /// lexicographically smallest syndrome).
+    fn from_tallies(
+        tallies: impl IntoIterator<Item = (Box<[u32]>, Vec<(u32, u64)>)>,
+        num_detectors: u32,
+        capacity_bytes: usize,
+    ) -> LutDecoder {
+        let bytes_per_entry = (num_detectors as usize).div_ceil(8) + 1;
+        let max_entries = (capacity_bytes / bytes_per_entry).max(1);
         // Rank syndromes by frequency; majority mask per syndrome.
-        let mut ranked: Vec<(u64, Vec<u32>, u32)> = counts
+        let mut ranked: Vec<(u64, Box<[u32]>, u32)> = tallies
             .into_iter()
             .map(|(syn, by_mask)| {
-                let total: u64 = by_mask.values().sum();
+                let total: u64 = by_mask.iter().map(|&(_, c)| c).sum();
                 let (best_mask, _) = by_mask
                     .into_iter()
                     .max_by_key(|&(mask, c)| (c, std::cmp::Reverse(mask)))
@@ -74,9 +90,12 @@ impl LutDecoder {
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         ranked.truncate(max_entries);
         LutDecoder {
-            table: ranked.into_iter().map(|(_, s, m)| (s, m)).collect(),
+            table: ranked
+                .into_iter()
+                .map(|(_, s, m)| (s.into_vec(), m))
+                .collect(),
             bytes_per_entry,
-            num_detectors: circuit.num_detectors(),
+            num_detectors,
         }
     }
 
@@ -150,6 +169,30 @@ mod tests {
         let lut = LutDecoder::train(&c, 50_000, 3, 64 * 1024);
         let ler = evaluate_ler(&c, &lut, 20_000, 1024, 7, 2);
         assert!(ler[0].rate() < 0.02, "LER {}", ler[0]);
+    }
+
+    #[test]
+    fn equal_mask_counts_predict_the_smallest_mask() {
+        let tallies = [(Box::from([3u32]), vec![(0b10, 5), (0b11, 2), (0b01, 5)])];
+        let lut = LutDecoder::from_tallies(tallies, 16, 1024);
+        assert_eq!(lut.lookup(&[3]), Some(0b01));
+    }
+
+    #[test]
+    fn equal_totals_at_the_capacity_cut_keep_the_smallest_syndrome() {
+        // 16 detectors: 3 bytes an entry, so 6 bytes hold two entries.
+        let tallies = [
+            (Box::from([4u32]), vec![(0, 3)]),
+            (Box::from([2u32, 9]), vec![(1, 2), (0, 1)]),
+            (Box::from([]), vec![(0, 10)]),
+            (Box::from([1u32, 5]), vec![(1, 3)]),
+        ];
+        let lut = LutDecoder::from_tallies(tallies, 16, 6);
+        assert_eq!(lut.entries(), 2);
+        assert_eq!(lut.lookup(&[]), Some(0));
+        assert_eq!(lut.lookup(&[1, 5]), Some(1));
+        assert_eq!(lut.lookup(&[2, 9]), None);
+        assert_eq!(lut.lookup(&[4]), None);
     }
 
     #[test]
