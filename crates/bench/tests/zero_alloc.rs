@@ -7,10 +7,13 @@
 //! * `count_batch_errors` allocations do not scale with shots — the
 //!   per-thread sampler buffers, syndrome buffer and decoder scratch
 //!   are reused across every batch a worker claims, and nothing
-//!   circuit- or DEM-derived is cloned per batch.
+//!   circuit- or DEM-derived is cloned per batch;
+//! * LUT training allocates per distinct syndrome, not per shot.
 
 use ftqc_bench::alloc::{allocation_count, thread_allocation_count, CountingAlloc};
-use ftqc_decoder::{count_batch_errors, Decoder, DecoderKind, DecoderScratch, DecodingGraph};
+use ftqc_decoder::{
+    count_batch_errors, Decoder, DecoderKind, DecoderScratch, DecodingGraph, LutDecoder,
+};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{batch_plan, sample_batch, DetectorErrorModel};
 use ftqc_surface::MemoryConfig;
@@ -149,6 +152,25 @@ fn count_batch_errors_per_batch_overhead_is_result_vector_only() {
     assert!(
         doubled <= base + 8 * 4,
         "per-batch overhead too high: {base} allocs for 8 batches vs {doubled} for 16"
+    );
+}
+
+#[test]
+fn lut_training_allocations_do_not_scale_with_shots() {
+    let _guard = counter_guard();
+    // 20,000 shots of the `idle-sweep` circuit at final idle 0 hold
+    // 7,223 non-empty shots and 1,502 distinct syndromes. Training
+    // reuses one sampler and one syndrome buffer, so it may allocate a
+    // key and a mask list per distinct syndrome plus set-up and table
+    // growth, but nothing per shot.
+    let (circuit, _) = d3_setup(DecoderKind::UnionFind);
+    let before = thread_allocation_count();
+    let lut = LutDecoder::train(&circuit, 20_000, 1, 3 * 1024);
+    let allocs = thread_allocation_count() - before;
+    assert_eq!(lut.entries(), 614);
+    assert!(
+        allocs <= 4_000,
+        "training made {allocs} allocations for 20,000 shots"
     );
 }
 

@@ -3,8 +3,56 @@
 use crate::evaluate::Decoder;
 use crate::scratch::{DecoderScratch, ScratchCapacity};
 use ftqc_circuit::Circuit;
-use ftqc_sim::sample_batch;
+use ftqc_sim::{sample_batch_with, FrameSimulator, SampleBatch, SyndromeScanner};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Training shots sampled per batch.
+const TRAIN_BATCH: usize = 4096;
+
+/// A map keyed by syndromes (ascending detector ids). A `&[u32]` finds
+/// its entry through `Borrow<[u32]>`, so lookups never allocate.
+type SyndromeMap<V> = HashMap<Box<[u32]>, V, BuildHasherDefault<WordHasher>>;
+
+/// A deterministic multiply/rotate hasher that takes its input a
+/// 32-bit word at a time. Syndromes are short lists of small detector
+/// ids built offline, so SipHash's resistance to chosen keys buys
+/// nothing here; a `[u32]` key reaches [`Hasher::write`] as one byte
+/// slice of its words, after its length.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(4);
+        for w in &mut words {
+            self.add(u64::from(u32::from_ne_bytes([w[0], w[1], w[2], w[3]])));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The multiply carries mixing upward; the rotation brings the
+    /// mixed high bits down to the bucket index.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// A lookup-table decoder trained by sampling.
 ///
@@ -15,11 +63,15 @@ use std::collections::HashMap;
 /// frequent syndromes are kept. [`LutDecoder::lookup`] reports misses
 /// so a hierarchical decoder can fall back to matching.
 ///
+/// The table is a hash map from boxed syndromes to masks under a fixed
+/// word-wise hash (no per-process random keys), looked up by borrowed
+/// slice without allocating.
+///
 /// Used standalone (as [`Decoder`], predicting no flip on a miss) for
 /// the repetition-code experiment of Fig. 1(c).
 #[derive(Debug, Clone)]
 pub struct LutDecoder {
-    table: HashMap<Vec<u32>, u32>,
+    table: SyndromeMap<u32>,
     bytes_per_entry: usize,
     num_detectors: u32,
 }
@@ -28,38 +80,55 @@ impl LutDecoder {
     /// Trains a table from `shots` samples of `circuit`, keeping the
     /// most frequent syndromes that fit within `capacity_bytes`.
     ///
-    /// Each entry costs one packed syndrome (`ceil(num_detectors / 8)`
-    /// bytes) plus one byte of prediction, matching the sizing model of
-    /// the paper's LUT references.
+    /// Each syndrome predicts its majority observable mask (ties to the
+    /// smallest mask); syndromes rank by count (ties to the
+    /// lexicographically smallest). Each entry costs one packed
+    /// syndrome (`ceil(num_detectors / 8)` bytes) plus one byte of
+    /// prediction, matching the sizing model of the paper's LUT
+    /// references.
+    ///
+    /// Training samples 4,096-shot batches into one reused sampler and
+    /// reads each shot through a [`SyndromeScanner`]; a syndrome's key
+    /// is allocated only the first time it is seen.
     ///
     /// # Panics
     ///
     /// Panics if `shots == 0` or `capacity_bytes == 0`.
     pub fn train(circuit: &Circuit, shots: usize, seed: u64, capacity_bytes: usize) -> LutDecoder {
         assert!(shots > 0 && capacity_bytes > 0);
-        // Count (syndrome -> (obs mask -> count)).
-        let mut counts: HashMap<Vec<u32>, HashMap<u32, u64>> = HashMap::new();
+        // analyzer: allow(alloc) -- training: the sampler, scanner and
+        // syndrome buffers grow once and are reused across batches; each
+        // distinct syndrome allocates its key and mask list once.
+        let mut sim = FrameSimulator::empty();
+        let mut batch = SampleBatch::empty();
+        let mut scanner = SyndromeScanner::new();
+        let mut syndrome = Vec::new();
+        // Per syndrome, its (observable mask, count) pairs.
+        let mut tallies: SyndromeMap<Vec<(u32, u64)>> = SyndromeMap::default();
         let mut remaining = shots;
         let mut batch_seed = seed;
         while remaining > 0 {
-            let n = remaining.min(4096);
-            let batch = sample_batch(circuit, n, batch_seed);
+            let n = remaining.min(TRAIN_BATCH);
+            sample_batch_with(circuit, n, batch_seed, &mut sim, &mut batch);
             batch_seed = batch_seed.wrapping_add(0x9E3779B97F4A7C15);
-            for s in 0..batch.shots {
-                let syndrome = batch.flagged_detectors(s);
-                let mut mask = 0u32;
-                for o in 0..batch.num_observables {
-                    if batch.observable(o, s) {
-                        mask |= 1 << o;
+            scanner.begin_batch(&batch);
+            for s in 0..n {
+                scanner.flagged_into(&batch, s, &mut syndrome);
+                let mask = (0..batch.num_observables)
+                    .filter(|&o| batch.observable(o, s))
+                    .fold(0u32, |mask, o| mask | 1 << o);
+                if let Some(by_mask) = tallies.get_mut(syndrome.as_slice()) {
+                    match by_mask.iter_mut().find(|(m, _)| *m == mask) {
+                        Some((_, count)) => *count += 1,
+                        None => by_mask.push((mask, 1)),
                     }
+                } else {
+                    tallies.insert(syndrome.as_slice().into(), vec![(mask, 1)]);
                 }
-                *counts.entry(syndrome).or_default().entry(mask).or_insert(0) += 1;
             }
             remaining -= n;
         }
-        let tallies = counts
-            .into_iter()
-            .map(|(syn, by_mask)| (syn.into_boxed_slice(), by_mask.into_iter().collect()));
+        // analyzer: end-allow(alloc)
         LutDecoder::from_tallies(tallies, circuit.num_detectors(), capacity_bytes)
     }
 
@@ -75,31 +144,36 @@ impl LutDecoder {
     ) -> LutDecoder {
         let bytes_per_entry = (num_detectors as usize).div_ceil(8) + 1;
         let max_entries = (capacity_bytes / bytes_per_entry).max(1);
-        // Rank syndromes by frequency; majority mask per syndrome.
+        // analyzer: allow(alloc) -- constructor: one ranking pass and
+        // the table, built once per trained decoder.
         let mut ranked: Vec<(u64, Box<[u32]>, u32)> = tallies
             .into_iter()
-            .map(|(syn, by_mask)| {
-                let total: u64 = by_mask.iter().map(|&(_, c)| c).sum();
-                let (best_mask, _) = by_mask
+            .map(|(syndrome, by_mask)| {
+                let total = by_mask.iter().map(|&(_, count)| count).sum();
+                let (majority, _) = by_mask
                     .into_iter()
-                    .max_by_key(|&(mask, c)| (c, std::cmp::Reverse(mask)))
-                    .expect("non-empty");
-                (total, syn, best_mask)
+                    .max_by_key(|&(mask, count)| (count, std::cmp::Reverse(mask)))
+                    .expect("a tallied syndrome was seen");
+                (total, syndrome, majority)
             })
             .collect();
-        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        ranked.truncate(max_entries);
+        // Only the kept set matters, not its order: partition at the cut.
+        if ranked.len() > max_entries {
+            ranked.select_nth_unstable_by(max_entries, |a, b| {
+                b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1))
+            });
+            ranked.truncate(max_entries);
+        }
+        let table = ranked.into_iter().map(|(_, s, m)| (s, m)).collect();
+        // analyzer: end-allow(alloc)
         LutDecoder {
-            table: ranked
-                .into_iter()
-                .map(|(_, s, m)| (s.into_vec(), m))
-                .collect(),
+            table,
             bytes_per_entry,
             num_detectors,
         }
     }
 
-    /// Looks up a syndrome; `None` on a miss.
+    /// Looks up a syndrome; `None` on a miss. Never allocates.
     pub fn lookup(&self, flagged: &[u32]) -> Option<u32> {
         self.table.get(flagged).copied()
     }
@@ -116,9 +190,9 @@ impl LutDecoder {
 }
 
 impl Decoder for LutDecoder {
-    /// Table lookup never touches the heap (slice keys hash in place),
-    /// so the scratch is unused — zero allocations per decode by
-    /// construction.
+    /// A lookup hashes the borrowed syndrome slice and never touches
+    /// the heap, so the scratch is unused — zero allocations per decode
+    /// by construction. A miss predicts no flip.
     fn decode_into(&self, _scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32) {
         *correction = self.lookup(syndrome).unwrap_or(0);
     }

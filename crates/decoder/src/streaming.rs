@@ -134,10 +134,9 @@ pub struct RoundCommit {
 /// The steady state is cheap and allocation-free: commits only invoke
 /// the decoder when the relevant syndrome changed since the last
 /// decode (a defect-free round costs a few compares), a shot with no
-/// rounds answers from a per-stream memo of the empty-syndrome decode
-/// like `count_batch_errors`' empty-syndrome path, buffers are presized
-/// from [`ScratchCapacity`](crate::ScratchCapacity), and the scratch
-/// is the same reusable [`DecoderScratch`] the batch path uses.
+/// rounds costs no decode, buffers are presized from
+/// [`ScratchCapacity`](crate::ScratchCapacity), and the scratch is the
+/// same reusable [`DecoderScratch`] the batch path uses.
 ///
 /// # Example
 ///
@@ -181,9 +180,6 @@ pub struct StreamingDecoder<D> {
     emitted: u32,
     pushed: u32,
     committed: u32,
-    /// Memoized decode of the empty syndrome (exact: decoders are
-    /// deterministic), shared across shots.
-    empty_pred: Option<u32>,
     decodes: u64,
     /// Debug-asserted detector-index bound from the decoder's declared
     /// scratch capacity. A defect at or above this would silently grow
@@ -217,14 +213,12 @@ impl<D: Decoder> StreamingDecoder<D> {
             emitted: 0,
             pushed: 0,
             committed: 0,
-            empty_pred: None,
             decodes: 0,
             node_bound: cap.nodes,
         }
     }
 
-    /// Resets per-shot state (the empty-syndrome memo survives —
-    /// decoders are deterministic across shots).
+    /// Resets per-shot state.
     pub fn begin_shot(&mut self) {
         self.fusion.reset();
         self.emitted = 0;
@@ -273,26 +267,11 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// Flushes every pending round and returns the shot's total
     /// correction: the windowed estimate of batch-decoding the full
     /// syndrome in one [`Decoder::decode_into`] call, equal to it when
-    /// no round committed before the end of the shot.
+    /// no round committed before the end of the shot. A shot with no
+    /// pushed rounds returns 0: only graph decoders stream, and they
+    /// correct the empty syndrome to no flip.
     pub fn finish_shot(&mut self) -> u32 {
         while self.flush_round().is_some() {}
-        if self.pushed == 0 {
-            // A shot with zero pushed rounds still has a defined
-            // correction: the decode of the empty syndrome.
-            let StreamingDecoder {
-                decoder,
-                scratch,
-                empty_pred,
-                decodes,
-                ..
-            } = self;
-            return *empty_pred.get_or_insert_with(|| {
-                let mut p = 0u32;
-                decoder.decode_into(scratch, &[], &mut p);
-                *decodes += 1;
-                p
-            });
-        }
         self.emitted
     }
 
@@ -311,8 +290,8 @@ impl<D: Decoder> StreamingDecoder<D> {
         self.emitted
     }
 
-    /// Total inner-decoder invocations since construction — the
-    /// empty-round and empty-syndrome fast paths keep this far below
+    /// Total inner-decoder invocations since construction — a window
+    /// with no defects is never decoded, which keeps this far below
     /// the round count (tests assert the exact values).
     pub fn decode_count(&self) -> u64 {
         self.decodes
@@ -351,14 +330,12 @@ impl<D: Decoder> StreamingDecoder<D> {
         // never builds the argument arrays — this sits inside the ~40 ns
         // defect-free round commit that `decode-latency` gates in CI.
         if ftqc_telemetry::enabled() {
-            let defects_held = self.fusion.pending_len();
             ftqc_telemetry::instant(
                 "stream/commit",
                 &[
                     ftqc_telemetry::Arg::new("round", round as f64),
                     ftqc_telemetry::Arg::new("occupancy", (self.pushed - round) as f64),
                     ftqc_telemetry::Arg::new("decodes", self.decodes as f64),
-                    ftqc_telemetry::Arg::new("prefix_defects", defects_held as f64),
                 ],
             );
             ftqc_telemetry::instant(
@@ -367,7 +344,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                     ftqc_telemetry::Arg::new("round", round as f64),
                     ftqc_telemetry::Arg::new("boundary_defects", boundary_defects as f64),
                     ftqc_telemetry::Arg::new("stitched_edges", stitched_edges as f64),
-                    ftqc_telemetry::Arg::new("active", defects_held as f64),
+                    ftqc_telemetry::Arg::new("active", self.fusion.pending_len() as f64),
                 ],
             );
         }

@@ -7,8 +7,7 @@
 //! thousands of sampled shots for both graph decoders, exercise the
 //! window edge cases (W = 1, W ≥ total rounds), defects straddling a
 //! commit boundary, rounds arriving below held defects, the decode
-//! counts of defect-free rounds and the memoized empty-syndrome fast
-//! path, check that the parallel driver
+//! counts of defect-free rounds and zero-round shots, check that the parallel driver
 //! (`count_batch_errors_streaming`) is invariant to thread count and
 //! matches `count_batch_errors` where streaming is exact, and that
 //! table decoders, which have no correction edges, are rejected.
@@ -157,14 +156,17 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
     let mut stream =
         StreamingConfig::fused(schedule.num_rounds() + 3, 0).build(&decoder, &schedule);
     rounds.begin_batch(&batch);
-    // Prime the (per-stream, cross-shot) empty-syndrome memo with one
-    // defect-free shot so the counts below are exact.
+    // A shot with no pushed rounds decodes nothing and predicts no flip.
     stream.begin_shot();
-    stream.finish_shot();
+    assert_eq!(
+        stream.finish_shot(),
+        0,
+        "a zero-round shot predicts no flip"
+    );
     assert_eq!(
         stream.decode_count(),
-        1,
-        "priming costs the one memo decode"
+        0,
+        "a zero-round shot decodes nothing"
     );
     let mut defects = Vec::new();
     let mut full = Vec::new();
@@ -201,8 +203,8 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
 #[test]
 fn empty_rounds_ride_the_memoized_fast_path() {
     // W = 1 commits every round on arrival; rounds that add no defects
-    // must not invoke the decoder at all, and a zero-round shot must
-    // reuse the one memoized empty-syndrome decode from prior shots.
+    // must not invoke the decoder at all, and neither may a zero-round
+    // shot.
     // With no overlap, a round's window is decoded exactly when its
     // defects are non-empty, unless the
     // previous commit carried artificial defects into the rounds ahead:
@@ -217,13 +219,19 @@ fn empty_rounds_ride_the_memoized_fast_path() {
     for (name, kind) in kinds() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         let mut stream = StreamingConfig::fused(1, 0).build(&decoder, &schedule);
-        // Prime the empty-syndrome memo so the counts below are exact.
-        stream.begin_shot();
-        stream.finish_shot();
-        assert_eq!(stream.decode_count(), 1, "{name}: one memo decode");
-        stream.begin_shot();
-        stream.finish_shot();
-        assert_eq!(stream.decode_count(), 1, "{name}: the memo answers");
+        for _ in 0..2 {
+            stream.begin_shot();
+            assert_eq!(
+                stream.finish_shot(),
+                0,
+                "{name}: zero-round shots predict no flip"
+            );
+        }
+        assert_eq!(
+            stream.decode_count(),
+            0,
+            "{name}: zero-round shots decode nothing"
+        );
         rounds.begin_batch(&batch);
         let (mut empty_shots, mut partial_shots, mut carried_rounds) = (0u32, 0u32, 0u32);
         for s in 0..batch.shots {
