@@ -34,10 +34,15 @@ fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn d3_setup(kind: DecoderKind) -> (ftqc_circuit::Circuit, ftqc_decoder::AnyDecoder) {
+/// d = 3 memory on IBM hardware at p = 1e-3: the `idle-sweep`
+/// benchmark's circuit at final idle 0.
+fn d3_circuit() -> ftqc_circuit::Circuit {
     let hw = HardwareConfig::ibm();
-    let circuit =
-        CircuitNoiseModel::standard(1e-3, &hw).apply(&MemoryConfig::new(3, 4, &hw).build());
+    CircuitNoiseModel::standard(1e-3, &hw).apply(&MemoryConfig::new(3, 4, &hw).build())
+}
+
+fn d3_setup(kind: DecoderKind) -> (ftqc_circuit::Circuit, ftqc_decoder::AnyDecoder) {
+    let circuit = d3_circuit();
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let graph = DecodingGraph::from_dem(&dem);
     let decoder = kind.build(&circuit, graph, 2025);
@@ -163,7 +168,7 @@ fn lut_training_allocations_do_not_scale_with_shots() {
     // reuses one sampler and one syndrome buffer, so it may allocate a
     // key and a mask list per distinct syndrome plus set-up and table
     // growth, but nothing per shot.
-    let (circuit, _) = d3_setup(DecoderKind::UnionFind);
+    let circuit = d3_circuit();
     let before = thread_allocation_count();
     let lut = LutDecoder::train(&circuit, 20_000, 1, 3 * 1024);
     let allocs = thread_allocation_count() - before;
