@@ -112,11 +112,14 @@ impl LutDecoder {
             sample_batch_with(circuit, n, batch_seed, &mut sim, &mut batch);
             batch_seed = batch_seed.wrapping_add(0x9E3779B97F4A7C15);
             scanner.begin_batch(&batch);
-            for s in 0..n {
+            for s in 0..batch.shots {
                 scanner.flagged_into(&batch, s, &mut syndrome);
-                let mask = (0..batch.num_observables)
-                    .filter(|&o| batch.observable(o, s))
-                    .fold(0u32, |mask, o| mask | 1 << o);
+                let mut mask = 0u32;
+                for o in 0..batch.num_observables {
+                    if batch.observable(o, s) {
+                        mask |= 1 << o;
+                    }
+                }
                 if let Some(by_mask) = tallies.get_mut(syndrome.as_slice()) {
                     match by_mask.iter_mut().find(|(m, _)| *m == mask) {
                         Some((_, count)) => *count += 1,

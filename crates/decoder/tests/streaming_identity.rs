@@ -7,10 +7,11 @@
 //! thousands of sampled shots for both graph decoders, exercise the
 //! window edge cases (W = 1, W ≥ total rounds), defects straddling a
 //! commit boundary, rounds arriving below held defects, the decode
-//! counts of defect-free rounds and zero-round shots, check that the parallel driver
-//! (`count_batch_errors_streaming`) is invariant to thread count and
-//! matches `count_batch_errors` where streaming is exact, and that
-//! table decoders, which have no correction edges, are rejected.
+//! counts of defect-free rounds and zero-round shots, check that the
+//! parallel driver (`count_batch_errors_streaming`) is invariant to
+//! thread count and matches `count_batch_errors` where streaming is
+//! exact, and that table decoders, which have no correction edges, are
+//! rejected.
 
 use ftqc_circuit::Circuit;
 use ftqc_decoder::{
@@ -219,18 +220,16 @@ fn empty_rounds_ride_the_memoized_fast_path() {
     for (name, kind) in kinds() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         let mut stream = StreamingConfig::fused(1, 0).build(&decoder, &schedule);
-        for _ in 0..2 {
-            stream.begin_shot();
-            assert_eq!(
-                stream.finish_shot(),
-                0,
-                "{name}: zero-round shots predict no flip"
-            );
-        }
+        stream.begin_shot();
+        assert_eq!(
+            stream.finish_shot(),
+            0,
+            "{name}: a zero-round shot predicts no flip"
+        );
         assert_eq!(
             stream.decode_count(),
             0,
-            "{name}: zero-round shots decode nothing"
+            "{name}: a zero-round shot decodes nothing"
         );
         rounds.begin_batch(&batch);
         let (mut empty_shots, mut partial_shots, mut carried_rounds) = (0u32, 0u32, 0u32);
