@@ -847,5 +847,9 @@ error 0.1 D0 D1
         let diags = validate_qasm("<qasm>", "OPENQASM 2.0;\nqreg q[;\n");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::QasmParse);
+        // A parameterised gate without its angle would panic the estimator.
+        let diags = validate_qasm("<qasm>", "OPENQASM 2.0;\nqreg q[2];\ncp q[1], q[0];\n");
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, Code::QasmParse);
     }
 }

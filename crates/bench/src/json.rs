@@ -268,11 +268,7 @@ mod tests {
                 report,
                 "{name}"
             );
-            // The decode-latency baseline was trimmed by hand (`54.0`-style
-            // numbers); every other baseline is `to_json` output verbatim.
-            if !path.ends_with("BENCH_decode-latency.json") {
-                assert_eq!(rewritten, text, "{name} re-serializes differently");
-            }
+            assert_eq!(rewritten, text, "{name} re-serializes differently");
             checked += 1;
         }
         assert!(checked > 0, "no baselines under {}", dir.display());

@@ -57,7 +57,7 @@ use crate::json::{BenchReport, BenchResult};
 use ftqc_decoder::{Decoder, DecoderKind, DecoderScratch};
 use ftqc_experiments::EvalPipeline;
 use ftqc_noise::HardwareConfig;
-use ftqc_sim::{sample_batch, StopRule};
+use ftqc_sim::{sample_batch, StopRule, SyndromeScanner};
 use ftqc_surface::MemoryConfig;
 use std::time::Instant;
 
@@ -234,8 +234,14 @@ fn decode_throughput(preset: Preset) -> Vec<BenchResult> {
                 .build();
             let decoder = pipeline.decoder();
             let batch = sample_batch(pipeline.circuit(), decode_shots(d), 2025);
+            let mut scanner = SyndromeScanner::new();
+            scanner.begin_batch(&batch);
             let syndromes: Vec<Vec<u32>> = (0..batch.shots)
-                .map(|s| batch.flagged_detectors(s))
+                .map(|s| {
+                    let mut flagged = Vec::new();
+                    scanner.flagged_into(&batch, s, &mut flagged);
+                    flagged
+                })
                 .collect();
             let mut scratch = DecoderScratch::new();
             let mut correction = 0u32;

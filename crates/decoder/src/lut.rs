@@ -3,9 +3,9 @@
 use crate::evaluate::Decoder;
 use crate::scratch::{DecoderScratch, ScratchCapacity};
 use ftqc_circuit::Circuit;
-use ftqc_sim::{sample_batch_with, FrameSimulator, SampleBatch, SyndromeScanner};
+use ftqc_sim::{sample_batch_with, FrameSimulator, SampleBatch, SyndromeScanner, WordHasher};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// Training shots sampled per batch.
 const TRAIN_BATCH: usize = 4096;
@@ -13,46 +13,6 @@ const TRAIN_BATCH: usize = 4096;
 /// A map keyed by syndromes (ascending detector ids). A `&[u32]` finds
 /// its entry through `Borrow<[u32]>`, so lookups never allocate.
 type SyndromeMap<V> = HashMap<Box<[u32]>, V, BuildHasherDefault<WordHasher>>;
-
-/// A deterministic multiply/rotate hasher that takes its input a
-/// 32-bit word at a time. Syndromes are short lists of small detector
-/// ids built offline, so SipHash's resistance to chosen keys buys
-/// nothing here; a `[u32]` key reaches [`Hasher::write`] as one byte
-/// slice of its words, after its length.
-#[derive(Debug, Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(4);
-        for w in &mut words {
-            self.add(u64::from(u32::from_ne_bytes([w[0], w[1], w[2], w[3]])));
-        }
-        for &b in words.remainder() {
-            self.add(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    /// The multiply carries mixing upward; the rotation brings the
-    /// mixed high bits down to the bucket index.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
 
 /// A lookup-table decoder trained by sampling.
 ///

@@ -49,7 +49,6 @@ fn assert_fused_matches_batch(
     let mut scratch = DecoderScratch::for_decoder(decoder);
     rounds.begin_batch(&batch);
     let mut defects = Vec::new();
-    let mut full = Vec::new();
     let mut busy_shots = 0u32;
     for s in 0..batch.shots {
         rounds.begin_shot(s);
@@ -58,7 +57,7 @@ fn assert_fused_matches_batch(
             stream.push_round(&defects);
         }
         let streamed = stream.finish_shot();
-        batch.flagged_detectors_into(s, &mut full);
+        let full = batch.flagged_detectors(s);
         if !full.is_empty() {
             busy_shots += 1;
         }

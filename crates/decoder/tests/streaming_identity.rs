@@ -51,7 +51,6 @@ fn assert_stream_matches_batch(
     let mut scratch = DecoderScratch::for_decoder(decoder);
     rounds.begin_batch(&batch);
     let mut defects = Vec::new();
-    let mut full = Vec::new();
     let (mut empty_shots, mut busy_shots) = (0u32, 0u32);
     for s in 0..batch.shots {
         rounds.begin_shot(s);
@@ -86,7 +85,7 @@ fn assert_stream_matches_batch(
         assert_eq!(xor_all, stream.correction_so_far(), "{label}: telescoping");
         assert_eq!(streamed, stream.correction_so_far(), "{label}: finish");
 
-        batch.flagged_detectors_into(s, &mut full);
+        let full = batch.flagged_detectors(s);
         if full.is_empty() {
             empty_shots += 1;
         } else {
@@ -170,7 +169,6 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
         "a zero-round shot decodes nothing"
     );
     let mut defects = Vec::new();
-    let mut full = Vec::new();
     let mut saw_busy = false;
     for s in 0..batch.shots {
         rounds.begin_shot(s);
@@ -185,7 +183,7 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
         }
         assert_eq!(stream.decode_count(), before, "no decode before finish");
         stream.finish_shot();
-        batch.flagged_detectors_into(s, &mut full);
+        let full = batch.flagged_detectors(s);
         let expected = if full.is_empty() {
             0 // nothing pending
         } else {
@@ -202,7 +200,7 @@ fn window_at_least_total_rounds_degenerates_to_batch() {
 }
 
 #[test]
-fn empty_rounds_ride_the_memoized_fast_path() {
+fn quiet_rounds_decode_nothing_and_carried_rounds_at_most_once() {
     // W = 1 commits every round on arrival; rounds that add no defects
     // must not invoke the decoder at all, and neither may a zero-round
     // shot.
@@ -363,7 +361,6 @@ fn out_of_order_round_indices_are_resorted() {
     let batch = sample_batch(&circuit, 512, 53);
     let mut rounds = RoundStream::new(&schedule);
     let mut per_round = vec![Vec::new(); num_rounds as usize];
-    let mut full = Vec::new();
     for (name, kind) in kinds() {
         let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
         let mut stream = StreamingConfig::fused(num_rounds, 0).build(&decoder, &schedule);
@@ -378,7 +375,7 @@ fn out_of_order_round_indices_are_resorted() {
             for defects in per_round.iter().rev() {
                 stream.push_round(defects);
             }
-            batch.flagged_detectors_into(s, &mut full);
+            let full = batch.flagged_detectors(s);
             let expected = decoder.predict(&full);
             assert_eq!(stream.finish_shot(), expected, "{name}: shot {s}");
             let dirty_rounds = per_round.iter().filter(|d| !d.is_empty()).count();

@@ -5,7 +5,7 @@ use crate::runner::{run_eval, LsSetup};
 use crate::{Config, Table};
 use ftqc_decoder::{Decoder, DecoderKind};
 use ftqc_noise::HardwareConfig;
-use ftqc_sim::sample_batch;
+use ftqc_sim::{sample_batch, SyndromeScanner};
 use ftqc_surface::RepetitionConfig;
 use ftqc_sync::PolicySpec;
 
@@ -90,8 +90,11 @@ pub mod fig07 {
         let shots = (config.shots as usize).min(60_000);
         let batch = sample_batch(pipeline.circuit(), shots, config.seed);
         let mut bucket_err = std::collections::BTreeMap::<usize, (u64, u64)>::new();
+        let mut scanner = SyndromeScanner::new();
+        scanner.begin_batch(&batch);
+        let mut flagged = Vec::new();
         for s in 0..batch.shots {
-            let flagged = batch.flagged_detectors(s);
+            scanner.flagged_into(&batch, s, &mut flagged);
             let weight_bucket = (flagged.len() / 5) * 5;
             let predicted = decoder.predict(&flagged);
             let wrong = ((predicted >> 2) & 1 == 1) != batch.observable(2, s);
@@ -219,8 +222,12 @@ pub mod fig22 {
     ) -> (f64, f64) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (mut hits, mut total_ns) = (0usize, 0.0);
+        let mut scanner = SyndromeScanner::new();
+        scanner.begin_batch(eval);
+        let mut flagged = Vec::new();
         for s in 0..eval.shots {
-            total_ns += if lut.lookup(&eval.flagged_detectors(s)).is_some() {
+            scanner.flagged_into(eval, s, &mut flagged);
+            total_ns += if lut.lookup(&flagged).is_some() {
                 hits += 1;
                 HIT_NS
             } else {
@@ -264,9 +271,14 @@ pub mod fig22 {
                         unreachable!("the Mwpm kind builds an MwpmDecoder")
                     };
                     let probe = sample_batch(pipeline.circuit(), 256, config.seed + 1);
+                    let mut scanner = SyndromeScanner::new();
+                    scanner.begin_batch(&probe);
+                    let mut flagged = Vec::new();
                     let syndromes: Vec<Vec<u32>> = (0..probe.shots)
-                        .map(|s| probe.flagged_detectors(s))
-                        .filter(|flagged| !flagged.is_empty())
+                        .filter_map(|s| {
+                            scanner.flagged_into(&probe, s, &mut flagged);
+                            (!flagged.is_empty()).then(|| flagged.clone())
+                        })
                         .take(100)
                         .collect();
                     let scratch = DecoderScratch::for_decoder(&mwpm);

@@ -109,7 +109,8 @@ impl Program {
     /// # Errors
     ///
     /// Returns a [`ParseError`] for malformed statements, unknown
-    /// registers or out-of-range indices.
+    /// registers, out-of-range indices, or a known parameterised gate
+    /// given the wrong number of angles (`rz q[0];`, `u2(0) q[0];`).
     pub fn parse(src: &str) -> Result<Program, ParseError> {
         let mut prog = Program::default();
         // name -> (offset, size)
@@ -174,6 +175,14 @@ impl Program {
             }
             None => (head.to_lowercase(), Vec::new()),
         };
+        if let Some(want) = angle_count(&name) {
+            if params.len() != want {
+                return Err(err(
+                    line,
+                    format!("gate `{name}` takes {want} angle(s), got {}", params.len()),
+                ));
+            }
+        }
         // Operands: single qubits q[i] or whole registers q.
         let mut operand_sets: Vec<Vec<u32>> = Vec::new();
         for arg in args.split(',') {
@@ -221,6 +230,18 @@ impl Program {
             });
         }
         Ok(())
+    }
+}
+
+/// The number of angles a known parameterised `qelib1.inc` gate takes;
+/// `None` for every other gate, whose angles are not checked.
+fn angle_count(name: &str) -> Option<usize> {
+    match name {
+        "rz" | "rx" | "ry" | "p" | "u1" | "cp" | "cu1" | "crz" | "crx" | "cry" | "rzz" | "rxx"
+        | "ryy" => Some(1),
+        "u2" => Some(2),
+        "u" | "u3" => Some(3),
+        _ => None,
     }
 }
 
@@ -292,6 +313,27 @@ mod tests {
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("unknown register"));
         assert!(Program::parse("qreg q[1]; h q[4];").is_err());
+    }
+
+    #[test]
+    fn wrong_angle_counts_are_parse_errors() {
+        // Each of these once parsed and then panicked in `analyze`,
+        // which indexes a rotation's first angle.
+        for (src, msg) in [
+            ("qreg q[2];\ncp q[1], q[0];", "`cp` takes 1 angle(s), got 0"),
+            ("qreg q[1];\nrz q[0];", "`rz` takes 1 angle(s), got 0"),
+            ("qreg q[1];\nu2(0) q[0];", "`u2` takes 2 angle(s), got 1"),
+            (
+                "qreg q[1];\nrx(0.1,0.2) q[0];",
+                "`rx` takes 1 angle(s), got 2",
+            ),
+        ] {
+            let e = Program::parse(src).unwrap_err();
+            assert_eq!(e.line, 2, "{src}");
+            assert!(e.to_string().contains(msg), "{src}: {e}");
+        }
+        let p = Program::parse("qreg q[2]; cp(pi/4) q[1], q[0]; u3(0.1,0.2,0.3) q[0];").unwrap();
+        assert_eq!(p.analyze(1e-10).gate_count, 2);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Detector error model extraction.
 
+use crate::WordHasher;
 use ftqc_circuit::{Circuit, Op};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 #[cfg(test)]
 mod record_sweep;
@@ -223,55 +224,12 @@ fn symdiff_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// The Fx hash (rustc's): a rotate, xor and multiply per word. The
-/// tables here are keyed by a few detector indices, where SipHash's
-/// flooding resistance costs most of a lookup and buys little: a
-/// circuit crafted to collide its keys could already make the greedy
-/// split exponential.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best-mixed bits at the top; the table
-        // indexes by the bottom ones.
-        self.0.rotate_left(26)
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Folds one more independent event of probability `p` into `key`'s:
 /// two ways to produce the same flip pattern combine as "exactly one
 /// occurs".
-fn accumulate(probs: &mut FxMap<(DetSet, u32), f64>, key: (DetSet, u32), p: f64) {
+fn accumulate(probs: &mut WordMap<(DetSet, u32), f64>, key: (DetSet, u32), p: f64) {
     let e = probs.entry(key).or_insert(0.0);
     *e = *e * (1.0 - p) + p * (1.0 - *e);
 }
@@ -283,10 +241,10 @@ fn accumulate(probs: &mut FxMap<(DetSet, u32), f64>, key: (DetSet, u32), p: f64)
 struct Merger {
     decompose: bool,
     /// Probability of each (detectors, observables) mechanism.
-    probs: FxMap<(DetSet, u32), f64>,
+    probs: WordMap<(DetSet, u32), f64>,
     /// The last-seen observable of each elementary footprint; only kept
     /// when decomposing.
-    edge_obs: FxMap<DetSet, u32>,
+    edge_obs: WordMap<DetSet, u32>,
     /// Hyperedge components (footprint, observables, probability)
     /// awaiting decomposition, in emission order.
     hyperedges: Vec<(DetSet, u32, f64)>,
@@ -296,8 +254,8 @@ impl Merger {
     fn new(decompose: bool) -> Merger {
         Merger {
             decompose,
-            probs: FxMap::default(),
-            edge_obs: FxMap::default(),
+            probs: WordMap::default(),
+            edge_obs: WordMap::default(),
             hyperedges: Vec::new(),
         }
     }
@@ -325,7 +283,7 @@ impl Merger {
         // Each distinct footprint's split: its parts' range in `parts`
         // and the XOR of their edges' observables, or None if it has
         // none.
-        let mut splits: FxMap<DetSet, Option<(usize, usize, u32)>> = FxMap::default();
+        let mut splits: WordMap<DetSet, Option<(usize, usize, u32)>> = WordMap::default();
         let mut parts: Vec<(DetSet, u32)> = Vec::new();
         let mut used: Vec<bool> = Vec::new();
         let edge_obs = |part: &DetSet| self.edge_obs.get(part).copied();

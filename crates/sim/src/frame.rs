@@ -313,7 +313,10 @@ enum Basis {
 /// Detector and observable flip samples for one batch of shots.
 ///
 /// Rows are bit-packed across shots: bit `s` of word `s / 64` in row `d`
-/// is detector `d`'s value in shot `s`.
+/// is detector `d`'s value in shot `s`. Read shots' syndromes through a
+/// [`SyndromeScanner`], which transposes a 64-shot block at a time;
+/// [`flagged_detectors`](SampleBatch::flagged_detectors) is its per-bit
+/// reference.
 #[derive(Debug, Clone)]
 pub struct SampleBatch {
     /// Number of shots in the batch.
@@ -361,26 +364,17 @@ impl SampleBatch {
     }
 
     /// The flagged (fired) detector indices of shot `s`, ascending.
+    ///
+    /// The per-bit reference: one strided bit probe per detector and a
+    /// fresh `Vec` per call. Tests check [`SyndromeScanner`] against it;
+    /// code that walks a batch reads shots through a scanner instead.
     pub fn flagged_detectors(&self, s: usize) -> Vec<u32> {
-        // analyzer: allow(alloc) -- convenience wrapper; the hot loop
-        // uses `flagged_detectors_into` with a reused buffer.
-        let mut out = Vec::new();
+        // analyzer: allow(alloc) -- per-bit reference; batch walks read
+        // shots through a `SyndromeScanner` into a reused buffer.
+        (0..self.num_detectors as u32)
+            .filter(|&d| self.detector(d as usize, s))
+            .collect()
         // analyzer: end-allow(alloc)
-        self.flagged_detectors_into(s, &mut out);
-        out
-    }
-
-    /// [`flagged_detectors`](SampleBatch::flagged_detectors) into a
-    /// reusable buffer (cleared first) — the per-shot syndrome
-    /// extraction of the decode hot loop, allocation-free once `out`
-    /// has grown to the heaviest syndrome seen.
-    pub fn flagged_detectors_into(&self, s: usize, out: &mut Vec<u32>) {
-        out.clear();
-        for d in 0..self.num_detectors {
-            if self.detector(d, s) {
-                out.push(d as u32);
-            }
-        }
     }
 
     /// Total number of shots in which detector `d` fired.
@@ -398,39 +392,27 @@ impl SampleBatch {
         }
         total
     }
-
-    /// Syndrome Hamming weight (number of flagged detectors) of shot `s`.
-    ///
-    /// One strided bit probe per detector; batch consumers that visit
-    /// many shots should prefer a [`SyndromeScanner`], which amortizes
-    /// a word-wise transpose across each 64-shot block.
-    pub fn hamming_weight(&self, s: usize) -> usize {
-        (0..self.num_detectors)
-            .filter(|&d| self.detector(d, s))
-            .count()
-    }
 }
 
 /// Word-wise syndrome extraction over a [`SampleBatch`].
 ///
-/// The batch stores detector rows bit-packed *across shots*, so the
-/// per-shot extraction ([`SampleBatch::flagged_detectors_into`]) is a
+/// The batch stores detector rows bit-packed *across shots*, so reading
+/// one shot bit by bit ([`SampleBatch::flagged_detectors`]) is a
 /// strided single-bit probe per detector — `num_detectors` cache lines
 /// touched per shot. The scanner instead transposes one 64-shot block
 /// of the detector bit-matrix at a time (64×64 bit-block transpose)
 /// into shot-major rows, after which extracting a shot's syndrome is a
-/// dense `trailing_zeros` scan over `ceil(num_detectors / 64)` words
-/// and its Hamming weight is a row of popcounts. The transpose is
-/// amortized over the up-to-64 shots of its block — exactly how the
-/// decode loop visits them.
+/// dense `trailing_zeros` scan over `ceil(num_detectors / 64)` words.
+/// The transpose is amortized over the up-to-64 shots of its block —
+/// exactly how the decode loop visits them.
 ///
 /// Usage: call [`begin_batch`](SyndromeScanner::begin_batch) once per
 /// batch (this invalidates any cached block), then
-/// [`flagged_into`](SyndromeScanner::flagged_into) /
-/// [`hamming_weight`](SyndromeScanner::hamming_weight) per shot.
-/// Results are bit-identical to the per-bit paths. The scanner reuses
-/// its transpose buffer across batches, so steady-state scanning
-/// allocates nothing.
+/// [`flagged_into`](SyndromeScanner::flagged_into) per shot (a shot's
+/// Hamming weight is the length of its flagged list). Results are
+/// bit-identical to [`SampleBatch::flagged_detectors`]. The scanner
+/// reuses its transpose buffer across batches, so steady-state
+/// scanning allocates nothing.
 #[derive(Debug, Default)]
 pub struct SyndromeScanner {
     /// Shot-major transposed block: 64 rows (one per shot lane) of
@@ -506,7 +488,7 @@ impl SyndromeScanner {
 
     /// The flagged detector indices of shot `s`, ascending, into a
     /// reusable buffer (cleared first). Bit-identical to
-    /// [`SampleBatch::flagged_detectors_into`].
+    /// [`SampleBatch::flagged_detectors`].
     pub fn flagged_into(&mut self, batch: &SampleBatch, s: usize, out: &mut Vec<u32>) {
         out.clear();
         self.load_block(batch, s / WORD_BITS);
@@ -564,17 +546,6 @@ impl SyndromeScanner {
                 bits &= bits - 1;
             }
         }
-    }
-
-    /// Syndrome Hamming weight of shot `s` (a row of popcounts).
-    /// Bit-identical to [`SampleBatch::hamming_weight`].
-    pub fn hamming_weight(&mut self, batch: &SampleBatch, s: usize) -> usize {
-        self.load_block(batch, s / WORD_BITS);
-        let lane = s % WORD_BITS;
-        self.t[lane * self.det_words..(lane + 1) * self.det_words]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
     }
 }
 
@@ -918,9 +889,11 @@ mod tests {
         c.push(Op::detector([MeasRef(0)], DetectorBasis::Z));
         c.push(Op::detector([MeasRef(1)], DetectorBasis::Z));
         let b = sample_batch(&c, 300, 12);
+        let mut scanner = SyndromeScanner::new();
+        scanner.begin_batch(&b);
         let mut buf = vec![99u32; 7]; // stale contents must be cleared
         for s in 0..b.shots {
-            b.flagged_detectors_into(s, &mut buf);
+            scanner.flagged_into(&b, s, &mut buf);
             assert_eq!(buf, b.flagged_detectors(s));
         }
     }
@@ -953,7 +926,6 @@ mod tests {
         for s in 0..b.shots {
             scanner.flagged_into(&b, s, &mut fast);
             assert_eq!(fast, b.flagged_detectors(s), "shot {s}");
-            assert_eq!(scanner.hamming_weight(&b, s), b.hamming_weight(s));
         }
     }
 
@@ -995,21 +967,52 @@ mod tests {
         assert_eq!(a, orig, "transpose is an involution");
     }
 
-    #[test]
-    fn hamming_weight_counts_flagged() {
-        let mut c = Circuit::new(2);
-        c.push(Op::ResetZ(vec![0, 1]));
+    /// `n` detectors, each of which fires in every shot.
+    fn all_flip_circuit(n: u32) -> Circuit {
+        let mut c = Circuit::new(n);
+        c.push(Op::ResetZ((0..n).collect()));
         c.push(Op::PauliChannel {
-            qubits: vec![0, 1],
+            qubits: (0..n).collect(),
             px: 1.0,
             py: 0.0,
             pz: 0.0,
         });
-        c.push(Op::measure_z([0, 1], 0.0));
-        c.push(Op::detector([MeasRef(0)], DetectorBasis::Z));
-        c.push(Op::detector([MeasRef(1)], DetectorBasis::Z));
-        let b = sample_batch(&c, 64, 1);
-        assert_eq!(b.hamming_weight(5), 2);
+        c.push(Op::measure_z((0..n).collect::<Vec<_>>(), 0.0));
+        for k in 0..n {
+            c.push(Op::detector([MeasRef(k)], DetectorBasis::Z));
+        }
+        c
+    }
+
+    #[test]
+    fn scanner_reuses_state_across_batch_shapes() {
+        // One scanner across batches whose detector counts shrink and
+        // grow again (two words, one, two) and whose shot counts leave a
+        // partial last block: `begin_batch` must resize the transpose
+        // buffer each time, leaving no stale bits behind.
+        let mut scanner = SyndromeScanner::new();
+        let mut fast = vec![99u32; 3]; // stale contents must be cleared
+        for (c, shots, seed) in [
+            (wide_circuit(130), 200usize, 4u64),
+            (all_flip_circuit(2), 70, 1),
+            (wide_circuit(65), 129, 5),
+        ] {
+            let b = sample_batch(&c, shots, seed);
+            scanner.begin_batch(&b);
+            for s in 0..b.shots {
+                scanner.flagged_into(&b, s, &mut fast);
+                let reference: Vec<u32> = (0..b.num_detectors as u32)
+                    .filter(|&d| b.detector(d as usize, s))
+                    .collect();
+                assert_eq!(fast, reference, "{shots} shots, shot {s}");
+            }
+        }
+        // The all-flip batch: every shot's weight is its detector count.
+        let b = sample_batch(&all_flip_circuit(2), 64, 1);
+        scanner.begin_batch(&b);
+        scanner.flagged_into(&b, 5, &mut fast);
+        assert_eq!(fast.len(), 2);
+        assert_eq!(fast, vec![0, 1]);
         assert_eq!(b.flagged_detectors(5), vec![0, 1]);
     }
 }

@@ -22,6 +22,8 @@
 //!   extraction: detectors grouped into measurement rounds by their
 //!   `coords[2]` tag and replayed one round at a time through the
 //!   scanner, feeding `ftqc-decoder`'s streaming sliding-window layer.
+//! * [`WordHasher`] — the deterministic word-wise hasher that keys the
+//!   DEM's footprint maps and `ftqc-decoder`'s lookup tables.
 //! * [`BinomialEstimate`] — logical-error-rate statistics.
 //! * [`RunningEstimate`] / [`StopRule`] — incremental estimate merging
 //!   and the stopping criteria behind run-until-confident evaluation.
@@ -47,6 +49,7 @@
 
 mod dem;
 mod frame;
+mod hash;
 mod parallel;
 mod reference;
 mod stats;
@@ -54,6 +57,7 @@ mod stream;
 
 pub use dem::{DemStats, DetectorErrorModel, Mechanism};
 pub use frame::{sample_batch, sample_batch_with, FrameSimulator, SampleBatch, SyndromeScanner};
+pub use hash::WordHasher;
 pub use parallel::{batch_plan, parallel_batches_with, BatchSpec};
 pub use reference::{run_reference, verify_deterministic, ReferenceRun};
 pub use stats::{BinomialEstimate, RunningEstimate, StopReason, StopRule};

@@ -164,6 +164,7 @@ unsafe impl<R: Send> Sync for SlotWriter<R> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SyndromeScanner;
     use ftqc_circuit::{DetectorBasis, MeasRef, Op};
 
     fn noisy_circuit() -> Circuit {
@@ -236,11 +237,14 @@ mod tests {
     fn per_thread_state_reuses_and_matches_stateless_path() {
         let c = noisy_circuit();
         let plan = batch_plan(5_000, 512);
-        // State: a reusable syndrome buffer, as the decode loop keeps.
-        let stateful = parallel_batches_with(&c, &plan, 42, 4, Vec::<u32>::new, |b, buf| {
+        // State: a scanner and a reusable syndrome buffer, as the
+        // decode loop keeps.
+        let state = || (SyndromeScanner::new(), Vec::<u32>::new());
+        let stateful = parallel_batches_with(&c, &plan, 42, 4, state, |b, (scanner, buf)| {
+            scanner.begin_batch(b);
             let mut flips = 0u64;
             for s in 0..b.shots {
-                b.flagged_detectors_into(s, buf);
+                scanner.flagged_into(b, s, buf);
                 flips += u64::from(buf.contains(&0));
             }
             flips

@@ -238,9 +238,7 @@ impl RoundSchedule {
 ///     full.extend_from_slice(&defects);
 /// }
 /// // Rounds concatenate to the batch-extracted syndrome.
-/// let mut batch_syndrome = Vec::new();
-/// batch.flagged_detectors_into(3, &mut batch_syndrome);
-/// assert_eq!(full, batch_syndrome);
+/// assert_eq!(full, batch.flagged_detectors(3));
 /// ```
 #[derive(Debug)]
 pub struct RoundStream<'a> {
@@ -374,9 +372,7 @@ mod tests {
                 full.extend_from_slice(&defects);
             }
             assert_eq!(rounds_seen, schedule.num_rounds());
-            let mut reference = Vec::new();
-            batch.flagged_detectors_into(s, &mut reference);
-            assert_eq!(full, reference, "shot {s}");
+            assert_eq!(full, batch.flagged_detectors(s), "shot {s}");
         }
     }
 
@@ -459,11 +455,9 @@ mod tests {
             while stream.next_round_into(&batch, &mut defects).is_some() {
                 by_round.push(defects.clone());
             }
-            let mut reference = Vec::new();
-            batch.flagged_detectors_into(shot, &mut reference);
             let mut merged: Vec<u32> = by_round.concat();
             merged.sort_unstable();
-            assert_eq!(merged, reference, "shot {shot}");
+            assert_eq!(merged, batch.flagged_detectors(shot), "shot {shot}");
         }
     }
 }

@@ -12,7 +12,7 @@
 use ftqc::decoder::{AnyDecoder, DecoderKind};
 use ftqc::experiments::EvalPipeline;
 use ftqc::noise::HardwareConfig;
-use ftqc::sim::sample_batch;
+use ftqc::sim::{sample_batch, SyndromeScanner};
 use ftqc::surface::MemoryConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -64,8 +64,12 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(5);
     let probe = sample_batch(pipeline.circuit(), 20_000, 3);
     let (mut hits, mut latency) = (0, 0.0);
+    let mut scanner = SyndromeScanner::new();
+    scanner.begin_batch(&probe);
+    let mut flagged = Vec::new();
     for s in 0..probe.shots {
-        latency += if lut.lookup(&probe.flagged_detectors(s)).is_some() {
+        scanner.flagged_into(&probe, s, &mut flagged);
+        latency += if lut.lookup(&flagged).is_some() {
             hits += 1;
             20.0
         } else {

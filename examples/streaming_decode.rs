@@ -15,7 +15,7 @@ use ftqc::decoder::{
 };
 use ftqc::experiments::EvalPipeline;
 use ftqc::noise::HardwareConfig;
-use ftqc::sim::{batch_plan, sample_batch, RoundSchedule, RoundStream};
+use ftqc::sim::{batch_plan, sample_batch, RoundSchedule, RoundStream, SyndromeScanner};
 use ftqc::surface::MemoryConfig;
 
 fn main() {
@@ -38,8 +38,14 @@ fn main() {
     // --- One shot, narrated: window W = 2 finalizes round r when
     // round r + 1 arrives.
     let batch = sample_batch(pipeline.circuit(), 64, 5);
+    let mut scanner = SyndromeScanner::new();
+    scanner.begin_batch(&batch);
+    let mut flagged = Vec::new();
     let shot = (0..batch.shots)
-        .find(|&s| batch.hamming_weight(s) >= 2)
+        .find(|&s| {
+            scanner.flagged_into(&batch, s, &mut flagged);
+            flagged.len() >= 2
+        })
         .expect("a shot with defects");
     let mut rounds = RoundStream::new(&schedule);
     let mut stream = StreamingConfig::fused(2, 1).build(decoder, &schedule);
