@@ -3,8 +3,8 @@
 //! Reports are flat and dependency-free by design (the build
 //! environment has no serde): [`BenchReport::to_json`] emits them,
 //! [`BenchReport::from_json`] parses them back through the workspace's
-//! shared [`Value`] reader, and `ftqc-bench compare` diffs two of them. Schema
-//! (`"schema": 1`):
+//! shared [`Value`] reader, and `ftqc-bench compare` joins them pair by
+//! pair. Schema (`"schema": 1`):
 //!
 //! ```json
 //! {
@@ -27,7 +27,8 @@
 //! ops); `ops_per_sec` is derived from it; `allocs_per_op` is measured
 //! with the counting allocator (machine-independent); `samples` is the
 //! number of timed repetitions. Unknown keys are ignored on read, so
-//! the schema can grow additively.
+//! the schema can grow additively and a report written by another
+//! commit's binary still reads.
 
 use ftqc_telemetry::json::{push_json_str, Value};
 use std::fmt::Write as _;
@@ -79,12 +80,6 @@ pub struct BenchReport {
     pub scenario: String,
     /// Preset the scenario ran under (`"quick"` / `"full"`).
     pub preset: String,
-    /// ns/op of the fixed synthetic calibration loop on the measuring
-    /// host (0 = not measured). `compare` divides new medians by the
-    /// calibration ratio before applying its threshold, so a report
-    /// from a slower machine is judged against a proportionally
-    /// slower baseline instead of failing on hardware alone.
-    pub calibration_ns_per_op: f64,
     /// Measured rows.
     pub results: Vec<BenchResult>,
 }
@@ -96,12 +91,7 @@ impl BenchReport {
         push_json_str(&mut out, &self.scenario);
         out.push_str(",\n  \"preset\": ");
         push_json_str(&mut out, &self.preset);
-        out.push_str(",\n");
-        if self.calibration_ns_per_op > 0.0 {
-            let cal = fmt_f64(self.calibration_ns_per_op);
-            let _ = writeln!(out, "  \"calibration_ns_per_op\": {cal},");
-        }
-        out.push_str("  \"results\": [\n");
+        out.push_str(",\n  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             out.push_str("    {\n      \"name\": ");
             push_json_str(&mut out, &r.name);
@@ -128,7 +118,6 @@ impl BenchReport {
             .ok_or("missing \"scenario\"")?
             .to_string();
         let preset = doc.get_str("preset").unwrap_or("").to_string();
-        let calibration_ns_per_op = doc.get_f64("calibration_ns_per_op").unwrap_or(0.0);
         let rows = doc
             .field("results")
             .and_then(Value::as_array)
@@ -156,7 +145,6 @@ impl BenchReport {
         Ok(BenchReport {
             scenario,
             preset,
-            calibration_ns_per_op,
             results,
         })
     }
@@ -180,7 +168,6 @@ mod tests {
         BenchReport {
             scenario: "decode-throughput".into(),
             preset: "quick".into(),
-            calibration_ns_per_op: 2.125,
             results: vec![
                 BenchResult::new("uf/d3", 1532.812, 0.0, 7),
                 BenchResult::new("mwpm/d3", 20711.333, 12.25, 7),
@@ -194,7 +181,6 @@ mod tests {
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed.scenario, report.scenario);
         assert_eq!(parsed.preset, report.preset);
-        assert!((parsed.calibration_ns_per_op - report.calibration_ns_per_op).abs() < 1e-3);
         assert_eq!(parsed.results.len(), 2);
         for (a, b) in parsed.results.iter().zip(&report.results) {
             assert_eq!(a.name, b.name);
@@ -242,35 +228,102 @@ mod tests {
         let report = BenchReport {
             scenario: "quote\"back\\slash".into(),
             preset: "p".into(),
-            calibration_ns_per_op: 0.0,
             results: vec![],
         };
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed.scenario, report.scenario);
     }
 
-    #[test]
-    fn committed_baselines_do_not_drift() {
-        let dir =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench-baseline");
-        let mut checked = 0;
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_none_or(|ext| ext != "json") {
+    /// Splices the mutation test inserts or substitutes: structure,
+    /// broken strings and escapes, and numbers JSON cannot hold.
+    const SPLICES: [&str; 16] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\"\\u12\"",
+        "\"\\ud800\"",
+        "-",
+        "1e999",
+        "-1e400",
+        "NaN",
+        "null",
+        "18446744073709551616",
+        "\"results\"",
+    ];
+
+    /// Splits JSON text into tokens: whole strings (escapes included),
+    /// runs of number and keyword characters, and single punctuation
+    /// characters. Whitespace is dropped; joining with spaces restores
+    /// an equivalent document.
+    fn tokens(text: &str) -> Vec<String> {
+        let word = |c: &char| c.is_ascii_alphanumeric() || "+-.".contains(*c);
+        let mut out = Vec::new();
+        let mut chars = text.chars().peekable();
+        while let Some(c) = chars.next() {
+            let mut token = c.to_string();
+            if c == '"' {
+                while let Some(c) = chars.next() {
+                    token.push(c);
+                    match c {
+                        '\\' => token.extend(chars.next()),
+                        '"' => break,
+                        _ => {}
+                    }
+                }
+            } else if word(&c) {
+                while let Some(c) = chars.next_if(word) {
+                    token.push(c);
+                }
+            } else if c.is_whitespace() {
                 continue;
             }
-            let text = std::fs::read_to_string(&path).unwrap();
-            let report = BenchReport::from_json(&text).unwrap();
-            let rewritten = report.to_json();
-            let name = path.display();
-            assert_eq!(
-                BenchReport::from_json(&rewritten).unwrap(),
-                report,
-                "{name}"
-            );
-            assert_eq!(rewritten, text, "{name} re-serializes differently");
-            checked += 1;
+            out.push(token);
         }
-        assert!(checked > 0, "no baselines under {}", dir.display());
+        out
+    }
+
+    proptest::proptest! {
+        /// `compare` reads reports written by another commit's binary,
+        /// so a damaged one must be an error, never a panic; and
+        /// whatever parses writes a report that parses again.
+        #[test]
+        fn mutated_reports_parse_or_error_without_panicking(
+            edits in proptest::collection::vec((0usize..1 << 16, 0usize..SPLICES.len(), 0u8..4), 1..6),
+        ) {
+            let mut toks = tokens(&sample_report().to_json());
+            for (at, splice, op) in edits {
+                let at = at % toks.len();
+                match op {
+                    0 => {
+                        toks.remove(at);
+                    }
+                    1 => toks[at] = SPLICES[splice].to_string(),
+                    2 => toks.insert(at, SPLICES[splice].to_string()),
+                    _ => toks.insert(at, toks[at].clone()),
+                }
+                let text = toks.join(" ");
+                let parsed = std::panic::catch_unwind(|| BenchReport::from_json(&text));
+                proptest::prop_assert!(parsed.is_ok(), "from_json panicked on:\n{}", text);
+                if let Ok(Ok(report)) = parsed {
+                    let again = BenchReport::from_json(&report.to_json());
+                    proptest::prop_assert!(again.is_ok(), "{:?} re-reads as {:?}", report, again);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutation_tokens_rejoin_to_the_same_report() {
+        let text = sample_report().to_json();
+        let rejoined = tokens(&text).join(" ");
+        assert_ne!(rejoined, text);
+        assert_eq!(
+            BenchReport::from_json(&rejoined),
+            BenchReport::from_json(&text)
+        );
     }
 }

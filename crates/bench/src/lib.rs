@@ -5,13 +5,12 @@
 //! merges/sec — and emits machine-readable `BENCH_<scenario>.json`
 //! reports.
 //!
-//! The JSON reports are the perf trajectory of the repository: CI's
-//! `perf-smoke` job regenerates them on reduced presets, uploads them
-//! as artifacts, and (on pull requests) diffs them against the
-//! baseline committed under `results/bench-baseline/` with
-//! `ftqc-bench compare`, failing the build past a regression
-//! threshold. See DESIGN.md ("Performance model & bench harness") for
-//! the schema and the baseline-refresh procedure.
+//! CI's `perf-smoke` job regenerates the JSON reports on the quick
+//! preset and uploads them as artifacts. On pull requests it runs the
+//! merge base's binary and the change's in alternating pairs, and
+//! `ftqc-bench compare` fails the build when a row is slower in most
+//! pairs. See DESIGN.md ("Performance model & bench harness") for the
+//! schema and the gate.
 //!
 //! [`alloc::CountingAlloc`] is the crate's counting allocator: installed
 //! as the global allocator it makes allocation counts a first-class
@@ -24,4 +23,4 @@ pub mod json;
 pub mod scenarios;
 
 pub use json::{BenchReport, BenchResult};
-pub use scenarios::{calibrate, run_scenario, scenario_names, Preset};
+pub use scenarios::{run_scenario, scenario_names, Preset};

@@ -1,10 +1,10 @@
 //! `ftqc-bench` — run named perf scenarios, emit `BENCH_*.json`, and
-//! gate regressions by diffing two reports.
+//! gate regressions over parent/change pairs of reports.
 //!
 //! ```text
 //! ftqc-bench list
 //! ftqc-bench run [SCENARIO ...] [--preset quick|full] [--out DIR] [--trace-dir DIR]
-//! ftqc-bench compare BASELINE.json NEW.json [--threshold 0.25]
+//! ftqc-bench compare DIR
 //! ```
 //!
 //! `run` writes one `BENCH_<scenario>.json` per scenario into `--out`
@@ -15,15 +15,18 @@
 //! totals — the span-attribution numbers behind EXPERIMENTS.md's
 //! "Where the nanoseconds go" table) into `DIR`. Tracing adds the
 //! enabled-path recording cost to the measured numbers, so traced
-//! medians are for *attribution*, not for updating baselines.
-//! `compare` exits non-zero when any
-//! row of NEW is more than `--threshold` (fractional) slower than the
-//! same row of BASELINE, when a baseline row disappeared, or when an
-//! allocation-free row started allocating — see DESIGN.md
-//! ("Performance model & bench harness").
+//! medians are for *attribution*, not for gating.
+//!
+//! `compare` reads `DIR/pair-<i>/{parent,change}/BENCH_*.json`, as
+//! `.github/perf-pairs.sh` writes them, and exits 1 when a parent row
+//! is missing from the change, or when the change is more than 25%
+//! slower, or allocates more than `ALLOC_SLACK` more per op, in more
+//! than half the pairs — see DESIGN.md ("The CI gate").
 
 use ftqc_bench::alloc::{counting_enabled, CountingAlloc};
 use ftqc_bench::{run_scenario, scenario_names, BenchReport, Preset};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 #[global_allocator]
@@ -70,7 +73,7 @@ impl From<String> for Failure {
 
 fn usage() -> Failure {
     Failure::Usage(format!(
-        "usage:\n  ftqc-bench list\n  ftqc-bench run [SCENARIO ...] [--preset quick|full] [--out DIR] [--trace-dir DIR]\n  ftqc-bench compare BASELINE.json NEW.json [--threshold 0.25]\n\nscenarios: {}",
+        "usage:\n  ftqc-bench list\n  ftqc-bench run [SCENARIO ...] [--preset quick|full] [--out DIR] [--trace-dir DIR]\n  ftqc-bench compare DIR\n\nscenarios: {}",
         scenario_names().join(", ")
     ))
 }
@@ -173,138 +176,136 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Allocation slack before an alloc-count increase counts as a
-/// regression. Rows at or below the slack are gated absolutely — an
-/// allocation-free hot path crossing from ~0 to >0.5 allocs/op always
-/// fails; rows that allocate more than that in the baseline are gated
-/// *relatively*, by the same fractional threshold as time. Every
-/// committed baseline row is gated absolutely: `runtime-sweep` reads
-/// ~0.16 allocs/op, one `execute`'s set-up spread over its merges.
+/// A pair reads the change as slower when its median exceeds this
+/// multiple of the parent's.
+const SLOWER: f64 = 1.25;
+
+/// A pair reads the change as allocating more when its allocs/op exceed
+/// the parent's by more than this. Counts are exact per binary, so any
+/// real increase past the slack shows in every pair; an
+/// allocation-free hot path that starts allocating once per op fails.
 const ALLOC_SLACK: f64 = 0.5;
 
+/// One row's verdicts over the pairs whose parent reports it.
+#[derive(Default)]
+struct Tally {
+    pairs: usize,
+    missing: usize,
+    slower: usize,
+    allocating: usize,
+    /// change / parent median, per pair the row is in both.
+    ratios: Vec<f64>,
+}
+
 fn cmd_compare(args: &[String]) -> Result<(), Failure> {
-    let mut threshold = 0.25f64;
-    let mut files: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .ok_or_else(|| "--threshold needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("bad --threshold: {e}"))?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(Failure::Usage(format!("unknown flag '{flag}'")));
-            }
-            _ => files.push(arg),
-        }
-    }
-    let [base_path, new_path] = files.as_slice() else {
+    let [dir] = args else {
         return Err(usage());
     };
-    let base = load(base_path)?;
-    let new = load(new_path)?;
-    if base.scenario != new.scenario {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read pair directory {dir}: {e}"))?;
+    let mut pairs: Vec<_> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("pair-"))
+        })
+        .collect();
+    pairs.sort();
+    if pairs.is_empty() {
         return Err(Failure::Usage(format!(
-            "scenario mismatch: baseline is '{}', new is '{}'",
-            base.scenario, new.scenario
+            "no pair-<i> directories under {dir}"
         )));
     }
-    if base.preset != new.preset {
-        eprintln!(
-            "warning: comparing presets '{}' (baseline) vs '{}' (new)",
-            base.preset, new.preset
-        );
-    }
-    // Host-speed normalization: judge new medians against a baseline
-    // scaled by the calibration ratio, so a slower (or faster) machine
-    // is gated on relative regressions, not on its hardware.
-    let host_scale = if base.calibration_ns_per_op > 0.0 && new.calibration_ns_per_op > 0.0 {
-        new.calibration_ns_per_op / base.calibration_ns_per_op
-    } else {
-        1.0
-    };
-    if (host_scale - 1.0).abs() > 0.05 {
-        println!(
-            "host calibration: baseline {:.2} ns/op, new {:.2} ns/op -> scaling baseline by {host_scale:.2}x",
-            base.calibration_ns_per_op, new.calibration_ns_per_op
-        );
+    let mut rows: BTreeMap<String, Tally> = BTreeMap::new();
+    for pair in &pairs {
+        let [parent_dir, change_dir] = ["parent", "change"].map(|side| pair.join(side));
+        for side in [&parent_dir, &change_dir] {
+            if !side.is_dir() {
+                return Err(Failure::Usage(format!("{} is missing", side.display())));
+            }
+        }
+        let mut names: Vec<_> = std::fs::read_dir(&parent_dir)
+            .map_err(|e| format!("cannot read {}: {e}", parent_dir.display()))?
+            .filter_map(|e| e.ok().map(|e| e.file_name().to_string_lossy().into_owned()))
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        names.sort();
+        for name in names {
+            let parent = load(&parent_dir.join(&name))?;
+            let change_path = change_dir.join(&name);
+            let change = match change_path.exists() {
+                true => load(&change_path)?.results,
+                false => Vec::new(),
+            };
+            for p in &parent.results {
+                let tally = rows
+                    .entry(format!("{}/{}", parent.scenario, p.name))
+                    .or_default();
+                tally.pairs += 1;
+                let Some(c) = change.iter().find(|c| c.name == p.name) else {
+                    tally.missing += 1;
+                    continue;
+                };
+                let ratio = if p.median_ns_per_op > 0.0 {
+                    c.median_ns_per_op / p.median_ns_per_op
+                } else {
+                    1.0
+                };
+                tally.ratios.push(ratio);
+                tally.slower += usize::from(ratio > SLOWER);
+                tally.allocating += usize::from(c.allocs_per_op > p.allocs_per_op + ALLOC_SLACK);
+            }
+        }
     }
     let mut regressions = Vec::new();
     println!(
-        "{:<28} {:>14} {:>14} {:>9} {:>12}",
-        "row", "baseline ns/op", "new ns/op", "delta", "allocs/op"
+        "{:<44} {:>12} {:>8} {:>9}",
+        "row", "median ratio", "slower", "allocs+"
     );
-    for b in &base.results {
-        let Some(n) = new.results.iter().find(|n| n.name == b.name) else {
-            regressions.push(format!("row '{}' missing from {new_path}", b.name));
-            continue;
-        };
-        let scaled_base = b.median_ns_per_op * host_scale;
-        let delta = if scaled_base > 0.0 {
-            n.median_ns_per_op / scaled_base - 1.0
-        } else {
-            0.0
-        };
-        let alloc_regressed = if b.allocs_per_op <= ALLOC_SLACK {
-            n.allocs_per_op > b.allocs_per_op + ALLOC_SLACK
-        } else {
-            n.allocs_per_op > b.allocs_per_op * (1.0 + threshold)
-        };
-        let time_regressed = delta > threshold;
-        println!(
-            "{:<28} {:>14.1} {:>14.1} {:>+8.1}% {:>5.2}->{:<5.2}{}",
-            b.name,
-            b.median_ns_per_op,
-            n.median_ns_per_op,
-            delta * 100.0,
-            b.allocs_per_op,
-            n.allocs_per_op,
-            match (time_regressed, alloc_regressed) {
-                (true, true) => "  REGRESSION (time + allocs)",
-                (true, false) => "  REGRESSION (time)",
-                (false, true) => "  REGRESSION (allocs)",
-                (false, false) => "",
-            }
-        );
-        if time_regressed {
-            regressions.push(format!(
-                "'{}' is {:.1}% slower ({:.1} -> {:.1} ns/op host-normalized; threshold {:.0}%)",
-                b.name,
-                delta * 100.0,
-                scaled_base,
-                n.median_ns_per_op,
-                threshold * 100.0
+    for (row, tally) in rows {
+        let Tally {
+            pairs: n,
+            missing,
+            slower,
+            allocating,
+            mut ratios,
+        } = tally;
+        ratios.sort_by(f64::total_cmp);
+        let median = ratios.get(ratios.len() / 2).map_or(f64::NAN, |r| *r);
+        let mut why = Vec::new();
+        if missing > 0 {
+            why.push(format!("missing from the change in {missing} of {n} pairs"));
+        }
+        if 2 * slower > n {
+            why.push(format!(
+                "over {SLOWER}x the parent in {slower} of {n} pairs"
             ));
         }
-        if alloc_regressed {
-            regressions.push(format!(
-                "'{}' allocates more per op ({:.2} -> {:.2})",
-                b.name, b.allocs_per_op, n.allocs_per_op
+        if 2 * allocating > n {
+            why.push(format!(
+                "allocs/op up by over {ALLOC_SLACK} in {allocating} of {n} pairs"
             ));
         }
+        let flag = if why.is_empty() { "" } else { "  REGRESSION" };
+        println!("{row:<44} {median:>11.2}x {slower:>5}/{n:<2} {allocating:>6}/{n:<2}{flag}");
+        regressions.extend(why.into_iter().map(|w| format!("'{row}': {w}")));
     }
     if regressions.is_empty() {
-        println!(
-            "OK: no row of '{}' regressed past {:.0}% vs {base_path}",
-            base.scenario,
-            threshold * 100.0
-        );
+        println!("OK: no row regressed over {} pairs in {dir}", pairs.len());
         Ok(())
     } else {
         Err(Failure::Regression(format!(
-            "{} regression(s) in scenario '{}':\n  {}",
+            "{} regression(s) over {} pairs:\n  {}",
             regressions.len(),
-            base.scenario,
+            pairs.len(),
             regressions.join("\n  ")
         )))
     }
 }
 
-fn load(path: &str) -> Result<BenchReport, Failure> {
+fn load(path: &Path) -> Result<BenchReport, Failure> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| Failure::Usage(format!("cannot read {path}: {e}")))?;
-    BenchReport::from_json(&text).map_err(|e| Failure::Usage(format!("cannot parse {path}: {e}")))
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Ok(BenchReport::from_json(&text)
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))?)
 }

@@ -17,10 +17,8 @@
 //!   `<kind>/d<d>/fused/p50`, `/p99` and `/max`
 //!   ns per round (each row's `median_ns_per_op` carries that order
 //!   statistic — median-of-passes for p50/p99, min-of-passes for the
-//!   noise-sensitive max — so tail latency rides the existing compare
-//!   gate with no schema change; the committed baseline carries only
-//!   the statistically stable p50/p99 rows, leaving max
-//!   reported-but-ungated). This mirrors
+//!   noise-sensitive max — so tail latency rides the pair gate with no
+//!   schema change). This mirrors
 //!   micro-blossom's `decoding_speed/distribution` harness and is the
 //!   number a real-time claim rests on.
 //! * `fusion-accuracy` — the accuracy side of the same trade: the
@@ -43,9 +41,10 @@
 //!   [`RingSink`](ftqc_telemetry::RingSink)).
 //!
 //! Every scenario exists in a `quick` preset (seconds; what CI's
-//! `perf-smoke` job runs and gates on) and a `full` preset (the
-//! distance sweep d = 3..11 behind the EXPERIMENTS.md throughput
-//! table).
+//! `perf-smoke` job runs in parent/change pairs and gates on, except
+//! `fusion-accuracy`, whose rows are error counts, not times) and a
+//! `full` preset (the distance sweep d = 3..11 behind the
+//! EXPERIMENTS.md throughput table).
 //!
 //! Operations are timed in whole passes (one pass decodes every
 //! pre-sampled syndrome once) and reported as median ns/op across
@@ -127,33 +126,8 @@ pub fn run_scenario(name: &str, preset: Preset) -> Result<BenchReport, String> {
     Ok(BenchReport {
         scenario: name.to_string(),
         preset: preset.name().to_string(),
-        calibration_ns_per_op: calibrate(),
         results,
     })
-}
-
-/// ns/op of a fixed synthetic CPU-bound loop (xorshift64 over 4M
-/// steps, median of 5), stamped into every report as the measuring
-/// host's speed reference. `ftqc-bench compare` divides new medians by
-/// the calibration ratio before thresholding, so a baseline recorded
-/// on one machine gates runs on another by *relative* slowdown rather
-/// than by raw hardware difference.
-pub fn calibrate() -> f64 {
-    const STEPS: u64 = 4_000_000;
-    let mut samples = [0.0f64; 5];
-    let mut x = 0x9E3779B97F4A7C15u64;
-    for sample in &mut samples {
-        let t0 = Instant::now();
-        for _ in 0..STEPS {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-        }
-        std::hint::black_box(x);
-        *sample = t0.elapsed().as_nanos() as f64 / STEPS as f64;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Timed samples per measurement.

@@ -753,19 +753,13 @@ mod tests {
 
     #[test]
     fn decompose_against_splits_into_pairs() {
-        use std::collections::HashSet;
-        let mut edges = HashSet::new();
-        edges.insert(vec![0, 1]);
-        edges.insert(vec![2, 3]);
-        let parts = record_sweep::decompose_against(&[0, 1, 2, 3], &edges).unwrap();
-        assert_eq!(parts, vec![vec![0, 1], vec![2, 3]]);
-        assert_eq!(split(&[0, 1, 2, 3], &[&[0, 1], &[2, 3]]), Some(parts));
-        assert!(record_sweep::decompose_against(&[0, 2, 3], &edges).is_none());
-        assert!(split(&[0, 2, 3], &[&[0, 1], &[2, 3]]).is_none());
-        edges.insert(vec![0]);
-        let parts = record_sweep::decompose_against(&[0, 2, 3], &edges).unwrap();
-        assert_eq!(parts, vec![vec![0], vec![2, 3]]);
-        assert_eq!(split(&[0, 2, 3], &[&[0, 1], &[2, 3], &[0]]), Some(parts));
+        let pairs: [&[u32]; 2] = [&[0, 1], &[2, 3]];
+        let want = vec![vec![0, 1], vec![2, 3]];
+        assert_eq!(split(&[0, 1, 2, 3], &pairs), Some(want));
+        assert!(split(&[0, 2, 3], &pairs).is_none());
+        let with_boundary: [&[u32]; 3] = [&[0, 1], &[2, 3], &[0]];
+        let want = vec![vec![0], vec![2, 3]];
+        assert_eq!(split(&[0, 2, 3], &with_boundary), Some(want));
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! bit.
 //!
 //! It tracks each qubit's sensitivity as the set of measurement records
-//! an error would flip, and maps every emitted component to detectors
-//! afterwards. It assumes every detector lists distinct records.
+//! an error would flip, maps every component to detectors as it is
+//! emitted, and feeds them in emission order through the production
+//! [`Merger`], so it checks the sweep alone. It assumes every detector
+//! lists distinct records.
 
-use super::{DemStats, DetectorErrorModel, Mechanism};
+use super::{DemStats, DetectorErrorModel, Merger};
 use ftqc_circuit::{Circuit, Op, Qubit};
-use std::collections::HashMap;
 
 /// Extracts `circuit`'s model the way the record-space sweep did.
 pub(super) fn from_circuit(circuit: &Circuit, decompose: bool) -> (DetectorErrorModel, DemStats) {
@@ -53,13 +54,6 @@ struct Extractor<'a> {
     rec_to_obs: Vec<u32>,
 }
 
-#[derive(Debug)]
-struct RawComponent {
-    probability: f64,
-    detectors: Vec<u32>,
-    observables: u32,
-}
-
 impl<'a> Extractor<'a> {
     fn new(circuit: &'a Circuit) -> Extractor<'a> {
         let n = circuit.num_qubits() as usize;
@@ -101,7 +95,7 @@ impl<'a> Extractor<'a> {
 
     fn extract(mut self, decompose: bool) -> (DetectorErrorModel, DemStats) {
         let mut stats = DemStats::default();
-        let mut raw: Vec<RawComponent> = Vec::new();
+        let mut merger = Merger::new(decompose);
         // Walk records backward: assign indices by pre-scanning.
         let mut next_record = self.circuit.num_measurements();
         let ops: Vec<&Op> = self.circuit.ops().iter().collect();
@@ -149,7 +143,7 @@ impl<'a> Extractor<'a> {
                         next_record -= 1;
                         stats.components += 1;
                         self.measure_update(q, next_record, MeasKind::Z, false);
-                        self.emit_flip(&mut raw, *flip_probability, next_record);
+                        self.emit_flip(&mut merger, *flip_probability, next_record);
                     }
                 }
                 Op::MeasureX {
@@ -160,7 +154,7 @@ impl<'a> Extractor<'a> {
                         next_record -= 1;
                         stats.components += 1;
                         self.measure_update(q, next_record, MeasKind::X, false);
-                        self.emit_flip(&mut raw, *flip_probability, next_record);
+                        self.emit_flip(&mut merger, *flip_probability, next_record);
                     }
                 }
                 Op::MeasureReset {
@@ -171,7 +165,7 @@ impl<'a> Extractor<'a> {
                         next_record -= 1;
                         stats.components += 1;
                         self.measure_update(q, next_record, MeasKind::Z, true);
-                        self.emit_flip(&mut raw, *flip_probability, next_record);
+                        self.emit_flip(&mut merger, *flip_probability, next_record);
                     }
                 }
                 Op::PauliChannel { qubits, px, py, pz } => {
@@ -179,14 +173,14 @@ impl<'a> Extractor<'a> {
                         let q = q as usize;
                         stats.components += 3;
                         if *px > 0.0 {
-                            self.emit(&mut raw, *px, self.eff_x[q].clone());
+                            self.emit(&mut merger, *px, self.eff_x[q].clone());
                         }
                         if *py > 0.0 {
                             let recs = symdiff(&self.eff_x[q], &self.eff_z[q]);
-                            self.emit(&mut raw, *py, recs);
+                            self.emit(&mut merger, *py, recs);
                         }
                         if *pz > 0.0 {
-                            self.emit(&mut raw, *pz, self.eff_z[q].clone());
+                            self.emit(&mut merger, *pz, self.eff_z[q].clone());
                         }
                     }
                 }
@@ -196,9 +190,9 @@ impl<'a> Extractor<'a> {
                         let q = q as usize;
                         stats.components += 3;
                         if pc > 0.0 {
-                            self.emit(&mut raw, pc, self.eff_x[q].clone());
-                            self.emit(&mut raw, pc, symdiff(&self.eff_x[q], &self.eff_z[q]));
-                            self.emit(&mut raw, pc, self.eff_z[q].clone());
+                            self.emit(&mut merger, pc, self.eff_x[q].clone());
+                            self.emit(&mut merger, pc, symdiff(&self.eff_x[q], &self.eff_z[q]));
+                            self.emit(&mut merger, pc, self.eff_z[q].clone());
                         }
                     }
                 }
@@ -212,7 +206,7 @@ impl<'a> Extractor<'a> {
                         for code in 1u8..16 {
                             let recs_a = self.pauli_records(a, code >> 2);
                             let recs_b = self.pauli_records(b, code & 3);
-                            self.emit(&mut raw, pc, symdiff(&recs_a, &recs_b));
+                            self.emit(&mut merger, pc, symdiff(&recs_a, &recs_b));
                         }
                     }
                 }
@@ -221,14 +215,12 @@ impl<'a> Extractor<'a> {
         }
         debug_assert_eq!(next_record, 0, "record bookkeeping drift");
 
-        // Map raw record-sets to detector sets via symmetric difference,
-        // then merge / decompose.
-        let merged = self.merge(raw, decompose, &mut stats);
+        let mechanisms = merger.finish(&mut stats);
         (
             DetectorErrorModel {
                 num_detectors: self.circuit.num_detectors() as usize,
                 num_observables: self.circuit.num_observables() as usize,
-                mechanisms: merged,
+                mechanisms,
             },
             stats,
         )
@@ -247,9 +239,9 @@ impl<'a> Extractor<'a> {
 
     /// A classical readout flip of `record` with probability `p` is an
     /// error mechanism of its own.
-    fn emit_flip(&self, raw: &mut Vec<RawComponent>, p: f64, record: u32) {
+    fn emit_flip(&self, merger: &mut Merger, p: f64, record: u32) {
         if p > 0.0 {
-            self.emit(raw, p, vec![record]);
+            self.emit(merger, p, vec![record]);
         }
     }
 
@@ -278,145 +270,17 @@ impl<'a> Extractor<'a> {
         }
     }
 
-    fn emit(&self, raw: &mut Vec<RawComponent>, p: f64, records: Vec<u32>) {
-        if records.is_empty() {
-            return;
-        }
+    /// Maps `records` to the detectors and observables they flip and
+    /// hands the component to the merger.
+    fn emit(&self, merger: &mut Merger, p: f64, records: Vec<u32>) {
         let mut dets: Vec<u32> = Vec::new();
         let mut obs = 0u32;
         for r in records {
             dets = symdiff(&dets, &self.rec_to_dets[r as usize]);
             obs ^= self.rec_to_obs[r as usize];
         }
-        if dets.is_empty() && obs == 0 {
-            return;
-        }
-        raw.push(RawComponent {
-            probability: p,
-            detectors: dets,
-            observables: obs,
-        });
+        merger.emit(p, &dets, obs);
     }
-
-    fn merge(
-        &self,
-        raw: Vec<RawComponent>,
-        decompose: bool,
-        stats: &mut DemStats,
-    ) -> Vec<Mechanism> {
-        let mut map: HashMap<(Vec<u32>, u32), f64> = HashMap::new();
-        let mut add = |dets: Vec<u32>, obs: u32, p: f64| {
-            let e = map.entry((dets, obs)).or_insert(0.0);
-            // Two ways to produce the same flip pattern combine as
-            // "exactly one occurs".
-            *e = *e * (1.0 - p) + p * (1.0 - *e);
-        };
-        if !decompose {
-            for c in raw {
-                add(c.detectors, c.observables, c.probability);
-            }
-        } else {
-            // First pass: everything graphlike goes in directly and
-            // registers as an elementary edge.
-            let mut elementary: Vec<(Vec<u32>, u32)> = Vec::new();
-            let mut pending: Vec<RawComponent> = Vec::new();
-            for c in raw {
-                if c.detectors.len() <= 2 {
-                    elementary.push((c.detectors.clone(), c.observables));
-                    add(c.detectors, c.observables, c.probability);
-                } else {
-                    pending.push(c);
-                }
-            }
-            use std::collections::HashSet;
-            let edge_set: HashSet<Vec<u32>> = elementary.iter().map(|(d, _)| d.clone()).collect();
-            let obs_for: HashMap<Vec<u32>, u32> =
-                elementary.iter().map(|(d, o)| (d.clone(), *o)).collect();
-            for c in pending {
-                stats.decomposed_hyperedges += 1;
-                match decompose_against(&c.detectors, &edge_set) {
-                    Some(parts) => {
-                        // Distribute observables: assign the component's
-                        // observable mask XOR of the parts' own known
-                        // masks to the first part so the total is right.
-                        let mut assigned = 0u32;
-                        let known: Vec<u32> = parts
-                            .iter()
-                            .map(|p| obs_for.get(p).copied().unwrap_or(0))
-                            .collect();
-                        if known.iter().fold(0, |a, b| a ^ b) != c.observables {
-                            stats.forced_observable_splits += 1;
-                        }
-                        for (i, part) in parts.iter().enumerate() {
-                            let mut o = known[i];
-                            if i == 0 {
-                                let total_known: u32 = known.iter().fold(0, |a, b| a ^ b);
-                                o ^= c.observables ^ total_known;
-                            }
-                            assigned ^= o;
-                            add(part.clone(), o, c.probability);
-                        }
-                        debug_assert_eq!(assigned, c.observables);
-                    }
-                    None => {
-                        stats.dropped_hyperedges += 1;
-                    }
-                }
-            }
-        }
-        let mut out: Vec<Mechanism> = map
-            .into_iter()
-            .filter(|&(_, p)| p > 0.0)
-            .map(|((detectors, observables), probability)| Mechanism {
-                probability,
-                detectors,
-                observables,
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.detectors
-                .cmp(&b.detectors)
-                .then(a.observables.cmp(&b.observables))
-        });
-        out
-    }
-}
-
-/// Tries to partition `dets` (sorted, > 2 entries) into groups of 1–2
-/// detectors such that every group is an existing elementary edge.
-pub(super) fn decompose_against(
-    dets: &[u32],
-    edges: &std::collections::HashSet<Vec<u32>>,
-) -> Option<Vec<Vec<u32>>> {
-    if dets.is_empty() {
-        return Some(Vec::new());
-    }
-    let first = dets[0];
-    // Try pairing `first` with each other detector.
-    for (i, &other) in dets.iter().enumerate().skip(1) {
-        let pair = vec![first, other];
-        if edges.contains(&pair) {
-            let mut rest: Vec<u32> = Vec::with_capacity(dets.len() - 2);
-            for (j, &d) in dets.iter().enumerate() {
-                if j != 0 && j != i {
-                    rest.push(d);
-                }
-            }
-            if let Some(mut sub) = decompose_against(&rest, edges) {
-                sub.insert(0, pair);
-                return Some(sub);
-            }
-        }
-    }
-    // Try `first` alone as a boundary edge.
-    let single = vec![first];
-    if edges.contains(&single) {
-        if let Some(mut sub) = decompose_against(&dets[1..], edges) {
-            sub.insert(0, single);
-            return Some(sub);
-        }
-    }
-    None
 }
 
 enum MeasKind {
