@@ -3,7 +3,7 @@
 use crate::graph::DecodingGraph;
 use crate::scratch::{DecoderScratch, ScratchCapacity};
 use ftqc_circuit::Circuit;
-use ftqc_sim::{batch_plan, parallel_batches_with, BatchSpec, BinomialEstimate, SyndromeScanner};
+use ftqc_sim::{parallel_batches_with, BatchSpec, SyndromeScanner};
 
 /// A syndrome decoder: maps the set of flagged detectors of one shot to
 /// a predicted logical-observable flip mask.
@@ -92,51 +92,11 @@ impl<D: Decoder + ?Sized> Decoder for &D {
     }
 }
 
-/// Samples `shots` shots of `circuit`, decodes every shot with
-/// `decoder` and returns one logical-error estimate per observable
-/// (a logical error is a shot where the decoder mispredicts that
-/// observable's flip).
-///
-/// Deterministic for fixed `(seed, batch_shots)` regardless of thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if `shots`, `batch_shots` or `threads` is zero.
-///
-/// # Example
-///
-/// See the [crate-level example](crate).
-pub fn evaluate_ler(
-    circuit: &Circuit,
-    decoder: &impl Decoder,
-    shots: u64,
-    batch_shots: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<BinomialEstimate> {
-    let per_batch = count_batch_errors(
-        circuit,
-        decoder,
-        &batch_plan(shots, batch_shots),
-        seed,
-        threads,
-    );
-    let mut totals = vec![0u64; circuit.num_observables() as usize];
-    for batch in per_batch {
-        for (t, e) in totals.iter_mut().zip(batch) {
-            *t += e;
-        }
-    }
-    totals
-        .into_iter()
-        .map(|e| BinomialEstimate::new(e, shots))
-        .collect()
-}
-
 /// Samples and decodes an explicit batch plan, returning the
 /// per-observable logical-error counts of every batch in plan order —
-/// the streaming building block of the adaptive evaluation engine.
+/// the building block of every logical-error-rate evaluation (summed
+/// over a [`batch_plan`](ftqc_sim::batch_plan), or merged chunk by chunk
+/// under a stop rule by `ftqc-experiments`' `EvalPipeline`).
 ///
 /// Each batch's shot stream is derived from its global index (see
 /// [`ftqc_sim::parallel_batches_with`]), so counts are bit-identical
@@ -220,12 +180,29 @@ pub fn count_batch_errors(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{DecodingGraph, MwpmDecoder, UfDecoder};
     use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
-    use ftqc_sim::DetectorErrorModel;
+    use ftqc_sim::{batch_plan, BinomialEstimate, DetectorErrorModel};
     use ftqc_surface::MemoryConfig;
+
+    /// One logical-error estimate per observable over `shots` shots:
+    /// [`count_batch_errors`] summed over the `shots`-shot batch plan.
+    pub(crate) fn ler(
+        c: &Circuit,
+        decoder: &impl Decoder,
+        shots: u64,
+        batch_shots: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Vec<BinomialEstimate> {
+        let per_batch =
+            count_batch_errors(c, decoder, &batch_plan(shots, batch_shots), seed, threads);
+        (0..c.num_observables() as usize)
+            .map(|o| BinomialEstimate::new(per_batch.iter().map(|b| b[o]).sum(), shots))
+            .collect()
+    }
 
     fn memory_circuit(d: u32, p: f64) -> Circuit {
         let hw = HardwareConfig::ibm();
@@ -238,7 +215,7 @@ mod tests {
         let c = memory_circuit(3, 1e-3);
         let (dem, _) = DetectorErrorModel::from_circuit(&c, true);
         let uf = UfDecoder::new(DecodingGraph::from_dem(&dem));
-        let ler = evaluate_ler(&c, &uf, 4_000, 512, 3, 2);
+        let ler = ler(&c, &uf, 4_000, 512, 3, 2);
         assert!(ler[0].rate() < 0.1, "UF LER {}", ler[0]);
     }
 
@@ -250,8 +227,8 @@ mod tests {
         let uf = UfDecoder::new(g.clone());
         let mwpm = MwpmDecoder::new(g);
         let shots = 20_000;
-        let ler_uf = evaluate_ler(&c, &uf, shots, 1024, 9, 2);
-        let ler_mwpm = evaluate_ler(&c, &mwpm, shots, 1024, 9, 2);
+        let ler_uf = ler(&c, &uf, shots, 1024, 9, 2);
+        let ler_mwpm = ler(&c, &mwpm, shots, 1024, 9, 2);
         // Identical shot stream; MWPM should not lose by more than
         // statistical slack.
         assert!(
@@ -268,13 +245,13 @@ mod tests {
             let c = memory_circuit(3, 1e-3);
             let (dem, _) = DetectorErrorModel::from_circuit(&c, true);
             let d = MwpmDecoder::new(DecodingGraph::from_dem(&dem));
-            evaluate_ler(&c, &d, 30_000, 1024, 5, 2)[0].rate()
+            ler(&c, &d, 30_000, 1024, 5, 2)[0].rate()
         };
         let l5 = {
             let c = memory_circuit(5, 1e-3);
             let (dem, _) = DetectorErrorModel::from_circuit(&c, true);
             let d = MwpmDecoder::new(DecodingGraph::from_dem(&dem));
-            evaluate_ler(&c, &d, 30_000, 1024, 5, 2)[0].rate()
+            ler(&c, &d, 30_000, 1024, 5, 2)[0].rate()
         };
         assert!(
             l5 < l3,
@@ -333,8 +310,8 @@ mod tests {
         let c = memory_circuit(3, 1e-3);
         let (dem, _) = DetectorErrorModel::from_circuit(&c, true);
         let d = UfDecoder::new(DecodingGraph::from_dem(&dem));
-        let a = evaluate_ler(&c, &d, 2_000, 256, 42, 1);
-        let b = evaluate_ler(&c, &d, 2_000, 256, 42, 2);
+        let a = ler(&c, &d, 2_000, 256, 42, 1);
+        let b = ler(&c, &d, 2_000, 256, 42, 2);
         assert_eq!(a[0].successes(), b[0].successes());
     }
 }

@@ -28,10 +28,12 @@
 //!   [`Decoder::decode_into`]: every decoder family decodes out of it
 //!   with zero steady-state heap allocations per shot, which is where
 //!   the batch-decoding throughput lives (measured by `ftqc-bench`).
-//! * [`evaluate_ler`] — end-to-end logical-error-rate evaluation of a
-//!   noisy circuit under any [`Decoder`]; [`count_batch_errors`] is the
-//!   streaming per-batch variant the adaptive evaluation engine merges
-//!   incrementally, with one scratch per worker thread.
+//! * [`count_batch_errors`] — the crate's one evaluation driver:
+//!   samples and decodes an explicit batch plan under any [`Decoder`],
+//!   with one scratch per worker thread, and returns per-batch
+//!   logical-error counts. `ftqc-experiments`' `EvalPipeline` merges
+//!   them chunk by chunk under a stop rule; a fixed-shot estimate is
+//!   the sum over a [`batch_plan`](ftqc_sim::batch_plan).
 //! * [`StreamingDecoder`] — the real-time face of the stack: a graph
 //!   decoder consumed round by round through a sliding window of `W`
 //!   rounds, committing corrections for rounds that scroll out.
@@ -55,15 +57,17 @@
 //! use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 //! use ftqc_surface::MemoryConfig;
 //! use ftqc_sim::DetectorErrorModel;
-//! use ftqc_decoder::{evaluate_ler, DecodingGraph, UfDecoder};
+//! use ftqc_decoder::{count_batch_errors, DecodingGraph, UfDecoder};
+//! use ftqc_sim::batch_plan;
 //!
 //! let hw = HardwareConfig::ibm();
 //! let circuit = CircuitNoiseModel::standard(1e-3, &hw)
 //!     .apply(&MemoryConfig::new(3, 4, &hw).build());
 //! let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
 //! let decoder = UfDecoder::new(DecodingGraph::from_dem(&dem));
-//! let ler = evaluate_ler(&circuit, &decoder, 2_000, 256, 7, 2);
-//! assert!(ler[0].rate() < 0.2); // far below the 50% random-guess rate
+//! let per_batch = count_batch_errors(&circuit, &decoder, &batch_plan(2_000, 256), 7, 2);
+//! let failures: u64 = per_batch.iter().map(|batch| batch[0]).sum();
+//! assert!(failures < 400); // far below the 50% random-guess rate
 //! ```
 
 mod evaluate;
@@ -77,7 +81,7 @@ mod scratch;
 mod streaming;
 mod union_find;
 
-pub use evaluate::{count_batch_errors, evaluate_ler, Decoder};
+pub use evaluate::{count_batch_errors, Decoder};
 pub use graph::{AdjEntry, DecodingGraph, DijkstraScratch, EdgeRecord, NO_NODE};
 pub use hierarchical::HierarchicalDecoder;
 pub use kind::{AnyDecoder, DecoderKind};

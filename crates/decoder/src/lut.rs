@@ -201,10 +201,9 @@ mod tests {
 
     #[test]
     fn lut_decodes_repetition_code_reasonably() {
-        use crate::evaluate::evaluate_ler;
         let c = rep_circuit(0.0);
         let lut = LutDecoder::train(&c, 50_000, 3, 64 * 1024);
-        let ler = evaluate_ler(&c, &lut, 20_000, 1024, 7, 2);
+        let ler = crate::evaluate::tests::ler(&c, &lut, 20_000, 1024, 7, 2);
         assert!(ler[0].rate() < 0.02, "LER {}", ler[0]);
     }
 

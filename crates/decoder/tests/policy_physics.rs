@@ -1,8 +1,8 @@
 //! End-to-end physics check: Active synchronization must beat Passive.
 
-use ftqc_decoder::{evaluate_ler, DecodingGraph, UfDecoder};
+use ftqc_decoder::{count_batch_errors, DecodingGraph, UfDecoder};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
-use ftqc_sim::DetectorErrorModel;
+use ftqc_sim::{batch_plan, DetectorErrorModel};
 use ftqc_surface::{LatticeSurgeryConfig, OBS_MERGED};
 use ftqc_sync::{PolicySpec, SyncContext};
 
@@ -16,8 +16,9 @@ fn ler_for(policy: PolicySpec, tau: f64, d: u32, shots: u64) -> (f64, f64) {
     let (dem, stats) = DetectorErrorModel::from_circuit(&c, true);
     assert_eq!(stats.dropped_hyperedges, 0, "graphlike DEM expected");
     let dec = UfDecoder::new(DecodingGraph::from_dem(&dem));
-    let ler = evaluate_ler(&c, &dec, shots, 1024, 99, 2);
-    (ler[OBS_MERGED as usize].rate(), ler[0].rate())
+    let per_batch = count_batch_errors(&c, &dec, &batch_plan(shots, 1024), 99, 2);
+    let rate = |o: usize| per_batch.iter().map(|b| b[o]).sum::<u64>() as f64 / shots as f64;
+    (rate(OBS_MERGED as usize), rate(0))
 }
 
 /// Long-running statistical check; run explicitly with --ignored.

@@ -7,11 +7,12 @@
 //! thousands of sampled shots for both graph decoders, exercise the
 //! window edge cases (W = 1, W ≥ total rounds), defects straddling a
 //! commit boundary, rounds arriving below held defects, the decode
-//! counts of defect-free rounds and zero-round shots, check that the
-//! parallel driver (`count_batch_errors_streaming`) is invariant to
-//! thread count and matches `count_batch_errors` where streaming is
-//! exact, and that table decoders, which have no correction edges, are
-//! rejected.
+//! counts of defect-free rounds and zero-round shots, check that a
+//! surgery circuit's multi-run rounds concatenate to the batch
+//! syndrome as a sorted set, check that the parallel driver
+//! (`count_batch_errors_streaming`) is invariant to thread count and
+//! matches `count_batch_errors` where streaming is exact, and that
+//! table decoders, which have no correction edges, are rejected.
 
 use ftqc_circuit::Circuit;
 use ftqc_decoder::{
@@ -20,7 +21,7 @@ use ftqc_decoder::{
 };
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{batch_plan, sample_batch, DetectorErrorModel, RoundSchedule, RoundStream};
-use ftqc_surface::MemoryConfig;
+use ftqc_surface::{LatticeSurgeryConfig, MemoryConfig};
 
 fn kinds() -> [(&'static str, DecoderKind); 2] {
     [("uf", DecoderKind::UnionFind), ("mwpm", DecoderKind::Mwpm)]
@@ -383,6 +384,42 @@ fn out_of_order_round_indices_are_resorted() {
         }
         assert!(telling_shots > 0, "{name}: no shot whose order matters");
     }
+}
+
+#[test]
+fn surgery_rounds_span_several_runs_and_concatenate_to_the_batch_set() {
+    // Patch P' restarts its round tag at 0, so on a surgery circuit a
+    // round holds detectors of both patches: several index runs. Its
+    // concatenated rounds then equal the batch extraction as a sorted
+    // set, not in order.
+    let hw = HardwareConfig::ibm();
+    let circuit =
+        CircuitNoiseModel::standard(5e-3, &hw).apply(&LatticeSurgeryConfig::new(3, &hw).build());
+    let schedule = RoundSchedule::from_circuit(&circuit);
+    let multi_run = (0..schedule.num_rounds())
+        .filter(|&r| schedule.runs_in(r).len() > 1)
+        .count();
+    assert!(multi_run > 0, "no surgery round spans more than one run");
+    let batch = sample_batch(&circuit, 256, 7);
+    let mut rounds = RoundStream::new(&schedule);
+    let (mut defects, mut concatenated) = (Vec::new(), Vec::new());
+    let mut out_of_order = 0u32;
+    rounds.begin_batch(&batch);
+    for s in 0..batch.shots {
+        rounds.begin_shot(s);
+        concatenated.clear();
+        while rounds.next_round_into(&batch, &mut defects).is_some() {
+            concatenated.extend_from_slice(&defects);
+        }
+        let full = batch.flagged_detectors(s);
+        out_of_order += u32::from(concatenated != full);
+        concatenated.sort_unstable();
+        assert_eq!(concatenated, full, "shot {s}");
+    }
+    assert!(
+        out_of_order > 0,
+        "no shot whose rounds arrive out of index order"
+    );
 }
 
 #[test]

@@ -17,16 +17,20 @@
 //! `--list` prints the known experiment names and exits 0. Markdown
 //! goes to stdout; CSVs to `--out` (default `results/`).
 //!
-//! Any of `--min-failures` / `--rse` / `--max-shots` switches the LER
-//! experiments into **adaptive mode**: sampling streams in
-//! deterministic chunks and each configuration stops as soon as every
-//! observable has accumulated `--min-failures N` failures or reached a
-//! relative standard error of `--rse X`, bounded by the hard ceiling
-//! `--max-shots N` (default 100x the preset shots). `--resume FILE`
-//! checkpoints every partial estimate to a JSON file after each chunk
-//! and resumes from it on restart, so long `--full` runs survive
-//! interruption. Results are bit-identical for a fixed seed regardless
-//! of `--threads`.
+//! Every LER experiment evaluates each configuration through one
+//! loop: it samples in deterministic chunks and stops at the first
+//! batch where its stop rule holds. By default the rule is a ceiling
+//! of `--shots N`, a fixed-shot run. `--min-failures N` and `--rse X`
+//! add early-stop criteria to that loop: a configuration stops as soon
+//! as every observable has accumulated `N` failures or reached a
+//! relative standard error of `X`, bounded by the hard ceiling
+//! `--max-shots N` (default 100x the preset shots when any of the
+//! three flags is given). `--resume FILE` applies to every LER run: it
+//! checkpoints each configuration's partial estimate to a JSON file
+//! after every chunk and resumes from it on restart, so long `--full`
+//! runs survive interruption and a finished run replays without
+//! sampling. Results are bit-identical for a fixed seed regardless of
+//! `--threads`.
 //!
 //! `--policy SPEC` restricts the policy-sweep experiments (currently
 //! `runtime`) to one synchronization policy, named in the
@@ -120,6 +124,10 @@ fn usage_and_exit() -> ! {
     );
     eprintln!("experiments: {} all", ALL.join(" "));
     eprintln!("aliases: {}", ALIASES.join(" "));
+    eprintln!(
+        "LER runs stop at --shots N unless --min-failures/--rse add early-stop criteria \
+         (ceiling --max-shots); --resume checkpoints every LER run"
+    );
     std::process::exit(2);
 }
 
@@ -451,14 +459,9 @@ fn main() {
             rule = rule.max_rse(r);
         }
         config.stop = Some(rule);
-        eprintln!("adaptive mode: min_failures={min_failures:?} rse={max_rse:?} ceiling={ceiling}");
+        eprintln!("stop rule: min_failures={min_failures:?} rse={max_rse:?} ceiling={ceiling}");
     }
     if let Some(path) = resume {
-        if config.stop.is_none() {
-            eprintln!(
-                "note: --resume only affects adaptive runs (add --min-failures/--rse/--max-shots)"
-            );
-        }
         match CheckpointStore::open(&path) {
             Ok(store) => {
                 if !store.is_empty() {

@@ -1,9 +1,10 @@
-//! JSON checkpoint/resume of partial adaptive estimates.
+//! JSON checkpoint/resume of partial LER estimates.
 //!
-//! Long `--full` adaptive runs sample millions of shots per
-//! configuration; a [`CheckpointStore`] persists every configuration's
-//! [`RunningEstimate`] after each chunk so an interrupted run resumes
-//! where it left off (`repro --resume FILE`). Configurations are keyed
+//! Long `--full` runs sample millions of shots per configuration; a
+//! [`CheckpointStore`] persists every configuration's
+//! [`RunningEstimate`] after each chunk of every LER run, fixed-shot or
+//! adaptive, so an interrupted run resumes where it left off and a
+//! finished one replays without sampling (`repro --resume FILE`). Configurations are keyed
 //! by the pipeline fingerprint
 //! ([`EvalPipeline::fingerprint`](crate::EvalPipeline::fingerprint)),
 //! which covers the noisy circuit, decoder kind, seed and batch size —

@@ -47,8 +47,9 @@ pub use solver_figs::{fig10, fig11};
 /// Global experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Monte-Carlo shots per configuration (fixed mode), and the base
-    /// the default adaptive ceiling scales from.
+    /// Monte-Carlo shots per configuration: the shot ceiling of every
+    /// LER run when `stop` is `None`, and the base `repro`'s default
+    /// `--max-shots` scales from.
     pub shots: u64,
     /// Code distances used by sweep experiments.
     pub distances: Vec<u32>,
@@ -58,12 +59,13 @@ pub struct Config {
     pub threads: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Adaptive stopping rule — `Some` switches every LER evaluation
-    /// from fixed `shots` to run-until-confident streaming
-    /// ([`EvalPipeline::run_adaptive`]).
+    /// Stop rule of every LER evaluation ([`run_eval`]); `None` is the
+    /// ceiling-only rule `StopRule::max_shots(shots)`, a fixed-shot
+    /// run. Both go through the same loop
+    /// ([`EvalPipeline::run_adaptive_with`]).
     pub stop: Option<ftqc_sim::StopRule>,
-    /// Checkpoint store adaptive runs persist partial estimates to
-    /// after every chunk (`repro --resume FILE`).
+    /// Checkpoint store every LER run, fixed or adaptive, persists
+    /// partial estimates to after every chunk (`repro --resume FILE`).
     pub checkpoint: Option<std::sync::Arc<CheckpointStore>>,
     /// Restricts policy-sweep experiments (currently `runtime`) to one
     /// synchronization policy (`repro --policy SPEC`); `None` runs the

@@ -8,17 +8,18 @@
 //! end to end: a builder configures the circuit source, noise scale,
 //! [`DecoderKind`], and the shot/batch/seed/thread parameters, and
 //! [`EvalPipeline::run`] produces per-observable
-//! [`BinomialEstimate`]s. [`EvalPipeline::run_adaptive`] is the
-//! streaming variant: it samples in deterministic chunks and stops at
-//! the first batch where a [`StopRule`] is satisfied, so runs spend
-//! exactly the shots their confidence targets require. The
+//! [`BinomialEstimate`]s. Every estimate comes out of one loop, which
+//! samples in deterministic chunks and stops at the first batch where
+//! a [`StopRule`] holds: [`EvalPipeline::run_adaptive`] takes the rule,
+//! and [`EvalPipeline::run`] is the ceiling-only rule at `shots`. The
 //! intermediate artifacts (noisy circuit, DEM, decoding graph,
 //! decoder) stay accessible for studies that need more than the final
 //! rates (syndrome statistics, latency probes, raw sampling).
 //!
-//! Results are bit-identical to the hand-rolled chain for the same
-//! parameters: the pipeline performs exactly the same calls in the
-//! same order (asserted by the facade's `tests/pipeline.rs`).
+//! Results are bit-identical to summing [`count_batch_errors`] over
+//! `batch_plan(shots, batch_shots)` by hand: each batch's shot stream
+//! comes from its global index, so chunking never changes a count
+//! (asserted by the facade's `tests/pipeline.rs`).
 //!
 //! # Example
 //!
@@ -39,7 +40,7 @@
 //! ```
 
 use ftqc_circuit::{Circuit, Schedule};
-use ftqc_decoder::{count_batch_errors, evaluate_ler, AnyDecoder, DecoderKind, DecodingGraph};
+use ftqc_decoder::{count_batch_errors, AnyDecoder, Decoder, DecoderKind, DecodingGraph};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{
     BatchSpec, BinomialEstimate, DemStats, DetectorErrorModel, RunningEstimate, StopReason,
@@ -67,7 +68,6 @@ pub struct EvalPipelineBuilder {
     decoder_seed: Option<u64>,
     shots: u64,
     batch_shots: usize,
-    chunk_shots: Option<u64>,
     seed: u64,
     threads: usize,
 }
@@ -81,7 +81,6 @@ impl EvalPipelineBuilder {
             decoder_seed: None,
             shots: 20_000,
             batch_shots: 1024,
-            chunk_shots: None,
             seed: 0,
             threads: 2,
         }
@@ -119,17 +118,6 @@ impl EvalPipelineBuilder {
     /// thread count.
     pub fn batch_shots(mut self, batch_shots: usize) -> Self {
         self.batch_shots = batch_shots;
-        self
-    }
-
-    /// Shots sampled speculatively per adaptive chunk before the stop
-    /// rule is re-checked (default 16 batches' worth). Purely a
-    /// scheduling knob: adaptive results are bit-identical for any
-    /// chunk size, because stopping is decided batch-by-batch in
-    /// global batch order.
-    pub fn chunk_shots(mut self, chunk_shots: u64) -> Self {
-        assert!(chunk_shots > 0, "chunk must cover at least one shot");
-        self.chunk_shots = Some(chunk_shots);
         self
     }
 
@@ -172,7 +160,6 @@ impl EvalPipelineBuilder {
             decoder_seed: self.decoder_seed,
             shots: self.shots,
             batch_shots: self.batch_shots,
-            chunk_shots: self.chunk_shots.unwrap_or(16 * self.batch_shots as u64),
             seed: self.seed,
             threads: self.threads,
         }
@@ -207,7 +194,6 @@ pub struct EvalPipeline {
     decoder_seed: Option<u64>,
     shots: u64,
     batch_shots: usize,
-    chunk_shots: u64,
     seed: u64,
     threads: usize,
 }
@@ -228,42 +214,38 @@ impl EvalPipeline {
         EvalPipelineBuilder::new(Source::Repetition(cfg))
     }
 
-    /// Samples, decodes and returns one logical-error estimate per
-    /// observable, exactly as
-    /// [`evaluate_ler`] does.
+    /// Samples `shots` shots, decodes every shot and returns one
+    /// logical-error estimate per observable: the evaluation loop under
+    /// the ceiling-only rule `StopRule::max_shots(shots)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shots`, `batch_shots` or `threads` is zero.
     pub fn run(&self) -> Vec<BinomialEstimate> {
-        evaluate_ler(
-            &self.circuit,
-            self.decoder(),
-            self.shots,
-            self.batch_shots,
-            self.seed,
-            self.threads,
-        )
+        let rule = StopRule::max_shots(self.shots);
+        self.drive(self.decoder(), &rule, None, |_| {}).estimates()
     }
 
-    /// Streaming, run-until-confident evaluation: samples in
-    /// deterministic chunks, merges per-batch counts incrementally in
-    /// global batch order, and stops at the first batch where `rule`
-    /// is satisfied (failure target, relative-standard-error target,
-    /// or the hard shot ceiling).
+    /// Run-until-confident evaluation: stops at the first batch where
+    /// `rule` is satisfied (failure target, relative-standard-error
+    /// target, or the hard shot ceiling).
     ///
     /// The builder's `shots` setting is ignored — the stop rule owns
     /// run length. Results are bit-identical for a fixed
-    /// `(seed, batch_shots)` regardless of thread count *and* chunk
-    /// size; with a ceiling-only rule they are bit-identical to
-    /// [`run`](EvalPipeline::run) at `shots = ceiling`.
+    /// `(seed, batch_shots)` regardless of thread count; with a
+    /// ceiling-only rule they are [`run`](EvalPipeline::run) at
+    /// `shots = ceiling`.
     pub fn run_adaptive(&self, rule: &StopRule) -> AdaptiveOutcome {
         self.run_adaptive_with(rule, None, |_| {})
     }
 
     /// [`run_adaptive`](EvalPipeline::run_adaptive), resuming from a
     /// checkpointed partial estimate and reporting progress to
-    /// `on_progress` (the checkpoint-persistence hook). Progress is
-    /// only reported on batch boundaries — a ceiling-truncated partial
-    /// batch is never checkpointed, so a checkpoint always resumes
-    /// cleanly even under a later, larger ceiling (the partial tail is
-    /// simply re-sampled).
+    /// `on_progress` (the checkpoint-persistence hook) after every
+    /// chunk. Progress is only reported on batch boundaries — a
+    /// ceiling-truncated partial batch is never checkpointed, so a
+    /// checkpoint always resumes cleanly even under a later, larger
+    /// ceiling (the partial tail is simply re-sampled).
     ///
     /// # Panics
     ///
@@ -272,6 +254,22 @@ impl EvalPipeline {
     /// satisfied (states from `on_progress` never do).
     pub fn run_adaptive_with(
         &self,
+        rule: &StopRule,
+        resume: Option<RunningEstimate>,
+        on_progress: impl FnMut(&RunningEstimate),
+    ) -> AdaptiveOutcome {
+        self.drive(self.decoder(), rule, resume, on_progress)
+    }
+
+    /// The evaluation loop behind every `run*` method. It samples
+    /// chunks of `max(16, threads)` batches, so every worker stays
+    /// busy, cut off at the rule's shot ceiling. It merges the
+    /// per-batch counts in global batch order and stops at the first
+    /// batch where `rule` holds, so the stopping point does not depend
+    /// on the chunk size.
+    fn drive(
+        &self,
+        decoder: &impl Decoder,
         rule: &StopRule,
         resume: Option<RunningEstimate>,
         mut on_progress: impl FnMut(&RunningEstimate),
@@ -290,8 +288,7 @@ impl EvalPipeline {
             state.trials(),
             self.batch_shots
         );
-        let chunk_batches = self.chunk_shots.div_ceil(self.batch_shots as u64).max(1);
-        let decoder = self.decoder();
+        let chunk_batches = (self.threads as u64).max(16);
         let span = ftqc_telemetry::span("exp/run_adaptive");
         loop {
             if let Some(reason) = rule.evaluate(&state) {
@@ -305,7 +302,7 @@ impl EvalPipeline {
             for ((_, size), errors) in plan.iter().zip(&per_batch) {
                 state.record(*size as u64, errors);
                 let stop = rule.evaluate(&state).is_some();
-                // One marker per stop-rule evaluation: the adaptive run's
+                // One marker per stop-rule evaluation: the run's
                 // decision points, visible on the trace timeline.
                 if ftqc_telemetry::enabled() {
                     ftqc_telemetry::counter("exp/stop_evals", 1);
@@ -357,14 +354,8 @@ impl EvalPipeline {
     /// studies use so artifacts are shared rather than rebuilt.
     pub fn run_with(&self, kind: DecoderKind) -> Vec<BinomialEstimate> {
         let decoder = self.build_decoder(kind);
-        evaluate_ler(
-            &self.circuit,
-            &decoder,
-            self.shots,
-            self.batch_shots,
-            self.seed,
-            self.threads,
-        )
+        let rule = StopRule::max_shots(self.shots);
+        self.drive(&decoder, &rule, None, |_| {}).estimates()
     }
 
     /// Builds an additional decoder of `kind` over this pipeline's
@@ -420,9 +411,9 @@ impl EvalPipeline {
     }
 }
 
-/// The next chunk of an adaptive run: up to `chunk_batches` full
-/// batches starting at global index `first`, truncated so the run
-/// never samples past `ceiling` total shots.
+/// The next chunk of an evaluation: up to `chunk_batches` batches
+/// starting at global index `first`, truncated so the run never
+/// samples past `ceiling` total shots.
 fn chunk_plan(first: u64, chunk_batches: u64, batch_shots: usize, ceiling: u64) -> Vec<BatchSpec> {
     let mut plan = Vec::new();
     for b in first..first + chunk_batches {
@@ -436,8 +427,8 @@ fn chunk_plan(first: u64, chunk_batches: u64, batch_shots: usize, ceiling: u64) 
     plan
 }
 
-/// Result of an adaptive evaluation: the merged totals plus why the
-/// run stopped.
+/// Result of an evaluation: the merged totals plus why the run
+/// stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveOutcome {
     /// Merged per-observable totals at the stopping point.
@@ -477,17 +468,17 @@ mod tests {
             .seed(42)
             .threads(2)
             .build();
-        // The pre-refactor hand-rolled chain, spelled out.
+        // The hand-rolled chain, spelled out: one `count_batch_errors`
+        // call over the whole batch plan, summed per observable.
         let circuit = CircuitNoiseModel::standard(1e-3, &cfg.hardware).apply(&cfg.build());
         let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
         let direct = ftqc_decoder::UfDecoder::new(DecodingGraph::from_dem(&dem));
-        let direct_ler = evaluate_ler(&circuit, &direct, 2_000, 256, 42, 2);
-        let pipeline_ler = pipeline.run();
-        assert_eq!(direct_ler.len(), pipeline_ler.len());
-        for (d, p) in direct_ler.iter().zip(&pipeline_ler) {
-            assert_eq!(d.successes(), p.successes());
-            assert_eq!(d.trials(), p.trials());
-        }
+        let plan = ftqc_sim::batch_plan(2_000, 256);
+        let per_batch = count_batch_errors(&circuit, &direct, &plan, 42, 2);
+        let direct_ler: Vec<BinomialEstimate> = (0..circuit.num_observables() as usize)
+            .map(|o| BinomialEstimate::new(per_batch.iter().map(|b| b[o]).sum(), 2_000))
+            .collect();
+        assert_eq!(pipeline.run(), direct_ler);
     }
 
     #[test]
@@ -501,21 +492,6 @@ mod tests {
         assert_eq!(uf.len(), mwpm.len());
         assert_eq!(pipeline.decoder_kind(), DecoderKind::UnionFind);
         assert_eq!(pipeline.dem_stats().dropped_hyperedges, 0);
-    }
-
-    #[test]
-    fn ceiling_only_adaptive_matches_fixed_run() {
-        let pipeline = EvalPipeline::memory(d3_memory())
-            .physical_error(3e-3)
-            .shots(3_000)
-            .batch_shots(256)
-            .seed(11)
-            .build();
-        let fixed = pipeline.run();
-        let adaptive = pipeline.run_adaptive(&StopRule::max_shots(3_000));
-        assert_eq!(adaptive.reason, StopReason::ShotCeiling);
-        assert_eq!(adaptive.shots(), 3_000);
-        assert_eq!(adaptive.estimates(), fixed);
     }
 
     #[test]

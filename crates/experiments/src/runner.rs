@@ -4,7 +4,7 @@ use crate::pipeline::EvalPipeline;
 use crate::Config;
 use ftqc_decoder::DecoderKind;
 use ftqc_noise::HardwareConfig;
-use ftqc_sim::BinomialEstimate;
+use ftqc_sim::{BinomialEstimate, StopRule};
 use ftqc_surface::{LatticeSurgeryConfig, LsBasis};
 use ftqc_sync::{PolicySpec, SyncContext, SyncPlan};
 
@@ -88,9 +88,8 @@ impl LsSetup {
 }
 
 /// Runs the Fig. 13 experiment for `setup`, returning per-observable
-/// logical-error estimates (`[P, P', merged]`). Honours `config.stop`:
-/// fixed `config.shots` when `None`, run-until-confident streaming
-/// (with checkpoint/resume) when `Some`.
+/// logical-error estimates (`[P, P', merged]`) through
+/// [`run_eval`].
 pub fn ls_ler(setup: &LsSetup, config: &Config, seed: u64) -> Vec<BinomialEstimate> {
     let pipeline = EvalPipeline::lattice_surgery(setup.surgery_config())
         .decoder(setup.decoder)
@@ -102,17 +101,17 @@ pub fn ls_ler(setup: &LsSetup, config: &Config, seed: u64) -> Vec<BinomialEstima
     run_eval(&pipeline, config)
 }
 
-/// Evaluates a prepared pipeline under `config`'s execution mode: a
-/// fixed [`EvalPipeline::run`] by default, or the adaptive engine when
-/// `config.stop` is set — resuming from (and checkpointing to)
-/// `config.checkpoint` keyed by the pipeline fingerprint.
+/// Evaluates a prepared pipeline under `config.stop`, or under the
+/// ceiling-only rule `StopRule::max_shots(pipeline.shots())` when it is
+/// `None`. Every run resumes from, and checkpoints to,
+/// `config.checkpoint`, keyed by the pipeline fingerprint.
 pub fn run_eval(pipeline: &EvalPipeline, config: &Config) -> Vec<BinomialEstimate> {
-    let Some(rule) = &config.stop else {
-        return pipeline.run();
-    };
+    let rule = config
+        .stop
+        .unwrap_or_else(|| StopRule::max_shots(pipeline.shots()));
     let key = format!("{:016x}", pipeline.fingerprint());
     let resume = config.checkpoint.as_ref().and_then(|store| store.get(&key));
-    let outcome = pipeline.run_adaptive_with(rule, resume, |state| {
+    let outcome = pipeline.run_adaptive_with(&rule, resume, |state| {
         if let Some(store) = &config.checkpoint {
             if let Err(e) = store.put(&key, state) {
                 eprintln!(
@@ -176,7 +175,6 @@ mod tests {
 
     #[test]
     fn adaptive_ls_ler_stops_early_and_matches_fixed_prefix() {
-        use ftqc_sim::StopRule;
         let hw = HardwareConfig::ibm();
         let s = LsSetup::homogeneous(3, &hw, PolicySpec::Passive, 1000.0);
         let fixed = Config {
@@ -194,6 +192,45 @@ mod tests {
         // failures accumulate long before the ceiling.
         assert!(a[0].trials() < f[0].trials(), "adaptive must stop early");
         assert!(a.iter().all(|e| e.successes() >= 40));
+    }
+
+    #[test]
+    fn fixed_run_eval_checkpoints_and_resumes_from_the_store() {
+        let path =
+            std::env::temp_dir().join(format!("ftqc-runner-ckpt-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cfg = ftqc_surface::MemoryConfig::new(3, 4, &HardwareConfig::ibm());
+        let pipeline = EvalPipeline::memory(cfg)
+            .physical_error(3e-3)
+            .shots(1_024)
+            .batch_shots(256)
+            .threads(1)
+            .seed(5)
+            .build();
+        let config = Config {
+            checkpoint: Some(std::sync::Arc::new(
+                crate::CheckpointStore::open(&path).unwrap(),
+            )),
+            ..Config::quick()
+        };
+        assert!(config.stop.is_none(), "a fixed-shot run");
+        let first = run_eval(&pipeline, &config);
+        assert_eq!(first, pipeline.run());
+        let store = crate::CheckpointStore::open(&path).unwrap();
+        assert_eq!(store.len(), 1);
+        let key = format!("{:016x}", pipeline.fingerprint());
+        assert_eq!(store.get(&key).map(|s| s.estimates()), Some(first.clone()));
+        let resumed = Config {
+            checkpoint: Some(std::sync::Arc::new(store)),
+            ..config
+        };
+        assert_eq!(run_eval(&pipeline, &resumed), first);
+        // The answer comes from the store, not from sampling again.
+        let store = resumed.checkpoint.as_ref().unwrap();
+        let planted = ftqc_sim::RunningEstimate::from_parts(1_024, vec![1_000]);
+        store.put(&key, &planted).unwrap();
+        assert_eq!(run_eval(&pipeline, &resumed), planted.estimates());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -146,7 +146,10 @@ impl Program {
         if let Some(rest) = stmt.strip_prefix("qreg ") {
             let (name, size) = parse_reg_decl(rest, line)?;
             regs.insert(name, (self.num_qubits, size));
-            self.num_qubits += size;
+            self.num_qubits = self
+                .num_qubits
+                .checked_add(size)
+                .ok_or_else(|| err(line, "registers hold more than 2^32 qubits"))?;
             return Ok(());
         }
         if stmt.starts_with("creg ") || stmt.starts_with("barrier") {
@@ -163,7 +166,7 @@ impl Program {
         };
         let (name, params) = match head.find('(') {
             Some(i) => {
-                let close = head
+                let close = i + head[i..]
                     .rfind(')')
                     .ok_or_else(|| err(line, "unclosed parameter list"))?;
                 let plist = &head[i + 1..close];
@@ -193,7 +196,9 @@ impl Program {
             match arg.find('[') {
                 Some(i) => {
                     let reg = &arg[..i];
-                    let close = arg.rfind(']').ok_or_else(|| err(line, "unclosed index"))?;
+                    let close = i + arg[i..]
+                        .rfind(']')
+                        .ok_or_else(|| err(line, "unclosed index"))?;
                     let idx: u32 = arg[i + 1..close]
                         .parse()
                         .map_err(|_| err(line, "bad qubit index"))?;
@@ -216,8 +221,14 @@ impl Program {
         if operand_sets.is_empty() {
             return Err(err(line, format!("gate `{name}` without operands")));
         }
-        // Broadcast whole-register operands.
+        // Broadcast whole-register operands, which must agree in size.
         let broadcast = operand_sets.iter().map(|s| s.len()).max().unwrap_or(1);
+        if operand_sets
+            .iter()
+            .any(|s| s.len() != 1 && s.len() != broadcast)
+        {
+            return Err(err(line, "register operands of different sizes"));
+        }
         for k in 0..broadcast {
             let qubits: Vec<u32> = operand_sets
                 .iter()
@@ -250,9 +261,10 @@ fn parse_reg_decl(rest: &str, line: usize) -> Result<(String, u32), ParseError> 
     let open = rest
         .find('[')
         .ok_or_else(|| err(line, "register declaration needs a size"))?;
-    let close = rest
-        .rfind(']')
-        .ok_or_else(|| err(line, "unclosed register size"))?;
+    let close = open
+        + rest[open..]
+            .rfind(']')
+            .ok_or_else(|| err(line, "unclosed register size"))?;
     let name = rest[..open].trim().to_string();
     let size: u32 = rest[open + 1..close]
         .trim()
@@ -334,6 +346,20 @@ mod tests {
         }
         let p = Program::parse("qreg q[2]; cp(pi/4) q[1], q[0]; u3(0.1,0.2,0.3) q[0];").unwrap();
         assert_eq!(p.analyze(1e-10).gate_count, 2);
+    }
+
+    #[test]
+    fn malformed_statements_are_errors_not_panics() {
+        for (src, msg) in [
+            ("qreg a[2]; qreg b[3]; cx a, b;", "different sizes"),
+            ("qreg a[4000000000]; qreg b[4000000000];", "2^32 qubits"),
+            ("qreg q[1]; rz)(0.1 q[0];", "unclosed parameter list"),
+            ("qreg q[1]; h q]0[;", "unclosed index"),
+            ("qreg q]1[;", "unclosed register size"),
+        ] {
+            let e = Program::parse(src).unwrap_err();
+            assert!(e.to_string().contains(msg), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -47,6 +47,8 @@
 //! assert!(batch.count_detector_flips(0) > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dem;
 mod frame;
 mod hash;

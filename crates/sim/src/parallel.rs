@@ -96,70 +96,44 @@ where
 {
     assert!(threads > 0);
     assert!(batches.iter().all(|&(_, size)| size > 0));
-    let mut results: Vec<Option<R>> = Vec::with_capacity(batches.len());
-    results.resize_with(batches.len(), || None);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    // Lock-free result collection: every worker writes straight into
-    // its claimed batch's slot. The atomic counter hands each plan
-    // position to exactly one worker, so all writes are disjoint.
-    let slots = SlotWriter(results.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(batches.len()) {
-            scope.spawn(|| {
-                let mut state = init();
-                let mut sim = FrameSimulator::empty();
-                let mut batch = SampleBatch::empty();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed) as usize;
-                    if i >= batches.len() {
-                        break;
+    // The atomic counter hands each plan position to exactly one
+    // worker; each worker returns its `(position, result)` pairs, and
+    // the driver puts them back in plan order.
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut claimed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(batches.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut sim = FrameSimulator::empty();
+                    let mut batch = SampleBatch::empty();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(&(index, size)) = batches.get(i) else {
+                            return done;
+                        };
+                        sample_batch_with(
+                            circuit,
+                            size,
+                            mix_seed(seed, index),
+                            &mut sim,
+                            &mut batch,
+                        );
+                        done.push((i, f(&batch, &mut state)));
                     }
-                    let (index, size) = batches[i];
-                    sample_batch_with(circuit, size, mix_seed(seed, index), &mut sim, &mut batch);
-                    let r = f(&batch, &mut state);
-                    // SAFETY: `i < batches.len()` (checked above) indexes
-                    // within the pre-sized vec, each position is claimed by
-                    // exactly one worker via `fetch_add`, and the scope
-                    // joins every worker before `results` is read again.
-                    unsafe { slots.write(i, r) };
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    results
-        .into_iter()
-        .map(|r| r.expect("all batches processed"))
-        .collect()
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(claimed.iter().enumerate().all(|(at, &(i, _))| at == i));
+    claimed.into_iter().map(|(_, r)| r).collect()
 }
-
-/// Shared base pointer into the per-batch result slots.
-///
-/// Safety contract (upheld by [`parallel_batches_with`]): concurrent
-/// [`SlotWriter::write`] calls must target distinct indices within the
-/// allocation, and the owning vec must outlive all writers.
-struct SlotWriter<R>(*mut Option<R>);
-
-impl<R> SlotWriter<R> {
-    /// Writes `value` into slot `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds and not concurrently accessed.
-    unsafe fn write(&self, index: usize, value: R) {
-        // SAFETY: the caller guarantees `index` is in bounds of the
-        // allocation behind `self.0` and that no other thread touches
-        // that slot while this write runs.
-        unsafe { *self.0.add(index) = Some(value) };
-    }
-}
-
-// SAFETY: a SlotWriter is only a base address; the disjointness of the
-// writes performed through it is guaranteed by the batch-index claim
-// protocol above.
-unsafe impl<R: Send> Send for SlotWriter<R> {}
-// SAFETY: same argument as Send — shared references expose only
-// `write`, whose caller contract rules out overlapping slot access.
-unsafe impl<R: Send> Sync for SlotWriter<R> {}
 
 #[cfg(test)]
 mod tests {
@@ -211,7 +185,7 @@ mod tests {
     #[test]
     fn oversubscribed_threads_fill_every_slot() {
         // More workers than batches and tiny batches: stresses the
-        // disjoint per-slot writes of the lock-free collection path.
+        // position claims and the reassembly in plan order.
         let c = noisy_circuit();
         let plan = batch_plan(4_097, 64);
         let a = flips(&c, &plan, 9, 16);

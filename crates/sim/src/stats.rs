@@ -296,12 +296,6 @@ impl StopRule {
         self.max_shots
     }
 
-    /// Whether any early-stopping criterion is configured (false means
-    /// the rule degenerates to a fixed-shot run).
-    pub fn is_adaptive(&self) -> bool {
-        self.min_failures.is_some() || self.max_rse.is_some()
-    }
-
     /// Evaluates the rule against the running totals; `Some` means
     /// stop now.
     pub fn evaluate(&self, state: &RunningEstimate) -> Option<StopReason> {
@@ -442,7 +436,5 @@ mod tests {
         assert_eq!(rule.evaluate(&state), None);
         state.record(100, &[0]);
         assert_eq!(rule.evaluate(&state), Some(StopReason::ShotCeiling));
-        assert!(rule.is_adaptive());
-        assert!(!StopRule::max_shots(200).is_adaptive());
     }
 }

@@ -11,9 +11,11 @@ use ftqc_circuit::Circuit;
 /// detectors, in ascending order (the circuit builders use a
 /// monotonically increasing round tag, so ascending tag order is
 /// emission order). Each round's detector set is compressed into
-/// contiguous `[lo, hi)` index runs — for the builders in this
-/// workspace every round is a single run, but the schedule does not
-/// rely on that.
+/// contiguous `[lo, hi)` index runs. A memory circuit's round is a
+/// single run; a lattice-surgery circuit's often is not, because the
+/// lagging patch restarts the round tag at 0, so a pre-merge round
+/// holds detectors of both patches (on the d = 3 surgery circuit, 4 of
+/// 9 rounds span two runs).
 #[derive(Debug, Clone)]
 pub struct RoundSchedule {
     /// Round index of each detector.
@@ -134,9 +136,9 @@ impl RoundSchedule {
 
     /// The detector-index envelope `[lo, hi)` of round `r`: the
     /// smallest contiguous index range containing every detector of the
-    /// round. For the circuit builders in this workspace each round is
-    /// a single run, so the envelope is exact; for interleaved rounds
-    /// it may cover foreign detectors, which windowed-fusion consumers
+    /// round. For a single-run round (every memory-circuit round) the
+    /// envelope is exact; for a multi-run round (lattice surgery) it
+    /// may cover foreign detectors, which windowed-fusion consumers
     /// treat as a (harmless) widening of the round slice.
     ///
     /// # Panics
@@ -185,10 +187,13 @@ impl RoundSchedule {
 /// measurement round at a time, and the decoder must act on a prefix.
 /// `RoundStream` is the sim-side half of that pipeline — an
 /// iterator-style cursor that emits each round's flagged detectors as
-/// it is extracted, not after the whole batch. Concatenating the
-/// emitted rounds of a shot reproduces exactly the batch extraction
-/// ([`SyndromeScanner::flagged_into`]); this crate's tests and
-/// `ftqc-decoder`'s streaming identity suite pin that.
+/// it is extracted, not after the whole batch. The emitted rounds of a
+/// shot, concatenated, hold exactly the detectors of the batch
+/// extraction ([`SyndromeScanner::flagged_into`]) as a set: in the same
+/// order when every round is a single run (memory circuits), but not
+/// always in ascending order when rounds span several runs (lattice
+/// surgery), so compare them sorted. This crate's tests and
+/// `ftqc-decoder`'s streaming identity suite pin both.
 ///
 /// The stream owns a [`SyndromeScanner`], so consecutive shots of the
 /// same 64-shot block share one transpose; per-round extraction is a

@@ -16,21 +16,27 @@ fn d3_memory(p: f64) -> EvalPipelineBuilder {
 }
 
 #[test]
-fn chunk_size_does_not_change_adaptive_results() {
-    // Same seed, chunk sizes 1k vs 5k: bit-identical merged estimates,
-    // because stopping is decided batch-by-batch in global batch order.
-    let rule = StopRule::max_shots(60_000).min_failures(30);
-    let small = d3_memory(3e-3)
-        .chunk_shots(1_000)
-        .build()
-        .run_adaptive(&rule);
-    let large = d3_memory(3e-3)
-        .chunk_shots(5_000)
-        .build()
-        .run_adaptive(&rule);
-    assert_eq!(small.reason, large.reason);
-    assert_eq!(small.state, large.state);
-    assert_eq!(small.estimates(), large.estimates());
+fn min_failures_run_resumed_off_a_chunk_boundary_matches_uninterrupted_run() {
+    // Resuming at 5 batches shifts every later chunk by 5 batches
+    // against the uninterrupted run's 16-batch chunks. The stopping
+    // point still matches, because stopping is decided batch by batch
+    // in global batch order.
+    let pipeline = d3_memory(3e-3).build();
+    let rule = StopRule::max_shots(60_000).min_failures(200);
+    let uninterrupted = pipeline.run_adaptive(&rule);
+    assert_eq!(uninterrupted.reason, StopReason::FailureTarget);
+    // The stop falls past the first chunk, mid-way through a later one.
+    assert!(
+        uninterrupted.shots() > 16 * 256,
+        "{}",
+        uninterrupted.shots()
+    );
+    assert!(!uninterrupted.shots().is_multiple_of(16 * 256));
+    let interrupted_at = 5 * 256;
+    let partial = pipeline.run_adaptive(&StopRule::max_shots(interrupted_at));
+    let resumed = pipeline.run_adaptive_with(&rule, Some(partial.state), |_| {});
+    assert_eq!(resumed.reason, uninterrupted.reason);
+    assert_eq!(resumed.state, uninterrupted.state);
 }
 
 #[test]
@@ -74,36 +80,23 @@ fn rse_target_stops_with_stated_confidence() {
 }
 
 #[test]
-fn ceiling_only_rule_matches_fixed_run_bit_for_bit() {
-    let pipeline = d3_memory(3e-3).shots(5_000).build();
-    let fixed = pipeline.run();
-    let outcome = pipeline.run_adaptive(&StopRule::max_shots(5_000));
-    assert_eq!(outcome.reason, StopReason::ShotCeiling);
-    assert_eq!(outcome.estimates(), fixed);
-}
-
-#[test]
 fn progress_states_stay_on_batch_boundaries_even_at_a_misaligned_ceiling() {
-    // A ceiling mid-batch (900 with batch_shots 256) truncates the
-    // final batch; that partial state must never reach on_progress, so
-    // every checkpoint remains resumable under a later, larger
-    // ceiling.
-    let pipeline = d3_memory(3e-3).chunk_shots(512).build();
+    // A ceiling mid-batch past one 16-batch chunk (2 x 4,096 + 100
+    // with batch_shots 256) truncates the final batch; that partial
+    // state must never reach on_progress, so every checkpoint remains
+    // resumable under a later, larger ceiling.
+    let pipeline = d3_memory(3e-3).build();
     let mut reported = Vec::new();
-    let outcome = pipeline.run_adaptive_with(&StopRule::max_shots(900), None, |s| {
-        reported.push(s.clone())
+    let outcome = pipeline.run_adaptive_with(&StopRule::max_shots(2 * 4_096 + 100), None, |s| {
+        reported.push(s.trials())
     });
-    assert_eq!(outcome.shots(), 900);
-    assert!(!reported.is_empty());
-    assert!(reported.iter().all(|s| s.trials() % 256 == 0));
+    assert_eq!(outcome.shots(), 2 * 4_096 + 100);
+    assert_eq!(reported, [4_096, 2 * 4_096]);
     // Raising the ceiling from the last checkpoint matches a direct
     // run (the partial tail is re-sampled).
-    let resumed = pipeline.run_adaptive_with(
-        &StopRule::max_shots(2_048),
-        Some(reported.last().unwrap().clone()),
-        |_| {},
-    );
-    let direct = pipeline.run_adaptive(&StopRule::max_shots(2_048));
+    let last = pipeline.run_adaptive(&StopRule::max_shots(2 * 4_096));
+    let resumed = pipeline.run_adaptive_with(&StopRule::max_shots(9_000), Some(last.state), |_| {});
+    let direct = pipeline.run_adaptive(&StopRule::max_shots(9_000));
     assert_eq!(resumed.state, direct.state);
 }
 
