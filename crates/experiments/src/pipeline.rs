@@ -495,6 +495,21 @@ mod tests {
     }
 
     #[test]
+    fn ceiling_only_adaptive_matches_fixed_run() {
+        let pipeline = EvalPipeline::memory(d3_memory())
+            .physical_error(3e-3)
+            .shots(3_000)
+            .batch_shots(256)
+            .seed(11)
+            .build();
+        let fixed = pipeline.run();
+        let adaptive = pipeline.run_adaptive(&StopRule::max_shots(3_000));
+        assert_eq!(adaptive.reason, StopReason::ShotCeiling);
+        assert_eq!(adaptive.shots(), 3_000);
+        assert_eq!(adaptive.estimates(), fixed);
+    }
+
+    #[test]
     fn fingerprint_separates_configurations() {
         let base = EvalPipeline::memory(d3_memory()).seed(1).build();
         let same = EvalPipeline::memory(d3_memory()).seed(1).build();

@@ -80,6 +80,15 @@ fn rse_target_stops_with_stated_confidence() {
 }
 
 #[test]
+fn ceiling_only_rule_matches_fixed_run_bit_for_bit() {
+    let pipeline = d3_memory(3e-3).shots(5_000).build();
+    let fixed = pipeline.run();
+    let outcome = pipeline.run_adaptive(&StopRule::max_shots(5_000));
+    assert_eq!(outcome.reason, StopReason::ShotCeiling);
+    assert_eq!(outcome.estimates(), fixed);
+}
+
+#[test]
 fn progress_states_stay_on_batch_boundaries_even_at_a_misaligned_ceiling() {
     // A ceiling mid-batch past one 16-batch chunk (2 x 4,096 + 100
     // with batch_shots 256) truncates the final batch; that partial
