@@ -262,8 +262,9 @@ impl EvalPipeline {
     }
 
     /// The evaluation loop behind every `run*` method. It samples
-    /// chunks of `max(16, threads)` batches, so every worker stays
-    /// busy, cut off at the rule's shot ceiling. It merges the
+    /// chunks of at least 16 batches, rounded up to a multiple of
+    /// `threads` so no wave leaves a worker idle, cut off at the rule's
+    /// shot ceiling. It merges the
     /// per-batch counts in global batch order and stops at the first
     /// batch where `rule` holds, so the stopping point does not depend
     /// on the chunk size.
@@ -288,7 +289,8 @@ impl EvalPipeline {
             state.trials(),
             self.batch_shots
         );
-        let chunk_batches = (self.threads as u64).max(16);
+        let threads = self.threads as u64;
+        let chunk_batches = 16u64.div_ceil(threads) * threads;
         let span = ftqc_telemetry::span("exp/run_adaptive");
         loop {
             if let Some(reason) = rule.evaluate(&state) {

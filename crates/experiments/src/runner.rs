@@ -104,13 +104,26 @@ pub fn ls_ler(setup: &LsSetup, config: &Config, seed: u64) -> Vec<BinomialEstima
 /// Evaluates a prepared pipeline under `config.stop`, or under the
 /// ceiling-only rule `StopRule::max_shots(pipeline.shots())` when it is
 /// `None`. Every run resumes from, and checkpoints to,
-/// `config.checkpoint`, keyed by the pipeline fingerprint.
+/// `config.checkpoint`, keyed by the pipeline fingerprint. A stored
+/// entry past the rule's ceiling is returned as stored, with a note on
+/// stderr.
 pub fn run_eval(pipeline: &EvalPipeline, config: &Config) -> Vec<BinomialEstimate> {
     let rule = config
         .stop
         .unwrap_or_else(|| StopRule::max_shots(pipeline.shots()));
     let key = format!("{:016x}", pipeline.fingerprint());
     let resume = config.checkpoint.as_ref().and_then(|store| store.get(&key));
+    if let (Some(store), Some(state)) = (&config.checkpoint, &resume) {
+        if state.trials() > rule.shot_ceiling() {
+            eprintln!(
+                "note: configuration {key} in {} has {} trials, above the {}-shot ceiling; \
+                 using it as stored",
+                store.path().display(),
+                state.trials(),
+                rule.shot_ceiling()
+            );
+        }
+    }
     let outcome = pipeline.run_adaptive_with(&rule, resume, |state| {
         if let Some(store) = &config.checkpoint {
             if let Err(e) = store.put(&key, state) {

@@ -97,14 +97,18 @@ fn progress_states_stay_on_batch_boundaries_even_at_a_misaligned_ceiling() {
     let pipeline = d3_memory(3e-3).build();
     let mut reported = Vec::new();
     let outcome = pipeline.run_adaptive_with(&StopRule::max_shots(2 * 4_096 + 100), None, |s| {
-        reported.push(s.trials())
+        reported.push(s.clone())
     });
     assert_eq!(outcome.shots(), 2 * 4_096 + 100);
-    assert_eq!(reported, [4_096, 2 * 4_096]);
+    let trials: Vec<u64> = reported.iter().map(|s| s.trials()).collect();
+    assert_eq!(trials, [4_096, 2 * 4_096]);
     // Raising the ceiling from the last checkpoint matches a direct
     // run (the partial tail is re-sampled).
-    let last = pipeline.run_adaptive(&StopRule::max_shots(2 * 4_096));
-    let resumed = pipeline.run_adaptive_with(&StopRule::max_shots(9_000), Some(last.state), |_| {});
+    let resumed = pipeline.run_adaptive_with(
+        &StopRule::max_shots(9_000),
+        Some(reported.last().unwrap().clone()),
+        |_| {},
+    );
     let direct = pipeline.run_adaptive(&StopRule::max_shots(9_000));
     assert_eq!(resumed.state, direct.state);
 }
