@@ -652,19 +652,25 @@ mod tests {
         DecodingGraph::from_dem(&dem)
     }
 
+    /// [`check_against_reference_up_to`] with capacities in 1..=40.
+    fn check_against_reference(graph: &DecodingGraph, range: (u32, u32), trials: usize, seed: u64) {
+        check_against_reference_up_to(graph, range, trials, seed, 40);
+    }
+
     /// Decodes `trials` random syndromes of the detector range
-    /// `[dlo, dhi)` under random integer capacities in 1..=40 through
-    /// one reused scratch and checks each against the reference run on
-    /// the range's materialized window: same correction, same
-    /// saturated edges, same peeling forest, up to the window's id
-    /// offsets. Capacity 1 saturates on the first unit, and odd
-    /// capacities on edges two clusters grow from both sides saturate
-    /// in the middle of a pass.
-    fn check_against_reference(
+    /// `[dlo, dhi)` under random integer capacities in
+    /// 1..=`max_capacity` through one reused scratch and checks each
+    /// against the reference run on the range's materialized window:
+    /// same correction, same saturated edges, same peeling forest, up
+    /// to the window's id offsets. Capacity 1 saturates on the first
+    /// unit, and odd capacities on edges two clusters grow from both
+    /// sides saturate in the middle of a pass.
+    fn check_against_reference_up_to(
         graph: &DecodingGraph,
         (dlo, dhi): (u32, u32),
         trials: usize,
         seed: u64,
+        max_capacity: u32,
     ) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
@@ -676,7 +682,9 @@ mod tests {
         let mut capacity = vec![0u32; graph.records().len()];
         for trial in 0..trials {
             if trial % 4 == 0 {
-                capacity.iter_mut().for_each(|c| *c = rng.gen_range(1..41));
+                capacity
+                    .iter_mut()
+                    .for_each(|c| *c = rng.gen_range(1..max_capacity + 1));
             }
             let density = rng.gen::<f64>() * 0.3;
             let syndrome: Vec<u32> = (dlo..dhi).filter(|_| rng.gen_bool(density)).collect();
@@ -746,6 +754,33 @@ mod tests {
         let g = code_graph(5, false);
         let n = g.num_detectors();
         check_against_reference(&g, (n / 3, 2 * n / 3), 200, 9);
+    }
+
+    /// The largest capacity [`quantize_capacity`] yields: weights are
+    /// at most `ln(1 / 1e-12)` (see `graph::weight_of`'s clamp).
+    const MAX_CAPACITY: u32 = 111;
+
+    #[test]
+    fn max_capacity_bounds_every_quantized_weight() {
+        assert_eq!(
+            quantize_capacity(((1.0 - 1e-12) / 1e-12f64).ln()),
+            MAX_CAPACITY
+        );
+    }
+
+    #[test]
+    fn matches_reference_on_d5_surgery() {
+        // The benchmark's graph, with capacities spanning the whole
+        // quantized range.
+        let g = code_graph(5, true);
+        check_against_reference_up_to(&g, full(&g), 100, 10, MAX_CAPACITY);
+    }
+
+    #[test]
+    fn matches_reference_on_a_d5_surgery_window() {
+        let g = code_graph(5, true);
+        let n = g.num_detectors();
+        check_against_reference_up_to(&g, (n / 3, 2 * n / 3), 100, 11, MAX_CAPACITY);
     }
 
     #[test]
