@@ -40,6 +40,8 @@
 
 use crate::evaluate::Decoder;
 use crate::graph::{DecodingGraph, DijkstraScratch, NO_NODE};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Worst-case workspace sizes for decoding through a given graph, the
 /// contract behind "allocation-free by construction": every scratch
@@ -196,27 +198,82 @@ pub(crate) const DEFECT: u8 = 1;
 pub(crate) const VISITED: u8 = 2;
 /// Mark-byte flag: node entered in the decode's touched list.
 pub(crate) const TOUCHED: u8 = 4;
+/// Mark-byte flag, on a root: the cluster is on the growth clock (it
+/// grows one unit per pass along its whole frontier).
+pub(crate) const LIVE: u8 = 8;
+/// Mark-byte flag, on a root: the cluster waits in the pass's visit
+/// queue, and its due list is in use.
+pub(crate) const QUEUED: u8 = 16;
+/// Mark-byte flag, on a root: the cluster merged or met the boundary
+/// in the current pass, so the clock no longer grows its frontier.
+pub(crate) const CHANGED: u8 = 32;
 
-/// High bit of a `grown` entry: the edge has saturated (fully grown);
-/// the low 30 bits keep the growth count.
+/// High bit of a `grown` entry: the edge has saturated (fully grown).
 pub(crate) const SATURATED: u32 = 1 << 31;
-/// Bit 30 of a `grown` entry, set only while a growth round lists
-/// frontiers: the edge is already on a growing cluster's frontier.
-pub(crate) const LISTED: u32 = 1 << 30;
 
 /// Sentinel edge index: "no edge" (peeling-tree root / boundary drain
 /// absent).
 pub(crate) const NO_EDGE: u32 = u32::MAX;
 
-/// One growing cluster's slice of a frontier list.
+/// Buckets of the growth ring. A frontier edge waits in the bucket of
+/// the pass in which it fills, modulo `RING`; capacities are at most
+/// 111 units (see `UfDecoder`), so that pass lies less than `RING`
+/// passes ahead of the one that files the edge.
+pub(crate) const RING: u32 = 128;
+
+/// One entry of a node's saturated adjacency list: a saturated edge
+/// below the decode range's top, its far end, and the next entry.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Segment {
-    /// The cluster's root.
-    pub(crate) root: u32,
-    /// The cluster's size when its frontier was listed.
-    pub(crate) size: u32,
-    /// End of the slice (its start is the previous segment's end).
-    pub(crate) end: u32,
+pub(crate) struct SatEntry {
+    pub(crate) edge: u32,
+    pub(crate) to: u32,
+    pub(crate) next: u32,
+}
+
+/// An edge's growth on the pass clock (16 bytes): the units it still
+/// lacks as of pass `since`, and the growing clusters whose frontiers
+/// list it, each of which adds one unit per pass after `since`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EdgeClock {
+    /// Units short of saturation as of pass `since`; [`FULL`] once
+    /// saturated.
+    pub(crate) left: u32,
+    /// The pass `left` is as of; [`NEVER`] while the decode has not
+    /// written the edge.
+    pub(crate) since: u32,
+    /// Roots of the listing clusters ([`NO_NODE`] = empty slot).
+    pub(crate) lister: [u32; 2],
+}
+
+/// [`EdgeClock::left`] of a saturated edge.
+pub(crate) const FULL: u32 = u32::MAX;
+/// [`EdgeClock::since`] of an edge the decode has not written.
+pub(crate) const NEVER: u32 = u32::MAX;
+
+/// An edge's clock state before a decode writes it.
+pub(crate) const PRISTINE_CLOCK: EdgeClock = EdgeClock {
+    left: 0,
+    since: NEVER,
+    lister: [NO_NODE; 2],
+};
+
+/// A doubly linked entry of the growth lists (see `UfScratch::ring`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Link {
+    pub(crate) prev: u32,
+    pub(crate) next: u32,
+}
+
+/// An edge's entry while it is in no list.
+pub(crate) const UNLINKED: Link = Link {
+    prev: NO_EDGE,
+    next: NO_EDGE,
+};
+
+/// The entry of the empty list whose sentinel is `i`.
+fn empty_list(i: u32) -> Link {
+    Link { prev: i, next: i }
 }
 
 /// Union-find arenas: packed DSU records, single-byte node marks, and
@@ -236,22 +293,44 @@ pub(crate) struct UfScratch {
     pub(crate) root: Vec<UfRoot>,
     /// Per-node [`DEFECT`] | [`VISITED`] | [`TOUCHED`] mark bits.
     pub(crate) mark: Vec<u8>,
-    /// Per-edge growth counter with the [`SATURATED`] high bit.
+    /// Per-edge [`SATURATED`] bit, set once the edge is fully grown.
     pub(crate) grown: Vec<u32>,
+    /// Per-edge growth state on the pass clock.
+    pub(crate) clock: Vec<EdgeClock>,
+    /// Edges whose clock the decode wrote, each once.
+    pub(crate) written: Vec<u32>,
+    /// The growth lists in one arena of intrusive links: `RING` bucket
+    /// sentinels, one due-list sentinel per node, one row entry per
+    /// node (at `row_base + x`), then one entry per edge (at
+    /// `edge_base + e`); each entry is linked into at most one list.
+    /// Bucket `b` holds the frontier edges that fill in a pass `p` with
+    /// `p % RING == b`, and the row entries of the defects whose
+    /// unfiled CSR-row edges may first fill in `p`; root `r`'s due list
+    /// holds the edges that `r`'s unit fills in the current pass. A
+    /// sentinel is valid only while its list is in use: a bucket while
+    /// its `occupied` bit is set, a due list while its root is
+    /// [`QUEUED`].
+    pub(crate) ring: Vec<Link>,
+    /// Index of node 0's row entry in `ring`.
+    pub(crate) row_base: u32,
+    /// Index of edge 0's entry in `ring`.
+    pub(crate) edge_base: u32,
+    /// Bit `b` set when bucket `b` holds an edge.
+    pub(crate) occupied: u128,
+    /// Per-node last pass whose unit the node's cluster gave its edges
+    /// before it left the clock.
+    pub(crate) off: Vec<u32>,
+    /// Clusters on the clock.
+    pub(crate) live: u32,
     /// One bit per edge, set only while a frontier is being collected.
     pub(crate) edge_bits: Vec<u64>,
-    /// Roots of still-odd clusters (one growth pass's worklist).
-    pub(crate) roots: Vec<u32>,
-    /// Unsaturated frontier edges of every growing cluster, one sorted
-    /// slice per entry of `segments`.
+    /// Edges drained from a growth list, or a merged cluster's
+    /// frontier.
     pub(crate) frontier: Vec<u32>,
-    /// The growing clusters whose frontiers `frontier` lists, by root.
-    pub(crate) segments: Vec<Segment>,
-    /// The next round's `frontier`, built from this one; between
-    /// listings, the frontier of a cluster that merged mid-pass.
-    pub(crate) next_frontier: Vec<u32>,
-    /// The next round's `segments`.
-    pub(crate) next_segments: Vec<Segment>,
+    /// Roots the current pass still visits, smallest first.
+    pub(crate) visits: BinaryHeap<Reverse<u32>>,
+    /// Roots that merged or met the boundary in the current pass.
+    pub(crate) changed: Vec<u32>,
     /// Edges in the order they saturated (sorted before peeling).
     pub(crate) saturated: Vec<u32>,
     /// Nodes the decode dirtied: the syndrome plus every endpoint of
@@ -259,6 +338,12 @@ pub(crate) struct UfScratch {
     pub(crate) touched: Vec<u32>,
     /// Peeling BFS order; also *is* the BFS queue (FIFO scan-by-index).
     pub(crate) order: Vec<u32>,
+    /// Per-node head of its saturated adjacency list in `sat_adj`
+    /// ([`NO_EDGE`] = empty).
+    pub(crate) sat_head: Vec<u32>,
+    /// Saturated adjacency entries, two per saturated edge below the
+    /// range's top.
+    pub(crate) sat_adj: Vec<SatEntry>,
     /// Peeling-tree parent edge per node ([`NO_EDGE`] = tree root).
     pub(crate) parent_edge: Vec<u32>,
     /// Peeling-tree roots with their boundary drain edge ([`NO_EDGE`]
@@ -278,15 +363,23 @@ impl Default for UfScratch {
             root: Vec::new(),
             mark: Vec::new(),
             grown: Vec::new(),
+            clock: Vec::new(),
+            written: Vec::new(),
+            ring: Vec::new(),
+            row_base: RING,
+            edge_base: RING,
+            occupied: 0,
+            off: Vec::new(),
+            live: 0,
             edge_bits: Vec::new(),
-            roots: Vec::new(),
             frontier: Vec::new(),
-            segments: Vec::new(),
-            next_frontier: Vec::new(),
-            next_segments: Vec::new(),
+            visits: BinaryHeap::new(),
+            changed: Vec::new(),
             saturated: Vec::new(),
             touched: Vec::new(),
             order: Vec::new(),
+            sat_head: Vec::new(),
+            sat_adj: Vec::new(),
             parent_edge: Vec::new(),
             root_drains: Vec::new(),
             bound_nodes: u32::MAX,
@@ -316,10 +409,9 @@ fn pristine_root(i: u32) -> UfRoot {
 
 impl UfScratch {
     /// Preallocates every arena for decodes within `cap` and arms the
-    /// debug-asserted bounds. The two frontier lists get `2 * edges`
-    /// slots: an internal edge is listed once per endpoint before
-    /// dedup, and once per cluster when two growing clusters share it.
-    /// Every other list holds each node or edge at most once.
+    /// debug-asserted bounds. The ring holds `RING + 2 * nodes + edges`
+    /// entries; every list holds each node or edge at most once (the
+    /// visit queue and the changed list are deduplicated by mark bits).
     pub(crate) fn bound(&mut self, cap: ScratchCapacity) {
         let n = cap.nodes as usize;
         let e = cap.edges as usize;
@@ -327,15 +419,19 @@ impl UfScratch {
         reserve_to(&mut self.root, n);
         reserve_to(&mut self.mark, n);
         reserve_to(&mut self.grown, e);
+        reserve_to(&mut self.clock, e);
+        reserve_to(&mut self.written, e);
+        reserve_to(&mut self.ring, RING as usize + 2 * n + e);
+        reserve_to(&mut self.off, n);
         reserve_to(&mut self.edge_bits, e.div_ceil(64));
-        reserve_to(&mut self.roots, n);
-        reserve_to(&mut self.frontier, 2 * e);
-        reserve_to(&mut self.segments, n);
-        reserve_to(&mut self.next_frontier, 2 * e);
-        reserve_to(&mut self.next_segments, n);
+        reserve_to(&mut self.frontier, e);
+        self.visits.reserve(n.saturating_sub(self.visits.len()));
+        reserve_to(&mut self.changed, n);
         reserve_to(&mut self.saturated, e);
         reserve_to(&mut self.touched, n);
         reserve_to(&mut self.order, n);
+        reserve_to(&mut self.sat_head, n);
+        reserve_to(&mut self.sat_adj, 2 * e);
         reserve_to(&mut self.parent_edge, n);
         reserve_to(&mut self.root_drains, n);
         self.bound_nodes = cap.nodes;
@@ -366,15 +462,25 @@ impl UfScratch {
             self.root.extend((have..nodes as u32).map(pristine_root));
             self.mark.resize(nodes, 0);
             self.parent_edge.resize(nodes, NO_EDGE);
+            self.sat_head.resize(nodes, NO_EDGE);
+            self.off.resize(nodes, 0);
         }
         if self.grown.len() < edges {
             self.grown.resize(edges, 0);
+            self.clock.resize(edges, PRISTINE_CLOCK);
             self.edge_bits.resize(edges.div_ceil(64), 0);
         }
+        // Every entry is unlinked and every sentinel unused between
+        // decodes, so the entries may move up as the nodes grow.
+        self.row_base = RING + self.node.len() as u32;
+        self.edge_base = self.row_base + self.node.len() as u32;
+        self.ring
+            .resize(self.edge_base as usize + self.grown.len(), UNLINKED);
         debug_assert!(self.is_pristine(), "UfScratch arenas dirty at decode start");
         self.saturated.clear();
         self.touched.clear();
         self.order.clear();
+        self.sat_adj.clear();
         self.root_drains.clear();
     }
 
@@ -385,7 +491,13 @@ impl UfScratch {
                 && self.root[i] == pristine_root(i as u32)
                 && self.mark[i] == 0
                 && self.parent_edge[i] == NO_EDGE
+                && self.sat_head[i] == NO_EDGE
         }) && self.grown.iter().all(|&g| g == 0)
+            && self.clock.iter().all(|&c| c == PRISTINE_CLOCK)
+            && self.occupied == 0
+            && self.ring[self.row_base as usize..]
+                .iter()
+                .all(|&l| l == UNLINKED)
             && self.edge_bits.iter().all(|&w| w == 0)
     }
 
@@ -397,19 +509,118 @@ impl UfScratch {
         }
     }
 
-    /// Returns every touched node, and every edge of `graph` at one, to
-    /// its pristine value. Clusters only ever hold syndrome nodes and
-    /// endpoints of saturated edges, and only their frontier edges
-    /// grow, so this re-arms everything the decode wrote.
-    pub(crate) fn rearm(&mut self, graph: &DecodingGraph) {
+    /// Returns every node, edge and ring entry the decode wrote to its
+    /// pristine value: the touched nodes (clusters only ever hold
+    /// syndrome nodes and endpoints of saturated edges), the edges whose
+    /// clock it wrote (which include the saturated ones), and the
+    /// entries still waiting in a bucket.
+    pub(crate) fn rearm(&mut self) {
         for &x in &self.touched {
             self.node[x as usize] = pristine_node(x);
             self.root[x as usize] = pristine_root(x);
             self.mark[x as usize] = 0;
             self.parent_edge[x as usize] = NO_EDGE;
-            for a in graph.neighbors(x) {
-                self.grown[a.edge as usize] = 0;
+            self.sat_head[x as usize] = NO_EDGE;
+        }
+        for &e in &self.written {
+            self.grown[e as usize] = 0;
+            self.clock[e as usize] = PRISTINE_CLOCK;
+        }
+        self.written.clear();
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros();
+            let mut i = self.ring[b as usize].next;
+            while i != b {
+                let next = self.ring[i as usize].next;
+                self.ring[i as usize] = UNLINKED;
+                i = next;
             }
+            self.occupied &= self.occupied - 1;
+        }
+    }
+
+    /// Sets edge `e`'s clock, listing the edge as written.
+    pub(crate) fn set_clock(&mut self, e: u32, clock: EdgeClock) {
+        if self.clock[e as usize].since == NEVER {
+            self.written.push(e);
+        }
+        self.clock[e as usize] = clock;
+    }
+
+    /// Prepends `(edge, to)` to `x`'s saturated adjacency list.
+    pub(crate) fn push_sat(&mut self, x: u32, edge: u32, to: u32) {
+        let next = self.sat_head[x as usize];
+        self.sat_head[x as usize] = self.sat_adj.len() as u32;
+        self.sat_adj.push(SatEntry { edge, to, next });
+    }
+
+    /// Links ring entry `i` into the bucket of pass `due`.
+    pub(crate) fn file(&mut self, i: u32, due: u32) {
+        let b = due % RING;
+        if self.occupied & (1 << b) == 0 {
+            self.occupied |= 1 << b;
+            self.ring[b as usize] = empty_list(b);
+        }
+        self.link(b, i);
+    }
+
+    /// Links edge `e` into root `r`'s due list, queueing `r`.
+    pub(crate) fn assign(&mut self, r: u32, e: u32) {
+        self.queue(r);
+        self.link(RING + r, self.edge_base + e);
+    }
+
+    /// Links entry `i` at the head of the list whose sentinel is `head`.
+    fn link(&mut self, head: u32, i: u32) {
+        let next = self.ring[head as usize].next;
+        self.ring[i as usize] = Link { prev: head, next };
+        self.ring[next as usize].prev = i;
+        self.ring[head as usize].next = i;
+    }
+
+    /// Whether ring entry `i` is in a list.
+    pub(crate) fn is_linked(&self, i: u32) -> bool {
+        self.ring[i as usize].next != NO_EDGE
+    }
+
+    /// Takes ring entry `i` out of its list, if it is in one.
+    pub(crate) fn unlink(&mut self, i: u32) {
+        let Link { prev, next } = self.ring[i as usize];
+        if next == NO_EDGE {
+            return;
+        }
+        self.ring[prev as usize].next = next;
+        self.ring[next as usize].prev = prev;
+        self.ring[i as usize] = UNLINKED;
+        if prev == next && prev < RING {
+            // Only the bucket's sentinel is left.
+            self.occupied &= !(1 << prev);
+        }
+    }
+
+    /// Empties the list whose sentinel is `head` (bucket `head`, or the
+    /// due list of root `head - RING`) into `out`, as ring indices.
+    pub(crate) fn drain(&mut self, head: u32, out: &mut Vec<u32>) {
+        let mut i = self.ring[head as usize].next;
+        while i != head {
+            let next = self.ring[i as usize].next;
+            self.ring[i as usize] = UNLINKED;
+            out.push(i);
+            i = next;
+        }
+        self.ring[head as usize] = empty_list(head);
+        if head < RING {
+            self.occupied &= !(1 << head);
+        }
+    }
+
+    /// Queues root `r` for a turn in the current growth pass, once,
+    /// with an empty due list.
+    pub(crate) fn queue(&mut self, r: u32) {
+        if self.mark[r as usize] & QUEUED == 0 {
+            self.mark[r as usize] |= QUEUED;
+            self.ring[(RING + r) as usize] = empty_list(RING + r);
+            self.visits.push(Reverse(r));
         }
     }
 

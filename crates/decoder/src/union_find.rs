@@ -2,11 +2,12 @@
 //! index arenas.
 
 use crate::evaluate::Decoder;
-use crate::graph::{DecodingGraph, NO_NODE};
+use crate::graph::{AdjEntry, DecodingGraph, NO_NODE};
 use crate::scratch::{
-    DecoderScratch, ScratchCapacity, Segment, UfScratch, CLUSTER_BOUNDARY, DEFECT, LISTED, NO_EDGE,
-    PARITY, SATURATED, VISITED,
+    DecoderScratch, EdgeClock, SatEntry, ScratchCapacity, UfScratch, CHANGED, CLUSTER_BOUNDARY, DEFECT, FULL,
+    LIVE, NEVER, NO_EDGE, PARITY, QUEUED, RING, SATURATED, VISITED,
 };
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// A weighted union-find decoder (Delfosse–Nickerson).
@@ -111,7 +112,7 @@ pub(crate) fn uf_decode(
     // leaves, flipping defects toward the root (boundary-anchored
     // when available).
     let mask = peel(graph, s, dhi, syndrome, edges);
-    s.rearm(graph);
+    s.rearm();
     mask
 }
 
@@ -152,23 +153,53 @@ fn push_frontier(
     }
 }
 
-/// Cluster growth. Every pass grows each odd, boundary-free cluster
-/// (in ascending root order) by one unit along each of its frontier
-/// edges (in ascending edge order); an edge that reaches its capacity
-/// saturates and merges the clusters at its ends, or gives its
-/// cluster boundary contact.
+/// Number of growing clusters a lister pair names: the edge's growth
+/// per pass.
+fn rate(lister: [u32; 2]) -> u32 {
+    (lister[0] != NO_NODE) as u32 + (lister[1] != NO_NODE) as u32
+}
+
+/// `left / rate` rounded up, for a rate of 1 or 2.
+fn div_rate(left: u32, rate: u32) -> u32 {
+    debug_assert!(rate == 1 || rate == 2);
+    (left + rate - 1) >> (rate - 1)
+}
+
+/// Cluster growth on a pass clock, equivalent to running unit passes.
 ///
-/// A pass that saturates nothing leaves the clusters as they were, so
-/// the passes before the next saturation differ only in the counts
-/// they add: one per pass on a frontier edge, two where two growing
-/// clusters share it. Each round therefore lists every growing
-/// cluster's frontier once, adds the counts of all those silent
-/// passes in one step, and runs the pass that saturates. That pass
-/// reuses a cluster's listed frontier unless the cluster merged
-/// earlier in the pass — the only way its frontier can change — so
-/// the result is exactly that of running every pass. A cluster that
-/// did not merge since the last round keeps its listed frontier too,
-/// less the edges that saturated.
+/// A unit pass grows each odd, boundary-free cluster (in ascending
+/// root order) by one unit along each of its frontier edges (in
+/// ascending edge order); an edge that reaches its capacity saturates
+/// and merges the clusters at its ends, or gives its cluster boundary
+/// contact. A cluster that merged earlier in a pass grows along its
+/// merged frontier at its turn, or not at all if it is no longer a
+/// growing root.
+///
+/// Here a clock does that growth. Each frontier edge keeps the units
+/// it lacks as of a pass `since` and its listers, the growing clusters
+/// whose frontiers hold it (at most two), and gains one unit per pass
+/// and lister. It waits in the ring bucket of the pass in which it
+/// fills, so the loop jumps from one saturating pass to the next, and
+/// a pass visits only what can change in it, in ascending root order:
+///
+/// * the pass's bucket hands each due edge to the lister whose unit
+///   fills it, and that cluster saturates its due edges, in ascending
+///   order, at its turn. A unit pass would add the same units to its
+///   other edges, which the clock already counts;
+/// * a cluster that a merge reaches before its turn leaves the clock
+///   and, if it is still a growing root at its turn, grows along its
+///   merged frontier explicitly.
+///
+/// At the end of the pass the clusters that merged or met the boundary
+/// go back on the clock, re-filing their frontiers, if they still grow.
+/// Leaving the clock costs O(1): the pass a cluster's units stop at is
+/// recorded, and an edge folds them in when it is next read, so an edge
+/// may wait in a bucket earlier than its fill, never later, and is
+/// re-filed when its bucket comes up. Until a decode writes an edge,
+/// the defects at its ends list it from pass 0, so a defect's
+/// frontier, its CSR row, is filed without a write to the clock. The
+/// cost follows the saturations and the frontiers of the clusters that
+/// change, not the passes times every frontier.
 fn grow(
     graph: &DecodingGraph,
     capacity: &[u32],
@@ -176,122 +207,334 @@ fn grow(
     (dlo, dhi): (u32, u32),
     syndrome: &[u32],
 ) {
-    let rec = graph.records();
-    // The work lists are borrowed out of the scratch for the growth
-    // loop (which needs `&mut s` for find/union) and handed back
-    // after, so their capacity is retained.
-    let mut roots = std::mem::take(&mut s.roots);
-    let mut frontier = std::mem::take(&mut s.frontier);
-    let mut segments = std::mem::take(&mut s.segments);
-    let mut next = std::mem::take(&mut s.next_frontier);
-    let mut next_segments = std::mem::take(&mut s.next_segments);
-    // Roots of still-odd, boundary-free clusters. Every such cluster
-    // holds a defect, and after the first round one that was growing
-    // in the round before.
-    roots.clear();
-    roots.extend_from_slice(syndrome);
-    segments.clear();
-    loop {
-        for r in roots.iter_mut() {
-            *r = s.find(*r);
+    let mut g = Growth {
+        graph,
+        capacity,
+        dlo,
+        dhi,
+        pass: 0,
+        turn: NO_NODE,
+    };
+    for &x in syndrome {
+        s.mark[x as usize] |= LIVE;
+    }
+    s.live = syndrome.len() as u32;
+    for &x in syndrome {
+        g.file_row(s, x);
+    }
+    // Borrowed out of the scratch while the turns need `&mut s`, and
+    // handed back after, so its capacity is retained.
+    let mut edges = std::mem::take(&mut s.frontier);
+    while s.live != 0 && s.occupied != 0 {
+        // Jump to the next pass in which an edge fills and hand each
+        // of its edges to the lister whose unit fills it.
+        g.pass += 1 + s.occupied.rotate_right((g.pass + 1) % RING).trailing_zeros();
+        edges.clear();
+        s.drain(g.pass % RING, &mut edges);
+        for &i in &edges {
+            if i >= s.edge_base {
+                g.refile(s, i - s.edge_base);
+            } else {
+                g.file_rest(s, i - s.row_base);
+            }
         }
-        roots.retain(|&r| s.growing(r));
-        roots.sort_unstable();
-        roots.dedup();
-        // List each frontier and find the first pass that saturates.
-        next.clear();
-        next_segments.clear();
-        let mut passes = u32::MAX;
-        let mut prev = segments.iter().peekable();
-        let mut prev_start = 0;
-        for &root in &roots {
-            let size = s.root[root as usize].size;
-            let start = next.len();
-            while let Some(p) = prev.next_if(|p| p.root < root) {
-                prev_start = p.end as usize;
-            }
-            match prev.next_if(|p| p.root == root) {
-                Some(p) if p.size == size => {
-                    for &ei in &frontier[prev_start..p.end as usize] {
-                        if s.grown[ei as usize] & SATURATED == 0 {
-                            next.push(ei);
-                        }
-                    }
-                    prev_start = p.end as usize;
+        // Every queued root was growing when the pass started; a merge
+        // before its turn may have absorbed or neutralized it, or taken
+        // it off the clock.
+        while let Some(Reverse(x)) = s.visits.pop() {
+            s.mark[x as usize] &= !QUEUED;
+            g.turn = x;
+            edges.clear();
+            if s.find(x) != x || !s.growing(x) {
+                // No turn: the edges it was due to fill wait for their
+                // other lister, if any.
+                s.drain(RING + x, &mut edges);
+                for &i in &edges {
+                    g.refile(s, i - s.edge_base);
                 }
-                Some(p) => {
-                    prev_start = p.end as usize;
-                    push_frontier(graph, s, dlo, root, &mut next);
+            } else if s.mark[x as usize] & CHANGED != 0 {
+                g.regrow(s, x, &mut edges);
+            } else {
+                s.drain(RING + x, &mut edges);
+                edges.sort_unstable();
+                for &i in &edges {
+                    g.fill(s, x, i - s.edge_base);
                 }
-                None => push_frontier(graph, s, dlo, root, &mut next),
             }
-            for &ei in &next[start..] {
-                let grown = s.grown[ei as usize];
-                let left = capacity[ei as usize] - (grown & !LISTED);
-                // Listed twice: two growing clusters share the edge.
-                passes = passes.min(if grown & LISTED != 0 {
-                    left.div_ceil(2)
+        }
+        g.turn = NO_NODE;
+        for i in 0..s.changed.len() {
+            let c = s.changed[i];
+            if s.find(c) == c && s.growing(c) {
+                g.attach(s, c);
+                s.mark[c as usize] = (s.mark[c as usize] | LIVE) & !CHANGED;
+                s.live += 1;
+            } else {
+                s.mark[c as usize] &= !(LIVE | CHANGED);
+            }
+        }
+        s.changed.clear();
+    }
+    s.frontier = edges;
+}
+
+/// One decode's growth context: the graph and range it grows in, and
+/// the clock.
+struct Growth<'a> {
+    graph: &'a DecodingGraph,
+    capacity: &'a [u32],
+    dlo: u32,
+    dhi: u32,
+    /// The current pass.
+    pass: u32,
+    /// Root whose turn in the pass is under way: the listers up to it
+    /// have grown their edges in this pass, those above it have not.
+    turn: u32,
+}
+
+impl Growth<'_> {
+    /// Edge `e` as of the end of pass `t` (at least its `since`): the
+    /// units it lacks, counting its listers on the clock up to `t` and
+    /// the others up to the pass they left it, and its listers on the
+    /// clock.
+    fn view(&self, s: &UfScratch, e: u32, t: u32) -> (i32, [u32; 2]) {
+        let c = s.clock[e as usize];
+        let (mut left, since, lister) = if c.since == NEVER {
+            let edge = &self.graph.records()[e as usize];
+            let listed = |x: u32| {
+                if x < self.dhi && s.mark[x as usize] & DEFECT != 0 {
+                    x
                 } else {
-                    left
-                });
-                s.grown[ei as usize] = grown | LISTED;
-            }
-            next_segments.push(Segment {
-                root,
-                size,
-                end: next.len() as u32,
-            });
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        std::mem::swap(&mut segments, &mut next_segments);
-        if passes == u32::MAX {
-            // No growing cluster, or none with an edge left to grow.
-            break;
-        }
-        let silent = passes - 1;
-        for &ei in &frontier {
-            s.grown[ei as usize] = (s.grown[ei as usize] & !LISTED) + silent;
-        }
-        // The saturating pass.
-        let mut start = 0;
-        for seg in &segments {
-            let listed = start..seg.end as usize;
-            start = seg.end as usize;
-            // A merge earlier in this pass may have neutralized it.
-            let r = s.find(seg.root);
-            if r != seg.root || !s.growing(r) {
+                    NO_NODE
+                }
+            };
+            let cap = self.capacity[e as usize] as i32;
+            (cap, 0, [listed(edge.u), listed(edge.v)])
+        } else {
+            (c.left as i32, c.since, c.lister)
+        };
+        let mut live = [NO_NODE; 2];
+        for (slot, l) in lister.into_iter().enumerate() {
+            if l == NO_NODE {
                 continue;
             }
-            let edges = if s.root[r as usize].size == seg.size {
-                &frontier[listed]
+            if s.mark[l as usize] & (LIVE | CHANGED) == LIVE {
+                live[slot] = l;
+                left -= (t - since) as i32;
             } else {
-                next.clear();
-                push_frontier(graph, s, dlo, r, &mut next);
-                &next[..]
-            };
-            for &ei in edges {
-                s.grown[ei as usize] += 1;
-                if s.grown[ei as usize] >= capacity[ei as usize] {
-                    s.grown[ei as usize] |= SATURATED;
-                    s.saturated.push(ei);
-                    let e = &rec[ei as usize];
-                    if e.v >= dhi {
-                        let r = s.find(e.u);
-                        s.root[r as usize].flags |= CLUSTER_BOUNDARY;
-                    } else {
-                        s.union(e.u, e.v);
-                    }
-                }
+                left -= (s.off[l as usize] - since) as i32;
             }
         }
-        roots.clear();
-        roots.extend(segments.iter().map(|seg| seg.root));
+        (left, live)
     }
-    s.roots = roots;
-    s.frontier = frontier;
-    s.segments = segments;
-    s.next_frontier = next;
-    s.next_segments = next_segments;
+
+    /// Files edge `e`, which lacks `left` units at the end of the last
+    /// pass and has the listers `live` on the clock: in the due list of
+    /// the lister whose unit fills it in this pass, or in the bucket of
+    /// a later pass, or nowhere if no cluster grows it.
+    fn place(&self, s: &mut UfScratch, e: u32, left: i32, live: [u32; 2]) {
+        s.unlink(s.edge_base + e);
+        let rate = rate(live);
+        if rate == 0 {
+            return;
+        }
+        debug_assert!(left > 0, "edge {e} full but not saturated");
+        if left as u32 <= rate {
+            // The first unit fills it, or the second of two listers.
+            let [l0, l1] = live;
+            let l = if left == 1 { l0.min(l1) } else { l0.max(l1) };
+            debug_assert!(self.turn == NO_NODE || l > self.turn, "edge {e} fills after its turn");
+            s.assign(l, e);
+        } else {
+            let due = self.pass - 1 + div_rate(left as u32, rate);
+            debug_assert!(due - self.pass < RING, "capacity beyond the ring");
+            s.file(s.edge_base + e, due);
+        }
+    }
+
+    /// Re-files edge `e` from its clock.
+    fn refile(&self, s: &mut UfScratch, e: u32) {
+        if s.clock[e as usize].left != FULL {
+            let (left, live) = self.view(s, e, self.pass - 1);
+            self.place(s, e, left, live);
+        }
+    }
+
+    /// Pass in which the defect `x`'s row edge `a` fills, as of pass
+    /// 0, unless another defect filed it: an edge between two defects
+    /// grows from both ends and is filed from one of them.
+    fn row_due(&self, s: &UfScratch, a: AdjEntry) -> Option<u32> {
+        let shared = a.to < self.dhi && s.mark[a.to as usize] & DEFECT != 0;
+        if shared && s.is_linked(s.edge_base + a.edge) {
+            return None;
+        }
+        Some(div_rate(self.capacity[a.edge as usize], 1 + shared as u32))
+    }
+
+    /// Files the CSR row of the defect `x`, a singleton on the clock
+    /// since pass 0: the row edges that fill first, each in its bucket,
+    /// and the rest of the row as one row entry in the bucket of the
+    /// next pass in which one of them may fill. Most defects merge when
+    /// their first edges fill, which leaves the rest of their row to
+    /// the clusters that merge with them.
+    fn file_row(&self, s: &mut UfScratch, x: u32) {
+        let row = self.graph.neighbors_from(x, self.dlo);
+        let first = row.iter().filter_map(|&a| self.row_due(s, a)).min();
+        let Some(first) = first else { return };
+        debug_assert!(first < RING, "capacity beyond the ring");
+        let mut rest = u32::MAX;
+        for &a in row {
+            match self.row_due(s, a) {
+                Some(due) if due == first => s.file(s.edge_base + a.edge, due),
+                Some(due) => rest = rest.min(due),
+                None => {}
+            }
+        }
+        if rest != u32::MAX {
+            debug_assert!(rest < RING, "capacity beyond the ring");
+            s.file(s.row_base + x, rest);
+        }
+    }
+
+    /// The row entry of the defect `x` came up: if `x` is still a
+    /// singleton on the clock, files each unfiled edge of its row. Else
+    /// the clusters it merged into, and any other defect on its row,
+    /// have filed those edges that still grow.
+    fn file_rest(&self, s: &mut UfScratch, x: u32) {
+        if s.mark[x as usize] & (LIVE | CHANGED) != LIVE || s.root[x as usize].size != 1 {
+            return;
+        }
+        for a in self.graph.neighbors_from(x, self.dlo) {
+            let c = s.clock[a.edge as usize];
+            if c.since == NEVER && !s.is_linked(s.edge_base + a.edge) {
+                let (left, live) = self.view(s, a.edge, self.pass - 1);
+                self.place(s, a.edge, left, live);
+            }
+        }
+    }
+
+    /// Puts the growing cluster rooted at `r`, still marked changed, on
+    /// the clock from the end of this pass: a lister of every
+    /// unsaturated edge at its members, each re-filed for its new rate.
+    fn attach(&self, s: &mut UfScratch, r: u32) {
+        let mut node = s.root[r as usize].head;
+        while node != NO_NODE {
+            for a in self.graph.neighbors_from(node, self.dlo) {
+                let c = s.clock[a.edge as usize];
+                if c.left == FULL || (c.since == self.pass && c.lister[0] == r) {
+                    continue;
+                }
+                let (left, [l0, l1]) = self.view(s, a.edge, self.pass);
+                debug_assert!(l0 == NO_NODE || l1 == NO_NODE, "edge listed thrice");
+                let other = if l0 == NO_NODE { l1 } else { l0 };
+                let clock = EdgeClock {
+                    left: left as u32,
+                    since: self.pass,
+                    lister: [r, other],
+                };
+                s.set_clock(a.edge, clock);
+                let due = self.pass + div_rate(left as u32, 1 + (other != NO_NODE) as u32);
+                debug_assert!(due - self.pass < RING, "capacity beyond the ring");
+                s.unlink(s.edge_base + a.edge);
+                s.file(s.edge_base + a.edge, due);
+            }
+            node = s.node[node as usize].next;
+        }
+    }
+
+    /// Takes the cluster rooted at `r` off the clock as a merge or the
+    /// boundary reaches it: its units stop after this pass if its turn
+    /// has come and before it otherwise, when it is queued for its
+    /// turn. Its edges fill no earlier for it, so they keep their
+    /// buckets until these come up.
+    fn detach(&self, s: &mut UfScratch, r: u32) {
+        let passed = r <= self.turn;
+        if !passed {
+            s.queue(r);
+        }
+        s.off[r as usize] = self.pass - 1 + passed as u32;
+        s.live -= 1;
+    }
+
+    /// Edge `e` at the turn of the root `x` on the clock: saturated if
+    /// `x`'s unit of this pass fills it, else re-filed. Whether it
+    /// fills is fixed when the turn starts: only `x`'s own units fill
+    /// edges during it, and the clock already counts them.
+    fn fill(&self, s: &mut UfScratch, x: u32, e: u32) {
+        if s.clock[e as usize].left == FULL {
+            return;
+        }
+        let (left, [l0, l1]) = self.view(s, e, self.pass - 1);
+        if (l0 <= x) as i32 + (l1 <= x) as i32 >= left {
+            self.saturate(s, e);
+        } else {
+            self.place(s, e, left, [l0, l1]);
+        }
+    }
+
+    /// The turn of the growing root `x`, which a merge took off the
+    /// clock: one unit along each edge of its merged frontier, in
+    /// ascending order. The list is fixed when the turn starts: merges
+    /// during the turn add members, not units. A merged cluster is
+    /// never a singleton, whose frontier would be its CSR row.
+    fn regrow(&self, s: &mut UfScratch, x: u32, frontier: &mut Vec<u32>) {
+        push_frontier(self.graph, s, self.dlo, x, frontier);
+        for &e in frontier.iter() {
+            let (left, [l0, l1]) = self.view(s, e, self.pass - 1);
+            if 1 + (l0 < x) as i32 + (l1 < x) as i32 >= left {
+                self.saturate(s, e);
+                continue;
+            }
+            let clock = EdgeClock {
+                left: left as u32 - 1,
+                since: self.pass - 1,
+                lister: [l0, l1],
+            };
+            s.set_clock(e, clock);
+            // The extra unit may make the edge fill sooner.
+            self.place(s, e, left - 1, [l0, l1]);
+        }
+    }
+
+    /// Saturates edge `e`: merges the clusters at its ends, or gives
+    /// its cluster boundary contact.
+    fn saturate(&self, s: &mut UfScratch, e: u32) {
+        let ei = e as usize;
+        s.grown[ei] |= SATURATED;
+        let full = EdgeClock {
+            left: FULL,
+            since: 0,
+            lister: [NO_NODE; 2],
+        };
+        s.set_clock(e, full);
+        s.unlink(s.edge_base + e);
+        s.saturated.push(e);
+        let edge = &self.graph.records()[ei];
+        if edge.v >= self.dhi {
+            let r = s.find(edge.u);
+            self.change(s, r);
+            s.root[r as usize].flags |= CLUSTER_BOUNDARY;
+        } else {
+            let (ra, rb) = (s.find(edge.u), s.find(edge.v));
+            if ra != rb {
+                self.change(s, ra);
+                self.change(s, rb);
+                s.union(ra, rb);
+            }
+        }
+    }
+
+    /// Takes root `r`, which is about to merge or meet the boundary,
+    /// off the clock if it is on it, and lists it as changed.
+    fn change(&self, s: &mut UfScratch, r: u32) {
+        if s.mark[r as usize] & (LIVE | CHANGED) == LIVE {
+            self.detach(s, r);
+        }
+        if s.mark[r as usize] & CHANGED == 0 {
+            s.mark[r as usize] |= CHANGED;
+            s.changed.push(r);
+        }
+    }
 }
 
 impl Decoder for UfDecoder {
@@ -325,27 +568,26 @@ impl Decoder for UfDecoder {
 }
 
 /// Breadth-first spanning tree of `root`'s component in the saturated
-/// subgraph below `dhi`, appended to `s.order` / `s.parent_edge`. The
-/// order array doubles as the FIFO queue (new nodes are pushed at the
-/// tail and scanned by index), so BFS needs no separate queue arena.
-/// Edges leaving the range downward never grow, so the saturation test
-/// skips them.
-fn bfs(graph: &DecodingGraph, s: &mut UfScratch, dhi: u32, root: u32) {
+/// subgraph below `dhi`, appended to `s.order` / `s.parent_edge`, over
+/// the saturated adjacency lists (`s.sat_head`). The order array
+/// doubles as the FIFO queue (new nodes are pushed at the tail and
+/// scanned by index), so BFS needs no separate queue arena.
+fn bfs(s: &mut UfScratch, root: u32) {
     s.mark[root as usize] |= VISITED;
     let mut scan = s.order.len();
     s.order.push(root);
     while scan < s.order.len() {
         let u = s.order[scan];
         scan += 1;
-        for a in graph.neighbors(u) {
-            if s.grown[a.edge as usize] & SATURATED == 0 || a.to >= dhi {
-                continue;
+        let mut i = s.sat_head[u as usize];
+        while i != NO_EDGE {
+            let SatEntry { edge, to, next } = s.sat_adj[i as usize];
+            if s.mark[to as usize] & VISITED == 0 {
+                s.mark[to as usize] |= VISITED;
+                s.parent_edge[to as usize] = edge;
+                s.order.push(to);
             }
-            if s.mark[a.to as usize] & VISITED == 0 {
-                s.mark[a.to as usize] |= VISITED;
-                s.parent_edge[a.to as usize] = a.edge;
-                s.order.push(a.to);
-            }
+            i = next;
         }
     }
 }
@@ -369,6 +611,16 @@ fn peel(
     let rec = graph.records();
     let mut mask = 0u32;
     s.saturated.sort_unstable();
+    // Each node's saturated edges below `dhi`, listed in ascending
+    // order: the entries of its CSR row that a BFS follows.
+    for i in (0..s.saturated.len()).rev() {
+        let ei = s.saturated[i];
+        let e = &rec[ei as usize];
+        if e.v < dhi {
+            s.push_sat(e.u, ei, e.v);
+            s.push_sat(e.v, ei, e.u);
+        }
+    }
     // VISITED bits are clear here: marks start pristine and only the
     // peeling BFS below sets them.
     // Boundary-anchored spanning trees first: each root's BFS claims
@@ -379,7 +631,7 @@ fn peel(
         let e = &rec[ei as usize];
         if e.v >= dhi && s.mark[e.u as usize] & VISITED == 0 {
             s.root_drains.push((e.u, ei));
-            bfs(graph, s, dhi, e.u);
+            bfs(s, e.u);
         }
     }
     // Remaining components of the saturated subgraph.
@@ -398,7 +650,7 @@ fn peel(
         let node = s.touched[i];
         if s.mark[node as usize] & VISITED == 0 {
             s.root_drains.push((node, NO_EDGE));
-            bfs(graph, s, dhi, node);
+            bfs(s, node);
         }
     }
     // Peel in reverse BFS order: each non-root node pushes its defect
@@ -442,6 +694,28 @@ fn peel(
 #[cfg(test)]
 mod reference {
     use super::*;
+
+    /// Breadth-first spanning tree of `root`'s component in the
+    /// saturated subgraph, scanning each node's whole CSR row.
+    fn bfs(graph: &DecodingGraph, s: &mut UfScratch, dhi: u32, root: u32) {
+        s.mark[root as usize] |= VISITED;
+        let mut scan = s.order.len();
+        s.order.push(root);
+        while scan < s.order.len() {
+            let u = s.order[scan];
+            scan += 1;
+            for a in graph.neighbors(u) {
+                if s.grown[a.edge as usize] & SATURATED == 0 || a.to >= dhi {
+                    continue;
+                }
+                if s.mark[a.to as usize] & VISITED == 0 {
+                    s.mark[a.to as usize] |= VISITED;
+                    s.parent_edge[a.to as usize] = a.edge;
+                    s.order.push(a.to);
+                }
+            }
+        }
+    }
 
     /// Decodes `syndrome` through `s`, which it first resets in full,
     /// and returns the correction's observable mask.
