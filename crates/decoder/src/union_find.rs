@@ -298,9 +298,24 @@ impl Growth<'_> {
     /// the others up to the pass they left it, and its listers on the
     /// clock.
     fn view(&self, s: &UfScratch, e: u32, t: u32) -> (i32, [u32; 2]) {
+        let ends = || {
+            let edge = &self.graph.records()[e as usize];
+            (edge.u, edge.v)
+        };
+        self.view_with(s, e, ends, t)
+    }
+
+    /// [`view`](Growth::view) of edge `e`, whose ends `ends` yields
+    /// (in either order) if the edge is pristine.
+    fn view_with(
+        &self,
+        s: &UfScratch,
+        e: u32,
+        ends: impl FnOnce() -> (u32, u32),
+        t: u32,
+    ) -> (i32, [u32; 2]) {
         let c = s.clock[e as usize];
         let (mut left, since, lister) = if c.since == NEVER {
-            let edge = &self.graph.records()[e as usize];
             let listed = |x: u32| {
                 if x < self.dhi && s.mark[x as usize] & DEFECT != 0 {
                     x
@@ -308,8 +323,9 @@ impl Growth<'_> {
                     NO_NODE
                 }
             };
+            let (u, v) = ends();
             let cap = self.capacity[e as usize] as i32;
-            (cap, 0, [listed(edge.u), listed(edge.v)])
+            (cap, 0, [listed(u), listed(v)])
         } else {
             (c.left as i32, c.since, c.lister)
         };
@@ -361,14 +377,14 @@ impl Growth<'_> {
     }
 
     /// Pass in which the defect `x`'s row edge `a` fills, as of pass
-    /// 0, unless another defect filed it: an edge between two defects
-    /// grows from both ends and is filed from one of them.
-    fn row_due(&self, s: &UfScratch, a: AdjEntry) -> Option<u32> {
+    /// 0, or `u32::MAX` if another defect filed it: an edge between two
+    /// defects grows from both ends and is filed from one of them.
+    fn row_due(&self, s: &UfScratch, a: AdjEntry) -> u32 {
         let shared = a.to < self.dhi && s.mark[a.to as usize] & DEFECT != 0;
         if shared && s.is_linked(s.edge_base + a.edge) {
-            return None;
+            return u32::MAX;
         }
-        Some(div_rate(self.capacity[a.edge as usize], 1 + shared as u32))
+        div_rate(self.capacity[a.edge as usize], 1 + shared as u32)
     }
 
     /// Files the CSR row of the defect `x`, a singleton on the clock
@@ -379,15 +395,31 @@ impl Growth<'_> {
     /// the clusters that merge with them.
     fn file_row(&self, s: &mut UfScratch, x: u32) {
         let row = self.graph.neighbors_from(x, self.dlo);
-        let first = row.iter().filter_map(|&a| self.row_due(s, a)).min();
-        let Some(first) = first else { return };
+        // The dues of a row's first edges are kept for the filing loop;
+        // a longer row's others are computed again.
+        let mut dues = [u32::MAX; 32];
+        let mut first = u32::MAX;
+        for (i, &a) in row.iter().enumerate() {
+            let due = self.row_due(s, a);
+            if let Some(d) = dues.get_mut(i) {
+                *d = due;
+            }
+            first = first.min(due);
+        }
+        if first == u32::MAX {
+            return;
+        }
         debug_assert!(first < RING, "capacity beyond the ring");
         let mut rest = u32::MAX;
-        for &a in row {
-            match self.row_due(s, a) {
-                Some(due) if due == first => s.file(s.edge_base + a.edge, due),
-                Some(due) => rest = rest.min(due),
-                None => {}
+        for (i, &a) in row.iter().enumerate() {
+            let due = match dues.get(i) {
+                Some(&due) => due,
+                None => self.row_due(s, a),
+            };
+            if due == first {
+                s.file(s.edge_base + a.edge, due);
+            } else {
+                rest = rest.min(due);
             }
         }
         if rest != u32::MAX {
@@ -407,7 +439,7 @@ impl Growth<'_> {
         for a in self.graph.neighbors_from(x, self.dlo) {
             let c = s.clock[a.edge as usize];
             if c.since == NEVER && !s.is_linked(s.edge_base + a.edge) {
-                let (left, live) = self.view(s, a.edge, self.pass - 1);
+                let (left, live) = self.view_with(s, a.edge, || (x, a.to), self.pass - 1);
                 self.place(s, a.edge, left, live);
             }
         }
@@ -424,7 +456,7 @@ impl Growth<'_> {
                 if c.left == FULL || (c.since == self.pass && c.lister[0] == r) {
                     continue;
                 }
-                let (left, [l0, l1]) = self.view(s, a.edge, self.pass);
+                let (left, [l0, l1]) = self.view_with(s, a.edge, || (node, a.to), self.pass);
                 debug_assert!(l0 == NO_NODE || l1 == NO_NODE, "edge listed thrice");
                 let other = if l0 == NO_NODE { l1 } else { l0 };
                 let clock = EdgeClock {
