@@ -54,10 +54,11 @@
 use crate::alloc::allocation_count;
 use crate::json::{BenchReport, BenchResult};
 use ftqc_decoder::{Decoder, DecoderKind, DecoderScratch};
-use ftqc_experiments::EvalPipeline;
+use ftqc_experiments::{EvalPipeline, LsSetup};
 use ftqc_noise::HardwareConfig;
 use ftqc_sim::{sample_batch, StopRule, SyndromeScanner};
 use ftqc_surface::MemoryConfig;
+use ftqc_sync::PolicySpec;
 use std::time::Instant;
 
 /// How much work a scenario does.
@@ -200,38 +201,59 @@ fn decode_throughput(preset: Preset) -> Vec<BenchResult> {
     let mut results = Vec::new();
     for (label, kind, distances) in decode_matrix(preset) {
         for d in distances {
-            // Setup (untimed): lower, extract, build, pre-sample.
             let pipeline = EvalPipeline::memory(MemoryConfig::new(d, d + 1, &hw))
                 .physical_error(1e-3)
                 .decoder(kind)
                 .seed(2025)
                 .build();
-            let decoder = pipeline.decoder();
-            let batch = sample_batch(pipeline.circuit(), decode_shots(d), 2025);
-            let mut scanner = SyndromeScanner::new();
-            scanner.begin_batch(&batch);
-            let syndromes: Vec<Vec<u32>> = (0..batch.shots)
-                .map(|s| {
-                    let mut flagged = Vec::new();
-                    scanner.flagged_into(&batch, s, &mut flagged);
-                    flagged
-                })
-                .collect();
-            let mut scratch = DecoderScratch::new();
-            let mut correction = 0u32;
-            let name = format!("{label}/d{d}");
-            results.push(measure(&name, || {
-                let mut acc = 0u32;
-                for syndrome in &syndromes {
-                    decoder.decode_into(&mut scratch, syndrome, &mut correction);
-                    acc ^= correction;
-                }
-                std::hint::black_box(acc);
-                syndromes.len()
-            }));
+            results.push(decode_row(
+                &format!("{label}/d{d}"),
+                &pipeline,
+                decode_shots(d),
+            ));
         }
     }
+    // Paper Table 2's Hybrid row (d = 5 lattice surgery, the benchmark's
+    // `surgery-ler` circuit): a decode with several times the defects
+    // of a d = 5 memory shot.
+    let mut setup = LsSetup::homogeneous(5, &hw, PolicySpec::hybrid(400.0), 1000.0);
+    setup.t_p_ns = 1000.0;
+    setup.t_p_prime_ns = 1325.0;
+    let pipeline = EvalPipeline::lattice_surgery(setup.surgery_config())
+        .physical_error(1e-3)
+        .decoder(DecoderKind::UnionFind)
+        .seed(2025)
+        .build();
+    results.push(decode_row("uf/surgery-d5", &pipeline, DECODE_SHOTS));
     results
+}
+
+/// Times decoding `shots` syndromes pre-sampled from `pipeline`'s
+/// circuit through its decoder and one reused scratch (set-up
+/// untimed).
+fn decode_row(name: &str, pipeline: &EvalPipeline, shots: usize) -> BenchResult {
+    let decoder = pipeline.decoder();
+    let batch = sample_batch(pipeline.circuit(), shots, 2025);
+    let mut scanner = SyndromeScanner::new();
+    scanner.begin_batch(&batch);
+    let syndromes: Vec<Vec<u32>> = (0..batch.shots)
+        .map(|s| {
+            let mut flagged = Vec::new();
+            scanner.flagged_into(&batch, s, &mut flagged);
+            flagged
+        })
+        .collect();
+    let mut scratch = DecoderScratch::new();
+    let mut correction = 0u32;
+    measure(name, || {
+        let mut acc = 0u32;
+        for syndrome in &syndromes {
+            decoder.decode_into(&mut scratch, syndrome, &mut correction);
+            acc ^= correction;
+        }
+        std::hint::black_box(acc);
+        syndromes.len()
+    })
 }
 
 /// Streaming window of the latency scenario: round `r` is finalized

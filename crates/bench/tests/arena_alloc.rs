@@ -8,10 +8,12 @@
 //! `zero_alloc.rs`.
 
 use ftqc_bench::alloc::{thread_allocation_count, CountingAlloc};
-use ftqc_decoder::{Decoder, DecoderScratch, DecodingGraph, MwpmDecoder, UfDecoder};
+use ftqc_decoder::{Decoder, DecoderKind, DecoderScratch, DecodingGraph, MwpmDecoder, UfDecoder};
+use ftqc_experiments::{EvalPipeline, LsSetup};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{sample_batch, DetectorErrorModel};
 use ftqc_surface::MemoryConfig;
+use ftqc_sync::PolicySpec;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -29,6 +31,26 @@ fn setup(d: u32) -> (DecodingGraph, Vec<Vec<u32>>) {
         .collect();
     assert!(syndromes.iter().any(|s| !s.is_empty()), "want real work");
     (graph, syndromes)
+}
+
+/// The union-find pipeline of paper Table 2's Hybrid row (d = 5
+/// lattice surgery, T_P = 1000 ns, T_P' = 1325 ns, tau = 1000 ns,
+/// `hybrid:eps=400`) at physical error rate `p`, with syndromes of 256
+/// of its shots.
+fn surgery(p: f64) -> (EvalPipeline, Vec<Vec<u32>>) {
+    let hw = HardwareConfig::ibm();
+    let mut setup = LsSetup::homogeneous(5, &hw, PolicySpec::hybrid(400.0), 1000.0);
+    setup.t_p_ns = 1000.0;
+    setup.t_p_prime_ns = 1325.0;
+    let pipeline = EvalPipeline::lattice_surgery(setup.surgery_config())
+        .physical_error(p)
+        .decoder(DecoderKind::UnionFind)
+        .build();
+    let batch = sample_batch(pipeline.circuit(), 256, 7);
+    let syndromes = (0..batch.shots)
+        .map(|s| batch.flagged_detectors(s))
+        .collect();
+    (pipeline, syndromes)
 }
 
 /// Decodes every syndrome exactly once through a capacity-preallocated
@@ -57,6 +79,29 @@ fn uf_first_decode_through_bounded_scratch_is_allocation_free() {
          capacity bound must cover the first decode",
         syndromes.len()
     );
+}
+
+#[test]
+fn uf_first_surgery_decode_through_bounded_scratch_is_allocation_free() {
+    // At p = 1e-2 a shot flags about 90 detectors against about 21 at
+    // the benchmark's p = 1e-3, so the growth buckets, due lists and
+    // saturated adjacency run several times fuller.
+    for (p, min_defects) in [(1e-3, 10), (1e-2, 60)] {
+        let (pipeline, syndromes) = surgery(p);
+        let defects = syndromes.iter().map(Vec::len).sum::<usize>() / syndromes.len();
+        assert!(
+            defects >= min_defects,
+            "p = {p}: {defects} defects per shot"
+        );
+        let allocs = cold_allocs(pipeline.decoder(), &syndromes);
+        assert_eq!(
+            allocs,
+            0,
+            "UF decoded {} cold d = 5 surgery shots at p = {p} with {allocs} \
+             allocations; the graph-derived capacity bound must cover them",
+            syndromes.len()
+        );
+    }
 }
 
 #[test]
