@@ -292,6 +292,9 @@ impl EvalPipeline {
         let threads = self.threads as u64;
         let chunk_batches = 16u64.div_ceil(threads) * threads;
         let span = ftqc_telemetry::span("exp/run_adaptive");
+        // Trials of the last state known to a checkpoint: the resume
+        // state's, or the last one passed to `on_progress`.
+        let mut reported = state.trials();
         loop {
             if let Some(reason) = rule.evaluate(&state) {
                 span.end_with(&[ftqc_telemetry::Arg::new("trials", state.trials() as f64)]);
@@ -302,6 +305,13 @@ impl EvalPipeline {
             let per_batch =
                 count_batch_errors(&self.circuit, decoder, &plan, self.seed, self.threads);
             for ((_, size), errors) in plan.iter().zip(&per_batch) {
+                if *size < self.batch_shots && state.trials() != reported {
+                    // The run's last batch is partial, so the state it
+                    // ends in is off a batch boundary and never stored:
+                    // store the full batches before it.
+                    on_progress(&state);
+                    reported = state.trials();
+                }
                 state.record(*size as u64, errors);
                 let stop = rule.evaluate(&state).is_some();
                 // One marker per stop-rule evaluation: the run's
@@ -323,6 +333,7 @@ impl EvalPipeline {
             }
             if state.trials().is_multiple_of(self.batch_shots as u64) {
                 on_progress(&state);
+                reported = state.trials();
             }
         }
     }

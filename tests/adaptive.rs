@@ -114,6 +114,27 @@ fn progress_states_stay_on_batch_boundaries_even_at_a_misaligned_ceiling() {
 }
 
 #[test]
+fn a_run_in_one_chunk_with_a_partial_last_batch_checkpoints_its_full_batches() {
+    // 2,000 shots in 1,024-shot batches: one full batch and a partial
+    // one, in a single chunk. The full batch reaches on_progress, so a
+    // rerun re-samples only the 976-shot tail.
+    let pipeline = d3_memory(3e-3).batch_shots(1_024).build();
+    let rule = StopRule::max_shots(2_000);
+    let mut reported = Vec::new();
+    let direct = pipeline.run_adaptive_with(&rule, None, |s| reported.push(s.clone()));
+    assert_eq!(direct.shots(), 2_000);
+    let trials: Vec<u64> = reported.iter().map(|s| s.trials()).collect();
+    assert_eq!(trials, [1_024]);
+    let mut rerun_reported = 0;
+    let resumed = pipeline.run_adaptive_with(&rule, reported.pop(), |_| rerun_reported += 1);
+    assert_eq!(resumed, direct);
+    assert_eq!(
+        rerun_reported, 0,
+        "the tail's state is off a batch boundary"
+    );
+}
+
+#[test]
 fn fingerprint_covers_the_decoder_training_seed() {
     use ftqc::decoder::DecoderKind;
     let lut = DecoderKind::Lut {
