@@ -410,8 +410,11 @@ fn pristine_root(i: u32) -> UfRoot {
 impl UfScratch {
     /// Preallocates every arena for decodes within `cap` and arms the
     /// debug-asserted bounds. The ring holds `RING + 2 * nodes + edges`
-    /// entries; every list holds each node or edge at most once (the
-    /// visit queue and the changed list are deduplicated by mark bits).
+    /// entries, and a list drained from it at most `nodes + edges`
+    /// (row entries and edges); the saturated adjacency holds two
+    /// entries per edge; every other list holds each node or edge at
+    /// most once (the visit queue, the changed list and the written
+    /// edges are deduplicated by mark bits and clock state).
     pub(crate) fn bound(&mut self, cap: ScratchCapacity) {
         let n = cap.nodes as usize;
         let e = cap.edges as usize;
@@ -424,7 +427,7 @@ impl UfScratch {
         reserve_to(&mut self.ring, RING as usize + 2 * n + e);
         reserve_to(&mut self.off, n);
         reserve_to(&mut self.edge_bits, e.div_ceil(64));
-        reserve_to(&mut self.frontier, e);
+        reserve_to(&mut self.frontier, e + n);
         self.visits.reserve(n.saturating_sub(self.visits.len()));
         reserve_to(&mut self.changed, n);
         reserve_to(&mut self.saturated, e);

@@ -4,8 +4,8 @@
 use crate::evaluate::Decoder;
 use crate::graph::{AdjEntry, DecodingGraph, NO_NODE};
 use crate::scratch::{
-    DecoderScratch, EdgeClock, SatEntry, ScratchCapacity, UfScratch, CHANGED, CLUSTER_BOUNDARY, DEFECT, FULL,
-    LIVE, NEVER, NO_EDGE, PARITY, QUEUED, RING, SATURATED, VISITED,
+    DecoderScratch, EdgeClock, SatEntry, ScratchCapacity, UfScratch, CHANGED, CLUSTER_BOUNDARY,
+    DEFECT, FULL, LIVE, NEVER, NO_EDGE, PARITY, QUEUED, RING, SATURATED, VISITED,
 };
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -228,7 +228,10 @@ fn grow(
     while s.live != 0 && s.occupied != 0 {
         // Jump to the next pass in which an edge fills and hand each
         // of its edges to the lister whose unit fills it.
-        g.pass += 1 + s.occupied.rotate_right((g.pass + 1) % RING).trailing_zeros();
+        g.pass += 1 + s
+            .occupied
+            .rotate_right((g.pass + 1) % RING)
+            .trailing_zeros();
         edges.clear();
         s.drain(g.pass % RING, &mut edges);
         for &i in &edges {
@@ -359,7 +362,10 @@ impl Growth<'_> {
             // The first unit fills it, or the second of two listers.
             let [l0, l1] = live;
             let l = if left == 1 { l0.min(l1) } else { l0.max(l1) };
-            debug_assert!(self.turn == NO_NODE || l > self.turn, "edge {e} fills after its turn");
+            debug_assert!(
+                self.turn == NO_NODE || l > self.turn,
+                "edge {e} fills after its turn"
+            );
             s.assign(l, e);
         } else {
             let due = self.pass - 1 + div_rate(left as u32, rate);
