@@ -216,9 +216,13 @@ pub(crate) const SATURATED: u32 = 1 << 31;
 pub(crate) const NO_EDGE: u32 = u32::MAX;
 
 /// Buckets of the growth ring. A frontier edge waits in the bucket of
-/// the pass in which it fills, modulo `RING`; capacities are at most
-/// 111 units (see `UfDecoder`), so that pass lies less than `RING`
-/// passes ahead of the one that files the edge.
+/// the pass in which it fills, modulo `RING`. Capacities quantized from
+/// `DecodingGraph::from_dem` weights are at most 111 units (`weight_of`
+/// clamps p at 1e-12, and a unit is a quarter of a weight), so that
+/// pass lies less than `RING` passes ahead of the one that files the
+/// edge. A larger capacity lands in a bucket that comes up before its
+/// pass, which only re-files it: an entry may wait in a bucket earlier
+/// than its pass, never later.
 pub(crate) const RING: u32 = 128;
 
 /// One entry of a node's saturated adjacency list: a saturated edge
@@ -557,7 +561,8 @@ impl UfScratch {
         self.sat_adj.push(SatEntry { edge, to, next });
     }
 
-    /// Links ring entry `i` into the bucket of pass `due`.
+    /// Links ring entry `i` into the bucket of pass `due`, which is
+    /// after the current pass.
     pub(crate) fn file(&mut self, i: u32, due: u32) {
         let b = due % RING;
         if self.occupied & (1 << b) == 0 {

@@ -369,7 +369,6 @@ impl Growth<'_> {
             s.assign(l, e);
         } else {
             let due = self.pass - 1 + div_rate(left as u32, rate);
-            debug_assert!(due - self.pass < RING, "capacity beyond the ring");
             s.file(s.edge_base + e, due);
         }
     }
@@ -415,7 +414,6 @@ impl Growth<'_> {
         if first == u32::MAX {
             return;
         }
-        debug_assert!(first < RING, "capacity beyond the ring");
         let mut rest = u32::MAX;
         for (i, &a) in row.iter().enumerate() {
             let due = match dues.get(i) {
@@ -429,7 +427,6 @@ impl Growth<'_> {
             }
         }
         if rest != u32::MAX {
-            debug_assert!(rest < RING, "capacity beyond the ring");
             s.file(s.row_base + x, rest);
         }
     }
@@ -472,7 +469,6 @@ impl Growth<'_> {
                 };
                 s.set_clock(a.edge, clock);
                 let due = self.pass + div_rate(left as u32, 1 + (other != NO_NODE) as u32);
-                debug_assert!(due - self.pass < RING, "capacity beyond the ring");
                 s.unlink(s.edge_base + a.edge);
                 s.file(s.edge_base + a.edge, due);
             }
@@ -1093,6 +1089,14 @@ mod tests {
         let g = code_graph(5, true);
         let n = g.num_detectors();
         check_against_reference_up_to(&g, (n / 3, 2 * n / 3), 100, 11, MAX_CAPACITY);
+    }
+
+    #[test]
+    fn matches_reference_with_capacities_beyond_the_ring() {
+        // A hand-built graph's weights may quantize past the ring's
+        // 128 passes; such edges come up early and are re-filed.
+        let g = chain_graph(8, 0.01);
+        check_against_reference_up_to(&g, full(&g), 300, 12, 400);
     }
 
     #[test]
