@@ -286,16 +286,18 @@ fn empty_list(i: u32) -> Link {
 ///
 /// Between decodes the per-node and per-edge arenas are *pristine*:
 /// every node its own singleton cluster with no marks and no tree
-/// edge, every edge ungrown. A decode dirties only the nodes its
-/// clusters reach, lists them in `touched`, and re-arms exactly those
-/// entries (and their edges) before it returns, so neither end of a
-/// decode costs O(nodes + edges).
+/// edge, every edge ungrown and in no growth list. A decode dirties
+/// only the nodes its clusters reach, lists them in `touched` and the
+/// edges whose clock it wrote in `written`, and re-arms exactly those
+/// entries and the ring entries still linked before it returns, so
+/// neither end of a decode costs O(nodes + edges).
 pub(crate) struct UfScratch {
     /// Per-node DSU + membership-list record (8 B each).
     pub(crate) node: Vec<UfNode>,
     /// Per-node cluster record, live while the node is a root (16 B).
     pub(crate) root: Vec<UfRoot>,
-    /// Per-node [`DEFECT`] | [`VISITED`] | [`TOUCHED`] mark bits.
+    /// Per-node [`DEFECT`] | [`VISITED`] | [`TOUCHED`] mark bits, and
+    /// a root's [`LIVE`] | [`QUEUED`] | [`CHANGED`] growth bits.
     pub(crate) mark: Vec<u8>,
     /// Per-edge [`SATURATED`] bit, set once the edge is fully grown.
     pub(crate) grown: Vec<u32>,
@@ -319,7 +321,7 @@ pub(crate) struct UfScratch {
     pub(crate) row_base: u32,
     /// Index of edge 0's entry in `ring`.
     pub(crate) edge_base: u32,
-    /// Bit `b` set when bucket `b` holds an edge.
+    /// Bit `b` set when bucket `b` holds an entry.
     pub(crate) occupied: u128,
     /// Per-node last pass whose unit the node's cluster gave its edges
     /// before it left the clock.
@@ -328,8 +330,8 @@ pub(crate) struct UfScratch {
     pub(crate) live: u32,
     /// One bit per edge, set only while a frontier is being collected.
     pub(crate) edge_bits: Vec<u64>,
-    /// Edges drained from a growth list, or a merged cluster's
-    /// frontier.
+    /// Ring indices drained from a growth list, or the edges of a
+    /// merged cluster's frontier.
     pub(crate) frontier: Vec<u32>,
     /// Roots the current pass still visits, smallest first.
     pub(crate) visits: BinaryHeap<Reverse<u32>>,

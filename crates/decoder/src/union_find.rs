@@ -20,11 +20,17 @@ use std::sync::Arc;
 /// produces the correction, whose edge observable masks XOR into the
 /// logical prediction.
 ///
-/// The decode's cost follows the clusters, not the graph, as in the
-/// almost-linear bound of Delfosse–Nickerson: growth jumps in one step
-/// over the passes that saturate no edge, the peeling forests are
+/// The decode's cost follows the saturations and the clusters that
+/// change, not the graph or the number of passes, as in the
+/// almost-linear bound of Delfosse–Nickerson. Growth runs on a pass
+/// clock: each frontier edge waits in one of 128 ring buckets, the one
+/// of the pass in which it fills, so the decode jumps from one
+/// saturating pass to the next, and a pass visits only the clusters
+/// whose unit fills an edge in it or that a merge reached earlier in
+/// it. Every other growing cluster advances by the clock alone. The
+/// peeling forests follow the saturated edges' own adjacency lists,
 /// seeded from the saturated edges and the syndrome instead of a scan
-/// of the graph, and only the arena entries a decode dirtied are
+/// of the graph, and only the arena entries a decode wrote are
 /// re-armed. The result is bit-identical to running every unit pass.
 ///
 /// The whole decode runs over flat u32 arenas: CSR adjacency from the
@@ -197,9 +203,12 @@ fn div_rate(left: u32, rate: u32) -> u32 {
 /// may wait in a bucket earlier than its fill, never later, and is
 /// re-filed when its bucket comes up. Until a decode writes an edge,
 /// the defects at its ends list it from pass 0, so a defect's
-/// frontier, its CSR row, is filed without a write to the clock. The
-/// cost follows the saturations and the frontiers of the clusters that
-/// change, not the passes times every frontier.
+/// frontier, its CSR row, is filed without a write to the clock: the
+/// row edges that fill first each in their bucket, the rest as one row
+/// entry. The loop ends once no cluster is on the clock, and re-arming
+/// unlinks what is left in the ring. The cost follows the saturations
+/// and the frontiers of the clusters that change, not the passes times
+/// every frontier.
 fn grow(
     graph: &DecodingGraph,
     capacity: &[u32],
