@@ -116,8 +116,8 @@ impl DecoderKind {
         seed: u64,
     ) -> AnyDecoder {
         match *self {
-            DecoderKind::UnionFind => AnyDecoder::UnionFind(UfDecoder::from_shared(graph)),
-            DecoderKind::Mwpm => AnyDecoder::Mwpm(MwpmDecoder::from_shared(graph)),
+            DecoderKind::UnionFind => AnyDecoder::UnionFind(UfDecoder::new(graph)),
+            DecoderKind::Mwpm => AnyDecoder::Mwpm(MwpmDecoder::new(graph)),
             DecoderKind::Lut {
                 train_shots,
                 capacity_bytes,
@@ -132,7 +132,7 @@ impl DecoderKind {
                 capacity_bytes,
             } => {
                 let lut = LutDecoder::train(circuit, train_shots, seed, capacity_bytes);
-                let mwpm = MwpmDecoder::from_shared(graph);
+                let mwpm = MwpmDecoder::new(graph);
                 AnyDecoder::Hierarchical(HierarchicalDecoder::new(lut, mwpm))
             }
         }
@@ -256,6 +256,30 @@ mod tests {
             // The trivial syndrome never predicts a flip.
             assert_eq!(dec.predict(&[]), 0);
         }
+    }
+
+    #[test]
+    fn build_shared_never_deep_copies_the_graph() {
+        let (c, g) = d3_graph();
+        let arc = std::sync::Arc::new(g);
+        let shared = |kind: DecoderKind| kind.build_shared(&c, std::sync::Arc::clone(&arc), 1);
+        match shared(DecoderKind::UnionFind) {
+            AnyDecoder::UnionFind(d) => assert!(std::ptr::eq(d.graph(), &*arc)),
+            other => panic!("built {}", other.name()),
+        }
+        match shared(DecoderKind::Mwpm) {
+            AnyDecoder::Mwpm(d) => assert!(std::ptr::eq(d.graph(), &*arc)),
+            other => panic!("built {}", other.name()),
+        }
+        // The hierarchical decoder exposes no graph; a deep copy would
+        // drop the handed-in `Arc` and leave the count where it was.
+        let before = std::sync::Arc::strong_count(&arc);
+        let hierarchical = shared(DecoderKind::Hierarchical {
+            train_shots: 1_000,
+            capacity_bytes: DEFAULT_CAPACITY_BYTES,
+        });
+        assert_eq!(hierarchical.name(), "hierarchical");
+        assert!(std::sync::Arc::strong_count(&arc) > before);
     }
 
     #[test]

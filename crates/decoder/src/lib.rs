@@ -37,16 +37,16 @@
 //! * [`StreamingDecoder`] — the real-time face of the stack: a graph
 //!   decoder consumed round by round through a sliding window of `W`
 //!   rounds, committing corrections for rounds that scroll out.
-//!   Configured by [`StreamingConfig`] (window and overlap), a commit
-//!   decodes only the uncommitted rounds, in place on the graph
-//!   restricted to their detector range, at most once per commit, and
-//!   commits the correction edges that reach the finalized round,
-//!   carrying their far endpoints forward as artificial defects —
-//!   O(window) per round, independent of stream length, with a
-//!   measured accuracy delta. The graph decoders' primary output is
-//!   that edge set ([`Decoder::decode_window_into`]); their batch mask
-//!   is the XOR of its edges' observables. Table decoders have no
-//!   edges and do not stream: [`StreamingConfig::build`] rejects them.
+//!   Configured by [`StreamingConfig`] (window and overlap), it holds
+//!   the forward-window commit state itself: a commit decodes at most
+//!   one window, in place on the graph restricted to its detector
+//!   range, and finalizes the correction edges that reach the
+//!   committed round — O(window) per round, independent of stream
+//!   length, with a measured accuracy delta. The graph decoders'
+//!   primary output is that edge set ([`Decoder::decode_window_into`]);
+//!   their batch mask is the XOR of its edges' observables. Table
+//!   decoders have no edges and do not stream: [`StreamingConfig::build`]
+//!   rejects them.
 //!   [`count_batch_errors_streaming`] is the batch-driver form; the
 //!   `decode-latency` scenario of `ftqc-bench` measures per-round
 //!   latency.
@@ -71,7 +71,6 @@
 //! ```
 
 mod evaluate;
-mod fusion;
 mod graph;
 mod hierarchical;
 mod kind;

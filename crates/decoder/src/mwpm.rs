@@ -33,18 +33,15 @@ pub struct MwpmDecoder {
 }
 
 impl MwpmDecoder {
-    /// Wraps a decoding graph with the default exact-matching limit.
-    /// The union-find fallback shares the same graph through an `Arc`
-    /// rather than deep-copying the edge and adjacency tables.
-    pub fn new(graph: DecodingGraph) -> MwpmDecoder {
-        MwpmDecoder::from_shared(Arc::new(graph))
-    }
-
-    /// [`new`](MwpmDecoder::new) from an already-shared graph (no deep
-    /// copy at all).
-    pub fn from_shared(graph: Arc<DecodingGraph>) -> MwpmDecoder {
+    /// Wraps a decoding graph, owned or already shared, with the
+    /// default exact-matching limit. A shared graph is never
+    /// deep-copied, and the union-find fallback shares the same graph
+    /// through an `Arc` rather than copying the edge and adjacency
+    /// tables.
+    pub fn new(graph: impl Into<Arc<DecodingGraph>>) -> MwpmDecoder {
+        let graph = graph.into();
         MwpmDecoder {
-            fallback: UfDecoder::from_shared(Arc::clone(&graph)),
+            fallback: UfDecoder::new(Arc::clone(&graph)),
             graph,
             exact_limit: 16,
         }

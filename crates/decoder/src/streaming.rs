@@ -1,17 +1,38 @@
 //! Streaming decoding: [`StreamingConfig`], [`StreamingDecoder`],
 //! [`RoundCommit`] and the [`count_batch_errors_streaming`] driver.
 //!
-//! A stream decodes only a window of rounds, in place on the decoding
-//! graph restricted to the window's detector range
-//! ([`Decoder::decode_window_into`]), and commits its correction edges
-//! forward, one round at a time: per-round cost O(window), independent
-//! of stream length, at the price of a small, measurable accuracy
-//! delta. Streaming is a graph-decoder feature: table decoders have no
-//! correction edges to commit, and [`StreamingConfig::build`] rejects
-//! them.
+//! A stream decodes only a window of rounds. A graph decoder's
+//! [`decode_window_into`](Decoder::decode_window_into) runs in place on
+//! the full [`DecodingGraph`], restricted to the window's detector
+//! range `[dlo, dhi)`, and returns global edge ids; nothing is copied
+//! per decode. Per-round decode cost is therefore O(window),
+//! independent of how long the stream has been running: the property
+//! the paper's real-time decode budget needs and a full-prefix
+//! re-decode cannot provide. Streaming is a graph-decoder feature:
+//! table decoders have no correction edges to commit, and
+//! [`StreamingConfig::build`] rejects them.
+//!
+//! Commits follow the forward-window scheme of Skoric et al.
+//! (*Parallel window decoding enables scalable fault tolerant quantum
+//! computation*, Nat. Commun. 2023). A graph decoder returns the edges
+//! of its correction, not just their observable mask. Each commit
+//! finalizes one round and keeps, of the window's correction, every
+//! edge with an endpoint in a committed or the committing round; its
+//! observables are the commit's correction. The other endpoint of such
+//! an edge lies in an uncommitted round and becomes an *artificial
+//! defect* there, XOR-ed into that round's real defects, so the next
+//! window corrects what the commit left over. Edges wholly inside the
+//! uncommitted rounds are kept for later commits, and are re-decoded
+//! only once new defects arrive. The range skips the edges leaving it
+//! downward, so a commit never flips a finalized detector again, and
+//! `overlap` committed rounds stay in it as defect-free context. Edges
+//! leaving it upward (its *cut edges*) end at the boundary. Every real
+//! defect is therefore corrected exactly once, the commits' corrections
+//! XOR to the stream's estimate, and a window that never commits
+//! before the end of the shot decodes it in one batch decode.
 
 use crate::evaluate::Decoder;
-use crate::fusion::{FusedCommit, FusionCore};
+use crate::graph::{cancel_pairs, DecodingGraph, EdgeRecord, NO_NODE};
 use crate::scratch::DecoderScratch;
 use ftqc_circuit::Circuit;
 use ftqc_sim::{parallel_batches_with, BatchSpec, RoundSchedule, RoundStream};
@@ -27,13 +48,11 @@ pub struct StreamingConfig {
 
 impl StreamingConfig {
     /// Round `r` is committed once round `r + window - 1` has arrived.
-    /// Each commit decodes at most one window of rounds on the graph
-    /// restricted to its detector range: the uncommitted rounds plus
-    /// `overlap` committed rounds kept behind the committing round as
-    /// defect-free context. It finalizes the correction edges that
-    /// reach the committing round and carries their far endpoints
-    /// forward as artificial defects; the `fusion-accuracy` harness
-    /// measures the resulting accuracy delta against batch decoding.
+    /// Each commit decodes at most one window of rounds: the
+    /// uncommitted rounds plus `overlap` committed rounds kept behind
+    /// the committing round as defect-free context. The
+    /// `fusion-accuracy` harness measures the resulting accuracy delta
+    /// against batch decoding.
     ///
     /// # Panics
     ///
@@ -43,14 +62,16 @@ impl StreamingConfig {
         StreamingConfig { window, overlap }
     }
 
-    /// The window size `W`.
-    pub fn window(&self) -> u32 {
-        self.window
-    }
-
     /// Builds the streaming decoder for this configuration. The round
     /// schedule tells the decoder which detectors belong to which
     /// round.
+    ///
+    /// The scratch is preallocated with
+    /// [`DecoderScratch::for_decoder`] and every streaming buffer is
+    /// presized from the decoder's declared
+    /// [`scratch_capacity`](Decoder::scratch_capacity) and the round
+    /// schedule, so decoding streams with zero heap allocations from
+    /// the very first round.
     ///
     /// # Panics
     ///
@@ -60,7 +81,102 @@ impl StreamingConfig {
     /// [`Decoder::decode_window_into`], so they have no correction
     /// edges to commit.
     pub fn build<D: Decoder>(self, decoder: D, schedule: &RoundSchedule) -> StreamingDecoder<D> {
-        StreamingDecoder::with_config(decoder, self, schedule)
+        let mut scratch = DecoderScratch::for_decoder(&decoder);
+        let cap = decoder.scratch_capacity();
+        // analyzer: allow(alloc) -- constructor: one-time copy of the
+        // round schedule, the cut-edge table and presizing of the
+        // defect and edge buffers; the push/commit path reuses them
+        // allocation-free.
+        let mut edges = Vec::with_capacity(cap.correction_edges());
+        // An empty window decode tells graph decoders, which return
+        // their graph, from table decoders, which decline.
+        let graph = decoder
+            .decode_window_into(&mut scratch, (0, 0), &[], &mut edges)
+            .expect(
+                "streaming needs a decoder with a decoding graph \
+                 (table decoders decline `decode_window_into`)",
+            );
+        let cuts = CutTable::new(graph, schedule);
+        let pending = Vec::with_capacity(cap.nodes as usize + cap.edges as usize);
+        let retained = Vec::with_capacity(cap.edges as usize);
+        let schedule = schedule.clone();
+        // analyzer: end-allow(alloc)
+        StreamingDecoder {
+            decoder,
+            config: self,
+            scratch,
+            schedule,
+            cuts,
+            pending,
+            edges,
+            retained,
+            valid: true,
+            ahead: false,
+            emitted: 0,
+            pushed: 0,
+            committed: 0,
+            decodes: 0,
+            node_bound: cap.nodes,
+        }
+    }
+}
+
+/// The cut edges of every window a stream decodes, counted once up
+/// front. A window ends at the end of one of the schedule's rounds;
+/// for each such end `h`, `lower` lists the `u` endpoints of the
+/// internal edges with `u < h <= v`, ascending, so the cut edges of
+/// `[dlo, h)` are the listed endpoints at or above `dlo`.
+struct CutTable {
+    /// The distinct round ends, ascending.
+    ends: Vec<u32>,
+    /// `lower[off[i]..off[i + 1]]` belongs to `ends[i]`.
+    off: Vec<u32>,
+    lower: Vec<u32>,
+}
+
+impl CutTable {
+    fn new(graph: &DecodingGraph, schedule: &RoundSchedule) -> CutTable {
+        // analyzer: allow(alloc) -- constructor: one counting sort of
+        // the graph's internal edges by the round ends they cross.
+        let mut ends: Vec<u32> = (0..schedule.num_rounds())
+            .map(|r| schedule.round_envelope(r).1)
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        // The indices of the ends in `(u, v]`.
+        let crossed = |r: &EdgeRecord| {
+            ends.partition_point(|&h| h <= r.u)..ends.partition_point(|&h| h <= r.v)
+        };
+        let internal = || graph.records().iter().filter(|r| r.v != NO_NODE);
+        let mut off = vec![0u32; ends.len() + 1];
+        for i in internal().flat_map(crossed) {
+            off[i + 1] += 1;
+        }
+        for i in 0..ends.len() {
+            off[i + 1] += off[i];
+        }
+        // Edges sort by `u`, so every list fills in ascending order.
+        let mut fill = off.clone();
+        let mut lower = vec![0u32; off[ends.len()] as usize];
+        for r in internal() {
+            for i in crossed(r) {
+                lower[fill[i] as usize] = r.u;
+                fill[i] += 1;
+            }
+        }
+        // analyzer: end-allow(alloc)
+        CutTable { ends, off, lower }
+    }
+
+    /// Cut edges of the window `[dlo, dhi)`: the internal edges with
+    /// `dlo <= u < dhi <= v`.
+    fn count(&self, dlo: u32, dhi: u32) -> u32 {
+        let i = self
+            .ends
+            .binary_search(&dhi)
+            .expect("a window ends at a round's end");
+        let lower = &self.lower[self.off[i] as usize..self.off[i + 1] as usize];
+        (lower.len() - lower.partition_point(|&u| u < dlo)) as u32
     }
 }
 
@@ -112,24 +228,19 @@ pub struct RoundCommit {
 ///
 /// # O(window) per round
 ///
-/// A commit decodes only the uncommitted rounds' defects (plus
-/// `overlap` committed rounds of defect-free context), in place on the
-/// decoding graph restricted to the window's detector range
-/// ([`Decoder::decode_window_into`]; no window copy is built), and
-/// finalizes the correction edges that reach the committing round.
-/// Their far endpoints become artificial defects of the rounds after
-/// it, so every later window corrects exactly what earlier commits
-/// left over (the forward-window scheme of Skoric et al.; DESIGN.md
-/// "Graph decoders: forward-window commits" carries the argument). The
-/// window size `W` carries the real-time semantics: round `r` is
-/// finalized once round `r + W - 1` has arrived (lookahead `W - 1`), so
-/// `W = 1` commits every round on arrival. A commit runs at most one
-/// window decode, and none when no new defect arrived since the last
-/// one. The estimate is approximate — a commit cannot see defects more
-/// than `W - 1` rounds ahead — and the `fusion-accuracy` harness
-/// measures the residual LER delta; a window covering the whole shot
-/// commits nothing before the end-of-shot drain, which decodes the
-/// shot once, so it is bit-identical to batch decoding.
+/// A commit decodes only the window's rounds, in place on the decoding
+/// graph restricted to their detector range, and commits its
+/// correction edges forward (DESIGN.md, "Graph decoders:
+/// forward-window commits", carries the argument). The window size
+/// `W` carries the real-time semantics: round `r` is finalized once
+/// round `r + W - 1` has arrived (lookahead `W - 1`), so `W = 1`
+/// commits every round on arrival. A commit runs at most one window
+/// decode, and none when no new defect arrived since the last one. The
+/// estimate is approximate — a commit cannot see defects more than
+/// `W - 1` rounds ahead — and the `fusion-accuracy` harness measures
+/// the residual LER delta; a window covering the whole shot commits
+/// nothing before the end-of-shot drain, which decodes the shot once,
+/// so it is bit-identical to batch decoding.
 ///
 /// The steady state is cheap and allocation-free: commits only invoke
 /// the decoder when the relevant syndrome changed since the last
@@ -175,7 +286,24 @@ pub struct StreamingDecoder<D> {
     decoder: D,
     config: StreamingConfig,
     scratch: DecoderScratch,
-    fusion: FusionCore,
+    schedule: RoundSchedule,
+    cuts: CutTable,
+    // Invariant: `pending` is the syndrome the uncommitted rounds still
+    // need corrected — their real defects XOR the artificial defects
+    // earlier commits carried forward — and while `valid`, `retained`
+    // is a correction of the `pending` defects in the last decode's
+    // window.
+    /// Defects of uncommitted rounds, ascending.
+    pending: Vec<u32>,
+    /// Scratch: the edge ids of the last window decode.
+    edges: Vec<u32>,
+    /// Edges of the last decode no commit has taken yet.
+    retained: Vec<EdgeRecord>,
+    /// Whether `retained` still corrects `pending`.
+    valid: bool,
+    /// Whether an edge of the last decode left its window upward, so
+    /// that the next round to arrive reaches it.
+    ahead: bool,
     /// XOR of every correction committed so far this shot.
     emitted: u32,
     pushed: u32,
@@ -189,38 +317,12 @@ pub struct StreamingDecoder<D> {
 }
 
 impl<D: Decoder> StreamingDecoder<D> {
-    /// See [`StreamingConfig::build`].
-    ///
-    /// The scratch is preallocated with
-    /// [`DecoderScratch::for_decoder`] and every streaming buffer is
-    /// presized from the decoder's declared
-    /// [`scratch_capacity`](Decoder::scratch_capacity) and the round
-    /// schedule, so decoding streams with zero heap allocations from
-    /// the very first round.
-    fn with_config(
-        decoder: D,
-        config: StreamingConfig,
-        schedule: &RoundSchedule,
-    ) -> StreamingDecoder<D> {
-        let mut scratch = DecoderScratch::for_decoder(&decoder);
-        let cap = decoder.scratch_capacity();
-        let fusion = FusionCore::new(&decoder, &mut scratch, config.overlap, schedule, cap);
-        StreamingDecoder {
-            decoder,
-            config,
-            scratch,
-            fusion,
-            emitted: 0,
-            pushed: 0,
-            committed: 0,
-            decodes: 0,
-            node_bound: cap.nodes,
-        }
-    }
-
-    /// Resets per-shot state.
+    /// Resets per-shot state (buffers keep their capacity).
     pub fn begin_shot(&mut self) {
-        self.fusion.reset();
+        self.pending.clear();
+        self.retained.clear();
+        self.valid = true;
+        self.ahead = false;
         self.emitted = 0;
         self.pushed = 0;
         self.committed = 0;
@@ -246,7 +348,19 @@ impl<D: Decoder> StreamingDecoder<D> {
                 self.node_bound
             );
         }
-        self.fusion.push(defects);
+        // New defects, or a round that an edge of the last decode
+        // reached, invalidate that decode.
+        if !defects.is_empty() || self.ahead {
+            self.valid = false;
+        }
+        let in_order = self
+            .pending
+            .last()
+            .is_none_or(|&last| defects.first().is_none_or(|&d| d > last));
+        self.pending.extend_from_slice(defects);
+        if !in_order {
+            cancel_pairs(&mut self.pending);
+        }
         self.pushed += 1;
         (self.pushed - self.committed >= self.config.window).then(|| self.commit_round())
     }
@@ -297,33 +411,69 @@ impl<D: Decoder> StreamingDecoder<D> {
         self.decodes
     }
 
-    /// The configuration this decoder was built with.
-    pub fn config(&self) -> StreamingConfig {
-        self.config
-    }
-
     /// The configured window size `W`.
     pub fn window(&self) -> u32 {
         self.config.window
     }
 
-    /// The wrapped decoder.
-    pub fn decoder(&self) -> &D {
-        &self.decoder
-    }
-
-    /// Finalizes the oldest pending round.
+    /// Commits `round`, the oldest uncommitted one: decodes the window
+    /// of rounds `[round - overlap, pushed)` when the retained
+    /// correction is stale, takes every retained edge with an endpoint
+    /// in a round up to `round`, and carries the uncommitted endpoints
+    /// of those edges forward as artificial defects.
     fn commit_round(&mut self) -> RoundCommit {
         let round = self.committed;
-        let FusedCommit {
-            correction,
-            carried: boundary_defects,
-            stitched: stitched_edges,
-            decoded,
-        } = self
-            .fusion
-            .commit(&self.decoder, &mut self.scratch, round, self.pushed);
-        self.decodes += u64::from(decoded);
+        let mut stitched_edges = 0;
+        if !self.valid {
+            self.valid = true;
+            self.ahead = false;
+            self.retained.clear();
+            let (dlo, dhi) = self
+                .schedule
+                .window_envelope(round.saturating_sub(self.config.overlap), self.pushed);
+            // Artificial defects in rounds not yet arrived wait for them.
+            let arrived = self.pending.partition_point(|&d| d < dhi);
+            if arrived > 0 {
+                let graph = self
+                    .decoder
+                    .decode_window_into(
+                        &mut self.scratch,
+                        (dlo, dhi),
+                        &self.pending[..arrived],
+                        &mut self.edges,
+                    )
+                    .expect("graph decoders decode every window");
+                for &e in &self.edges {
+                    let r = graph.records()[e as usize];
+                    // A window edge's `u` is in range; a cut edge's `v` is beyond it.
+                    self.ahead |= r.v != NO_NODE && r.v >= dhi;
+                    self.retained.push(r);
+                }
+                self.decodes += 1;
+                stitched_edges = self.cuts.count(dlo, dhi);
+            }
+        }
+        let schedule = &self.schedule;
+        let committed = |d: u32| d != NO_NODE && schedule.round_of(d) <= round;
+        self.pending.retain(|&d| !committed(d));
+        let (mut correction, mut boundary_defects) = (0, 0);
+        let pending = &mut self.pending;
+        self.retained.retain(|e| {
+            if !committed(e.u) && !committed(e.v) {
+                return true;
+            }
+            correction ^= e.observables;
+            for x in [e.u, e.v] {
+                if x != NO_NODE && !committed(x) {
+                    pending.push(x);
+                    boundary_defects += 1;
+                }
+            }
+            false
+        });
+        if boundary_defects > 0 {
+            cancel_pairs(&mut self.pending);
+        }
         self.emitted ^= correction;
         self.committed = round + 1;
         // Explicitly gated so the disabled path pays one relaxed load and
@@ -344,7 +494,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                     ftqc_telemetry::Arg::new("round", round as f64),
                     ftqc_telemetry::Arg::new("boundary_defects", boundary_defects as f64),
                     ftqc_telemetry::Arg::new("stitched_edges", stitched_edges as f64),
-                    ftqc_telemetry::Arg::new("active", self.fusion.pending_len() as f64),
+                    ftqc_telemetry::Arg::new("active", self.pending.len() as f64),
                 ],
             );
         }

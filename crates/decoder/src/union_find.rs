@@ -59,15 +59,12 @@ fn quantize_capacity(weight: f64) -> u32 {
 }
 
 impl UfDecoder {
-    /// Wraps a decoding graph.
-    pub fn new(graph: DecodingGraph) -> UfDecoder {
-        UfDecoder::from_shared(Arc::new(graph))
-    }
-
-    /// Wraps an already-shared decoding graph without deep-copying it —
-    /// how [`MwpmDecoder`](crate::MwpmDecoder) shares one graph with
-    /// its union-find fallback.
-    pub fn from_shared(graph: Arc<DecodingGraph>) -> UfDecoder {
+    /// Wraps a decoding graph, owned or already shared; a shared graph
+    /// is never deep-copied, which is how
+    /// [`MwpmDecoder`](crate::MwpmDecoder) shares one graph with its
+    /// union-find fallback.
+    pub fn new(graph: impl Into<Arc<DecodingGraph>>) -> UfDecoder {
+        let graph = graph.into();
         // analyzer: allow(alloc) -- constructor: the quantized edge
         // capacities are computed once per graph, not per decode.
         let capacity = graph
