@@ -49,7 +49,10 @@ impl Program {
         let mut rotation_count = 0u64;
         let mut cnot_count = 0u64;
         // ASAP layering: layer(gate) = 1 + max(layer of its qubits).
-        let mut qubit_layer = vec![0u64; self.num_qubits as usize];
+        // The table covers the qubits up to the highest one a gate
+        // touches, not the declared registers, which may be far larger.
+        let touched = self.gates.iter().flat_map(|g| &g.qubits).max();
+        let mut qubit_layer = vec![0u64; touched.map_or(0, |&q| q as usize + 1)];
         let mut cnots_in_layer: std::collections::HashMap<u64, u64> =
             std::collections::HashMap::new();
         for g in &self.gates {
@@ -159,6 +162,15 @@ mod tests {
         let p = Program::parse("qreg q[4]; cx q[0], q[1]; cx q[2], q[3];").unwrap();
         let a = p.analyze(1e-10);
         assert_eq!(a.max_concurrent_cnots, 2);
+        assert_eq!(a.depth, 1);
+    }
+
+    #[test]
+    fn huge_register_costs_only_the_touched_qubits() {
+        // One word per declared qubit would be 32 GB here.
+        let p = Program::parse("qreg q[4000000000]; h q[0];").unwrap();
+        let a = p.analyze(1e-10);
+        assert_eq!(a.num_qubits, 4_000_000_000);
         assert_eq!(a.depth, 1);
     }
 }
